@@ -19,7 +19,6 @@ from .ledger import (
     Accusation,
     History,
     Transaction,
-    conflicting_pairs,
     conflicts,
     encode_tx,
     inputs_incoming,
@@ -57,7 +56,13 @@ class ProcessState:
     echoes: dict[int, set[Transaction]]
     used_inputs: dict[int, set[bytes]]
     pending: set[Transaction] = field(default_factory=set)
-    signed_requests: dict[int, set[tuple[Transaction, bytes]]] = field(default_factory=dict)
+    # the spend index: every verified request, under each (issuer, input) it
+    # spends, with the first signature seen for it; (issuer, None) holds
+    # requests that spend nothing
+    requests: dict[tuple[int, bytes | None], dict[Transaction, bytes]] = field(default_factory=dict)
+    unscanned: list[Transaction] = field(default_factory=list)  # recorded since detect_conflicts
+    # the accepted spend of each (issuer, input) in the history
+    accepted: dict[tuple[int, bytes], Transaction] = field(default_factory=dict)
     accusations: set[Accusation] = field(default_factory=set)
     disable_used_input_guard: bool = False  # test-only mutant switch
 
@@ -83,7 +88,6 @@ def initial_state(
         history=History.of([genesis]),
         echoes={p: set() for p in range(n)},
         used_inputs={p: set() for p in range(n)},
-        signed_requests={p: set() for p in range(n)},
         disable_used_input_guard=disable_used_input_guard,
     )
 
@@ -123,7 +127,7 @@ def _ready(state: ProcessState, tx: Transaction) -> bool:
     if not inputs_incoming(tx, state.history) or not tx_valid(tx, state.history):
         return False
     # c3: accepting it must not put conflicting spends in the history
-    return not any(conflicts(tx, prior) for prior in state.history.txs)
+    return all(state.accepted.get((tx.issuer, ref), tx) == tx for ref in tx.inputs)
 
 
 def _maybe_pend(state: ProcessState, tx: Transaction) -> None:
@@ -160,33 +164,46 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
     _record_own_echo(state, tx)
 
 
+def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> bool:
+    """Index a verified signed request; False if tx was already recorded."""
+    keys = [(tx.issuer, ref) for ref in tx.inputs] or [(tx.issuer, None)]
+    if tx in state.requests.get(keys[0], ()):
+        return False
+    for key in keys:
+        state.requests.setdefault(key, {})[tx] = issuer_sig
+    state.unscanned.append(tx)
+    return True
+
+
 def _absorb_request(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list[Message]) -> None:
     """Store a signed request if new, then echo it if its inputs are fresh."""
-    if (tx, issuer_sig) in state.signed_requests[tx.issuer]:
-        return
-    state.signed_requests[tx.issuer].add((tx, issuer_sig))
-    _try_echo(state, tx, issuer_sig, out)
+    if record_request(state, tx, issuer_sig):
+        _try_echo(state, tx, issuer_sig, out)
 
 
 def detect_conflicts(state: ProcessState) -> list[Message]:
-    """Turn stored conflicting signed requests into accusations.
+    """Turn conflicting signed requests recorded since the last call into accusations.
 
-    Every canonical conflicting pair per issuer becomes its own accusation;
-    already-known ones are skipped, new ones are broadcast.
+    Every conflicting pair that involves a newly recorded request becomes its
+    own accusation; already-known ones are skipped, new ones are broadcast in
+    (issuer, reference, reference) order.
     """
+    proofs: dict[tuple[int, bytes, bytes], tuple[tuple[Transaction, bytes], ...]] = {}
+    for tx in state.unscanned:
+        for ref in tx.inputs:
+            bucket = state.requests[(tx.issuer, ref)]
+            for other in bucket:
+                if other != tx:
+                    key = (tx.issuer, *sorted((tx_ref(tx), tx_ref(other))))
+                    proofs[key] = ((tx, bucket[tx]), (other, bucket[other]))
+    state.unscanned.clear()
     out: list[Message] = []
-    for issuer in sorted(state.signed_requests):
-        sigs: dict[Transaction, bytes] = {}
-        for tx, sig in sorted(state.signed_requests[issuer], key=lambda pair: tx_ref(pair[0])):
-            sigs.setdefault(tx, sig)
-        for tx_a, tx_b in conflicting_pairs(sigs):
-            acc = Accusation.build({issuer}, ((tx_a, sigs[tx_a]), (tx_b, sigs[tx_b])))
-            if acc in state.accusations:
-                continue
-            state.accusations.add(acc)
-            out.append(
-                Message(kind=ACC, sender=state.pid, recipients=_others(state), accusation=acc)
-            )
+    for key in sorted(proofs):
+        acc = Accusation.build({key[0]}, proofs[key])
+        if acc in state.accusations:
+            continue
+        state.accusations.add(acc)
+        out.append(Message(kind=ACC, sender=state.pid, recipients=_others(state), accusation=acc))
     return out
 
 
@@ -198,6 +215,7 @@ def _settle(state: ProcessState, out: list[Message]) -> None:
         for tx in sorted(state.pending, key=tx_ref):
             if _ready(state, tx):
                 state.history = state.history.with_tx(tx)
+                state.accepted.update(((tx.issuer, ref), tx) for ref in tx.inputs)
                 state.pending.discard(tx)
                 progressed = True
     out.extend(detect_conflicts(state))
@@ -222,9 +240,9 @@ def _check_transfer(state: ProcessState, tx: Transaction) -> None:
         raise InvalidTransaction("every input must pay the issuer")
     if not tx_valid(tx, state.history):
         raise InvalidTransaction("outputs must be positive and conserve value")
-    for prior, _sig in sorted(state.signed_requests[state.pid], key=lambda pair: tx_ref(pair[0])):
-        if conflicts(tx, prior):
-            raise InvalidTransaction("conflicts with a transaction this process already signed")
+    signed = (state.requests.get((state.pid, ref), ()) for ref in tx.inputs)
+    if any(conflicts(tx, prior) for bucket in signed for prior in bucket):
+        raise InvalidTransaction("conflicts with a transaction this process already signed")
 
 
 def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
@@ -259,8 +277,7 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
         return []
     out: list[Message] = []
     state.echoes[msg.sender].add(tx)
-    if (tx, msg.issuer_sig) not in state.signed_requests[tx.issuer]:
-        state.signed_requests[tx.issuer].add((tx, msg.issuer_sig))
+    record_request(state, tx, msg.issuer_sig)
     _try_echo(state, tx, msg.issuer_sig, out)
     _maybe_pend(state, tx)
     _settle(state, out)

@@ -13,10 +13,12 @@ scheduling so it can be replayed on deserialized reports as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
 from .crypto import keychain, make_scheme
-from .ledger import Accusation, History, Transaction, conflicts, is_genesis, tx_ref, verify_acc
+from .ledger import Accusation, History, Transaction, is_genesis, tx_ref, verify_acc
+from .ledger import conflicts  # noqa: F401  (unused; perfbench/spans.py wraps properties.conflicts)
 from .trust import is_live
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,6 +85,37 @@ def _settles(tx: Transaction, issuer_history: History, history: History,
     return bool(_dependencies(tx, issuer_history) & accused)
 
 
+def _eventual_conviction(report: "RunReport", correct: list[int],
+                         accused: dict[int, set[bytes]]) -> Verdict:
+    """Every correct process holding one side of a conflicting pair has both accused.
+
+    Conflicting pairs are found by grouping the pooled transactions by the
+    (issuer, input) they spend; only pairs within one group are visited.
+    """
+    holders: dict[Transaction, set[int]] = {}
+    for p in correct:
+        for tx in report.histories[p].txs:
+            holders.setdefault(tx, set()).add(p)
+    spends: dict[tuple[int, bytes], list[Transaction]] = {}
+    for tx in holders:
+        for ref in tx.inputs:
+            spends.setdefault((tx.issuer, ref), []).append(tx)
+    pairs = {
+        tuple(sorted((tx_ref(a), tx_ref(b)))): (a, b)
+        for group in spends.values()
+        for a, b in combinations(group, 2)
+    }
+    for refs in sorted(pairs):
+        a, b = pairs[refs]
+        for side in sorted(holders[a] | holders[b]):
+            if not set(refs) <= accused[side]:
+                return Verdict(
+                    VIOLATED,
+                    f"conflict {refs[0].hex()[:16]}/{refs[1].hex()[:16]} unconvicted at {side}",
+                )
+    return Verdict(HOLDS)
+
+
 def evaluate_properties(report: "RunReport") -> dict[str, Verdict]:
     scenario = report.scenario
     model = scenario.model
@@ -96,6 +129,7 @@ def evaluate_properties(report: "RunReport") -> dict[str, Verdict]:
         liveness_vacuous = Verdict(VACUOUS, "run hit the event cap before quiescing")
 
     executed = _executed_actions(report)
+    accused = {p: _accused_refs(report.accusations[p]) for p in correct}
 
     # validity: a correct issuer's transfer reaches every live correct history,
     # unless some dependency of it ends up accused everywhere it is missing
@@ -105,8 +139,7 @@ def evaluate_properties(report: "RunReport") -> dict[str, Verdict]:
         problem = None
         for pid, tx in executed:
             for q in live:
-                if not _settles(tx, report.histories[pid], report.histories[q],
-                                _accused_refs(report.accusations[q])):
+                if not _settles(tx, report.histories[pid], report.histories[q], accused[q]):
                     problem = (pid, tx, q)
                     break
             if problem:
@@ -139,31 +172,7 @@ def evaluate_properties(report: "RunReport") -> dict[str, Verdict]:
     if liveness_vacuous is not None:
         verdicts["eventual-conviction"] = liveness_vacuous
     else:
-        verdicts["eventual-conviction"] = Verdict(HOLDS)
-        done = False
-        for p in correct:
-            for q in correct:
-                for a in report.histories[p].txs:
-                    for b in report.histories[q].txs:
-                        if not conflicts(a, b):
-                            continue
-                        for side in (p, q):
-                            refs = _accused_refs(report.accusations[side])
-                            if tx_ref(a) not in refs or tx_ref(b) not in refs:
-                                verdicts["eventual-conviction"] = Verdict(
-                                    VIOLATED,
-                                    f"conflict {tx_ref(a).hex()[:16]}/"
-                                    f"{tx_ref(b).hex()[:16]} unconvicted at {side}",
-                                )
-                                done = True
-                        if done:
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
+        verdicts["eventual-conviction"] = _eventual_conviction(report, correct, accused)
 
     # accuracy: every stored accusation verifies and only names faulty processes
     scheme = make_scheme(scenario.sig_scheme)
@@ -260,8 +269,7 @@ def evaluate_properties(report: "RunReport") -> dict[str, Verdict]:
                 if is_genesis(tx):
                     continue
                 for q in live:
-                    if not _settles(tx, hist_p, report.histories[q],
-                                    _accused_refs(report.accusations[q])):
+                    if not _settles(tx, hist_p, report.histories[q], accused[q]):
                         verdicts["termination"] = Verdict(
                             VIOLATED,
                             f"transaction {tx_ref(tx).hex()[:16]} held by {p} "

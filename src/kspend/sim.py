@@ -215,7 +215,11 @@ class _Runtime:
         self.msg_count = 0
         self.deliveries: list[_Delivery] = []
         self.trace: list = []
-        self.executed = [False] * len(scenario.honest_actions)
+        # per issuer, its unexecuted action indices with the next one last;
+        # an issuer's later actions wait for its earlier ones
+        self.todo: dict[int, list[int]] = {}
+        for idx in reversed(range(len(scenario.honest_actions))):
+            self.todo.setdefault(scenario.honest_actions[idx][0], []).append(idx)
         self.spends: dict[tuple[int, bytes], set[bytes]] = {}
         self.gamma = 0
         self.gamma_series: list[int] = []
@@ -293,16 +297,9 @@ class _Runtime:
     # --- scheduling -----------------------------------------------------
 
     def enabled_actions(self) -> list[int]:
-        enabled = []
-        per_issuer_blocked: set[int] = set()
-        for idx, (pid, tx) in enumerate(self.scenario.honest_actions):
-            if self.executed[idx] or pid in per_issuer_blocked:
-                continue
-            if eng.can_transfer(self.engines[pid], tx):
-                enabled.append(idx)
-            # preserve per-issuer order: later actions wait for earlier ones
-            per_issuer_blocked.add(pid)
-        return enabled
+        actions = self.scenario.honest_actions
+        heads = sorted(todo[-1] for todo in self.todo.values() if todo)
+        return [i for i in heads if eng.can_transfer(self.engines[actions[i][0]], actions[i][1])]
 
     def pick(self, enabled: list[int]):
         kind = self.scenario.scheduler.kind
@@ -317,14 +314,15 @@ class _Runtime:
         if kind == "adversarial":
             pos = min(range(len(self.deliveries)),
                       key=lambda i: (self.deliveries[i].phase, self.deliveries[i].seq))
-        else:
-            pos = min(range(len(self.deliveries)), key=lambda i: self.deliveries[i].seq)
-        return ("deliver", pos)
+            return ("deliver", pos)
+        # enqueue appends in increasing seq and pop never reorders, so the
+        # queue is always in seq order and its head is the oldest delivery
+        return ("deliver", 0)
 
     def step_action(self, idx: int) -> None:
         pid, tx = self.scenario.honest_actions[idx]
         accepted, new_acc = self.apply(pid, eng.transfer, tx)
-        self.executed[idx] = True
+        self.todo[pid].pop()
         self.trace.append(("action", idx, pid, tx_ref(tx).hex(), accepted, new_acc))
 
     def step_delivery(self, pos: int) -> None:
@@ -420,7 +418,7 @@ def run(scenario: Scenario, *, seed: int | None = None, check_invariants: bool =
         cover=cover,
         cover_note=cover_note,
         delivered=delivered,
-        unexecuted_actions=tuple(i for i, done in enumerate(rt.executed) if not done),
+        unexecuted_actions=tuple(sorted(idx for todo in rt.todo.values() for idx in todo)),
     )
     report.verdicts = props.evaluate_properties(report)
     return report

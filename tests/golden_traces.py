@@ -1,0 +1,85 @@
+"""The golden scenario set whose trace hashes are pinned in data/golden_trace_hashes.json.
+
+Any change to these hashes is a change of behaviour: the simulator, the
+engine or the schedulers now send or deliver something else, or in
+another order. Regenerate the file only when that is the intent:
+
+    PYTHONPATH=src python tests/golden_traces.py > tests/data/golden_trace_hashes.json
+"""
+
+import dataclasses
+import json
+import pathlib
+import random
+import sys
+
+import kspend
+from kspend import fuzz
+from kspend.ledger import genesis_tx, make_tx, tx_ref
+from kspend.sim import SchedulerSpec, load_scenario
+from kspend.trust import TrustModel, load_builtin_model
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+from conftest import CORPUS_SEED  # noqa: E402
+
+HASHES_FILE = pathlib.Path(__file__).parent / "data" / "golden_trace_hashes.json"
+FUZZ_RUNS = 50
+ATTACK_RUNS = 10
+
+
+def honest_ring(n: int, transfers: int) -> kspend.Scenario:
+    """One coin passed p -> p+1 around a ring whose quorums are majority windows."""
+    quorums = [[frozenset((p + i) % n for i in range(n // 2 + 1))] for p in range(n)]
+    genesis = genesis_tx({0: 1})
+    previous, actions = genesis, []
+    for t in range(transfers):
+        p = t % n
+        tx = make_tx(p, {(p + 1) % n: 1}, [tx_ref(previous)], timestamp=t // n + 1)
+        actions.append((p, tx))
+        previous = tx
+    return kspend.Scenario.build(
+        model=TrustModel.build(n, quorums, []),
+        faulty_set=(),
+        genesis=genesis,
+        honest_actions=actions,
+        scheduler=SchedulerSpec("fifo"),
+        sig_scheme="hmac",
+        name=f"ring-n{n}-t{transfers}",
+    )
+
+
+def golden_cases():
+    """(name, scenario, run seed) for every pinned run, in a fixed order."""
+    data = pathlib.Path(kspend.__file__).parent / "data"
+    demo = load_scenario(str(data / "demo_scenario.json"))
+    probe = load_scenario(str(data / "mutant_probe.json"))
+    yield "demo_scenario", demo, None
+    yield "mutant_probe", probe, None
+    yield "mutant_probe/guard-off", dataclasses.replace(probe, disable_used_input_guard=True), None
+    random_probe = dataclasses.replace(probe, scheduler=SchedulerSpec("random", seed=3))
+    yield "mutant_probe/random", random_probe, None
+    yield "example1-attack/adversarial", kspend.synthesize_multispend_attack(
+        load_builtin_model("example1")
+    ), None
+    yield "ring-n8-t64/fifo", honest_ring(8, 64), None
+
+    # the test suite's corpora (tests/conftest.py), drawn the same way
+    rng = random.Random(CORPUS_SEED)
+    for i in range(FUZZ_RUNS):
+        yield f"fuzz-{i}", fuzz.random_scenario(rng), i
+    rng = random.Random(CORPUS_SEED + 1)
+    for i in range(ATTACK_RUNS):
+        model, _k = fuzz.random_vulnerable_model(rng)
+        yield f"attack-{i}", kspend.synthesize_multispend_attack(model, sig_scheme="hmac"), None
+
+
+def golden_hashes() -> dict[str, str]:
+    return {
+        name: kspend.run(scenario, seed=seed).trace_hash
+        for name, scenario, seed in golden_cases()
+    }
+
+
+if __name__ == "__main__":
+    json.dump(golden_hashes(), sys.stdout, indent=1)
+    sys.stdout.write("\n")

@@ -120,3 +120,27 @@ def brute_conflict_pairs(txs):
             if a.issuer == b.issuer and set(a.inputs) & set(b.inputs):
                 out.add(frozenset((a, b)))
     return out
+
+
+def brute_eventual_conviction(report) -> str:
+    """Every pair of correct processes, every pair of their transactions.
+
+    A conflicting pair (same issuer, distinct, sharing an input) held by
+    p and q must be accused at both p and q.
+    """
+    if not report.quiescent:
+        return "vacuous"
+    correct = sorted(report.histories)
+    for p in correct:
+        for q in correct:
+            for a in report.histories[p].txs:
+                for b in report.histories[q].txs:
+                    if a == b or a.issuer != b.issuer or not set(a.inputs) & set(b.inputs):
+                        continue
+                    for side in (p, q):
+                        accused = {
+                            tx for acc in report.accusations[side] for tx, _sig in acc.proof
+                        }
+                        if a not in accused or b not in accused:
+                            return "violated"
+    return "holds"

@@ -282,11 +282,19 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
         tx_ref(make_tx(3, {0: 1}, [tx_ref(genesis)], timestamp=i, message=bytes([i])))
         for i in range(1, 4)
     ]
-    conflict_mismatches = 0
-    for _ in range(100):
-        state = eng.initial_state(
+    def fresh_state():
+        return eng.initial_state(
             3, 4, (frozenset(range(4)),), keys[3], _pub, "hmac", genesis
         )
+
+    def pairs_of(msgs):
+        return [tuple(tx for tx, _sig in m.accusation.proof) for m in msgs]
+
+    order_rng = random.Random(17)
+    conflict_mismatches = 0
+    incremental_mismatches = 0
+    for _ in range(100):
+        state = fresh_state()
         pool = []
         for issuer in range(3):
             for _t in range(rng.randint(0, 4)):
@@ -299,23 +307,41 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
                     message=rng.randbytes(2),
                 )
                 pool.append(tx)
-                state.signed_requests[issuer].add(
-                    (tx, scheme.sign(keys[issuer], encode_tx(tx)))
-                )
-        accs = eng.detect_conflicts(state)
-        got = {
-            frozenset((acc.proof[0][0], acc.proof[1][0]))
-            for acc in (m.accusation for m in accs)
-        }
+                eng.record_request(state, tx, scheme.sign(keys[issuer], encode_tx(tx)))
+        got = {frozenset(pair) for pair in pairs_of(eng.detect_conflicts(state))}
         if got != brute_conflict_pairs(pool):
             conflict_mismatches += 1
 
-    ok = graph_mismatches == 0 and spending_mismatches == 0 and conflict_mismatches == 0
+        # the same pool recorded in random order, scanned after every few
+        # requests: the scans together find every pair, each in canonical order
+        state = fresh_state()
+        shuffled = order_rng.sample(pool, len(pool))
+        union = set()
+        while shuffled:
+            chunk = order_rng.randint(1, 3)
+            for tx in shuffled[:chunk]:
+                eng.record_request(state, tx, scheme.sign(keys[tx.issuer], encode_tx(tx)))
+            del shuffled[:chunk]
+            found = pairs_of(eng.detect_conflicts(state))
+            keys_in_order = [(a.issuer, tx_ref(a), tx_ref(b)) for a, b in found]
+            if keys_in_order != sorted(keys_in_order):
+                incremental_mismatches += 1
+            union.update(frozenset(pair) for pair in found)
+        if union != brute_conflict_pairs(pool):
+            incremental_mismatches += 1
+
+    ok = (
+        graph_mismatches == 0
+        and spending_mismatches == 0
+        and conflict_mismatches == 0
+        and incremental_mismatches == 0
+    )
     _report(
         10,
         ok,
         f"independence {graph_mismatches}, spending {spending_mismatches}, "
-        f"conflict-pair {conflict_mismatches} mismatches",
+        f"conflict-pair {conflict_mismatches}, incremental conflict-pair "
+        f"{incremental_mismatches} mismatches",
     )
 
 

@@ -313,18 +313,27 @@ def test_console_script_runs():
     module, _, attr = entry.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
 
-    src_root = str(pathlib.Path(kspend.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     commands = [[sys.executable, "-c", wrapper]]
     exe = shutil.which("kspend")
     if exe:
         commands.append([exe])
     for command in commands:
-        done = subprocess.run(
-            command + ["table", "--n", "10", "--q", "7"],
-            capture_output=True, text=True, env=env,
-        )
-        assert done.returncode == 0, (command, done.stderr)
-        assert "n=10 q=7" in done.stdout, command
+        _run_table(command)
+
+
+def test_python_m_kspend_runs():
+    _run_table([sys.executable, "-m", "kspend"])
+
+
+def _run_table(command):
+    """Run `table --n 10 --q 7` in a child process importing the suite's kspend."""
+    src_root = str(pathlib.Path(kspend.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        command + ["table", "--n", "10", "--q", "7"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, (command, done.stderr)
+    assert "n=10 q=7" in done.stdout, command

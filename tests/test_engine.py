@@ -187,11 +187,32 @@ def test_detect_conflicts_is_idempotent():
     s = fresh(1)
     a, b = pay(0, {1: 10}), pay(0, {2: 10})
     for t in (a, b):
-        s.signed_requests[0].add((t, SCHEME.sign(KEYS[0], encode_tx(t))))
+        assert eng.record_request(s, t, SCHEME.sign(KEYS[0], encode_tx(t)))
+    assert not eng.record_request(s, a, SCHEME.sign(KEYS[0], encode_tx(a)))
     first = eng.detect_conflicts(s)
     assert len(first) == 1 and first[0].kind == eng.ACC
     assert eng.detect_conflicts(s) == []
     assert len(s.accusations) == 1
+
+
+def test_detect_conflicts_emits_only_unknown_pairs_in_order():
+    sig = lambda t: SCHEME.sign(KEYS[0], encode_tx(t))
+    a, b, c = pay(0, {1: 10}), pay(0, {2: 10}), pay(0, {0: 10})
+    s = fresh(1)
+    # the pair (a, b) is already known from a received accusation
+    known = Accusation.build({0}, [(a, sig(a)), (b, sig(b))])
+    eng.handle_message(
+        s, eng.Message(kind=eng.ACC, sender=2, recipients=frozenset({1}), accusation=known)
+    )
+    for t in (a, b):
+        eng.record_request(s, t, sig(t))
+    assert eng.detect_conflicts(s) == []
+    eng.record_request(s, c, sig(c))
+    fresh_pairs = [
+        tuple(tx_ref(t) for t, _sig in m.accusation.proof) for m in eng.detect_conflicts(s)
+    ]
+    assert fresh_pairs == sorted(tuple(sorted((tx_ref(c), tx_ref(t)))) for t in (a, b))
+    assert len(s.accusations) == 3
 
 
 def test_accusations_rebroadcast_once():

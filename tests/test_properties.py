@@ -22,6 +22,8 @@ from kspend.properties import (
 from kspend.sim import load_scenario, report_from_obj, report_to_obj, run
 from kspend.trust import is_live
 
+from oracles import brute_eventual_conviction
+
 
 @pytest.fixture(scope="module")
 def demo_report(data_dir):
@@ -99,20 +101,49 @@ def test_unissued_transaction_violates_integrity(demo_report):
     assert evaluate_properties(r)["integrity"].status == VIOLATED
 
 
-def test_unconvicted_conflict_violates_eventual_conviction(demo_report):
-    r = clone(demo_report)
+def plant_conflict(report, convicted_at=()):
+    """Two conflicting spends by process 3, one in each of the first two histories.
+
+    Only the processes in ``convicted_at`` hold an accusation naming both.
+    """
+    r = clone(report)
     genesis_ref = tx_ref(r.scenario.genesis)
-    # plant a conflicting pair from the declared-faulty-free run: use a pair
-    # attributed to a process that issued nothing, then strip all accusations
     a = make_tx(3, {0: 10}, [genesis_ref], timestamp=1)
     b = make_tx(3, {1: 10}, [genesis_ref], timestamp=1)
     pids = sorted(r.histories)
     r.histories = dict(r.histories)
     r.histories[pids[0]] = r.histories[pids[0]].with_tx(a)
     r.histories[pids[1]] = r.histories[pids[1]].with_tx(b)
-    r.accusations = {p: frozenset() for p in r.accusations}
-    verdicts = evaluate_properties(r)
+    acc = Accusation.build({3}, [(a, b"sig-a"), (b, b"sig-b")])
+    r.accusations = {
+        p: frozenset({acc}) if p in convicted_at else frozenset() for p in r.accusations
+    }
+    return r
+
+
+def test_unconvicted_conflict_violates_eventual_conviction(demo_report):
+    # a conflicting pair attributed to a process that issued nothing, with
+    # all accusations stripped
+    verdicts = evaluate_properties(plant_conflict(demo_report))
     assert verdicts["eventual-conviction"].status == VIOLATED
+
+
+def test_conviction_check_matches_brute_oracle(fuzz_corpus, attack_corpus, demo_report):
+    pids = sorted(demo_report.histories)
+    planted = [
+        plant_conflict(demo_report),
+        plant_conflict(demo_report, convicted_at={pids[0]}),
+        plant_conflict(demo_report, convicted_at=set(pids[:2])),
+    ]
+    reports = list(fuzz_corpus) + [r for _k, r in attack_corpus] + planted
+    statuses = []
+    for r in reports:
+        got = evaluate_properties(r)["eventual-conviction"].status
+        assert got == brute_eventual_conviction(r), r.scenario.name
+        statuses.append(got)
+    assert statuses[-3:] == [VIOLATED, VIOLATED, HOLDS]
+    # the corpora hold convicted conflicts, so the grouped pairs are exercised
+    assert any(r.gamma_max > 1 for _k, r in attack_corpus)
 
 
 def test_accusing_a_correct_process_violates_accuracy(demo_report):
