@@ -30,7 +30,6 @@ from .properties import PROPERTY_NAMES, VIOLATED
 from .sim import RunReport, load_scenario, report_to_obj, run
 from .trust import (
     TrustModel,
-    inconsistency_number,
     is_live,
     load_builtin_model,
     load_model,
@@ -137,8 +136,8 @@ def analyze(model_path: str | None, uniform, exact_cap: int | None, as_json: boo
             if exact_cap < 1:
                 _fail("--exact-cap must be positive", 2)
             kw["budget"] = exact_cap
-        value = inconsistency_number(model, **kw)
         witness = max_independent_set_witness(model, **kw)
+        value = len(witness.independent_set)
         gaps = self_inclusion_gaps(model)
         liveness = [
             {

@@ -141,7 +141,14 @@ def _record_own_echo(state: ProcessState, tx: Transaction) -> None:
 
 
 def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list[Message]) -> None:
-    """Echo unless some input of this issuer was already used."""
+    """Echo unless tx spends nothing or some input of this issuer was already used.
+
+    A request that spends no input can never be accepted (it conserves no
+    value), and with no input to mark as used it would be echoed again on
+    every ECHO of it.
+    """
+    if not tx.inputs:
+        return
     if state.disable_used_input_guard:
         # mutant: drop the per-input protection, keep per-tx idempotence
         fresh = tx not in state.echoes[state.pid]

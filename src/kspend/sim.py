@@ -725,15 +725,19 @@ def report_to_obj(report: RunReport) -> dict:
 
 
 def report_from_obj(obj: dict) -> RunReport:
+    """Rebuild a saved report; its trace must still hash to its trace_hash."""
     try:
         scenario = scenario_from_obj(obj["scenario"])
         delivered_obj = obj.get("delivered")
+        trace = _tuplify(obj["trace"])
+        if compute_trace_hash(trace) != obj["trace_hash"]:
+            raise SchemaError("bad report object: its trace does not match its trace_hash")
         return RunReport(
             scenario=scenario,
             seed_used=obj.get("seed_used"),
             quiescent=obj["quiescent"],
             events=obj["events"],
-            trace=_tuplify(obj["trace"]),
+            trace=trace,
             trace_hash=obj["trace_hash"],
             histories={
                 int(p): History.of(tx_from_obj(t) for t in txs)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     InvalidFaultySet,
@@ -102,18 +102,26 @@ def self_inclusion_gaps(model: TrustModel) -> tuple[tuple[int, Quorum], ...]:
     )
 
 
+def _closure_order(model: TrustModel) -> Iterator[tuple[int, ...]]:
+    """The fault closure lazily, as sorted tuples, in ``fault_closure`` order.
+
+    A size only one maximal set reaches streams from its (lexicographic)
+    combinations; otherwise the size is built and sorted whole, once a
+    search charging per set has paid for every larger size.
+    """
+    maximal = [sorted(m) for m in model.fault_model]
+    for r in range(max(map(len, maximal)), -1, -1):
+        sources = [combinations(m, r) for m in maximal if len(m) >= r]
+        yield from sources[0] if len(sources) == 1 else sorted(set().union(*sources))
+
+
 def fault_closure(model: TrustModel) -> tuple[frozenset[int], ...]:
     """Every admissible faulty set, largest first, then lexicographic.
 
     Larger sets first makes witness search prefer faulty sets that can
     actually host a misbehaving source.
     """
-    closure: set[frozenset[int]] = set()
-    for maximal in model.fault_model:
-        members = sorted(maximal)
-        for r in range(len(members) + 1):
-            closure.update(frozenset(c) for c in combinations(members, r))
-    return tuple(sorted(closure, key=lambda s: (-len(s), sorted(s))))
+    return tuple(frozenset(c) for c in _closure_order(model))
 
 
 def is_live(model: TrustModel, pid: int, faulty: frozenset[int]) -> bool:
@@ -254,32 +262,58 @@ class _Exhausted(Exception):
 
 
 def _choice_masks(
-    model: TrustModel, faulty: frozenset[int], correct: list[int]
+    quorum_masks: list[list[tuple[int, Quorum]]], keep: int, correct: list[int]
 ) -> list[list[tuple[int, Quorum]]]:
     """Per correct process: (quorum − F) bitmasks with their lex-first quorum."""
     masks = []
     for pid in correct:
         seen: dict[int, Quorum] = {}
-        for q in model.quorums[pid]:  # already in lex order
-            m = 0
-            for member in q:
-                if member not in faulty:
-                    m |= 1 << member
-            if m not in seen:
-                seen[m] = q
+        for mask, q in quorum_masks[pid]:  # already in lex order
+            seen.setdefault(mask & keep, q)
         masks.append(sorted(seen.items()))
     return masks
 
 
-def _pack_max(masks: list[list[tuple[int, Quorum]]], budget: _Budget) -> int:
-    """Largest set of processes assignable pairwise-disjoint masks.
+def _ceiling_admits(
+    quorum_masks: list[list[tuple[int, Quorum]]],
+    smallest: list[int],
+    keep: int,
+    correct: list[int],
+    need: int,
+) -> bool:
+    """Can ``need`` processes hold pairwise-disjoint reduced quorums at all?
 
-    Equivalent to the best independence number over every quorum map for
-    the fixed faulty set: only the members' choices matter, and mutual
-    independence is exactly pairwise disjointness of the reduced masks.
+    Disjoint masks inside the keep set cover at least the sum of their
+    owners' smallest reduced sizes, so the ``need`` smallest must fit in it.
+    A quorum loses at most |F| members to F, which gives a cheaper test to
+    try first on ``smallest``, each process's smallest quorum size.
+    """
+    if need > len(correct):
+        return False
+    room = keep.bit_count()
+    dropped = len(smallest) - room
+    if sum(sorted(max(smallest[pid] - dropped, 0) for pid in correct)[:need]) > room:
+        return False
+    sizes = sorted(min((m & keep).bit_count() for m, _ in quorum_masks[pid]) for pid in correct)
+    return sum(sizes[:need]) <= room
+
+
+def _pack_max(
+    masks: list[list[tuple[int, Quorum]]],
+    memo: dict[tuple[int, int], int],
+    budget: _Budget | None = None,
+    start: int = 0,
+    used: int = 0,
+) -> int:
+    """Most processes of ``masks[start:]`` assignable pairwise-disjoint masks
+    that also avoid ``used``, memoized per (index, used) state in ``memo``.
+
+    From the start, equivalent to the best independence number over every
+    quorum map for the fixed faulty set: only the members' choices matter,
+    and mutual independence is exactly pairwise disjointness of the reduced
+    masks. ``budget``, when given, is charged per state solved.
     """
     m = len(masks)
-    memo: dict[tuple[int, int], int] = {}
 
     def best(i: int, used: int) -> int:
         if i == m:
@@ -288,7 +322,8 @@ def _pack_max(masks: list[list[tuple[int, Quorum]]], budget: _Budget) -> int:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        budget.spend(1 + len(masks[i]))
+        if budget is not None:
+            budget.spend(1 + len(masks[i]))
         value = best(i + 1, used)
         for mask, _ in masks[i]:
             if mask & used == 0:
@@ -296,26 +331,39 @@ def _pack_max(masks: list[list[tuple[int, Quorum]]], budget: _Budget) -> int:
         memo[key] = value
         return value
 
-    return best(0, 0)
+    return best(start, used)
 
 
 def _lambda_and_witness(
     model: TrustModel, budget_cap: int
 ) -> tuple[int, Witness]:
+    """The exact search: every faulty set in closure order, one unit each.
+
+    A faulty set whose packing ceiling cannot beat the best value so far is
+    skipped; only a strict improvement moves the witness, so skipping never
+    changes it.
+    """
     budget = _Budget(budget_cap)
+    quorum_masks = [
+        [(sum(1 << member for member in q), q) for q in system] for system in model.quorums
+    ]
+    smallest = [min(map(len, system)) for system in model.quorums]
+    everyone = (1 << model.n) - 1
     best = 0
     best_faulty: frozenset[int] | None = None
-    closure = fault_closure(model)
-    packed: dict[frozenset[int], list[list[tuple[int, Quorum]]]] = {}
     try:
-        for faulty in closure:
-            correct = [p for p in model.processes() if p not in faulty]
-            masks = _choice_masks(model, faulty, correct)
-            packed[faulty] = masks
-            value = _pack_max(masks, budget)
+        for combo in _closure_order(model):
+            budget.spend(1)
+            keep = everyone & ~sum(1 << p for p in combo)
+            correct = [p for p in model.processes() if keep >> p & 1]
+            if not _ceiling_admits(quorum_masks, smallest, keep, correct, best + 1):
+                continue
+            masks = _choice_masks(quorum_masks, keep, correct)
+            memo: dict[tuple[int, int], int] = {}
+            value = _pack_max(masks, memo, budget)
             if value > best:
                 best = value
-                best_faulty = faulty
+                best_faulty, best_masks, best_memo = frozenset(combo), masks, memo
     except _Exhausted:
         raise SizeLimitExceeded(
             f"inconsistency search exceeded its budget of {budget_cap} units",
@@ -323,53 +371,32 @@ def _lambda_and_witness(
         ) from None
 
     assert best_faulty is not None  # every model admits some faulty set and a node
-    faulty = best_faulty
-    correct = [p for p in model.processes() if p not in faulty]
-    masks = packed[faulty]
-
-    m = len(masks)
-    memo: dict[tuple[int, int], int] = {}
-
-    def suffix_best(i: int, used: int) -> int:
-        if i == m:
-            return 0
-        key = (i, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        value = suffix_best(i + 1, used)
-        for mask, _ in masks[i]:
-            if mask & used == 0:
-                value = max(value, 1 + suffix_best(i + 1, used | mask))
-        memo[key] = value
-        return value
+    correct = [p for p in model.processes() if p not in best_faulty]
 
     # greedy reconstruction: smallest members first, lex-smallest quorum per
-    # member, lex-first filler quorums for everyone else
+    # member, lex-first filler quorums for everyone else; every state it asks
+    # about was solved by the search, so the memo answers without a budget
     chosen: dict[int, Quorum] = {}
-    members: list[int] = []
     used = 0
     remaining = best
     for i, pid in enumerate(correct):
         if remaining == 0:
             break
-        picked = None
-        for mask, quorum in sorted(masks[i], key=lambda mq: sorted(mq[1])):
-            if mask & used == 0 and 1 + suffix_best(i + 1, used | mask) == remaining:
-                picked = (mask, quorum)
+        for mask, quorum in sorted(best_masks[i], key=lambda mq: sorted(mq[1])):
+            if mask & used == 0 and 1 + _pack_max(
+                best_masks, best_memo, start=i + 1, used=used | mask
+            ) == remaining:
+                chosen[pid] = quorum
+                used |= mask
+                remaining -= 1
                 break
-        if picked is not None:
-            members.append(pid)
-            chosen[pid] = picked[1]
-            used |= picked[0]
-            remaining -= 1
     quorum_map = {
         pid: chosen.get(pid, model.quorums[pid][0]) for pid in correct
     }
     return best, Witness(
-        faulty_set=faulty,
+        faulty_set=best_faulty,
         quorum_map=quorum_map,
-        independent_set=frozenset(members),
+        independent_set=frozenset(chosen),
     )
 
 

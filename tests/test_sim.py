@@ -224,6 +224,15 @@ def test_report_roundtrip_through_json():
     assert clone.gamma_series == report.gamma_series
 
 
+def test_report_with_altered_trace_is_rejected():
+    report = run(simple_scenario(), seed=1)
+    obj = json.loads(json.dumps(report_to_obj(report)))
+    assert report_from_obj(obj).trace_hash == report.trace_hash
+    obj["trace"][1][-1] = "altered"
+    with pytest.raises(SchemaError, match="trace_hash"):
+        report_from_obj(obj)
+
+
 def test_authoring_format_symbolic_references(tmp_path):
     model_file = tmp_path / "model.json"
     model_file.write_text(json.dumps(model_to_obj(all_trust())))
@@ -355,3 +364,22 @@ def test_overdrawing_action_never_enables():
     report = run(scenario)
     assert report.quiescent and report.unexecuted_actions == (0,)
     assert all(len(h.txs) == 1 for h in report.histories.values())
+
+
+def test_request_spending_nothing_is_not_echoed_forever():
+    # such a request can never be accepted and has no input to mark as used;
+    # echoing it again on every ECHO of it never quiesced
+    model = TrustModel.build(4, [[range(4)]] * 4, [[0]])
+    obj = {
+        "model": model_to_obj(model),
+        "faulty": [0],
+        "genesis": {str(p): 1 for p in range(4)},
+        "sig_scheme": "hmac",
+        "transactions": {"empty": {"issuer": 0, "outputs": {"1": 1}, "inputs": []}},
+        "scripts": [{"sender": 0, "kind": "REQ", "tx": "empty", "to": [1]}],
+        "scheduler": {"kind": "fifo"},
+        "max_events": 2000,
+    }
+    report = run(scenario_from_obj(obj))
+    assert report.quiescent
+    assert all(h.txs == {report.scenario.genesis} for h in report.histories.values())

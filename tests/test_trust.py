@@ -1,9 +1,12 @@
+import json
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kspend import trust
 from kspend.errors import (
     InvalidFaultySet,
     InvalidParameters,
@@ -88,6 +91,10 @@ def test_fault_closure_matches_oracle_and_orders_largest_first():
     assert sorted(closure, key=lambda s: (len(s), sorted(s))) == brute_fault_closure(m)
     sizes = [len(f) for f in closure]
     assert sizes == sorted(sizes, reverse=True)
+    overlapping = tiny(5, [[[p]] for p in range(5)], [[0, 2, 3], [1, 2, 4], [0, 1, 2]])
+    for m in (uniform_model(6, 4, 2), overlapping):
+        closure = fault_closure(m)
+        assert list(closure) == sorted(brute_fault_closure(m), key=lambda s: (-len(s), sorted(s)))
 
 
 def test_self_inclusion_gaps_flags_only_offenders(example1):
@@ -227,6 +234,65 @@ def test_budget_exhaustion_reports_partial(example1):
     with pytest.raises(SizeLimitExceeded) as err:
         inconsistency_number(example1, budget=1)
     assert err.value.partial_maximum == 0
+
+
+def test_pruned_search_matches_brute_force(monkeypatch):
+    from kspend.fuzz import random_model
+
+    verdicts = []
+    admits = trust._ceiling_admits
+
+    def recording(*args):
+        verdicts.append(admits(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(trust, "_ceiling_admits", recording)
+    rng = random.Random(23)
+    for _ in range(60):
+        m = random_model(rng, n=rng.randint(3, 6))
+        assert inconsistency_number(m) == brute_inconsistency(m)
+    # the ceiling did skip faulty sets on these models, and did not skip all
+    assert verdicts.count(False) > 20 and verdicts.count(True) > 20
+
+
+def test_witnesses_are_pinned():
+    """Faulty set, quorum map and independent set on fixed fuzz models.
+
+    The expected witnesses come from the search without any pruning of
+    faulty sets; pruning must leave them as they are.
+    """
+    path = pathlib.Path(__file__).parent / "data" / "pinned_witnesses.json"
+    for case in json.loads(path.read_text()):
+        model = parse_model(case["model"])
+        w = max_independent_set_witness(model)
+        assert inconsistency_number(model) == case["value"]
+        assert sorted(w.faulty_set) == case["faulty"]
+        assert {str(p): sorted(q) for p, q in w.quorum_map.items()} == case["quorums"]
+        assert sorted(w.independent_set) == case["independent"]
+
+
+def test_uniform_12_8_4_is_exact_within_the_default_budget():
+    assert inconsistency_number(uniform_model(12, 8, 4)) == uniform_inconsistency(12, 8, 4)
+
+
+def test_budget_binds_from_the_first_faulty_set(monkeypatch):
+    # one maximal faulty set of 18 has 2^18 subsets; the budget must stop
+    # the search long before the closure has been enumerated
+    model = tiny(20, [[range(20)]] * 20, [range(18)])
+    drawn = 0
+    combinations = trust.combinations
+
+    def counting(members, r):
+        nonlocal drawn
+        for combo in combinations(members, r):
+            drawn += 1
+            yield combo
+
+    monkeypatch.setattr(trust, "combinations", counting)
+    with pytest.raises(SizeLimitExceeded) as err:
+        inconsistency_number(model, budget=1000)
+    assert err.value.partial_maximum == 1
+    assert drawn <= 1002  # at least one unit per faulty set visited
 
 
 @settings(max_examples=60, deadline=None)
