@@ -78,6 +78,21 @@ class HmacScheme:
         return hmac.compare_digest(expect, signature)
 
 
+def verify_once(scheme, verified: set, public: bytes, message: bytes, signature: bytes) -> bool:
+    """``scheme.verify``, skipped for a triple already in ``verified``.
+
+    Only successful checks are added, so a forged signature is checked
+    (and rejected) every time it is presented.
+    """
+    triple = (public, message, signature)
+    if triple in verified:
+        return True
+    if not scheme.verify(public, message, signature):
+        return False
+    verified.add(triple)
+    return True
+
+
 _SCHEMES = {"ed25519": Ed25519Scheme(), "hmac": HmacScheme()}
 
 

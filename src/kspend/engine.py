@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import KeyPair, make_scheme
+from .crypto import KeyPair, make_scheme, verify_once
 from .errors import InvalidTransaction
 from .ledger import (
     Accusation,
@@ -65,6 +65,11 @@ class ProcessState:
     accepted: dict[tuple[int, bytes], Transaction] = field(default_factory=dict)
     accusations: set[Accusation] = field(default_factory=set)
     disable_used_input_guard: bool = False  # test-only mutant switch
+    # (public key, signed bytes, signature) triples that passed verification;
+    # shared by every process of one run, so each is checked once per run
+    verified: set[tuple[bytes, bytes, bytes]] = field(
+        default_factory=set, compare=False, repr=False
+    )
 
 
 def initial_state(
@@ -77,6 +82,7 @@ def initial_state(
     genesis: Transaction,
     *,
     disable_used_input_guard: bool = False,
+    verified: set[tuple[bytes, bytes, bytes]] | None = None,
 ) -> ProcessState:
     return ProcessState(
         pid=pid,
@@ -89,6 +95,7 @@ def initial_state(
         echoes={p: set() for p in range(n)},
         used_inputs={p: set() for p in range(n)},
         disable_used_input_guard=disable_used_input_guard,
+        verified=set() if verified is None else verified,
     )
 
 
@@ -107,7 +114,7 @@ def _verify(state: ProcessState, signer: int, tx: Transaction, sig: bytes | None
     public = state.public_keys.get(signer)
     if public is None:
         return False
-    return _scheme(state).verify(public, encode_tx(tx), sig)
+    return verify_once(_scheme(state), state.verified, public, encode_tx(tx), sig)
 
 
 def _others(state: ProcessState) -> frozenset[int]:
@@ -295,7 +302,7 @@ def handle_acc(state: ProcessState, msg: Message) -> list[Message]:
     acc = msg.accusation
     if acc is None or acc in state.accusations:
         return []
-    if not verify_acc(acc, state.public_keys, _scheme(state)):
+    if not verify_acc(acc, state.public_keys, _scheme(state), state.verified):
         return []
     state.accusations.add(acc)
     return [Message(kind=ACC, sender=state.pid, recipients=_others(state), accusation=acc)]

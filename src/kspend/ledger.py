@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .crypto import content_hash
+from .crypto import content_hash, verify_once
 from .errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
 
 GENESIS_ISSUER = -1
@@ -476,19 +476,25 @@ def accusation_digest(acc: Accusation) -> bytes:
     return content_hash(encode_accusation(acc))
 
 
-def verify_acc(acc: Accusation, public_keys: Mapping[int, bytes], scheme) -> bool:
+def verify_acc(
+    acc: Accusation, public_keys: Mapping[int, bytes], scheme, verified: set | None = None
+) -> bool:
     """Check an accusation on evidence alone; no trust model involved.
 
     Every proof pair must be validly signed by its issuer, every issuer
     must be among the accused, and each accused process must have at least
-    two distinct pairwise-conflicting transactions in the proof.
+    two distinct pairwise-conflicting transactions in the proof. Signature
+    triples already in ``verified`` are not checked again, and those that
+    pass are added to it (see ``crypto.verify_once``).
     """
     if not acc.accused or not acc.proof:
         return False
+    if verified is None:
+        verified = set()
     by_issuer: dict[int, list[Transaction]] = {}
     for tx, sig in acc.proof:
         public = public_keys.get(tx.issuer)
-        if public is None or not scheme.verify(public, encode_tx(tx), sig):
+        if public is None or not verify_once(scheme, verified, public, encode_tx(tx), sig):
             return False
         if tx.issuer not in acc.accused:
             return False

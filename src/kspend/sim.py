@@ -11,10 +11,11 @@ to quiescence unless the event cap trips first. Runs are pure functions of
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import engine as eng
 from . import properties as props
@@ -129,13 +130,14 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class _Delivery:
-    seq: int
+class _Delivery(NamedTuple):
+    # ordered as a tuple: by (phase, seq), and seq is unique
     phase: int
+    seq: int
     msg_id: int
     message: eng.Message
     recipient: int
+    payload: str  # _payload_id(message), computed once per message
 
 
 @dataclass
@@ -176,7 +178,7 @@ def _payload_id(msg: eng.Message) -> str:
 
 
 def _phase_of(plan: tuple[PlanRule, ...], msg: eng.Message, recipient: int) -> int:
-    if msg.tx is not None:
+    if plan and msg.tx is not None:
         ref = tx_ref(msg.tx)
         for i, rule in enumerate(plan):
             if rule.tx_ref == ref and recipient in rule.recipients:
@@ -191,6 +193,7 @@ class _Runtime:
         self.scheme = make_scheme(scenario.sig_scheme)
         self.keys, self.public_keys = keychain(scenario.model.n, self.scheme, scenario.key_seed)
         self.correct = [p for p in range(scenario.model.n) if p not in scenario.faulty_set]
+        verified: set[tuple[bytes, bytes, bytes]] = set()  # one per run, never across runs
         self.engines: dict[int, eng.ProcessState] = {
             p: eng.initial_state(
                 p,
@@ -201,6 +204,7 @@ class _Runtime:
                 scenario.sig_scheme,
                 scenario.genesis,
                 disable_used_input_guard=scenario.disable_used_input_guard,
+                verified=verified,
             )
             for p in self.correct
         }
@@ -210,9 +214,12 @@ class _Runtime:
         if sched.kind == "random":
             self.seed_used = seed if seed is not None else (sched.seed or 0)
             self.rng = random.Random(self.seed_used)
-        self.plan = sched.plan if sched.kind == "adversarial" else ()
+        self.adversarial = sched.kind == "adversarial"
+        self.plan = sched.plan if self.adversarial else ()
         self.seq = 0
         self.msg_count = 0
+        # queued deliveries: in seq order, or under the adversarial scheduler
+        # a heap whose root, the least (phase, seq), is delivered next
         self.deliveries: list[_Delivery] = []
         self.trace: list = []
         # per issuer, its unexecuted action indices with the next one last;
@@ -230,13 +237,14 @@ class _Runtime:
         msg_id = self.msg_count
         self.msg_count += 1
         recipients = sorted(r for r in msg.recipients if r != msg.sender)
-        self.trace.append(
-            ("send", msg_id, msg.kind, msg.sender, tuple(recipients), _payload_id(msg))
-        )
+        payload = _payload_id(msg)
+        self.trace.append(("send", msg_id, msg.kind, msg.sender, tuple(recipients), payload))
         for r in recipients:
-            self.deliveries.append(
-                _Delivery(self.seq, _phase_of(self.plan, msg, r), msg_id, msg, r)
-            )
+            d = _Delivery(_phase_of(self.plan, msg, r), self.seq, msg_id, msg, r, payload)
+            if self.adversarial:
+                heapq.heappush(self.deliveries, d)
+            else:
+                self.deliveries.append(d)
             self.seq += 1
 
     def enqueue_scripts(self) -> None:
@@ -311,12 +319,9 @@ class _Runtime:
             return ("deliver", choice - len(enabled))
         if enabled:
             return ("action", enabled[0])
-        if kind == "adversarial":
-            pos = min(range(len(self.deliveries)),
-                      key=lambda i: (self.deliveries[i].phase, self.deliveries[i].seq))
-            return ("deliver", pos)
-        # enqueue appends in increasing seq and pop never reorders, so the
-        # queue is always in seq order and its head is the oldest delivery
+        # fifo: enqueue appends in increasing seq and pop never reorders, so
+        # the queue is in seq order and its head is the oldest delivery;
+        # adversarial: the heap root has the least (phase, seq)
         return ("deliver", 0)
 
     def step_action(self, idx: int) -> None:
@@ -326,7 +331,7 @@ class _Runtime:
         self.trace.append(("action", idx, pid, tx_ref(tx).hex(), accepted, new_acc))
 
     def step_delivery(self, pos: int) -> None:
-        d = self.deliveries.pop(pos)
+        d = heapq.heappop(self.deliveries) if self.adversarial else self.deliveries.pop(pos)
         if d.recipient in self.engines:
             accepted, new_acc = self.apply(d.recipient, eng.handle_message, d.message)
         else:
@@ -338,7 +343,7 @@ class _Runtime:
                 d.message.kind,
                 d.message.sender,
                 d.recipient,
-                _payload_id(d.message),
+                d.payload,
                 accepted,
                 new_acc,
             )

@@ -74,9 +74,6 @@ class TrustModel:
             maximal = [frozenset()]
         return TrustModel(n=n, quorums=tuple(systems), fault_model=tuple(maximal))
 
-    def quorums_of(self, pid: int) -> tuple[Quorum, ...]:
-        return self.quorums[pid]
-
     def processes(self) -> range:
         return range(self.n)
 

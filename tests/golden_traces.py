@@ -14,7 +14,7 @@ import random
 import sys
 
 import kspend
-from kspend import fuzz
+from kspend import fuzz, kcb
 from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import SchedulerSpec, load_scenario
 from kspend.trust import TrustModel, load_builtin_model
@@ -68,9 +68,14 @@ def golden_cases():
     for i in range(FUZZ_RUNS):
         yield f"fuzz-{i}", fuzz.random_scenario(rng), i
     rng = random.Random(CORPUS_SEED + 1)
-    for i in range(ATTACK_RUNS):
-        model, _k = fuzz.random_vulnerable_model(rng)
+    models = [fuzz.random_vulnerable_model(rng)[0] for _ in range(ATTACK_RUNS)]
+    for i, model in enumerate(models):
         yield f"attack-{i}", kspend.synthesize_multispend_attack(model, sig_scheme="hmac"), None
+    # the same models with Ed25519 signatures, attacked and broadcast on
+    for i, model in enumerate(models):
+        yield f"attack-{i}/ed25519", kspend.synthesize_multispend_attack(model), None
+    for i, model in enumerate(models):
+        yield f"kcb-byzantine-{i}", kcb.byzantine_broadcast_scenario(model), None
 
 
 def golden_hashes() -> dict[str, str]:

@@ -15,8 +15,12 @@ import sys
 import pytest
 
 import kspend
+from kspend import engine as eng
 
-from golden_traces import HASHES_FILE
+from golden_traces import ATTACK_RUNS, FUZZ_RUNS, HASHES_FILE, golden_cases
+
+# the golden runs with Byzantine senders: fuzz scripts, attacks, broadcasts
+ADVERSARIAL = ("fuzz-", "attack-", "kcb-", "example1-attack")
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
@@ -35,3 +39,33 @@ def test_golden_trace_hashes(hash_seed):
     assert list(got) == list(pinned)
     changed = sorted(name for name in pinned if got[name] != pinned[name])
     assert not changed, f"trace hashes moved for {changed}"
+
+
+def test_golden_adversarial_runs_keep_histories_well_formed():
+    """check_invariants: every history stays well formed after every event.
+
+    The checked runs must also keep their pinned traces.
+    """
+    pinned = json.loads(HASHES_FILE.read_text())
+    checked = 0
+    for name, scenario, seed in golden_cases():
+        if name.startswith(ADVERSARIAL):
+            report = kspend.run(scenario, seed=seed, check_invariants=True)
+            assert report.trace_hash == pinned[name], name
+            checked += 1
+    assert checked == FUZZ_RUNS + 3 * ATTACK_RUNS + 1
+
+
+def test_check_invariants_stops_a_malformed_history(monkeypatch):
+    # accept pending transactions before their inputs are accepted
+    monkeypatch.setattr(eng, "_ready", lambda state, tx: True)
+    stopped = []
+    for name, scenario, seed in golden_cases():
+        if name.startswith("fuzz-"):
+            kspend.run(scenario, seed=seed)  # unchecked, the run completes
+            try:
+                kspend.run(scenario, seed=seed, check_invariants=True)
+            except AssertionError as exc:
+                assert "left well-formedness" in str(exc)
+                stopped.append(name)
+    assert stopped

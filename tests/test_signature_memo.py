@@ -1,0 +1,162 @@
+"""The per-run memo of verified signatures.
+
+Every process of one run shares one set of verified (public key, signed
+bytes, signature) triples. These tests give two processes one memo, let
+the first verify real evidence, then show the second tampered or
+misattributed evidence: a memo keyed on less than the whole triple would
+let it through. The scope test counts real verifications: each distinct
+triple once per run, and again in the next run.
+"""
+
+import pytest
+
+import kspend
+from kspend import crypto, engine as eng, ledger, properties
+from kspend.crypto import keychain, make_scheme
+from kspend.ledger import encode_tx, genesis_tx, make_tx, tx_ref
+from kspend.trust import load_builtin_model
+
+N = 3
+GENESIS = genesis_tx({p: 10 for p in range(N)})
+FULL = (frozenset(range(N)),)
+SCHEMES = ["hmac", "ed25519"]
+
+
+def sharing_states(scheme_name):
+    """Processes 0-2 on one signature memo, with their keys."""
+    scheme = make_scheme(scheme_name)
+    keys, directory = keychain(N, scheme, b"memo-test")
+    verified = set()
+    states = {
+        p: eng.initial_state(p, N, FULL, keys[p].private, directory, scheme_name, GENESIS,
+                             verified=verified)
+        for p in range(N)
+    }
+    sign = lambda signer, tx: scheme.sign(keys[signer], encode_tx(tx))
+    return states, sign, verified
+
+
+def tampered(sig):
+    return bytes([sig[0] ^ 1]) + sig[1:]
+
+
+def pay(issuer, outputs):
+    return make_tx(issuer, outputs, [tx_ref(GENESIS)], timestamp=1)
+
+
+def req(sender, tx, issuer_sig, to):
+    return eng.Message(kind=eng.REQ, sender=sender, recipients=frozenset({to}), tx=tx,
+                       issuer_sig=issuer_sig)
+
+
+def echo(sender, tx, issuer_sig, echoer_sig, to):
+    return eng.Message(kind=eng.ECHO, sender=sender, recipients=frozenset({to}), tx=tx,
+                       issuer_sig=issuer_sig, echoer_sig=echoer_sig)
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_tampered_request_rejected_after_valid_one(scheme_name):
+    states, sign, verified = sharing_states(scheme_name)
+    tx = pay(0, {1: 10})
+    good = sign(0, tx)
+    assert eng.handle_message(states[1], req(0, tx, good, 1))  # echoed
+    assert verified
+    assert eng.handle_message(states[2], req(0, tx, tampered(good), 2)) == []
+    assert not states[2].requests and tx not in states[2].echoes[2]
+    assert all(triple[2] != tampered(good) for triple in verified)
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_echo_with_forged_echoer_signature_rejected(scheme_name):
+    states, sign, _ = sharing_states(scheme_name)
+    tx = pay(0, {1: 10})
+    issuer_sig = sign(0, tx)
+    # process 0's own echo signs the same bytes with the same key
+    assert eng.handle_message(states[1], echo(0, tx, issuer_sig, sign(0, tx), 1))
+    forged = echo(0, tx, issuer_sig, tampered(sign(0, tx)), 2)
+    assert eng.handle_message(states[2], forged) == []
+    assert tx not in states[2].echoes[0] and not states[2].requests
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_signature_of_one_signer_rejected_as_another(scheme_name):
+    states, sign, _ = sharing_states(scheme_name)
+    tx = pay(0, {1: 10})
+    sig0 = sign(0, tx)
+    # process 1 verifies 0's signature over tx, as issuer and as echoer
+    assert eng.handle_message(states[1], echo(0, tx, sig0, sig0, 1))
+    # the same bytes and signature, claimed as process 1's echo
+    assert eng.handle_message(states[2], echo(1, tx, sig0, sig0, 2)) == []
+    assert tx not in states[2].echoes[1]
+    # and as the issuer signature of a transaction process 1 issued
+    tx1 = pay(1, {2: 10})
+    sig0_on_tx1 = sign(0, tx1)
+    assert eng.handle_message(states[2], echo(0, tx1, sign(1, tx1), sig0_on_tx1, 2))
+    assert eng.handle_message(states[0], req(1, tx1, sig0_on_tx1, 0)) == []
+    assert not states[0].requests
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_accusation_with_misattributed_proof_rejected(scheme_name):
+    states, sign, _ = sharing_states(scheme_name)
+    a, b = pay(0, {1: 10}), pay(0, {2: 10})
+    good = ledger.Accusation.build({0}, [(a, sign(0, a)), (b, sign(0, b))])
+    acc = lambda accusation, to: eng.Message(kind=eng.ACC, sender=0, recipients=frozenset({to}),
+                                             accusation=accusation)
+    assert eng.handle_message(states[1], acc(good, 1))
+    # 0's signatures over 1's conflicting pair: every triple has a wrong key
+    c, d = pay(1, {0: 10}), pay(1, {2: 10})
+    framed = ledger.Accusation.build({1}, [(c, sign(0, c)), (d, sign(0, d))])
+    for tx in (c, d):  # put 0's signatures over them in the memo first
+        assert eng.handle_message(states[1], echo(0, tx, sign(1, tx), sign(0, tx), 1))
+    assert eng.handle_message(states[2], acc(framed, 2)) == []
+    assert framed not in states[2].accusations
+
+
+def test_each_triple_verified_once_per_run(monkeypatch):
+    """Real verifications equal the distinct triples presented, in every run."""
+    calls, presented = [], []
+    phase = {"name": "engine"}
+    real_verify = crypto.Ed25519Scheme.verify
+    real_once = crypto.verify_once
+    real_evaluate = properties.evaluate_properties
+
+    def counting_verify(self, public, message, signature):
+        calls.append((phase["name"], (public, message, signature)))
+        return real_verify(self, public, message, signature)
+
+    def counting_once(scheme, verified, public, message, signature):
+        presented.append((phase["name"], (public, message, signature)))
+        return real_once(scheme, verified, public, message, signature)
+
+    def in_properties(report):
+        phase["name"] = "properties"
+        try:
+            return real_evaluate(report)
+        finally:
+            phase["name"] = "engine"
+
+    monkeypatch.setattr(crypto.Ed25519Scheme, "verify", counting_verify)
+    monkeypatch.setattr(eng, "verify_once", counting_once)
+    monkeypatch.setattr(ledger, "verify_once", counting_once)
+    monkeypatch.setattr(properties, "evaluate_properties", in_properties)
+
+    scenario = kspend.synthesize_multispend_attack(load_builtin_model("example1"))
+    assert scenario.sig_scheme == "ed25519"
+    per_run = []
+    for _ in range(2):
+        calls.clear()
+        presented.clear()
+        report = kspend.run(scenario)
+        assert report.quiescent and report.accusations
+        assert all(v.status != "violated" for v in report.verdicts.values())
+        counts = {}
+        for name in ("engine", "properties"):
+            made = [t for p, t in calls if p == name]
+            shown = [t for p, t in presented if p == name]
+            assert len(made) == len(set(shown)) > 0, name
+            assert set(made) == set(shown), name
+            counts[name] = len(made)
+        assert len([t for p, t in presented if p == "engine"]) > counts["engine"]
+        per_run.append(counts)
+    assert per_run[0] == per_run[1]
