@@ -56,6 +56,7 @@ class ProcessState:
     echoes: dict[int, set[Transaction]]
     used_inputs: dict[int, set[bytes]]
     pending: set[Transaction] = field(default_factory=set)
+    pended: bool = False  # a transaction was pended since the last settle
     # the spend index: every verified request, under each (issuer, input) it
     # spends, with the first signature seen for it; (issuer, None) holds
     # requests that spend nothing
@@ -140,6 +141,7 @@ def _ready(state: ProcessState, tx: Transaction) -> bool:
 def _maybe_pend(state: ProcessState, tx: Transaction) -> None:
     if tx not in state.history.txs and tx not in state.pending and quorum_check(state, tx):
         state.pending.add(tx)
+        state.pended = True
 
 
 def _record_own_echo(state: ProcessState, tx: Transaction) -> None:
@@ -222,8 +224,12 @@ def detect_conflicts(state: ProcessState) -> list[Message]:
 
 
 def _settle(state: ProcessState, out: list[Message]) -> None:
-    """Promote ready pending transactions to a fixpoint, then scan for conflicts."""
-    progressed = True
+    """Promote ready pending transactions to a fixpoint, then scan for conflicts.
+
+    Readiness reads only the history and ``accepted``, which change only
+    here, so pending stays a fixpoint until something new is pended.
+    """
+    progressed, state.pended = state.pended, False
     while progressed:
         progressed = False
         for tx in sorted(state.pending, key=tx_ref):

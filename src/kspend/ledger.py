@@ -42,6 +42,12 @@ class Transaction:
     timestamp: int | None = None
     message: bytes | None = None
 
+    def __post_init__(self):
+        # the encoding writes None as 0, so 0 would collide with None
+        tm = self.timestamp
+        if tm is not None and (not isinstance(tm, int) or tm < 1):
+            raise ValueError(f"bad timestamp: {tm!r}")
+
     def pays(self, pid: int) -> int:
         for recipient, amount in self.outputs:
             if recipient == pid:
@@ -71,8 +77,6 @@ def make_tx(
     for ref in refs:
         if not isinstance(ref, bytes) or len(ref) != 32:
             raise ValueError("input references must be 32-byte digests")
-    if timestamp is not None and (not isinstance(timestamp, int) or timestamp < 1):
-        raise ValueError(f"bad timestamp: {timestamp!r}")
     return Transaction(
         issuer=issuer,
         outputs=tuple(sorted(out)),

@@ -227,13 +227,19 @@ class _Runtime:
         self.todo: dict[int, list[int]] = {}
         for idx in reversed(range(len(scenario.honest_actions))):
             self.todo.setdefault(scenario.honest_actions[idx][0], []).append(idx)
+        # the head actions whose issuer may transfer now; an issuer's
+        # readiness reads only its own state, so it is re-checked only when
+        # that issuer accepts something or executes an action
+        self.enabled: set[int] = set()
+        for pid in self.todo:
+            self.refresh(pid)
         self.spends: dict[tuple[int, bytes], set[bytes]] = {}
         self.gamma = 0
         self.gamma_series: list[int] = []
 
     # --- emission -------------------------------------------------------
 
-    def enqueue(self, msg: eng.Message) -> None:
+    def enqueue(self, msg: eng.Message) -> str:
         msg_id = self.msg_count
         self.msg_count += 1
         recipients = sorted(r for r in msg.recipients if r != msg.sender)
@@ -246,6 +252,7 @@ class _Runtime:
             else:
                 self.deliveries.append(d)
             self.seq += 1
+        return payload
 
     def enqueue_scripts(self) -> None:
         for send in self.scenario.scripts:
@@ -289,14 +296,12 @@ class _Runtime:
     def apply(self, pid: int, fn, *args) -> tuple[tuple[str, ...], tuple[str, ...]]:
         state = self.engines[pid]
         before_hist = state.history.txs
-        before_acc = set(state.accusations)
         out = fn(state, *args)
-        for msg in out:
-            self.enqueue(msg)
-        accepted = self.note_acceptances(pid, state.history.txs - before_hist)
-        new_acc = tuple(
-            sorted(accusation_digest(a).hex() for a in state.accusations - before_acc)
-        )
+        payloads = [self.enqueue(msg) for msg in out]
+        # every ACC a handler returns carries an accusation it newly stored
+        new_acc = tuple(sorted(p for msg, p in zip(out, payloads) if msg.kind == eng.ACC))
+        after = state.history.txs
+        accepted = () if after is before_hist else self.note_acceptances(pid, after - before_hist)
         if self.check_invariants and not state.history._base_report.ok:
             raise AssertionError(f"history of {pid} left well-formedness: "
                                  f"{state.history._base_report.failures}")
@@ -304,10 +309,17 @@ class _Runtime:
 
     # --- scheduling -----------------------------------------------------
 
+    def refresh(self, pid: int) -> None:
+        todo = self.todo.get(pid)
+        if todo:
+            idx = todo[-1]
+            if eng.can_transfer(self.engines[pid], self.scenario.honest_actions[idx][1]):
+                self.enabled.add(idx)
+            else:
+                self.enabled.discard(idx)
+
     def enabled_actions(self) -> list[int]:
-        actions = self.scenario.honest_actions
-        heads = sorted(todo[-1] for todo in self.todo.values() if todo)
-        return [i for i in heads if eng.can_transfer(self.engines[actions[i][0]], actions[i][1])]
+        return sorted(self.enabled)
 
     def pick(self, enabled: list[int]):
         kind = self.scenario.scheduler.kind
@@ -328,12 +340,16 @@ class _Runtime:
         pid, tx = self.scenario.honest_actions[idx]
         accepted, new_acc = self.apply(pid, eng.transfer, tx)
         self.todo[pid].pop()
+        self.enabled.discard(idx)
+        self.refresh(pid)
         self.trace.append(("action", idx, pid, tx_ref(tx).hex(), accepted, new_acc))
 
     def step_delivery(self, pos: int) -> None:
         d = heapq.heappop(self.deliveries) if self.adversarial else self.deliveries.pop(pos)
         if d.recipient in self.engines:
             accepted, new_acc = self.apply(d.recipient, eng.handle_message, d.message)
+            if accepted:
+                self.refresh(d.recipient)
         else:
             accepted, new_acc = (), ()  # faulty recipients are script-only
         self.trace.append(
@@ -730,14 +746,18 @@ def report_to_obj(report: RunReport) -> dict:
 
 
 def report_from_obj(obj: dict) -> RunReport:
-    """Rebuild a saved report; its trace must still hash to its trace_hash."""
+    """Rebuild a saved report.
+
+    Its trace must still hash to its trace_hash, and every saved verdict must
+    have the status that evaluating the properties on it gives.
+    """
     try:
         scenario = scenario_from_obj(obj["scenario"])
         delivered_obj = obj.get("delivered")
         trace = _tuplify(obj["trace"])
         if compute_trace_hash(trace) != obj["trace_hash"]:
             raise SchemaError("bad report object: its trace does not match its trace_hash")
-        return RunReport(
+        report = RunReport(
             scenario=scenario,
             seed_used=obj.get("seed_used"),
             quiescent=obj["quiescent"],
@@ -770,5 +790,14 @@ def report_from_obj(obj: dict) -> RunReport:
             else None,
             unexecuted_actions=tuple(obj.get("unexecuted_actions", [])),
         )
+        recomputed = props.evaluate_properties(report)
+        differ = sorted(
+            name
+            for name, saved in report.verdicts.items()
+            if name not in recomputed or recomputed[name].status != saved.status
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad report object: {exc}") from None
+    if differ:
+        raise SchemaError(f"bad report object: saved verdicts differ when re-evaluated: {differ}")
+    return report

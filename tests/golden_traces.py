@@ -61,7 +61,12 @@ def golden_cases():
     yield "example1-attack/adversarial", kspend.synthesize_multispend_attack(
         load_builtin_model("example1")
     ), None
-    yield "ring-n8-t64/fifo", honest_ring(8, 64), None
+    ring = honest_ring(8, 64)
+    yield "ring-n8-t64/fifo", ring, None
+    # under the random scheduler the order of the enabled actions shows
+    random_ring = dataclasses.replace(ring, scheduler=SchedulerSpec("random"))
+    for seed in range(4):
+        yield f"ring-n8-t64/random-{seed}", random_ring, seed
 
     # the test suite's corpora (tests/conftest.py), drawn the same way
     rng = random.Random(CORPUS_SEED)

@@ -3,11 +3,13 @@
 Everything here trades speed for obviousness: subset loops, full cartesian
 products, and partition search. Only usable at toy sizes, which is the
 point; none of it shares code with the package internals beyond the data
-types themselves.
+types themselves, except that the polling oracle asks the engine's own
+``can_transfer`` of every issuer, as the simulator once did on every event.
 """
 
 from itertools import combinations, product
 
+from kspend.engine import can_transfer
 from kspend.ledger import History
 
 
@@ -144,3 +146,10 @@ def brute_eventual_conviction(report) -> str:
                         if a not in accused or b not in accused:
                             return "violated"
     return "holds"
+
+
+def polled_enabled_actions(rt) -> list[int]:
+    """Poll every issuer's next action of a simulator runtime, in index order."""
+    actions = rt.scenario.honest_actions
+    heads = sorted(todo[-1] for todo in rt.todo.values() if todo)
+    return [i for i in heads if can_transfer(rt.engines[actions[i][0]], actions[i][1])]

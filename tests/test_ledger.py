@@ -10,6 +10,7 @@ from kspend.fuzz import random_well_formed_history
 from kspend.ledger import (
     Accusation,
     History,
+    Transaction,
     balance,
     conflicting_pairs,
     conflicts,
@@ -63,6 +64,15 @@ def test_make_tx_normalizes():
 def test_make_tx_rejects(kwargs):
     with pytest.raises(ValueError):
         make_tx(**kwargs)
+
+
+@pytest.mark.parametrize("timestamp", [0, -1, "1"])
+def test_directly_built_transaction_rejects_bad_timestamp(timestamp):
+    # timestamp 0 would encode, and so hash, like no timestamp at all
+    untimed = Transaction(issuer=0, outputs=((1, 10),), inputs=(GREF,))
+    assert encode_tx(untimed) == encode_tx(make_tx(0, {1: 10}, [GREF]))
+    with pytest.raises(ValueError, match="bad timestamp"):
+        Transaction(issuer=0, outputs=((1, 10),), inputs=(GREF,), timestamp=timestamp)
 
 
 def test_genesis_shape():

@@ -233,6 +233,20 @@ def test_report_with_altered_trace_is_rejected():
         report_from_obj(obj)
 
 
+def test_report_with_flipped_verdict_is_rejected(data_dir):
+    probe = load_scenario(str(data_dir / "mutant_probe.json"))
+    report = run(dataclasses.replace(probe, disable_used_input_guard=True))
+    assert report.verdicts["k-spending"].status == "violated"
+    obj = json.loads(json.dumps(report_to_obj(report)))
+    assert report_from_obj(obj).verdicts == report.verdicts  # a violation loads as saved
+    for name, status in (("k-spending", "holds"), ("agreement", "violated")):
+        flipped = json.loads(json.dumps(obj))
+        assert flipped["verdicts"][name]["status"] != status
+        flipped["verdicts"][name]["status"] = status
+        with pytest.raises(SchemaError, match=f"verdicts differ.*'{name}'"):
+            report_from_obj(flipped)
+
+
 def test_authoring_format_symbolic_references(tmp_path):
     model_file = tmp_path / "model.json"
     model_file.write_text(json.dumps(model_to_obj(all_trust())))
