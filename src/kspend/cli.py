@@ -74,6 +74,11 @@ def _guarded(body):
         click.echo(f"analysis budget exceeded: {exc}")
         if exc.partial_maximum is not None:
             click.echo(f"best bound found before giving up: {exc.partial_maximum}")
+        if exc.faulty_sets_visited is not None:
+            click.echo(
+                f"faulty sets visited: {exc.faulty_sets_visited}; "
+                f"budget units spent: {exc.units_spent}"
+            )
         sys.exit(3)
 
 
@@ -101,7 +106,8 @@ def main() -> None:
     "--exact-cap",
     type=int,
     default=None,
-    help="Exact-search work budget; exceeding it aborts with the best bound found.",
+    help="Exact-search work budget in units: one per faulty set visited and one per "
+    "packing-search node; exceeding it aborts with the best bound found.",
 )
 @click.option("--json", "as_json", is_flag=True, help="Emit machine-readable output.")
 def analyze(model_path: str | None, uniform, exact_cap: int | None, as_json: bool) -> None:

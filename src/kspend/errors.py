@@ -23,12 +23,24 @@ class SizeLimitExceeded(KspendError):
     """An exact search outgrew its configured budget.
 
     ``partial_maximum`` carries the best value found before the budget ran
-    out (None when the search could not start at all).
+    out (None when the search could not start at all). The inconsistency
+    search also reports its progress: ``faulty_sets_visited`` and
+    ``units_spent`` (the unit that overran the budget included); other
+    searches leave them None.
     """
 
-    def __init__(self, message: str, partial_maximum: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        partial_maximum: int | None = None,
+        *,
+        faulty_sets_visited: int | None = None,
+        units_spent: int | None = None,
+    ):
         super().__init__(message)
         self.partial_maximum = partial_maximum
+        self.faulty_sets_visited = faulty_sets_visited
+        self.units_spent = units_spent
 
 
 class UnresolvedInput(KspendError):

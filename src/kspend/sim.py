@@ -37,6 +37,7 @@ from .ledger import (
     is_genesis,
     make_tx,
     minimum_cover,
+    spending_number,
     tx_ref,
 )
 from .trust import TrustModel, allows_faulty, inconsistency_number, model_to_obj, parse_model
@@ -745,10 +746,28 @@ def report_to_obj(report: RunReport) -> dict:
     }
 
 
+def _contradicted_summary(report: RunReport) -> list[str]:
+    """Summary fields that the report's trace, histories or model disagree with."""
+    series = report.gamma_series
+    steps = sum(1 for rec in report.trace if rec[0] in ("action", "deliver"))
+    checks = {
+        "events": report.events == steps,
+        "gamma_series": len(series) == report.events
+        and all(a <= b for a, b in zip(series, series[1:]))
+        and (series[-1] if series else 0) == report.gamma_max,
+        "gamma_max": report.gamma_max == spending_number(report.histories),
+        "cover": report.cover is None or report.cover == len(minimum_cover(report.histories)),
+        "k_bound": report.k_bound is None
+        or report.k_bound == inconsistency_number(report.scenario.model),
+    }
+    return [name for name, holds in checks.items() if not holds]
+
+
 def report_from_obj(obj: dict) -> RunReport:
     """Rebuild a saved report.
 
-    Its trace must still hash to its trace_hash, and every saved verdict must
+    Its trace must still hash to its trace_hash, its summary numbers must be
+    what its trace, histories and model give, and every saved verdict must
     have the status that evaluating the properties on it gives.
     """
     try:
@@ -790,14 +809,17 @@ def report_from_obj(obj: dict) -> RunReport:
             else None,
             unexecuted_actions=tuple(obj.get("unexecuted_actions", [])),
         )
+        contradicted = _contradicted_summary(report)
         recomputed = props.evaluate_properties(report)
         differ = sorted(
             name
             for name, saved in report.verdicts.items()
             if name not in recomputed or recomputed[name].status != saved.status
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MalformedHistory, SizeLimitExceeded) as exc:
         raise SchemaError(f"bad report object: {exc}") from None
+    if contradicted:
+        raise SchemaError(f"bad report object: summary numbers contradict it: {contradicted}")
     if differ:
         raise SchemaError(f"bad report object: saved verdicts differ when re-evaluated: {differ}")
     return report

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InvalidFaultySet,
@@ -260,14 +260,14 @@ class _Exhausted(Exception):
 
 def _choice_masks(
     quorum_masks: list[list[tuple[int, Quorum]]], keep: int, correct: list[int]
-) -> list[list[tuple[int, Quorum]]]:
-    """Per correct process: (quorum − F) bitmasks with their lex-first quorum."""
+) -> list[dict[int, Quorum]]:
+    """Per correct process: (quorum − F) bitmask -> lex-first quorum, in lex order."""
     masks = []
     for pid in correct:
         seen: dict[int, Quorum] = {}
         for mask, q in quorum_masks[pid]:  # already in lex order
             seen.setdefault(mask & keep, q)
-        masks.append(sorted(seen.items()))
+        masks.append(seen)
     return masks
 
 
@@ -295,50 +295,55 @@ def _ceiling_admits(
     return sum(sizes[:need]) <= room
 
 
-def _pack_max(
-    masks: list[list[tuple[int, Quorum]]],
-    memo: dict[tuple[int, int], int],
-    budget: _Budget | None = None,
-    start: int = 0,
-    used: int = 0,
-) -> int:
-    """Most processes of ``masks[start:]`` assignable pairwise-disjoint masks
-    that also avoid ``used``, memoized per (index, used) state in ``memo``.
+def _can_pack(
+    rows: Sequence[Collection[int]],
+    need: int,
+    used: int,
+    failed: dict[tuple[int, int], int],
+    budget: _Budget,
+) -> bool:
+    """Can ``need`` rows each take one of their masks, pairwise disjoint and
+    clear of ``used``?
 
-    From the start, equivalent to the best independence number over every
-    quorum map for the fixed faulty set: only the members' choices matter,
-    and mutual independence is exactly pairwise disjointness of the reduced
-    masks. ``budget``, when given, is charged per state solved.
+    For one faulty set, the best independence number over every quorum map
+    is the most rows packable so: only the members' choices matter, and
+    mutual independence is exactly pairwise disjointness of reduced masks.
+    Branch and bound over rows ordered by fewest masks, each narrowed to the
+    masks still clear; a node is cut when fewer than ``need`` rows keep one.
+    ``failed`` maps (index, used) to the least need that failed there, so
+    calls on the same rows may share it. ``budget`` is charged per node.
     """
-    m = len(masks)
+    rows = sorted(rows, key=len)
 
-    def best(i: int, used: int) -> int:
-        if i == m:
-            return 0
-        key = (i, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if budget is not None:
-            budget.spend(1 + len(masks[i]))
-        value = best(i + 1, used)
-        for mask, _ in masks[i]:
-            if mask & used == 0:
-                value = max(value, 1 + best(i + 1, used | mask))
-        memo[key] = value
-        return value
+    def search(i: int, live: list[tuple[int, list[int]]], need: int, used: int) -> bool:
+        if need == 0:
+            return True
+        if len(live) < need or failed.get((i, used), need + 1) <= need:
+            return False
+        budget.spend(1)
+        (j, masks), rest = live[0], live[1:]
+        for mask in masks:
+            taken = used | mask
+            narrowed = [(k, kept) for k, row in rest if (kept := [m for m in row if not m & taken])]
+            if search(j + 1, narrowed, need - 1, taken):
+                return True
+        if search(j + 1, rest, need, used):
+            return True
+        failed[i, used] = need
+        return False
 
-    return best(start, used)
+    live = [(j, kept) for j, row in enumerate(rows) if (kept := [m for m in row if not m & used])]
+    return search(0, live, need, used)
 
 
-def _lambda_and_witness(
-    model: TrustModel, budget_cap: int
-) -> tuple[int, Witness]:
+def _lambda_and_witness(model: TrustModel, budget_cap: int) -> tuple[int, Witness]:
     """The exact search: every faulty set in closure order, one unit each.
 
     A faulty set whose packing ceiling cannot beat the best value so far is
-    skipped; only a strict improvement moves the witness, so skipping never
-    changes it.
+    skipped; otherwise the decision search asks for one more than the best,
+    then one more while it succeeds, sharing its failures across those asks.
+    Only a strict improvement moves the witness, so skipping never changes
+    it. The witness rebuild is charged to the same budget.
     """
     budget = _Budget(budget_cap)
     quorum_masks = [
@@ -346,55 +351,47 @@ def _lambda_and_witness(
     ]
     smallest = [min(map(len, system)) for system in model.quorums]
     everyone = (1 << model.n) - 1
-    best = 0
+    best = visited = 0
     best_faulty: frozenset[int] | None = None
     try:
-        for combo in _closure_order(model):
+        for visited, combo in enumerate(_closure_order(model), 1):
             budget.spend(1)
             keep = everyone & ~sum(1 << p for p in combo)
             correct = [p for p in model.processes() if keep >> p & 1]
             if not _ceiling_admits(quorum_masks, smallest, keep, correct, best + 1):
                 continue
             masks = _choice_masks(quorum_masks, keep, correct)
-            memo: dict[tuple[int, int], int] = {}
-            value = _pack_max(masks, memo, budget)
-            if value > best:
-                best = value
-                best_faulty, best_masks, best_memo = frozenset(combo), masks, memo
+            failed: dict[tuple[int, int], int] = {}
+            while _can_pack(masks, best + 1, 0, failed, budget):
+                best, best_faulty, best_masks = best + 1, frozenset(combo), masks
+
+        assert best_faulty is not None  # every model admits some faulty set and a node
+        correct = [p for p in model.processes() if p not in best_faulty]
+        # greedy rebuild: smallest members first, lex-smallest quorum per
+        # member, lex-first filler quorums for everyone else
+        chosen: dict[int, Quorum] = {}
+        used = 0
+        for i, pid in enumerate(correct):
+            if len(chosen) == best:
+                break
+            failed = {}
+            for mask, quorum in best_masks[i].items():
+                if mask & used == 0 and _can_pack(
+                    best_masks[i + 1 :], best - len(chosen) - 1, used | mask, failed, budget
+                ):
+                    chosen[pid] = quorum
+                    used |= mask
+                    break
     except _Exhausted:
         raise SizeLimitExceeded(
             f"inconsistency search exceeded its budget of {budget_cap} units",
             partial_maximum=best,
+            faulty_sets_visited=visited,
+            units_spent=budget_cap - budget.remaining,
         ) from None
 
-    assert best_faulty is not None  # every model admits some faulty set and a node
-    correct = [p for p in model.processes() if p not in best_faulty]
-
-    # greedy reconstruction: smallest members first, lex-smallest quorum per
-    # member, lex-first filler quorums for everyone else; every state it asks
-    # about was solved by the search, so the memo answers without a budget
-    chosen: dict[int, Quorum] = {}
-    used = 0
-    remaining = best
-    for i, pid in enumerate(correct):
-        if remaining == 0:
-            break
-        for mask, quorum in sorted(best_masks[i], key=lambda mq: sorted(mq[1])):
-            if mask & used == 0 and 1 + _pack_max(
-                best_masks, best_memo, start=i + 1, used=used | mask
-            ) == remaining:
-                chosen[pid] = quorum
-                used |= mask
-                remaining -= 1
-                break
-    quorum_map = {
-        pid: chosen.get(pid, model.quorums[pid][0]) for pid in correct
-    }
-    return best, Witness(
-        faulty_set=best_faulty,
-        quorum_map=quorum_map,
-        independent_set=frozenset(chosen),
-    )
+    quorum_map = {pid: chosen.get(pid, model.quorums[pid][0]) for pid in correct}
+    return best, Witness(best_faulty, quorum_map, frozenset(chosen))
 
 
 def inconsistency_number(model: TrustModel, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:

@@ -54,6 +54,19 @@ def brute_inconsistency(model, faulty_sets=None) -> int:
     return best
 
 
+def brute_pack(rows, used=0) -> int:
+    """Most rows that can each take one of their masks, pairwise disjoint and
+    clear of ``used``: every pick of one mask or nothing per row."""
+    best = 0
+    for picks in product(*([None, *row] for row in rows)):
+        taken = [m for m in picks if m is not None]
+        if all(not m & used for m in taken) and all(
+            not a & b for a, b in combinations(taken, 2)
+        ):
+            best = max(best, len(taken))
+    return best
+
+
 def brute_spending_number(histories) -> int:
     """Double loop over the pooled transactions, counting spends per input."""
     pool = set()

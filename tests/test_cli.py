@@ -94,6 +94,16 @@ def test_analyze_budget_exceeded(runner):
     assert "best bound found before giving up: 0" in result.output
 
 
+def test_analyze_budget_exceeded_reports_progress(runner):
+    result = runner.invoke(main, ["analyze", "--model", "example1", "--exact-cap", "1"])
+    assert result.exit_code == 3
+    lines = result.output.splitlines()
+    assert lines[1] == "best bound found before giving up: 0"
+    # the first faulty set takes the only unit; the packing search's first
+    # node overruns the budget
+    assert lines[2] == "faulty sets visited: 1; budget units spent: 2"
+
+
 # --- table -------------------------------------------------------------------
 
 

@@ -22,6 +22,8 @@ from kspend.sim import (
 )
 from kspend.trust import TrustModel, model_to_obj, uniform_model
 
+from golden_traces import golden_cases
+
 
 def all_trust(n=3):
     full = [list(range(n))]
@@ -222,6 +224,46 @@ def test_report_roundtrip_through_json():
     assert clone.verdicts == report.verdicts
     assert clone.scenario == report.scenario
     assert clone.gamma_series == report.gamma_series
+
+
+def test_golden_reports_roundtrip_through_json():
+    # fuzz runs, attacks, broadcasts and rings: every summary number rechecks
+    for name, scenario, seed in golden_cases():
+        report = run(scenario, seed=seed)
+        clone = report_from_obj(json.loads(json.dumps(report_to_obj(report))))
+        assert (clone.events, clone.gamma_max, clone.cover, clone.k_bound) == (
+            report.events, report.gamma_max, report.cover, report.k_bound
+        ), name
+
+
+@pytest.mark.parametrize(
+    "field,saved,edited",
+    [("events", 179, 3), ("gamma_max", 1, 0), ("cover", 1, 99), ("k_bound", 4, 50)],
+)
+def test_report_with_edited_summary_is_rejected(field, saved, edited):
+    report = run(fuzz.random_scenario(random.Random(9)), seed=1)
+    obj = json.loads(json.dumps(report_to_obj(report)))
+    assert obj[field] == saved
+    obj[field] = edited
+    with pytest.raises(SchemaError, match=f"summary numbers contradict.*'{field}'"):
+        report_from_obj(obj)
+
+
+def test_report_with_edited_gamma_series_is_rejected():
+    report = run(fuzz.random_scenario(random.Random(9)), seed=1)
+    obj = json.loads(json.dumps(report_to_obj(report)))
+    series = obj["gamma_series"]
+    rise = series.index(1)
+    assert rise + 2 < len(series) and series[-1] == obj["gamma_max"] == 1
+    dip = list(series)
+    dip[rise + 1] = 0
+    for edited in (
+        series[:-1],  # one short of the events
+        dip,  # falls, then rises again to the same end
+        [0] * len(series),  # never reaches gamma_max
+    ):
+        with pytest.raises(SchemaError, match="'gamma_series'"):
+            report_from_obj(dict(obj, gamma_series=edited))
 
 
 def test_report_with_altered_trace_is_rejected():

@@ -35,7 +35,12 @@ from kspend.trust import (
     uniform_model,
 )
 
-from oracles import brute_fault_closure, brute_inconsistency, subset_independence_number
+from oracles import (
+    brute_fault_closure,
+    brute_inconsistency,
+    brute_pack,
+    subset_independence_number,
+)
 
 
 def tiny(n, quorums, faults):
@@ -234,6 +239,19 @@ def test_budget_exhaustion_reports_partial(example1):
     with pytest.raises(SizeLimitExceeded) as err:
         inconsistency_number(example1, budget=1)
     assert err.value.partial_maximum == 0
+    # the first faulty set takes the only unit, the first search node overruns
+    assert (err.value.faulty_sets_visited, err.value.units_spent) == (1, 2)
+    closure = len(fault_closure(example1))
+    for budget in range(2, 200):
+        try:
+            max_independent_set_witness(example1, budget=budget)
+        except SizeLimitExceeded as exc:
+            assert 1 <= exc.faulty_sets_visited <= closure
+            assert exc.units_spent == budget + 1
+        else:
+            break
+    else:
+        pytest.fail("example1 never fit a budget below 200")
 
 
 def test_pruned_search_matches_brute_force(monkeypatch):
@@ -293,6 +311,61 @@ def test_budget_binds_from_the_first_faulty_set(monkeypatch):
         inconsistency_number(model, budget=1000)
     assert err.value.partial_maximum == 1
     assert drawn <= 1002  # at least one unit per faulty set visited
+
+
+def test_budget_binds_inside_one_faulty_set(monkeypatch):
+    # no faults, so one faulty set; quorums {p, s} over s in a hub of 4
+    # pack 4 processes, and refuting 5 takes thousands of search nodes
+    hub = [0, 1, 2, 3]
+    model = tiny(20, [[hub]] * 4 + [[[p, s] for s in hub] for p in range(4, 20)], [])
+    charged = 0
+    spend = trust._Budget.spend
+
+    def counting(self, units):
+        nonlocal charged
+        charged += units
+        spend(self, units)
+
+    monkeypatch.setattr(trust._Budget, "spend", counting)
+    assert inconsistency_number(model) == 4
+    assert charged > 5000
+    charged = 0
+    with pytest.raises(SizeLimitExceeded) as err:
+        inconsistency_number(model, budget=1000)
+    assert charged == err.value.units_spent == 1001  # the budget and the unit that overran
+    assert err.value.faulty_sets_visited == 1
+    assert err.value.partial_maximum == 4
+
+
+def _random_rows(rng):
+    # masks drawn from a small pool, so rows repeat masks and share them
+    pool = [rng.randrange(1, 1 << 7) for _ in range(rng.randint(1, 8))] + [0]
+    return [
+        [rng.choice(pool) for _ in range(rng.choice((0, 1, 1, 2, 3, 4)))]
+        for _ in range(rng.randint(0, 6))
+    ]
+
+
+def test_packing_search_matches_brute_force():
+    rng = random.Random(31)
+
+    def can_pack(rows, need, used, failed=None):
+        return trust._can_pack(rows, need, used, {} if failed is None else failed,
+                               trust._Budget(1 << 30))
+
+    for _ in range(150):
+        rows = _random_rows(rng)
+        failed = {}  # one memo per row list, shared as the analyzer shares it
+        for used in (0, rng.randrange(1 << 7), rng.randrange(1 << 7)):
+            best = brute_pack(rows, used)
+            for need in range(len(rows) + 2):
+                assert can_pack(rows, need, used) == (need <= best), (rows, used, need)
+                assert can_pack(rows, need, used, failed) == (need <= best)
+        for i in range(len(rows) + 1):  # the witness rebuild asks suffixes
+            used = rng.randrange(1 << 7)
+            best = brute_pack(rows[i:], used)
+            for need in range(len(rows) - i + 2):
+                assert can_pack(rows[i:], need, used) == (need <= best)
 
 
 @settings(max_examples=60, deadline=None)
