@@ -6,91 +6,15 @@ number), what does an execution realizing that worst case look like (the
 synthesized multi-spend attack), and how does the bound carry over to
 broadcast (the consistent-broadcast adapter). A deterministic simulator
 plus an eight-property checker back the answers with replayable runs.
+
+Only the entry points below live at package level; everything else is
+imported from its own module (``kspend.trust``, ``kspend.sim``, ...).
 """
 
 from importlib import metadata
 
 from .attack import synthesize_multispend_attack
-from .engine import (
-    ACC,
-    ECHO,
-    REQ,
-    Message,
-    ProcessState,
-    can_transfer,
-    detect_conflicts,
-    handle_message,
-    initial_state,
-    quorum_check,
-    transfer,
-)
-from .errors import (
-    InvalidFaultySet,
-    InvalidParameters,
-    InvalidQuorumMap,
-    InvalidTransaction,
-    KspendError,
-    MalformedHistory,
-    NotVulnerable,
-    SchemaError,
-    SizeLimitExceeded,
-    UnresolvedInput,
-)
-from .kcb import (
-    byzantine_broadcast_scenario,
-    correct_broadcast_scenario,
-    delivered_values,
-)
-from .ledger import (
-    Accusation,
-    History,
-    Transaction,
-    balance,
-    conflicting_pairs,
-    conflicts,
-    cover_number,
-    encode_tx,
-    genesis_tx,
-    is_genesis,
-    make_tx,
-    minimum_cover,
-    spending_number,
-    tx_ref,
-    verify_acc,
-    well_formed_report,
-)
-from .properties import PROPERTY_NAMES, Verdict, evaluate_properties
-from .sim import (
-    PlanRule,
-    RunReport,
-    Scenario,
-    SchedulerSpec,
-    ScriptedSend,
-    compute_trace_hash,
-    load_scenario,
-    report_from_obj,
-    report_to_obj,
-    run,
-    scenario_from_obj,
-    scenario_to_obj,
-)
-from .trust import (
-    TrustGraph,
-    TrustModel,
-    Witness,
-    build_trust_graph,
-    fault_closure,
-    inconsistency_number,
-    independence_number,
-    is_live,
-    load_builtin_model,
-    load_model,
-    max_independent_set,
-    max_independent_set_witness,
-    self_inclusion_gaps,
-    uniform_inconsistency,
-    uniform_model,
-)
+from .sim import RunReport, Scenario, report_from_obj, report_to_obj, run
 
 try:
     __version__ = metadata.version("kspend")
@@ -98,75 +22,10 @@ except metadata.PackageNotFoundError:  # running from a source tree
     __version__ = "0.0.0"
 
 __all__ = [
-    "ACC",
-    "Accusation",
-    "ECHO",
-    "History",
-    "InvalidFaultySet",
-    "InvalidParameters",
-    "InvalidQuorumMap",
-    "InvalidTransaction",
-    "KspendError",
-    "MalformedHistory",
-    "Message",
-    "NotVulnerable",
-    "PlanRule",
-    "PROPERTY_NAMES",
-    "ProcessState",
-    "REQ",
     "RunReport",
     "Scenario",
-    "SchedulerSpec",
-    "SchemaError",
-    "ScriptedSend",
-    "SizeLimitExceeded",
-    "Transaction",
-    "TrustGraph",
-    "TrustModel",
-    "UnresolvedInput",
-    "Verdict",
-    "Witness",
-    "balance",
-    "build_trust_graph",
-    "byzantine_broadcast_scenario",
-    "can_transfer",
-    "compute_trace_hash",
-    "conflicting_pairs",
-    "conflicts",
-    "correct_broadcast_scenario",
-    "cover_number",
-    "delivered_values",
-    "detect_conflicts",
-    "encode_tx",
-    "evaluate_properties",
-    "fault_closure",
-    "genesis_tx",
-    "handle_message",
-    "inconsistency_number",
-    "independence_number",
-    "initial_state",
-    "is_genesis",
-    "is_live",
-    "load_builtin_model",
-    "load_model",
-    "load_scenario",
-    "make_tx",
-    "max_independent_set",
-    "max_independent_set_witness",
-    "minimum_cover",
-    "quorum_check",
     "report_from_obj",
     "report_to_obj",
     "run",
-    "scenario_from_obj",
-    "scenario_to_obj",
-    "self_inclusion_gaps",
-    "spending_number",
     "synthesize_multispend_attack",
-    "transfer",
-    "tx_ref",
-    "uniform_inconsistency",
-    "uniform_model",
-    "verify_acc",
-    "well_formed_report",
 ]

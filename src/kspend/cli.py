@@ -21,7 +21,6 @@ from .attack import synthesize_multispend_attack
 from .errors import (
     InvalidFaultySet,
     InvalidParameters,
-    InvalidQuorumMap,
     NotVulnerable,
     SchemaError,
     SizeLimitExceeded,
@@ -68,7 +67,7 @@ def _fail(message: str, code: int) -> None:
 def _guarded(body):
     try:
         body()
-    except (SchemaError, InvalidParameters, InvalidFaultySet, InvalidQuorumMap) as exc:
+    except (SchemaError, InvalidParameters, InvalidFaultySet) as exc:
         _fail(str(exc), 2)
     except SizeLimitExceeded as exc:
         click.echo(f"analysis budget exceeded: {exc}")

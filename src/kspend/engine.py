@@ -54,12 +54,12 @@ class ProcessState:
     scheme_name: str
     history: History
     echoes: dict[int, set[Transaction]]
-    used_inputs: dict[int, set[bytes]]
     pending: set[Transaction] = field(default_factory=set)
     pended: bool = False  # a transaction was pended since the last settle
     # the spend index: every verified request, under each (issuer, input) it
     # spends, with the first signature seen for it; (issuer, None) holds
-    # requests that spend nothing
+    # requests that spend nothing. An input is used once this process echoed
+    # some request in its bucket.
     requests: dict[tuple[int, bytes | None], dict[Transaction, bytes]] = field(default_factory=dict)
     unscanned: list[Transaction] = field(default_factory=list)  # recorded since detect_conflicts
     # the accepted spend of each (issuer, input) in the history
@@ -94,7 +94,6 @@ def initial_state(
         scheme_name=scheme_name,
         history=History.of([genesis]),
         echoes={p: set() for p in range(n)},
-        used_inputs={p: set() for p in range(n)},
         disable_used_input_guard=disable_used_input_guard,
         verified=set() if verified is None else verified,
     )
@@ -153,19 +152,21 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
     """Echo unless tx spends nothing or some input of this issuer was already used.
 
     A request that spends no input can never be accepted (it conserves no
-    value), and with no input to mark as used it would be echoed again on
-    every ECHO of it.
+    value), and with no input that could count as used it would be echoed
+    again on every ECHO of it.
     """
     if not tx.inputs:
         return
+    own = state.echoes[state.pid]
     if state.disable_used_input_guard:
         # mutant: drop the per-input protection, keep per-tx idempotence
-        fresh = tx not in state.echoes[state.pid]
+        if tx in own:
+            return
     else:
-        fresh = not (set(tx.inputs) & state.used_inputs[tx.issuer])
-    if not fresh:
-        return
-    state.used_inputs[tx.issuer].update(tx.inputs)
+        # an input is used once this process echoed some request spending it
+        for ref in tx.inputs:
+            if not own.isdisjoint(state.requests[tx.issuer, ref]):
+                return
     echo_sig = _sign(state, tx)
     out.append(
         Message(

@@ -15,10 +15,6 @@ class InvalidFaultySet(KspendError):
     """The faulty set is not a subset of any declared maximal faulty set."""
 
 
-class InvalidQuorumMap(KspendError):
-    """A quorum choice is missing or not drawn from that process's quorum system."""
-
-
 class SizeLimitExceeded(KspendError):
     """An exact search outgrew its configured budget.
 

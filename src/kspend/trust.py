@@ -1,4 +1,4 @@
-"""Trust models, trust graphs, and the inconsistency number.
+"""Trust models and the inconsistency number.
 
 A trust model pairs per-process quorum systems with an inclusion-closed
 fault model (stored by its maximal sets). Fixing a faulty set F and one
@@ -16,21 +16,13 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    InvalidFaultySet,
-    InvalidParameters,
-    InvalidQuorumMap,
-    SchemaError,
-    SizeLimitExceeded,
-)
+from .errors import InvalidParameters, SchemaError, SizeLimitExceeded
 
 ProcessId = int
 Quorum = frozenset[int]
-QuorumMap = Mapping[int, Quorum]
 
-MIS_EXACT_CAP = 24
 DEFAULT_ENUM_BUDGET = 1 << 26
 
 
@@ -45,29 +37,37 @@ class TrustModel:
     @staticmethod
     def build(
         n: int,
-        quorums: Iterable[Iterable[Iterable[int]]],
-        fault_model: Iterable[Iterable[int]],
+        quorums: Iterable[Iterable[Collection[int]]],
+        fault_model: Iterable[Collection[int]],
     ) -> "TrustModel":
-        if not isinstance(n, int) or n < 1:
+        # exact ints only: JSON true/false load as bools, an int subclass
+        if type(n) is not int or n < 1:
             raise ValueError(f"process count must be a positive integer, got {n!r}")
+        ids = frozenset(range(n))
+
+        def members(group: Collection[int], what: str) -> frozenset[int]:
+            found = frozenset(group)
+            # the raw members' types, since frozenset() folds a True into an equal 1
+            if not (found <= ids and set(map(type, group)) <= {int}):
+                raise ValueError(
+                    f"{what} is out of range: {list(group)} (process ids are the ints 0..{n - 1})"
+                )
+            return found
+
         systems = []
         rows = list(quorums)
         if len(rows) != n:
             raise ValueError(f"expected one quorum system per process ({n}), got {len(rows)}")
         for pid, row in enumerate(rows):
-            system = sorted({frozenset(q) for q in row}, key=sorted)
+            system = sorted({members(q, f"quorum of process {pid}") for q in row}, key=sorted)
             if not system:
                 raise ValueError(f"process {pid} has an empty quorum system")
-            for q in system:
-                if not q:
-                    raise ValueError(f"process {pid} lists an empty quorum")
-                if not all(isinstance(x, int) and 0 <= x < n for x in q):
-                    raise ValueError(f"quorum {sorted(q)} of process {pid} is out of range")
+            if not all(system):
+                raise ValueError(f"process {pid} lists an empty quorum")
             systems.append(tuple(system))
-        maximal = sorted({frozenset(f) for f in fault_model}, key=lambda s: (len(s), sorted(s)))
-        for f in maximal:
-            if not all(isinstance(x, int) and 0 <= x < n for x in f):
-                raise ValueError(f"faulty set {sorted(f)} is out of range")
+        maximal = sorted(
+            {members(f, "faulty set") for f in fault_model}, key=lambda s: (len(s), sorted(s))
+        )
         # drop sets absorbed by a superset; keep the empty set only when alone
         maximal = [f for f in maximal if not any(f < g for g in maximal)]
         if not maximal:
@@ -124,118 +124,6 @@ def fault_closure(model: TrustModel) -> tuple[frozenset[int], ...]:
 def is_live(model: TrustModel, pid: int, faulty: frozenset[int]) -> bool:
     """A process is live when some quorum of it avoids the faulty set."""
     return any(not (q & faulty) for q in model.quorums[pid])
-
-
-@dataclass(frozen=True)
-class TrustGraph:
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    faulty_set: frozenset[int]
-    quorum_map: tuple[tuple[int, Quorum], ...]
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-
-def build_trust_graph(model: TrustModel, faulty_set: Iterable[int], s: QuorumMap) -> TrustGraph:
-    """Graph on correct processes; edge when quorums intersect outside F."""
-    faulty = frozenset(faulty_set)
-    if not allows_faulty(model, faulty):
-        raise InvalidFaultySet(f"faulty set {sorted(faulty)} exceeds the fault model")
-    correct = [p for p in model.processes() if p not in faulty]
-    for pid, choice in s.items():
-        if frozenset(choice) not in set(model.quorums[pid]):
-            raise InvalidQuorumMap(f"process {pid}: {sorted(choice)} is not one of its quorums")
-    for pid in correct:
-        if pid not in s:
-            raise InvalidQuorumMap(f"no quorum chosen for correct process {pid}")
-    edges = set()
-    for a, b in combinations(correct, 2):
-        if (frozenset(s[a]) & frozenset(s[b])) - faulty:
-            edges.add((a, b))
-    return TrustGraph(
-        nodes=frozenset(correct),
-        edges=frozenset(edges),
-        faulty_set=faulty,
-        quorum_map=tuple(sorted((p, frozenset(s[p])) for p in s)),
-    )
-
-
-def _adjacency_masks(graph: TrustGraph) -> tuple[list[int], list[int]]:
-    nodes = sorted(graph.nodes)
-    index = {p: i for i, p in enumerate(nodes)}
-    adj = [0] * len(nodes)
-    for a, b in graph.edges:
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-    return nodes, adj
-
-
-def _mis_size(adj: list[int], mask: int, floor: int = 0) -> int:
-    best = floor
-
-    def explore(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = max(best, size)
-            return
-        # branch on the highest-degree remaining vertex
-        pick, degree = -1, -1
-        m = candidates
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[v] & candidates).bit_count()
-            if d > degree:
-                pick, degree = v, d
-        if degree == 0:
-            best = max(best, size + candidates.bit_count())
-            return
-        bit = 1 << pick
-        explore(candidates & ~adj[pick] & ~bit, size + 1)
-        explore(candidates & ~bit, size)
-
-    explore(mask, 0)
-    return best
-
-
-def independence_number(graph: TrustGraph, *, exact_cap: int = MIS_EXACT_CAP) -> int:
-    """Exact maximum independent set size, by branch and bound."""
-    count = len(graph.nodes)
-    if count == 0:
-        return 0
-    if count > exact_cap:
-        raise SizeLimitExceeded(f"exact independence capped at {exact_cap} nodes, got {count}")
-    _, adj = _adjacency_masks(graph)
-    return _mis_size(adj, (1 << count) - 1)
-
-
-def max_independent_set(graph: TrustGraph, *, exact_cap: int = MIS_EXACT_CAP) -> frozenset[int]:
-    """Lexicographically smallest maximum independent set."""
-    count = len(graph.nodes)
-    if count == 0:
-        return frozenset()
-    if count > exact_cap:
-        raise SizeLimitExceeded(f"exact independence capped at {exact_cap} nodes, got {count}")
-    nodes, adj = _adjacency_masks(graph)
-    target = _mis_size(adj, (1 << count) - 1)
-    chosen: list[int] = []
-    mask = (1 << count) - 1
-    remaining = target
-    for i in range(count):
-        bit = 1 << i
-        if not mask & bit:
-            continue
-        rest = mask & ~adj[i] & ~bit
-        if 1 + _mis_size(adj, rest) == remaining:
-            chosen.append(nodes[i])
-            mask = rest
-            remaining -= 1
-        else:
-            mask &= ~bit
-    return frozenset(chosen)
 
 
 class Witness(NamedTuple):
@@ -336,14 +224,17 @@ def _can_pack(
     return search(0, live, need, used)
 
 
-def _lambda_and_witness(model: TrustModel, budget_cap: int) -> tuple[int, Witness]:
+def _lambda_and_witness(
+    model: TrustModel, budget_cap: int, *, rebuild: bool = True
+) -> tuple[int, Witness | None]:
     """The exact search: every faulty set in closure order, one unit each.
 
     A faulty set whose packing ceiling cannot beat the best value so far is
     skipped; otherwise the decision search asks for one more than the best,
     then one more while it succeeds, sharing its failures across those asks.
     Only a strict improvement moves the witness, so skipping never changes
-    it. The witness rebuild is charged to the same budget.
+    it. The witness rebuild is charged to the same budget; without
+    ``rebuild`` the search returns the value alone, with no witness.
     """
     budget = _Budget(budget_cap)
     quorum_masks = [
@@ -366,6 +257,8 @@ def _lambda_and_witness(model: TrustModel, budget_cap: int) -> tuple[int, Witnes
                 best, best_faulty, best_masks = best + 1, frozenset(combo), masks
 
         assert best_faulty is not None  # every model admits some faulty set and a node
+        if not rebuild:
+            return best, None
         correct = [p for p in model.processes() if p not in best_faulty]
         # greedy rebuild: smallest members first, lex-smallest quorum per
         # member, lex-first filler quorums for everyone else
@@ -396,7 +289,7 @@ def _lambda_and_witness(model: TrustModel, budget_cap: int) -> tuple[int, Witnes
 
 def inconsistency_number(model: TrustModel, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Worst independence number over the fault closure and all quorum maps."""
-    value, _ = _lambda_and_witness(model, budget)
+    value, _ = _lambda_and_witness(model, budget, rebuild=False)
     return value
 
 
@@ -405,6 +298,7 @@ def max_independent_set_witness(
 ) -> Witness:
     """A (faulty set, quorum map, independent set) achieving the maximum."""
     _, witness = _lambda_and_witness(model, budget)
+    assert witness is not None
     return witness
 
 

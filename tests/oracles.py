@@ -8,6 +8,7 @@ types themselves, except that the polling oracle asks the engine's own
 """
 
 from itertools import combinations, product
+from typing import NamedTuple
 
 from kspend.engine import can_transfer
 from kspend.ledger import History
@@ -21,6 +22,27 @@ def subset_independence_number(nodes, adjacent) -> int:
             if all(not adjacent(a, b) for a, b in combinations(combo, 2)):
                 return size
     return 0
+
+
+class TrustGraph(NamedTuple):
+    nodes: frozenset
+    edges: frozenset  # (a, b) pairs with a < b
+
+    def adjacent(self, a, b) -> bool:
+        return (min(a, b), max(a, b)) in self.edges
+
+
+def build_trust_graph(model, faulty, quorum_map) -> TrustGraph:
+    """The paper's trust graph: one node per correct process, and an edge
+    when two chosen quorums intersect outside the faulty set."""
+    faulty = frozenset(faulty)
+    assert any(faulty <= m for m in model.fault_model), "faulty set outside the fault model"
+    correct = [p for p in range(model.n) if p not in faulty]
+    assert all(quorum_map[p] in model.quorums[p] for p in correct), "not a quorum choice"
+    edges = frozenset(
+        (a, b) for a, b in combinations(correct, 2) if (quorum_map[a] & quorum_map[b]) - faulty
+    )
+    return TrustGraph(frozenset(correct), edges)
 
 
 def brute_fault_closure(model):
@@ -45,12 +67,8 @@ def brute_inconsistency(model, faulty_sets=None) -> int:
     for faulty in faulty_sets:
         correct = [p for p in range(model.n) if p not in faulty]
         for choice in product(*(model.quorums[p] for p in correct)):
-            chosen = dict(zip(correct, choice))
-
-            def adjacent(a, b):
-                return bool((chosen[a] & chosen[b]) - faulty)
-
-            best = max(best, subset_independence_number(correct, adjacent))
+            graph = build_trust_graph(model, faulty, dict(zip(correct, choice)))
+            best = max(best, subset_independence_number(graph.nodes, graph.adjacent))
     return best
 
 

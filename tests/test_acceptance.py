@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import kspend
 from kspend import engine as eng
+from kspend import trust
 from kspend.cli import main as cli_main
 from kspend.crypto import keychain, make_scheme
 from kspend.fuzz import random_well_formed_history
@@ -37,10 +38,7 @@ from kspend.ledger import (
 )
 from kspend.sim import DEFAULT_KEY_SEED, load_scenario
 from kspend.trust import (
-    TrustGraph,
-    build_trust_graph,
     inconsistency_number,
-    independence_number,
     is_live,
     max_independent_set_witness,
     uniform_inconsistency,
@@ -51,6 +49,7 @@ from oracles import (
     brute_conflict_pairs,
     brute_cover_number,
     brute_spending_number,
+    build_trust_graph,
     subset_independence_number,
 )
 
@@ -104,8 +103,10 @@ def test_criterion_03_example_fixture(example1):
     s_one = {0: frozenset({0, 1, 2}), 1: frozenset({0, 1}), 3: frozenset({1, 3})}
     s_two = {0: frozenset({0, 1, 2}), 1: frozenset({1, 3}), 3: frozenset({2, 3})}
     start = time.perf_counter()
-    alpha_one = independence_number(build_trust_graph(example1, {2}, s_one))
-    alpha_two = independence_number(build_trust_graph(example1, {2}, s_two))
+    graph_one = build_trust_graph(example1, {2}, s_one)
+    graph_two = build_trust_graph(example1, {2}, s_two)
+    alpha_one = subset_independence_number(graph_one.nodes, graph_one.adjacent)
+    alpha_two = subset_independence_number(graph_two.nodes, graph_two.adjacent)
     bound = inconsistency_number(example1)
     witness = max_independent_set_witness(example1)
     elapsed = time.perf_counter() - start
@@ -255,17 +256,24 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
             for b in range(a + 1, size)
             if rng.random() < rng.choice((0.15, 0.5, 0.85))
         )
-        graph = TrustGraph(
-            nodes=frozenset(range(size)),
-            edges=edges,
-            faulty_set=frozenset(),
-            quorum_map=(),
-        )
-        fast = independence_number(graph)
+        # the analyzer's packing search on the graph: vertex v is the one-mask
+        # row of its own bit and one bit per incident edge, so two rows are
+        # disjoint exactly when their vertices are not adjacent
+        edge_bits = {edge: 1 << (size + i) for i, edge in enumerate(sorted(edges))}
+        rows = [
+            [1 << v | sum(bit for edge, bit in edge_bits.items() if v in edge)]
+            for v in range(size)
+        ]
+        failed = {}
+        packed = 0
+        while trust._can_pack(
+            rows, packed + 1, 0, failed, trust._Budget(trust.DEFAULT_ENUM_BUDGET)
+        ):
+            packed += 1
         slow = subset_independence_number(
-            graph.nodes, lambda a, b: (min(a, b), max(a, b)) in edges
+            range(size), lambda a, b: (min(a, b), max(a, b)) in edges
         )
-        if fast != slow:
+        if packed != slow:
             graph_mismatches += 1
 
     spending_mismatches = 0

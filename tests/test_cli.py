@@ -18,8 +18,9 @@ from click.testing import CliRunner
 import kspend
 from kspend.cli import main
 from kspend.properties import PROPERTY_NAMES
+from kspend.errors import SchemaError
 from kspend.sim import load_scenario
-from kspend.trust import dump_model, uniform_model
+from kspend.trust import dump_model, parse_model, uniform_model
 
 
 @pytest.fixture()
@@ -85,6 +86,27 @@ def test_analyze_bad_input(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": True, "quorums": [[[0]]], "fault_model_maximal": []},
+        {"n": 2, "quorums": [[[0, True]], [[1]]], "fault_model_maximal": [[False]]},
+        {"n": 2, "quorums": [[[1, True]], [[1]]], "fault_model_maximal": []},
+        {"n": 2, "quorums": [[[0]], [[1]]], "fault_model_maximal": [[0, False]]},
+    ],
+)
+def test_analyze_rejects_boolean_process_ids(runner, tmp_path, obj):
+    # JSON true/false are Python bools, which isinstance counts as ints
+    with pytest.raises(SchemaError):
+        parse_model(obj)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["analyze", "--model", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output and "Traceback" not in result.output
 
 
 def test_analyze_budget_exceeded(runner):

@@ -7,26 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kspend import trust
-from kspend.errors import (
-    InvalidFaultySet,
-    InvalidParameters,
-    InvalidQuorumMap,
-    SchemaError,
-    SizeLimitExceeded,
-)
+from kspend.errors import InvalidParameters, SchemaError, SizeLimitExceeded
 from kspend.trust import (
-    TrustGraph,
     TrustModel,
     allows_faulty,
-    build_trust_graph,
     dump_model,
     fault_closure,
     inconsistency_number,
-    independence_number,
     is_live,
     load_builtin_model,
     load_model,
-    max_independent_set,
     max_independent_set_witness,
     model_to_obj,
     parse_model,
@@ -39,6 +29,7 @@ from oracles import (
     brute_fault_closure,
     brute_inconsistency,
     brute_pack,
+    build_trust_graph,
     subset_independence_number,
 )
 
@@ -132,57 +123,12 @@ def test_graph_edges_need_intersection_outside_faulty(example1):
     assert g2.adjacent(0, 1) and not g2.adjacent(3, 0)
 
 
-def test_graph_rejects_bad_inputs(example1):
-    with pytest.raises(InvalidFaultySet):
-        build_trust_graph(example1, {0}, S1)
-    with pytest.raises(InvalidQuorumMap):
-        build_trust_graph(example1, {2}, {0: frozenset({0, 1}), 1: S1[1], 3: S1[3]})
-    with pytest.raises(InvalidQuorumMap):
-        build_trust_graph(example1, {2}, {0: S1[0], 1: S1[1]})  # 3 unassigned
-
-
 def test_graph_independence_on_example_selections(example1):
-    assert independence_number(build_trust_graph(example1, {2}, S1)) == 1
+    g1 = build_trust_graph(example1, {2}, S1)
+    assert subset_independence_number(g1.nodes, g1.adjacent) == 1
     g2 = build_trust_graph(example1, {2}, S2)
-    assert independence_number(g2) == 2
-    assert max_independent_set(g2) == frozenset({0, 3})
-
-
-def _random_graph(rng, size):
-    nodes = frozenset(range(size))
-    edges = frozenset(
-        (a, b)
-        for a in range(size)
-        for b in range(a + 1, size)
-        if rng.random() < rng.choice((0.2, 0.5, 0.8))
-    )
-    return TrustGraph(nodes=nodes, edges=edges, faulty_set=frozenset(), quorum_map=())
-
-
-def test_independence_number_matches_subset_oracle():
-    rng = random.Random(7)
-    for _ in range(80):
-        g = _random_graph(rng, rng.randint(1, 12))
-        expected = subset_independence_number(g.nodes, g.adjacent)
-        assert independence_number(g) == expected
-        chosen = max_independent_set(g)
-        assert len(chosen) == expected
-        assert all(not g.adjacent(a, b) for a in chosen for b in chosen if a < b)
-
-
-def test_exact_search_capped():
-    g = _random_graph(random.Random(1), 25)
-    with pytest.raises(SizeLimitExceeded):
-        independence_number(g)
-    with pytest.raises(SizeLimitExceeded):
-        max_independent_set(g)
-    assert independence_number(g, exact_cap=30) >= 1
-
-
-def test_empty_graph():
-    g = TrustGraph(frozenset(), frozenset(), frozenset(), ())
-    assert independence_number(g) == 0
-    assert max_independent_set(g) == frozenset()
+    assert subset_independence_number(g2.nodes, g2.adjacent) == 2
+    assert not g2.adjacent(0, 3)
 
 
 # --- inconsistency number --------------------------------------------------
@@ -252,6 +198,15 @@ def test_budget_exhaustion_reports_partial(example1):
             break
     else:
         pytest.fail("example1 never fit a budget below 200")
+
+
+def test_value_skips_the_witness_rebuild(example1):
+    # six units find the value; the witness rebuild needs one more
+    assert inconsistency_number(example1, budget=6) == 2
+    with pytest.raises(SizeLimitExceeded) as err:
+        max_independent_set_witness(example1, budget=6)
+    assert err.value.partial_maximum == 2
+    assert max_independent_set_witness(example1, budget=7).independent_set == frozenset({0, 3})
 
 
 def test_pruned_search_matches_brute_force(monkeypatch):
