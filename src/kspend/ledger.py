@@ -10,8 +10,9 @@ family splits into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .crypto import content_hash, verify_once
@@ -19,14 +20,17 @@ from .errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
 
 GENESIS_ISSUER = -1
 
-# wire widths for the canonical encoding
+# wire widths for the canonical encoding; the issuer field's top value is
+# the funding root's, so no process may take it
 _MAX_AMOUNT = 1 << 63
+_MAX_U32 = 1 << 32
+_MAX_TIMESTAMP = 1 << 64
 _GENESIS_WIRE = 0xFFFFFFFF
 
 COVER_EXACT_CAP = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """Immutable transfer record.
 
@@ -34,6 +38,10 @@ class Transaction:
     ``inputs`` as sorted 32-byte references, so equal content means equal
     value and equal canonical encoding. ``timestamp`` is optional; it only
     matters for the per-issuer predecessor clause of cluster analysis.
+
+    The canonical encoding is computed once, at construction, and is the
+    transaction's identity: equal encodings are equal transactions, and the
+    hash is the encoding's (which bytes cache).
     """
 
     issuer: int
@@ -41,12 +49,24 @@ class Transaction:
     inputs: tuple[bytes, ...]
     timestamp: int | None = None
     message: bytes | None = None
+    encoding: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the encoding writes None as 0, so 0 would collide with None
         tm = self.timestamp
-        if tm is not None and (not isinstance(tm, int) or tm < 1):
+        if tm is not None and (not isinstance(tm, int) or not 1 <= tm < _MAX_TIMESTAMP):
             raise ValueError(f"bad timestamp: {tm!r}")
+        object.__setattr__(self, "encoding", _encode(self))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Transaction):
+            return NotImplemented
+        return self.encoding == other.encoding
+
+    def __hash__(self):
+        return hash(self.encoding)
 
     def pays(self, pid: int) -> int:
         for recipient, amount in self.outputs:
@@ -62,12 +82,16 @@ def make_tx(
     timestamp: int | None = None,
     message: bytes | None = None,
 ) -> Transaction:
-    """Normalize and validate the pieces of a transaction."""
-    if not isinstance(issuer, int) or issuer < GENESIS_ISSUER:
+    """Normalize and validate the pieces of a transaction.
+
+    Every value must fit its field of the canonical encoding, so that two
+    transactions encode alike only when they are alike.
+    """
+    if not isinstance(issuer, int) or not GENESIS_ISSUER <= issuer < _GENESIS_WIRE:
         raise ValueError(f"bad issuer: {issuer!r}")
     out = []
     for recipient, amount in outputs.items():
-        if not isinstance(recipient, int) or recipient < 0:
+        if not isinstance(recipient, int) or not 0 <= recipient < _MAX_U32:
             raise ValueError(f"bad output recipient: {recipient!r}")
         if not isinstance(amount, int) or amount < 0 or amount >= _MAX_AMOUNT:
             raise ValueError(f"bad output amount: {amount!r}")
@@ -77,6 +101,8 @@ def make_tx(
     for ref in refs:
         if not isinstance(ref, bytes) or len(ref) != 32:
             raise ValueError("input references must be 32-byte digests")
+    if message is not None and (not isinstance(message, bytes) or len(message) >= _MAX_U32):
+        raise ValueError("bad message: expected bytes shorter than 2**32")
     return Transaction(
         issuer=issuer,
         outputs=tuple(sorted(out)),
@@ -99,8 +125,7 @@ def _be(value: int, width: int) -> bytes:
     return value.to_bytes(width, "big")
 
 
-def encode_tx(tx: Transaction) -> bytes:
-    """Canonical length-prefixed encoding; the signing and hashing preimage."""
+def _encode(tx: Transaction) -> bytes:
     wire_issuer = _GENESIS_WIRE if tx.issuer == GENESIS_ISSUER else tx.issuer
     parts = [_be(wire_issuer, 4), _be(len(tx.outputs), 4)]
     for recipient, amount in tx.outputs:
@@ -118,10 +143,15 @@ def encode_tx(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-@lru_cache(maxsize=None)
+def encode_tx(tx: Transaction) -> bytes:
+    """Canonical length-prefixed encoding; the signing and hashing preimage."""
+    return tx.encoding
+
+
+@lru_cache(maxsize=4096)
 def tx_ref(tx: Transaction) -> bytes:
     """Content hash of the canonical encoding."""
-    return content_hash(encode_tx(tx))
+    return content_hash(tx.encoding)
 
 
 def out_value(tx: Transaction) -> int:
@@ -138,14 +168,20 @@ def conflicts(a: Transaction, b: Transaction) -> bool:
 def conflicting_pairs(
     txs: Iterable[Transaction],
 ) -> tuple[tuple[Transaction, Transaction], ...]:
-    """Every conflicting pair among txs, ordered by reference within and across pairs."""
-    entries = sorted(set(txs), key=tx_ref)
-    return tuple(
-        (a, b)
-        for i, a in enumerate(entries)
-        for b in entries[i + 1 :]
-        if conflicts(a, b)
-    )
+    """Every conflicting pair among txs, ordered by reference within and across pairs.
+
+    Only transactions of one issuer spending one input can conflict, so
+    pairs are drawn from each (issuer, input) group.
+    """
+    spends: dict[tuple[int, bytes], set[Transaction]] = {}
+    for tx in txs:
+        for ref in tx.inputs:
+            spends.setdefault((tx.issuer, ref), set()).add(tx)
+    pairs: dict[tuple[bytes, bytes], tuple[Transaction, Transaction]] = {}
+    for group in spends.values():
+        for a, b in combinations(sorted(group, key=tx_ref), 2):
+            pairs[tx_ref(a), tx_ref(b)] = (a, b)
+    return tuple(pairs[refs] for refs in sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -159,13 +195,19 @@ class WellFormedness:
 
 @dataclass(frozen=True)
 class History:
-    """A set of transactions containing the funding root."""
+    """A set of transactions containing the funding root.
+
+    ``by_ref`` indexes ``txs`` by reference; it is built once by ``of`` and
+    extended by ``with_tx``, and takes no part in equality or hashing.
+    """
 
     txs: frozenset[Transaction]
+    by_ref: dict[bytes, Transaction] = field(compare=False, repr=False)
 
     @staticmethod
     def of(txs: Iterable[Transaction]) -> "History":
-        return History(frozenset(txs))
+        txs = frozenset(txs)
+        return History(txs, {tx_ref(tx): tx for tx in txs})
 
     def __contains__(self, tx: Transaction) -> bool:
         return tx in self.txs
@@ -176,10 +218,6 @@ class History:
     def __len__(self) -> int:
         return len(self.txs)
 
-    @cached_property
-    def by_ref(self) -> dict[bytes, Transaction]:
-        return {tx_ref(tx): tx for tx in self.txs}
-
     def resolve(self, ref: bytes) -> Transaction:
         try:
             return self.by_ref[ref]
@@ -187,7 +225,9 @@ class History:
             raise UnresolvedInput(f"no transaction with reference {ref.hex()[:16]}…") from None
 
     def with_tx(self, tx: Transaction) -> "History":
-        return History(self.txs | {tx})
+        by_ref = dict(self.by_ref)
+        by_ref[tx_ref(tx)] = tx
+        return History(self.txs | {tx}, by_ref)
 
     @cached_property
     def _base_report(self) -> WellFormedness:
@@ -251,16 +291,10 @@ def _well_formed_base(h: History) -> WellFormedness:
                 ("t-validity", f"{tx_ref(tx).hex()[:12]} breaks value conservation")
             )
 
-    ordered = sorted(h.txs, key=tx_ref)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if conflicts(a, b):
-                failures.append(
-                    (
-                        "no-conflict",
-                        f"{tx_ref(a).hex()[:12]} and {tx_ref(b).hex()[:12]} share an input",
-                    )
-                )
+    for a, b in conflicting_pairs(h.txs):
+        failures.append(
+            ("no-conflict", f"{tx_ref(a).hex()[:12]} and {tx_ref(b).hex()[:12]} share an input")
+        )
 
     # content-hash references make dependency cycles unconstructible, but the
     # clause stays checkable: walk the resolved graph
@@ -280,7 +314,7 @@ def _well_formed_base(h: History) -> WellFormedness:
         state[tx] = 2
         return False
 
-    for tx in ordered:
+    for tx in sorted(h.txs, key=tx_ref):
         if cyclic(tx):
             failures.append(("cycle-freedom", f"{tx_ref(tx).hex()[:12]} sits on a dependency cycle"))
             break
@@ -448,16 +482,25 @@ def cover_number(
     return len(minimum_cover(collection, cap=cap, check_timestamps=check_timestamps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Accusation:
     """Claim that the accused processes signed conflicting transactions.
 
     The proof carries (transaction, issuer signature) pairs in canonical
-    order by transaction hash so equal evidence compares equal.
+    order by transaction hash so equal evidence compares equal. The digest
+    of the canonical encoding is computed once, at construction, and is
+    the hash; equality compares the accused set and the proof.
     """
 
     accused: frozenset[int]
     proof: tuple[tuple[Transaction, bytes], ...]
+    digest: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digest", content_hash(encode_accusation(self)))
+
+    def __hash__(self):
+        return hash(self.digest)
 
     @staticmethod
     def build(accused: Iterable[int], proof: Iterable[tuple[Transaction, bytes]]) -> "Accusation":
@@ -477,7 +520,7 @@ def encode_accusation(acc: Accusation) -> bytes:
 
 
 def accusation_digest(acc: Accusation) -> bytes:
-    return content_hash(encode_accusation(acc))
+    return acc.digest
 
 
 def verify_acc(

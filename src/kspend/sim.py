@@ -162,10 +162,14 @@ class RunReport:
     unexecuted_actions: tuple[int, ...] = ()
 
 
+# json.dumps with separators builds a new encoder per call; one is enough
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def compute_trace_hash(trace: Iterable) -> str:
     digest = hashlib.sha256()
     for record in trace:
-        digest.update(json.dumps(record, separators=(",", ":")).encode())
+        digest.update(_encode_record(record).encode())
         digest.update(b"\n")
     return digest.hexdigest()
 
@@ -532,19 +536,32 @@ def _resolve_ref(token, table: dict[str, bytes]) -> bytes:
     raise SchemaError(f"unresolvable input reference: {token!r}")
 
 
+def _int(value, what: str, *, optional: bool = False) -> int | None:
+    # exact ints only: JSON true/false load as bools, an int subclass
+    if type(value) is not int and not (optional and value is None):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> frozenset[int]:
+    if not isinstance(values, list):
+        raise SchemaError(f"{what} must be a list of process ids, got {values!r}")
+    return frozenset(_int(v, what) for v in values)
+
+
 def _tx_from_spec(spec: dict, table: dict[str, bytes], default_tm: int | None) -> Transaction:
     if not isinstance(spec, dict):
         raise SchemaError("transaction spec must be an object")
     try:
-        issuer = spec["issuer"]
-        outputs = {int(p): a for p, a in spec.get("outputs", {}).items()}
+        issuer = _int(spec["issuer"], "transaction issuer")
+        outputs = {int(p): _int(a, "output amount") for p, a in spec.get("outputs", {}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad transaction spec: {exc}") from None
     inputs = [_resolve_ref(tok, table) for tok in spec.get("inputs", [])]
     message = spec.get("message")
     if message is not None:
         message = message.encode() if not _is_hex(message) else bytes.fromhex(message)
-    tm = spec.get("tm", spec.get("timestamp", default_tm))
+    tm = _int(spec.get("tm", spec.get("timestamp", default_tm)), "timestamp", optional=True)
     try:
         return make_tx(issuer, outputs, inputs, timestamp=tm, message=message)
     except ValueError as exc:
@@ -576,11 +593,16 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     else:
         raise SchemaError("scenario needs a model or model_file")
 
-    faulty = frozenset(obj.get("faulty", []))
+    faulty = _ints(obj.get("faulty", []), "faulty process id")
     genesis_outputs = obj.get("genesis", {})
     if not isinstance(genesis_outputs, dict):
         raise SchemaError("genesis must map process ids to amounts")
-    genesis = genesis_tx({int(p): a for p, a in genesis_outputs.items()})
+    try:
+        genesis = genesis_tx(
+            {int(p): _int(a, "genesis amount") for p, a in genesis_outputs.items()}
+        )
+    except ValueError as exc:
+        raise SchemaError(f"bad genesis: {exc}") from None
 
     table: dict[str, bytes] = {"genesis": tx_ref(genesis)}
 
@@ -588,9 +610,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     issued_counts: dict[int, int] = {}
     for idx, spec in enumerate(obj.get("honest_actions", [])):
         body = spec.get("tx", spec) if isinstance(spec, dict) else spec
-        issuer = body.get("issuer") if isinstance(body, dict) else None
-        if not isinstance(issuer, int):
-            raise SchemaError(f"honest action {idx} lacks an issuer")
+        issuer = _int(body.get("issuer") if isinstance(body, dict) else None,
+                      f"honest action {idx} issuer")
         issued_counts[issuer] = issued_counts.get(issuer, 0) + 1
         tx = _tx_from_spec(body, table, default_tm=issued_counts[issuer])
         actions.append((issuer, tx))
@@ -621,7 +642,7 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     if isinstance(raw_scripts, dict):
         items = [(int(pid), send) for pid in sorted(raw_scripts, key=int) for send in raw_scripts[pid]]
     else:
-        items = [(send["sender"], send) for send in raw_scripts]
+        items = [(_int(send["sender"], "script sender"), send) for send in raw_scripts]
     for sender, send in items:
         tx_spec = send.get("tx")
         if isinstance(tx_spec, str):
@@ -639,19 +660,22 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
                 sender=sender,
                 kind=kind,
                 tx=tx,
-                recipients=frozenset(send.get("to", [])),
+                recipients=_ints(send.get("to", []), "script recipient"),
             )
         )
 
     sched_obj = obj.get("scheduler", {"kind": "fifo"})
     plan = tuple(
-        PlanRule(tx_ref=_resolve_ref(rule["tx"], table), recipients=frozenset(rule.get("to", [])))
+        PlanRule(
+            tx_ref=_resolve_ref(rule["tx"], table),
+            recipients=_ints(rule.get("to", []), "plan recipient"),
+        )
         for rule in sched_obj.get("plan", [])
     )
     try:
         scheduler = SchedulerSpec(
             kind=sched_obj.get("kind", "fifo"),
-            seed=sched_obj.get("seed"),
+            seed=_int(sched_obj.get("seed"), "scheduler seed", optional=True),
             plan=plan,
         )
     except ValueError as exc:
@@ -666,10 +690,10 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             honest_actions=actions,
             scripts=scripts,
             scheduler=scheduler,
-            max_events=obj.get("max_events", DEFAULT_MAX_EVENTS),
+            max_events=_int(obj.get("max_events", DEFAULT_MAX_EVENTS), "max_events"),
             sig_scheme=obj.get("sig_scheme", "ed25519"),
             key_seed=bytes.fromhex(key_seed) if key_seed else DEFAULT_KEY_SEED,
-            kcb_source=obj.get("kcb_source"),
+            kcb_source=_int(obj.get("kcb_source"), "kcb_source", optional=True),
             disable_used_input_guard=bool(obj.get("disable_used_input_guard", False)),
             name=obj.get("name", ""),
         )

@@ -200,6 +200,30 @@ def test_simulate_rejects_malformed_scenario(runner, tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # unchecked, these end in a traceback (OverflowError, ValueError) or
+        # load a bool as process 1 or as a cap of 1 event
+        (lambda o: o["honest_actions"][1].update(outputs={"4294967296": 10}), "recipient"),
+        (lambda o: o["genesis"].update({"4294967296": 1}), "bad genesis"),
+        (lambda o: o["genesis"].update({"-3": 1}), "bad genesis"),
+        (lambda o: o["honest_actions"][0].update(issuer=True), "issuer"),
+        (lambda o: o.update(max_events=True), "max_events"),
+    ],
+)
+def test_simulate_rejects_unencodable_and_boolean_fields(runner, data_dir, tmp_path, edit, message):
+    obj = json.loads((data_dir / "demo_scenario.json").read_text())
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["simulate", "--scenario", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.count("\n") == 1 and result.output.startswith("error:")
+    assert message in result.output and "Traceback" not in result.output
+
+
 def test_simulate_event_cap(runner, data_dir, tmp_path):
     obj = json.loads((data_dir / "demo_scenario.json").read_text())
     obj["max_events"] = 2

@@ -1,20 +1,25 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kspend.crypto import keychain, make_scheme
+from kspend.crypto import content_hash, keychain, make_scheme
 from kspend.errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
 from kspend.fuzz import random_well_formed_history
 from kspend.ledger import (
     Accusation,
     History,
     Transaction,
+    accusation_digest,
     balance,
     conflicting_pairs,
     conflicts,
     cover_number,
+    encode_accusation,
     encode_tx,
     genesis_tx,
     is_genesis,
@@ -42,6 +47,13 @@ def spend(issuer, outputs, inputs, tm=1, message=None):
 # --- transactions ----------------------------------------------------------
 
 
+class _FourGiBMessage(bytes):
+    """An empty message that reports 2**32 bytes, one more than the length field holds."""
+
+    def __len__(self):
+        return 1 << 32
+
+
 def test_make_tx_normalizes():
     a = make_tx(1, {2: 3, 0: 0, 1: 2}, [GREF, GREF], timestamp=1)
     assert a.outputs == ((1, 2), (2, 3))  # zero output dropped, sorted
@@ -59,11 +71,26 @@ def test_make_tx_normalizes():
         dict(issuer=0, outputs={1: 1 << 63}),
         dict(issuer=0, outputs={1: 1}, inputs=[b"short"]),
         dict(issuer=0, outputs={1: 1}, timestamp=0),
+        # values the canonical encoding cannot hold, or holds ambiguously:
+        # issuer 0xFFFFFFFF is the funding root's wire value
+        dict(issuer=0xFFFFFFFF, outputs={0: 1}, timestamp=1),
+        dict(issuer=0, outputs={1 << 32: 1}),
+        dict(issuer=0, outputs={1: 1}, timestamp=1 << 64),
+        dict(issuer=0, outputs={1: 1}, message="text"),
+        dict(issuer=0, outputs={1: 1}, message=_FourGiBMessage()),
     ],
 )
 def test_make_tx_rejects(kwargs):
     with pytest.raises(ValueError):
         make_tx(**kwargs)
+
+
+def test_largest_wire_values_stay_distinct_from_the_funding_root():
+    root = genesis_tx({0: 1})
+    top = make_tx(0xFFFFFFFE, {(1 << 32) - 1: 1}, (), timestamp=(1 << 64) - 1)
+    assert len(top.encoding) == len(root.encoding)
+    assert tx_ref(top) != tx_ref(root)
+    assert tx_ref(make_tx(0xFFFFFFFE, {0: 1}, (), timestamp=1)) != tx_ref(root)
 
 
 @pytest.mark.parametrize("timestamp", [0, -1, "1"])
@@ -118,11 +145,78 @@ def test_conflicting_pairs_matches_brute_oracle():
                   rng.sample(refs, rng.randint(1, 2)))
             for _ in range(rng.randint(0, 8))
         ]
-        got = {frozenset(p) for p in conflicting_pairs(pool)}
-        assert got == brute_conflict_pairs(pool)
+        pairs = conflicting_pairs(pool)
+        assert {frozenset(p) for p in pairs} == brute_conflict_pairs(pool)
+        # ordered by reference within each pair and across pairs
+        keys = [(tx_ref(a), tx_ref(b)) for a, b in pairs]
+        assert keys == sorted(keys) and all(ra < rb for ra, rb in keys)
     ordered = conflicting_pairs([spend(0, {1: 1}, [GREF]), spend(0, {0: 1}, [GREF])])
     for a, b in ordered:
         assert tx_ref(a) < tx_ref(b)
+
+
+# --- identities -----------------------------------------------------------
+
+
+def test_equal_content_is_one_transaction():
+    a = spend(0, {1: 10}, [GREF], message=b"m")
+    b = make_tx(0, {1: 10}, (GREF,), timestamp=1, message=b"m")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+    assert a != spend(0, {1: 10}, [GREF], tm=2, message=b"m")
+    assert a != spend(0, {1: 10}, [GREF], message=b"n")
+    assert a != spend(0, {1: 10}, [GREF])
+    assert a != "a transaction" and a != a.encoding
+
+
+def test_copies_keep_the_encoding():
+    tx = spend(0, {1: 10}, [GREF], message=b"m")
+    for twin in (copy.deepcopy(tx), pickle.loads(pickle.dumps(tx)), dataclasses.replace(tx)):
+        assert twin == tx and hash(twin) == hash(tx)
+        assert twin.encoding == encode_tx(tx) and tx_ref(twin) == tx_ref(tx)
+    later = dataclasses.replace(tx, timestamp=2)
+    assert later.encoding == encode_tx(spend(0, {1: 10}, [GREF], tm=2, message=b"m"))
+    assert later != tx
+    with pytest.raises(ValueError, match="bad timestamp"):
+        dataclasses.replace(tx, timestamp=0)
+
+
+def test_accusation_keeps_its_digest():
+    a, b, sig, _, _ = _signed_conflict()
+    acc = Accusation.build({2}, [(a, sig(a)), (b, sig(b))])
+    assert accusation_digest(acc) == content_hash(encode_accusation(acc))
+    twin = Accusation.build({2}, [(b, sig(b)), (a, sig(a))])
+    assert twin is not acc and twin == acc and hash(twin) == hash(acc)
+    assert len({acc, twin}) == 1
+    for copied in (copy.deepcopy(acc), pickle.loads(pickle.dumps(acc)), dataclasses.replace(acc)):
+        assert copied == acc and accusation_digest(copied) == accusation_digest(acc)
+    wider = dataclasses.replace(acc, accused=frozenset({2, 3}))
+    assert wider != acc
+    assert accusation_digest(wider) == content_hash(encode_accusation(wider))
+    assert accusation_digest(wider) != accusation_digest(acc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extended_index_matches_a_rebuilt_one(seed):
+    rng = random.Random(seed)
+    pool = sorted(random_well_formed_history(rng).txs, key=tx_ref)
+    pool.append(spend(0, {1: 1}, [b"\x07" * 32]))  # an unresolved input changes nothing
+    h = History.of(rng.sample(pool, 1))
+    for _ in range(2 * len(pool)):
+        parent_index = dict(h.by_ref)
+        child = h.with_tx(rng.choice(pool))
+        assert h.by_ref == parent_index  # the parent's index is copied, not shared
+        assert child.by_ref == History.of(child.txs).by_ref
+        assert child == History.of(child.txs)
+        h = child
+
+
+def test_tx_ref_cache_is_bounded():
+    bound = tx_ref.cache_info().maxsize
+    assert bound is not None
+    for amount in range(1, bound + 11):
+        tx_ref(spend(0, {1: amount}, [GREF]))
+    assert tx_ref.cache_info().currsize == bound
 
 
 # --- histories and well-formedness ----------------------------------------

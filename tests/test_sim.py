@@ -361,6 +361,24 @@ def test_authoring_format_labelled_scripts():
             loop={"issuer": 0, "outputs": {"1": 1}, "inputs": ["loop"]}
         ),
         lambda o: o["honest_actions"].append({"outputs": {"1": 1}}),
+        # JSON true/false load as bools, which isinstance counts as ints
+        lambda o: o.update(faulty=[False]),
+        lambda o: o.update(max_events=True),
+        lambda o: o.update(kcb_source=False),
+        lambda o: o.update(scheduler={"kind": "random", "seed": True}),
+        lambda o: o.update(scheduler={"kind": "adversarial", "plan": [{"tx": "a", "to": [True]}]}),
+        lambda o: o["honest_actions"].append({"issuer": True, "outputs": {"0": 1}}),
+        lambda o: o["transactions"]["a"].update(issuer=False),
+        lambda o: o["transactions"]["a"].update(outputs={"1": True}),
+        lambda o: o["transactions"]["a"].update(tm=True),
+        lambda o: o["scripts"]["0"][0].update(to=[True]),
+        lambda o: o.update(scripts=[{"sender": False, "kind": "REQ", "tx": "a", "to": [1]}]),
+        # values the transaction encoding cannot hold
+        lambda o: o["genesis"].update({"4294967296": 1}),
+        lambda o: o["genesis"].update({"-3": 1}),
+        lambda o: o["genesis"].update({"x": 1}),
+        lambda o: o["transactions"]["a"].update(outputs={"4294967296": 1}),
+        lambda o: o["transactions"]["a"].update(tm=1 << 64),
     ],
 )
 def test_scenario_schema_errors(mutate):
