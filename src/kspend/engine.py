@@ -48,12 +48,14 @@ class Message:
 class ProcessState:
     pid: int
     n: int
-    quorums: tuple[frozenset[int], ...]
+    quorum_masks: tuple[int, ...]  # one bitmask of members per quorum
     key_private: bytes
     public_keys: dict[int, bytes]
     scheme_name: str
     history: History
-    echoes: dict[int, set[Transaction]]
+    # per transaction, the bitmask of processes whose verified echo of it
+    # this process holds, its own included
+    echoers: dict[Transaction, int] = field(default_factory=dict)
     pending: set[Transaction] = field(default_factory=set)
     pended: bool = False  # a transaction was pended since the last settle
     # the spend index: every verified request, under each (issuer, input) it
@@ -88,12 +90,11 @@ def initial_state(
     return ProcessState(
         pid=pid,
         n=n,
-        quorums=quorums,
+        quorum_masks=tuple(sum(1 << q for q in quorum) for quorum in quorums),
         key_private=key_private,
         public_keys=dict(public_keys),
         scheme_name=scheme_name,
         history=History.of([genesis]),
-        echoes={p: set() for p in range(n)},
         disable_used_input_guard=disable_used_input_guard,
         verified=set() if verified is None else verified,
     )
@@ -123,7 +124,8 @@ def _others(state: ProcessState) -> frozenset[int]:
 
 def quorum_check(state: ProcessState, tx: Transaction) -> bool:
     """Did every member of some quorum echo tx? Own echoes count."""
-    return any(all(tx in state.echoes[q] for q in quorum) for quorum in state.quorums)
+    echoers = state.echoers.get(tx, 0)
+    return any(echoers & mask == mask for mask in state.quorum_masks)
 
 
 def _ready(state: ProcessState, tx: Transaction) -> bool:
@@ -143,11 +145,6 @@ def _maybe_pend(state: ProcessState, tx: Transaction) -> None:
         state.pended = True
 
 
-def _record_own_echo(state: ProcessState, tx: Transaction) -> None:
-    state.echoes[state.pid].add(tx)
-    _maybe_pend(state, tx)
-
-
 def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list[Message]) -> None:
     """Echo unless tx spends nothing or some input of this issuer was already used.
 
@@ -157,15 +154,16 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
     """
     if not tx.inputs:
         return
-    own = state.echoes[state.pid]
+    own = 1 << state.pid
+    echoers = state.echoers
     if state.disable_used_input_guard:
         # mutant: drop the per-input protection, keep per-tx idempotence
-        if tx in own:
+        if echoers.get(tx, 0) & own:
             return
     else:
         # an input is used once this process echoed some request spending it
         for ref in tx.inputs:
-            if not own.isdisjoint(state.requests[tx.issuer, ref]):
+            if any(echoers.get(t, 0) & own for t in state.requests[tx.issuer, ref]):
                 return
     echo_sig = _sign(state, tx)
     out.append(
@@ -178,14 +176,22 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
             echoer_sig=echo_sig,
         )
     )
-    _record_own_echo(state, tx)
+    echoers[tx] = echoers.get(tx, 0) | own
+    _maybe_pend(state, tx)
+
+
+def _recorded(state: ProcessState, tx: Transaction) -> bool:
+    # a request is filed under every key it spends, so its first key's
+    # bucket holds it exactly when it was recorded
+    first = (tx.issuer, tx.inputs[0] if tx.inputs else None)
+    return tx in state.requests.get(first, ())
 
 
 def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> bool:
     """Index a verified signed request; False if tx was already recorded."""
-    keys = [(tx.issuer, ref) for ref in tx.inputs] or [(tx.issuer, None)]
-    if tx in state.requests.get(keys[0], ()):
+    if _recorded(state, tx):
         return False
+    keys = [(tx.issuer, ref) for ref in tx.inputs] or [(tx.issuer, None)]
     for key in keys:
         state.requests.setdefault(key, {})[tx] = issuer_sig
     state.unscanned.append(tx)
@@ -279,8 +285,17 @@ def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
 
 
 def handle_req(state: ProcessState, msg: Message) -> list[Message]:
+    """Record and echo a new signed request.
+
+    A request already recorded can change nothing: it was offered to
+    ``_try_echo`` when recorded, which never echoes it twice, and between
+    handlers nothing is pended or unscanned. So it returns before its
+    signature is checked.
+    """
     tx = msg.tx
-    if tx is None or is_genesis(tx) or not _verify(state, tx.issuer, tx, msg.issuer_sig):
+    if tx is None or is_genesis(tx) or _recorded(state, tx):
+        return []
+    if not _verify(state, tx.issuer, tx, msg.issuer_sig):
         return []
     out: list[Message] = []
     _absorb_request(state, tx, msg.issuer_sig, out)
@@ -289,15 +304,21 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
 
 
 def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
+    """Count a verified echo, recording and echoing its request if new.
+
+    The echo of a pending or accepted transaction can change nothing: its
+    quorum is never read again, and its request is recorded and was offered
+    to ``_try_echo`` already. So it returns before any signature is checked.
+    """
     tx = msg.tx
-    if tx is None or is_genesis(tx):
+    if tx is None or is_genesis(tx) or tx in state.pending or tx in state.history.txs:
         return []
     if not _verify(state, msg.sender, tx, msg.echoer_sig):
         return []
     if not _verify(state, tx.issuer, tx, msg.issuer_sig):
         return []
     out: list[Message] = []
-    state.echoes[msg.sender].add(tx)
+    state.echoers[tx] = state.echoers.get(tx, 0) | 1 << msg.sender
     record_request(state, tx, msg.issuer_sig)
     _try_echo(state, tx, msg.issuer_sig, out)
     _maybe_pend(state, tx)

@@ -162,8 +162,25 @@ class RunReport:
     unexecuted_actions: tuple[int, ...] = ()
 
 
-# json.dumps with separators builds a new encoder per call; one is enough
-_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+def _record_encoder():
+    """Encode a trace record as ``json.dumps(record, separators=(",", ":"))`` does.
+
+    ``JSONEncoder.encode`` builds a C encoder per call; this one is built
+    once, without the circular check that trace records never need (a cyclic
+    one fails with RecursionError). Without the C accelerator it falls back.
+    """
+    base = json.JSONEncoder(separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return base.encode
+    chunks = make(
+        None, base.default, json.encoder.encode_basestring_ascii, base.indent,
+        base.key_separator, base.item_separator, base.sort_keys, base.skipkeys, base.allow_nan,
+    )
+    return lambda record: "".join(chunks(record, 0))
+
+
+_encode_record = _record_encoder()
 
 
 def compute_trace_hash(trace: Iterable) -> str:

@@ -184,3 +184,11 @@ def polled_enabled_actions(rt) -> list[int]:
     actions = rt.scenario.honest_actions
     heads = sorted(todo[-1] for todo in rt.todo.values() if todo)
     return [i for i in heads if can_transfer(rt.engines[actions[i][0]], actions[i][1])]
+
+
+def member_quorum_check(state, quorums, tx) -> bool:
+    """Did every member of some quorum echo tx? The engine's test before it
+    kept bitmasks: a scan of each member's set of echoed transactions, here
+    rebuilt from the engine's per-transaction echoer bitmasks."""
+    echoed = {p: {t for t, mask in state.echoers.items() if mask >> p & 1} for p in range(state.n)}
+    return any(all(tx in echoed[q] for q in quorum) for quorum in quorums)

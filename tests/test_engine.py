@@ -31,6 +31,11 @@ def pay(issuer, outputs, inputs=None, tm=1):
     return make_tx(issuer, outputs, inputs or [tx_ref(GENESIS)], timestamp=tm)
 
 
+def echoed(state, p, tx):
+    """Does state hold a verified echo of tx from process p?"""
+    return bool(state.echoers.get(tx, 0) & 1 << p)
+
+
 def deliver(states, msgs):
     """Fan messages out to their recipients, collecting everything emitted."""
     emitted = []
@@ -48,7 +53,7 @@ def test_transfer_broadcasts_request_and_own_echo():
     out = eng.transfer(s, tx)
     assert [m.kind for m in out] == [eng.REQ, eng.ECHO]
     assert all(m.recipients == frozenset({1, 2}) for m in out)
-    assert tx in s.echoes[0]
+    assert echoed(s, 0, tx)
     assert tx not in s.history.txs  # own echo alone is not a full quorum
 
 
@@ -172,14 +177,14 @@ def test_echo_requires_both_signatures():
     wrong_echoer = eng.Message(kind=eng.ECHO, sender=1, recipients=frozenset({2}),
                                tx=tx, issuer_sig=issuer_sig, echoer_sig=issuer_sig)
     assert eng.handle_message(s, wrong_echoer) == []
-    assert tx not in s.echoes[1]
+    assert not echoed(s, 1, tx)
     wrong_issuer = eng.Message(kind=eng.ECHO, sender=1, recipients=frozenset({2}),
                                tx=tx, issuer_sig=echo_sig, echoer_sig=echo_sig)
     assert eng.handle_message(s, wrong_issuer) == []
     ok = eng.Message(kind=eng.ECHO, sender=1, recipients=frozenset({2}),
                      tx=tx, issuer_sig=issuer_sig, echoer_sig=echo_sig)
     out = eng.handle_message(s, ok)
-    assert tx in s.echoes[1]
+    assert echoed(s, 1, tx)
     assert any(m.kind == eng.ECHO and m.sender == 2 for m in out)
 
 

@@ -1,0 +1,143 @@
+"""A delivered message costs what it can change.
+
+Each process counts echoes as one bitmask of echoers per transaction and
+tests it against one bitmask per quorum. A REQ whose transaction is already
+recorded, and an ECHO whose transaction is pending or accepted, return
+before any signature is checked. These tests hold both shortcuts against
+what they replace: the old handler bodies, run on a copy of the state at
+every message that returns early, and the per-member quorum scan of
+``oracles.member_quorum_check``, after every delivery.
+"""
+
+import copy
+import dataclasses
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+from kspend import engine as eng
+from kspend import attack, fuzz, sim
+from kspend.ledger import is_genesis
+from kspend.sim import SchedulerSpec
+from kspend.trust import TrustModel, load_builtin_model, self_inclusion_gaps
+
+from conftest import CORPUS_SEED
+from oracles import member_quorum_check
+
+SCENARIOS = 30
+
+
+def corpus_scenarios(count=SCENARIOS):
+    rng = random.Random(CORPUS_SEED)
+    return [fuzz.random_scenario(rng) for _ in range(count)]
+
+
+def returns_early(state, msg) -> bool:
+    tx = msg.tx
+    if tx is None or is_genesis(tx):
+        return False
+    if msg.kind == eng.REQ:
+        return any(tx in bucket for bucket in state.requests.values())
+    return tx in state.pending or tx in state.history.txs
+
+
+def old_body(state, msg) -> list:
+    """What the handler did after verifying a REQ's or ECHO's signatures."""
+    tx, sig = msg.tx, msg.issuer_sig
+    out = []
+    if msg.kind == eng.ECHO:
+        state.echoers[tx] = state.echoers.get(tx, 0) | 1 << msg.sender
+    eng.record_request(state, tx, sig)
+    eng._try_echo(state, tx, sig, out)
+    eng._maybe_pend(state, tx)
+    eng._settle(state, out)
+    return out
+
+
+def facts(state):
+    return (
+        state.history,
+        frozenset(state.pending),
+        dict(state.accepted),
+        {key: dict(bucket) for key, bucket in state.requests.items()},
+        frozenset(state.accusations),
+    )
+
+
+@pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
+@pytest.mark.parametrize("kind", ["random", "fifo"])
+def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off):
+    handle = eng.handle_message
+    early = Counter()
+
+    def checked(state, msg):
+        if msg.kind in (eng.REQ, eng.ECHO) and returns_early(state, msg):
+            replay = copy.deepcopy(state)
+            assert old_body(replay, msg) == []
+            assert facts(replay) == facts(state)
+            early[msg.kind] += 1
+            out = handle(state, msg)
+            assert out == []
+            return out
+        return handle(state, msg)
+
+    monkeypatch.setattr(eng, "handle_message", checked)
+    for i, scenario in enumerate(corpus_scenarios()):
+        scenario = dataclasses.replace(
+            scenario,
+            scheduler=SchedulerSpec(kind, seed=i if kind == "random" else None),
+            disable_used_input_guard=guard_off,
+        )
+        sim.run(scenario, seed=i)
+    # under fifo a request reaches each process before any echo of it does
+    assert early[eng.ECHO] and (early[eng.REQ] or kind == "fifo"), early
+
+
+def gap_model() -> TrustModel:
+    """Five processes; each quorum is three processes other than its owner."""
+    quorums = [
+        [frozenset(q) for q in combinations(sorted(set(range(5)) - {p}), 3)] for p in range(5)
+    ]
+    return TrustModel.build(5, quorums, [[0], [1]])
+
+
+def checked_run(scenario, seed, outcomes: Counter) -> None:
+    """Step a run as sim.run does, comparing quorum tests after every event."""
+    rt = sim._Runtime(scenario, seed, False)
+    rt.enqueue_scripts()
+    quorums = scenario.model.quorums
+    events = 0
+    while True:
+        enabled = rt.enabled_actions()
+        if (not enabled and not rt.deliveries) or events >= scenario.max_events:
+            return
+        what, pos = rt.pick(enabled)
+        if what == "action":
+            rt.step_action(pos)
+        else:
+            rt.step_delivery(pos)
+        events += 1
+        for pid, state in rt.engines.items():
+            for tx in state.echoers:
+                fast = eng.quorum_check(state, tx)
+                assert fast == member_quorum_check(state, quorums[pid], tx), (pid, events)
+                outcomes[fast] += 1
+
+
+def test_bitmask_quorum_check_matches_the_member_scan():
+    rng = random.Random(CORPUS_SEED + 7)
+    example1 = load_builtin_model("example1")
+    cases = [("corpus", s, i) for i, s in enumerate(corpus_scenarios(10))]
+    for name, model in (("example1", example1), ("gaps", gap_model())):
+        assert self_inclusion_gaps(model)
+        cases += [(name, fuzz.random_scenario(rng, model=model), 100 + i) for i in range(10)]
+    cases.append(("example1", attack.synthesize_multispend_attack(example1, sig_scheme="hmac"), None))
+    outcomes = {name: Counter() for name, _, _ in cases}
+    for name, scenario, seed in cases:
+        for guard_off in (False, True):
+            run = dataclasses.replace(scenario, disable_used_input_guard=guard_off)
+            checked_run(run, seed, outcomes[name])
+    # quorums reached and not yet reached, on every family of models
+    assert all(counts[True] and counts[False] for counts in outcomes.values()), outcomes

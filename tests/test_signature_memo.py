@@ -36,6 +36,11 @@ def sharing_states(scheme_name):
     return states, sign, verified
 
 
+def echoed(state, p, tx):
+    """Does state hold a verified echo of tx from process p?"""
+    return bool(state.echoers.get(tx, 0) & 1 << p)
+
+
 def tampered(sig):
     return bytes([sig[0] ^ 1]) + sig[1:]
 
@@ -62,7 +67,7 @@ def test_tampered_request_rejected_after_valid_one(scheme_name):
     assert eng.handle_message(states[1], req(0, tx, good, 1))  # echoed
     assert verified
     assert eng.handle_message(states[2], req(0, tx, tampered(good), 2)) == []
-    assert not states[2].requests and tx not in states[2].echoes[2]
+    assert not states[2].requests and not echoed(states[2], 2, tx)
     assert all(triple[2] != tampered(good) for triple in verified)
 
 
@@ -75,7 +80,7 @@ def test_echo_with_forged_echoer_signature_rejected(scheme_name):
     assert eng.handle_message(states[1], echo(0, tx, issuer_sig, sign(0, tx), 1))
     forged = echo(0, tx, issuer_sig, tampered(sign(0, tx)), 2)
     assert eng.handle_message(states[2], forged) == []
-    assert tx not in states[2].echoes[0] and not states[2].requests
+    assert not echoed(states[2], 0, tx) and not states[2].requests
 
 
 @pytest.mark.parametrize("scheme_name", SCHEMES)
@@ -87,7 +92,7 @@ def test_signature_of_one_signer_rejected_as_another(scheme_name):
     assert eng.handle_message(states[1], echo(0, tx, sig0, sig0, 1))
     # the same bytes and signature, claimed as process 1's echo
     assert eng.handle_message(states[2], echo(1, tx, sig0, sig0, 2)) == []
-    assert tx not in states[2].echoes[1]
+    assert not echoed(states[2], 1, tx)
     # and as the issuer signature of a transaction process 1 issued
     tx1 = pay(1, {2: 10})
     sig0_on_tx1 = sign(0, tx1)

@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 
-from kspend import fuzz
+from kspend import fuzz, sim
 from kspend.errors import InvalidFaultySet, SchemaError
 from kspend.ledger import genesis_tx, make_tx, spending_number, tx_ref
 from kspend.sim import (
@@ -427,6 +428,40 @@ def test_trace_hash_sensitivity():
     assert compute_trace_hash(report.trace) == report.trace_hash
     reversed_hash = compute_trace_hash(tuple(reversed(report.trace)))
     assert reversed_hash != report.trace_hash
+
+
+def line_by_line_trace_hash(trace) -> str:
+    digest = hashlib.sha256()
+    for record in trace:
+        digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def odd_string_trace():
+    """A loaded report's trace, its strings rewritten with non-ASCII and escapes."""
+    obj = json.loads(json.dumps(report_to_obj(run(simple_scenario()))))
+    odd = ["\u00e9", "\u2028", "\n\t\"\\", "\x00\x1f\x7f", "\U0001f600", "</script>\ud800"]
+    trace = [
+        [odd[i % len(odd)] + field if isinstance(field, str) else field for field in record]
+        for i, record in enumerate(obj["trace"])
+    ]
+    assert any(isinstance(f, str) and not f.isascii() for record in trace for f in record)
+    return trace
+
+
+def test_trace_hash_matches_json_dumps_line_by_line(monkeypatch):
+    traces = [run(scenario, seed=seed).trace for _, scenario, seed in golden_cases()]
+    traces += [odd_string_trace(), []]
+    for accelerated in (True, False):
+        if not accelerated:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = sim._record_encoder()
+        # the fallback is JSONEncoder.encode, bound to its encoder
+        assert isinstance(getattr(encode, "__self__", None), json.JSONEncoder) is not accelerated
+        monkeypatch.setattr(sim, "_encode_record", encode)
+        for trace in traces:
+            assert compute_trace_hash(trace) == line_by_line_trace_hash(trace)
+    assert compute_trace_hash([]) == hashlib.sha256().hexdigest()
 
 
 def test_overdrawing_action_never_enables():
