@@ -53,16 +53,19 @@ class ProcessState:
     public_keys: dict[int, bytes]
     scheme_name: str
     history: History
-    # per transaction, the bitmask of processes whose verified echo of it
-    # this process holds, its own included
-    echoers: dict[Transaction, int] = field(default_factory=dict)
-    pending: set[Transaction] = field(default_factory=set)
+    # per-transaction state is keyed by encoding, the transaction's identity,
+    # whose hash bytes cache; per transaction, the bitmask of processes whose
+    # verified echo of it this process holds, its own included
+    echoers: dict[bytes, int] = field(default_factory=dict)
+    pending: dict[bytes, Transaction] = field(default_factory=dict)
     pended: bool = False  # a transaction was pended since the last settle
     # the spend index: every verified request, under each (issuer, input) it
     # spends, with the first signature seen for it; (issuer, None) holds
     # requests that spend nothing. An input is used once this process echoed
     # some request in its bucket.
-    requests: dict[tuple[int, bytes | None], dict[Transaction, bytes]] = field(default_factory=dict)
+    requests: dict[tuple[int, bytes | None], dict[bytes, tuple[Transaction, bytes]]] = field(
+        default_factory=dict
+    )
     unscanned: list[Transaction] = field(default_factory=list)  # recorded since detect_conflicts
     # the accepted spend of each (issuer, input) in the history
     accepted: dict[tuple[int, bytes], Transaction] = field(default_factory=dict)
@@ -124,7 +127,7 @@ def _others(state: ProcessState) -> frozenset[int]:
 
 def quorum_check(state: ProcessState, tx: Transaction) -> bool:
     """Did every member of some quorum echo tx? Own echoes count."""
-    echoers = state.echoers.get(tx, 0)
+    echoers = state.echoers.get(tx.encoding, 0)
     return any(echoers & mask == mask for mask in state.quorum_masks)
 
 
@@ -139,9 +142,19 @@ def _ready(state: ProcessState, tx: Transaction) -> bool:
     return all(state.accepted.get((tx.issuer, ref), tx) == tx for ref in tx.inputs)
 
 
+def _accepted(state: ProcessState, tx: Transaction) -> bool:
+    # only a transaction that spends something is ever accepted, and
+    # ``accepted`` holds the accepted spend of each of its (issuer, input)
+    if not tx.inputs:
+        return False
+    prior = state.accepted.get((tx.issuer, tx.inputs[0]))
+    return prior is not None and prior.encoding == tx.encoding
+
+
 def _maybe_pend(state: ProcessState, tx: Transaction) -> None:
-    if tx not in state.history.txs and tx not in state.pending and quorum_check(state, tx):
-        state.pending.add(tx)
+    enc = tx.encoding
+    if enc not in state.pending and not _accepted(state, tx) and quorum_check(state, tx):
+        state.pending[enc] = tx
         state.pended = True
 
 
@@ -156,9 +169,10 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
         return
     own = 1 << state.pid
     echoers = state.echoers
+    enc = tx.encoding
     if state.disable_used_input_guard:
         # mutant: drop the per-input protection, keep per-tx idempotence
-        if echoers.get(tx, 0) & own:
+        if echoers.get(enc, 0) & own:
             return
     else:
         # an input is used once this process echoed some request spending it
@@ -176,15 +190,18 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
             echoer_sig=echo_sig,
         )
     )
-    echoers[tx] = echoers.get(tx, 0) | own
+    echoers[enc] = echoers.get(enc, 0) | own
     _maybe_pend(state, tx)
 
 
-def _recorded(state: ProcessState, tx: Transaction) -> bool:
-    # a request is filed under every key it spends, so its first key's
-    # bucket holds it exactly when it was recorded
-    first = (tx.issuer, tx.inputs[0] if tx.inputs else None)
-    return tx in state.requests.get(first, ())
+def _recorded(state: ProcessState, tx: Transaction) -> tuple[Transaction, bytes] | None:
+    """The recorded request and its first signature, or None if tx is not recorded.
+
+    A request is filed under every key it spends, so its first key's bucket
+    holds it exactly when it was recorded.
+    """
+    bucket = state.requests.get((tx.issuer, tx.inputs[0] if tx.inputs else None))
+    return None if bucket is None else bucket.get(tx.encoding)
 
 
 def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> bool:
@@ -192,8 +209,9 @@ def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> b
     if _recorded(state, tx):
         return False
     keys = [(tx.issuer, ref) for ref in tx.inputs] or [(tx.issuer, None)]
+    entry = (tx, issuer_sig)
     for key in keys:
-        state.requests.setdefault(key, {})[tx] = issuer_sig
+        state.requests.setdefault(key, {})[tx.encoding] = entry
     state.unscanned.append(tx)
     return True
 
@@ -215,10 +233,11 @@ def detect_conflicts(state: ProcessState) -> list[Message]:
     for tx in state.unscanned:
         for ref in tx.inputs:
             bucket = state.requests[(tx.issuer, ref)]
-            for other in bucket:
-                if other != tx:
-                    key = (tx.issuer, *sorted((tx_ref(tx), tx_ref(other))))
-                    proofs[key] = ((tx, bucket[tx]), (other, bucket[other]))
+            mine = bucket[tx.encoding]
+            for enc, theirs in bucket.items():
+                if enc != tx.encoding:
+                    key = (tx.issuer, *sorted((tx_ref(tx), tx_ref(theirs[0]))))
+                    proofs[key] = (mine, theirs)
     state.unscanned.clear()
     out: list[Message] = []
     for key in sorted(proofs):
@@ -239,13 +258,14 @@ def _settle(state: ProcessState, out: list[Message]) -> None:
     progressed, state.pended = state.pended, False
     while progressed:
         progressed = False
-        for tx in sorted(state.pending, key=tx_ref):
+        for tx in sorted(state.pending.values(), key=tx_ref):
             if _ready(state, tx):
                 state.history = state.history.with_tx(tx)
                 state.accepted.update(((tx.issuer, ref), tx) for ref in tx.inputs)
-                state.pending.discard(tx)
+                del state.pending[tx.encoding]
                 progressed = True
-    out.extend(detect_conflicts(state))
+    if state.unscanned:
+        out.extend(detect_conflicts(state))
 
 
 def can_transfer(state: ProcessState, tx: Transaction) -> bool:
@@ -267,8 +287,8 @@ def _check_transfer(state: ProcessState, tx: Transaction) -> None:
         raise InvalidTransaction("every input must pay the issuer")
     if not tx_valid(tx, state.history):
         raise InvalidTransaction("outputs must be positive and conserve value")
-    signed = (state.requests.get((state.pid, ref), ()) for ref in tx.inputs)
-    if any(conflicts(tx, prior) for bucket in signed for prior in bucket):
+    signed = (state.requests.get((state.pid, ref), {}) for ref in tx.inputs)
+    if any(conflicts(tx, prior) for bucket in signed for prior, _ in bucket.values()):
         raise InvalidTransaction("conflicts with a transaction this process already signed")
 
 
@@ -309,17 +329,26 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     The echo of a pending or accepted transaction can change nothing: its
     quorum is never read again, and its request is recorded and was offered
     to ``_try_echo`` already. So it returns before any signature is checked.
+    An issuer signature byte-identical to the one recorded with the request
+    was verified, or made by this process, when it was recorded, so it is
+    not checked again.
     """
     tx = msg.tx
-    if tx is None or is_genesis(tx) or tx in state.pending or tx in state.history.txs:
+    if tx is None or is_genesis(tx):
+        return []
+    enc = tx.encoding
+    if enc in state.pending or _accepted(state, tx):
         return []
     if not _verify(state, msg.sender, tx, msg.echoer_sig):
         return []
-    if not _verify(state, tx.issuer, tx, msg.issuer_sig):
-        return []
+    recorded = _recorded(state, tx)
+    if recorded is None or recorded[1] != msg.issuer_sig:
+        if not _verify(state, tx.issuer, tx, msg.issuer_sig):
+            return []
     out: list[Message] = []
-    state.echoers[tx] = state.echoers.get(tx, 0) | 1 << msg.sender
-    record_request(state, tx, msg.issuer_sig)
+    state.echoers[enc] = state.echoers.get(enc, 0) | 1 << msg.sender
+    if recorded is None:
+        record_request(state, tx, msg.issuer_sig)
     _try_echo(state, tx, msg.issuer_sig, out)
     _maybe_pend(state, tx)
     _settle(state, out)

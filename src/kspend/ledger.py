@@ -10,7 +10,7 @@ family splits into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -41,7 +41,9 @@ class Transaction:
 
     The canonical encoding is computed once, at construction, and is the
     transaction's identity: equal encodings are equal transactions, and the
-    hash is the encoding's (which bytes cache).
+    hash is the encoding's (which bytes cache). Every value must fit its
+    field of the encoding, so that two transactions encode alike only when
+    they are alike; construction refuses any that does not.
     """
 
     issuer: int
@@ -52,10 +54,25 @@ class Transaction:
     encoding: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the issuer field's top value is the funding root's wire value
+        issuer = self.issuer
+        if not isinstance(issuer, int) or not GENESIS_ISSUER <= issuer < _GENESIS_WIRE:
+            raise ValueError(f"bad issuer: {issuer!r}")
+        for recipient, amount in self.outputs:
+            if not isinstance(recipient, int) or not 0 <= recipient < _MAX_U32:
+                raise ValueError(f"bad output recipient: {recipient!r}")
+            if not isinstance(amount, int) or amount < 0 or amount >= _MAX_AMOUNT:
+                raise ValueError(f"bad output amount: {amount!r}")
+        for ref in self.inputs:
+            if not isinstance(ref, bytes) or len(ref) != 32:
+                raise ValueError("input references must be 32-byte digests")
         # the encoding writes None as 0, so 0 would collide with None
         tm = self.timestamp
         if tm is not None and (not isinstance(tm, int) or not 1 <= tm < _MAX_TIMESTAMP):
             raise ValueError(f"bad timestamp: {tm!r}")
+        message = self.message
+        if message is not None and (not isinstance(message, bytes) or len(message) >= _MAX_U32):
+            raise ValueError("bad message: expected bytes shorter than 2**32")
         object.__setattr__(self, "encoding", _encode(self))
 
     def __eq__(self, other):
@@ -82,34 +99,16 @@ def make_tx(
     timestamp: int | None = None,
     message: bytes | None = None,
 ) -> Transaction:
-    """Normalize and validate the pieces of a transaction.
+    """Normalize the pieces of a transaction: outputs sorted by recipient
+    with zero amounts dropped, inputs sorted and deduplicated.
 
-    Every value must fit its field of the canonical encoding, so that two
-    transactions encode alike only when they are alike.
+    Construction validates every value, a dropped output's too, before the
+    outputs are sorted.
     """
-    if not isinstance(issuer, int) or not GENESIS_ISSUER <= issuer < _GENESIS_WIRE:
-        raise ValueError(f"bad issuer: {issuer!r}")
-    out = []
-    for recipient, amount in outputs.items():
-        if not isinstance(recipient, int) or not 0 <= recipient < _MAX_U32:
-            raise ValueError(f"bad output recipient: {recipient!r}")
-        if not isinstance(amount, int) or amount < 0 or amount >= _MAX_AMOUNT:
-            raise ValueError(f"bad output amount: {amount!r}")
-        if amount:
-            out.append((recipient, amount))
-    refs = sorted(set(inputs))
-    for ref in refs:
-        if not isinstance(ref, bytes) or len(ref) != 32:
-            raise ValueError("input references must be 32-byte digests")
-    if message is not None and (not isinstance(message, bytes) or len(message) >= _MAX_U32):
-        raise ValueError("bad message: expected bytes shorter than 2**32")
-    return Transaction(
-        issuer=issuer,
-        outputs=tuple(sorted(out)),
-        inputs=tuple(refs),
-        timestamp=timestamp,
-        message=message,
-    )
+    out = tuple(outputs.items())
+    tx = Transaction(issuer, out, tuple(sorted(set(inputs))), timestamp, message)
+    normal = tuple(sorted(pair for pair in out if pair[1]))
+    return tx if normal == out else replace(tx, outputs=normal)
 
 
 def genesis_tx(outputs: Mapping[int, int]) -> Transaction:

@@ -319,9 +319,11 @@ class _Runtime:
         state = self.engines[pid]
         before_hist = state.history.txs
         out = fn(state, *args)
-        payloads = [self.enqueue(msg) for msg in out]
-        # every ACC a handler returns carries an accusation it newly stored
-        new_acc = tuple(sorted(p for msg, p in zip(out, payloads) if msg.kind == eng.ACC))
+        new_acc: tuple[str, ...] = ()
+        if out:
+            payloads = [self.enqueue(msg) for msg in out]
+            # every ACC a handler returns carries an accusation it newly stored
+            new_acc = tuple(sorted(p for msg, p in zip(out, payloads) if msg.kind == eng.ACC))
         after = state.history.txs
         accepted = () if after is before_hist else self.note_acceptances(pid, after - before_hist)
         if self.check_invariants and not state.history._base_report.ok:

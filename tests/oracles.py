@@ -189,6 +189,6 @@ def polled_enabled_actions(rt) -> list[int]:
 def member_quorum_check(state, quorums, tx) -> bool:
     """Did every member of some quorum echo tx? The engine's test before it
     kept bitmasks: a scan of each member's set of echoed transactions, here
-    rebuilt from the engine's per-transaction echoer bitmasks."""
+    rebuilt from the engine's echoer bitmasks, keyed by encoding."""
     echoed = {p: {t for t, mask in state.echoers.items() if mask >> p & 1} for p in range(state.n)}
-    return any(all(tx in echoed[q] for q in quorum) for quorum in quorums)
+    return any(all(tx.encoding in echoed[q] for q in quorum) for quorum in quorums)

@@ -33,7 +33,7 @@ def pay(issuer, outputs, inputs=None, tm=1):
 
 def echoed(state, p, tx):
     """Does state hold a verified echo of tx from process p?"""
-    return bool(state.echoers.get(tx, 0) & 1 << p)
+    return bool(state.echoers.get(tx.encoding, 0) & 1 << p)
 
 
 def deliver(states, msgs):

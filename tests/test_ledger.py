@@ -78,6 +78,10 @@ def test_make_tx_normalizes():
         dict(issuer=0, outputs={1: 1}, timestamp=1 << 64),
         dict(issuer=0, outputs={1: 1}, message="text"),
         dict(issuer=0, outputs={1: 1}, message=_FourGiBMessage()),
+        # zero amounts are dropped, but only after they are checked
+        dict(issuer=0, outputs={1: 1, -1: 0}),
+        dict(issuer=0, outputs={1: 1, 2: None}),
+        dict(issuer=0, outputs={1: 1, "2": 1}),  # unsortable, so checked before sorting
     ],
 )
 def test_make_tx_rejects(kwargs):
@@ -100,6 +104,41 @@ def test_directly_built_transaction_rejects_bad_timestamp(timestamp):
     assert encode_tx(untimed) == encode_tx(make_tx(0, {1: 10}, [GREF]))
     with pytest.raises(ValueError, match="bad timestamp"):
         Transaction(issuer=0, outputs=((1, 10),), inputs=(GREF,), timestamp=timestamp)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(issuer=0xFFFFFFFF),  # the funding root's wire value
+        dict(issuer=-2),
+        dict(issuer="0"),
+        dict(outputs=((-1, 10),)),
+        dict(outputs=((1 << 32, 10),)),
+        dict(outputs=((1, -1),)),
+        dict(outputs=((1, 1 << 63),)),
+        dict(outputs=((1, "10"),)),
+        dict(inputs=(b"short",)),
+        dict(inputs=(GREF + b"x",)),
+        dict(inputs=(GREF.hex(),)),
+        dict(message="text"),
+        dict(message=_FourGiBMessage()),
+    ],
+)
+def test_directly_built_transaction_rejects_values_the_encoding_cannot_hold(fields):
+    base = dict(issuer=0, outputs=((1, 10),), inputs=(GREF,), timestamp=1)
+    tx = Transaction(**base)
+    with pytest.raises(ValueError):
+        Transaction(**{**base, **fields})
+    with pytest.raises(ValueError):
+        dataclasses.replace(tx, **fields)
+
+
+def test_no_directly_built_transaction_encodes_like_the_funding_root():
+    root = genesis_tx({0: 1})
+    with pytest.raises(ValueError, match="bad issuer"):
+        Transaction(issuer=0xFFFFFFFF, outputs=root.outputs, inputs=(), timestamp=1)
+    top = Transaction(issuer=0xFFFFFFFE, outputs=root.outputs, inputs=(), timestamp=1)
+    assert top != root and not is_genesis(top)
 
 
 def test_genesis_shape():

@@ -3,10 +3,14 @@
 Each process counts echoes as one bitmask of echoers per transaction and
 tests it against one bitmask per quorum. A REQ whose transaction is already
 recorded, and an ECHO whose transaction is pending or accepted, return
-before any signature is checked. These tests hold both shortcuts against
-what they replace: the old handler bodies, run on a copy of the state at
-every message that returns early, and the per-member quorum scan of
-``oracles.member_quorum_check``, after every delivery.
+before any signature is checked; an ECHO that carries the issuer signature
+recorded with its request skips the issuer's check. State is keyed by a
+transaction's encoding, and "accepted" is read from the spend index. These
+tests hold each shortcut against what it replaces: the old handler bodies,
+run on a copy of the state at every message that returns early, the
+verified-signature set at every skipped issuer check, the per-member quorum
+scan of ``oracles.member_quorum_check``, and membership in the history,
+after every delivery.
 """
 
 import copy
@@ -34,13 +38,35 @@ def corpus_scenarios(count=SCENARIOS):
     return [fuzz.random_scenario(rng) for _ in range(count)]
 
 
+def scheduled(scenario, i, kind, guard_off):
+    """The i-th corpus scenario under one scheduler and guard mode."""
+    return dataclasses.replace(
+        scenario,
+        scheduler=SchedulerSpec(kind, seed=i if kind == "random" else None),
+        disable_used_input_guard=guard_off,
+    )
+
+
 def returns_early(state, msg) -> bool:
     tx = msg.tx
     if tx is None or is_genesis(tx):
         return False
     if msg.kind == eng.REQ:
-        return any(tx in bucket for bucket in state.requests.values())
-    return tx in state.pending or tx in state.history.txs
+        return any(tx.encoding in bucket for bucket in state.requests.values())
+    return tx.encoding in state.pending or tx in state.history.txs
+
+
+def recorded_sig(state, tx) -> bytes | None:
+    """The issuer signature recorded with tx's request, if it is recorded."""
+    for bucket in state.requests.values():
+        if tx.encoding in bucket:
+            return bucket[tx.encoding][1]
+    return None
+
+
+def recorded_txs(state) -> dict:
+    """Every recorded transaction, by encoding."""
+    return {enc: tx for bucket in state.requests.values() for enc, (tx, _) in bucket.items()}
 
 
 def old_body(state, msg) -> list:
@@ -48,7 +74,7 @@ def old_body(state, msg) -> list:
     tx, sig = msg.tx, msg.issuer_sig
     out = []
     if msg.kind == eng.ECHO:
-        state.echoers[tx] = state.echoers.get(tx, 0) | 1 << msg.sender
+        state.echoers[tx.encoding] = state.echoers.get(tx.encoding, 0) | 1 << msg.sender
     eng.record_request(state, tx, sig)
     eng._try_echo(state, tx, sig, out)
     eng._maybe_pend(state, tx)
@@ -59,7 +85,7 @@ def old_body(state, msg) -> list:
 def facts(state):
     return (
         state.history,
-        frozenset(state.pending),
+        dict(state.pending),
         dict(state.accepted),
         {key: dict(bucket) for key, bucket in state.requests.items()},
         frozenset(state.accusations),
@@ -81,18 +107,19 @@ def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off
             out = handle(state, msg)
             assert out == []
             return out
+        if msg.kind == eng.ECHO and recorded_sig(state, msg.tx) == msg.issuer_sig:
+            # the issuer check is skipped: the signature was verified before
+            tx = msg.tx
+            assert (state.public_keys[tx.issuer], tx.encoding, msg.issuer_sig) in state.verified
+            early["skipped issuer check"] += 1
         return handle(state, msg)
 
     monkeypatch.setattr(eng, "handle_message", checked)
     for i, scenario in enumerate(corpus_scenarios()):
-        scenario = dataclasses.replace(
-            scenario,
-            scheduler=SchedulerSpec(kind, seed=i if kind == "random" else None),
-            disable_used_input_guard=guard_off,
-        )
-        sim.run(scenario, seed=i)
+        sim.run(scheduled(scenario, i, kind, guard_off), seed=i)
     # under fifo a request reaches each process before any echo of it does
     assert early[eng.ECHO] and (early[eng.REQ] or kind == "fifo"), early
+    assert early["skipped issuer check"], early
 
 
 def gap_model() -> TrustModel:
@@ -103,11 +130,11 @@ def gap_model() -> TrustModel:
     return TrustModel.build(5, quorums, [[0], [1]])
 
 
-def checked_run(scenario, seed, outcomes: Counter) -> None:
-    """Step a run as sim.run does, comparing quorum tests after every event."""
+def stepped_run(scenario, seed, check) -> None:
+    """Step a run as sim.run does, calling check(pid, state, events) for
+    every correct process after every event."""
     rt = sim._Runtime(scenario, seed, False)
     rt.enqueue_scripts()
-    quorums = scenario.model.quorums
     events = 0
     while True:
         enabled = rt.enabled_actions()
@@ -120,10 +147,22 @@ def checked_run(scenario, seed, outcomes: Counter) -> None:
             rt.step_delivery(pos)
         events += 1
         for pid, state in rt.engines.items():
-            for tx in state.echoers:
-                fast = eng.quorum_check(state, tx)
-                assert fast == member_quorum_check(state, quorums[pid], tx), (pid, events)
-                outcomes[fast] += 1
+            check(pid, state, events)
+
+
+def checked_run(scenario, seed, outcomes: Counter) -> None:
+    """Step a run, comparing quorum tests after every event."""
+    quorums = scenario.model.quorums
+
+    def check(pid, state, events):
+        txs = recorded_txs(state)
+        for enc in state.echoers:
+            tx = txs[enc]  # an echo is counted only once its request is recorded
+            fast = eng.quorum_check(state, tx)
+            assert fast == member_quorum_check(state, quorums[pid], tx), (pid, events)
+            outcomes[fast] += 1
+
+    stepped_run(scenario, seed, check)
 
 
 def test_bitmask_quorum_check_matches_the_member_scan():
@@ -141,3 +180,19 @@ def test_bitmask_quorum_check_matches_the_member_scan():
             checked_run(run, seed, outcomes[name])
     # quorums reached and not yet reached, on every family of models
     assert all(counts[True] and counts[False] for counts in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
+@pytest.mark.parametrize("kind", ["random", "fifo"])
+def test_accepted_test_matches_history_membership(kind, guard_off):
+    outcomes = Counter()
+
+    def check(pid, state, events):
+        for tx in recorded_txs(state).values():
+            fast = eng._accepted(state, tx)
+            assert fast == (tx in state.history.txs), (pid, events)
+            outcomes[fast] += 1
+
+    for i, scenario in enumerate(corpus_scenarios(10)):
+        stepped_run(scheduled(scenario, i, kind, guard_off), i, check)
+    assert outcomes[True] and outcomes[False], outcomes

@@ -38,7 +38,7 @@ def sharing_states(scheme_name):
 
 def echoed(state, p, tx):
     """Does state hold a verified echo of tx from process p?"""
-    return bool(state.echoers.get(tx, 0) & 1 << p)
+    return bool(state.echoers.get(tx.encoding, 0) & 1 << p)
 
 
 def tampered(sig):
@@ -81,6 +81,29 @@ def test_echo_with_forged_echoer_signature_rejected(scheme_name):
     forged = echo(0, tx, issuer_sig, tampered(sign(0, tx)), 2)
     assert eng.handle_message(states[2], forged) == []
     assert not echoed(states[2], 0, tx) and not states[2].requests
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_recorded_request_vouches_only_for_its_own_issuer_signature(monkeypatch, scheme_name):
+    states, sign, _ = sharing_states(scheme_name)
+    tx = pay(0, {1: 10})
+    good = sign(0, tx)
+    assert eng.handle_message(states[2], req(0, tx, good, 2))  # recorded and echoed
+    issuer_checks = []
+    real_verify = eng._verify
+
+    def counting(state, signer, tx, sig):
+        if signer == tx.issuer:
+            issuer_checks.append(sig)
+        return real_verify(state, signer, tx, sig)
+
+    monkeypatch.setattr(eng, "_verify", counting)
+    # another issuer signature on the recorded request is checked, and a forged one fails
+    assert eng.handle_message(states[2], echo(1, tx, tampered(good), sign(1, tx), 2)) == []
+    assert issuer_checks == [tampered(good)] and not echoed(states[2], 1, tx)
+    # the recorded signature is not checked again
+    eng.handle_message(states[2], echo(1, tx, good, sign(1, tx), 2))
+    assert issuer_checks == [tampered(good)] and echoed(states[2], 1, tx)
 
 
 @pytest.mark.parametrize("scheme_name", SCHEMES)

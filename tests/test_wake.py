@@ -25,7 +25,7 @@ def checked_trace_hash(scenario, seed) -> str:
         enabled = rt.enabled_actions()
         assert enabled == polled_enabled_actions(rt), f"enabled actions at event {events}"
         for pid, state in rt.engines.items():
-            ready = [tx for tx in state.pending if eng._ready(state, tx)]
+            ready = [tx for tx in state.pending.values() if eng._ready(state, tx)]
             assert not ready, f"process {pid} left ready transactions pending at event {events}"
         if (not enabled and not rt.deliveries) or events >= scenario.max_events:
             return sim.compute_trace_hash(rt.trace)
