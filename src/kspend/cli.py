@@ -78,6 +78,8 @@ def _guarded(body):
                 f"faulty sets visited: {exc.faulty_sets_visited}; "
                 f"budget units spent: {exc.units_spent}"
             )
+        if exc.best_faulty_set is not None:
+            click.echo(f"faulty set behind that bound: {_fmt_set(exc.best_faulty_set)}")
         sys.exit(3)
 
 

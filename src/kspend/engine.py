@@ -152,9 +152,8 @@ def _accepted(state: ProcessState, tx: Transaction) -> bool:
 
 
 def _maybe_pend(state: ProcessState, tx: Transaction) -> None:
-    enc = tx.encoding
-    if enc not in state.pending and not _accepted(state, tx) and quorum_check(state, tx):
-        state.pending[enc] = tx
+    if tx.encoding not in state.pending and quorum_check(state, tx):
+        state.pending[tx.encoding] = tx
         state.pended = True
 
 

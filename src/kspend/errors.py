@@ -20,9 +20,9 @@ class SizeLimitExceeded(KspendError):
 
     ``partial_maximum`` carries the best value found before the budget ran
     out (None when the search could not start at all). The inconsistency
-    search also reports its progress: ``faulty_sets_visited`` and
-    ``units_spent`` (the unit that overran the budget included); other
-    searches leave them None.
+    search also reports the faulty set behind it, ``best_faulty_set`` (None
+    at 0), and its progress, ``faulty_sets_visited`` and ``units_spent``
+    (the unit that overran the budget included); other searches leave them None.
     """
 
     def __init__(
@@ -30,11 +30,13 @@ class SizeLimitExceeded(KspendError):
         message: str,
         partial_maximum: int | None = None,
         *,
+        best_faulty_set: frozenset[int] | None = None,
         faulty_sets_visited: int | None = None,
         units_spent: int | None = None,
     ):
         super().__init__(message)
         self.partial_maximum = partial_maximum
+        self.best_faulty_set = best_faulty_set
         self.faulty_sets_visited = faulty_sets_visited
         self.units_spent = units_spent
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidParameters, SchemaError, SizeLimitExceeded
@@ -146,82 +146,93 @@ class _Exhausted(Exception):
     pass
 
 
-def _choice_masks(
-    quorum_masks: list[list[tuple[int, Quorum]]], keep: int, correct: list[int]
-) -> list[dict[int, Quorum]]:
-    """Per correct process: (quorum − F) bitmask -> lex-first quorum, in lex order."""
-    masks = []
-    for pid in correct:
-        seen: dict[int, Quorum] = {}
-        for mask, q in quorum_masks[pid]:  # already in lex order
-            seen.setdefault(mask & keep, q)
-        masks.append(seen)
-    return masks
-
-
-def _ceiling_admits(
-    quorum_masks: list[list[tuple[int, Quorum]]],
-    smallest: list[int],
-    keep: int,
-    correct: list[int],
-    need: int,
-) -> bool:
+def _ceiling_admits(by_size: list, keep: int, correct: list[int], need: int) -> bool:
     """Can ``need`` processes hold pairwise-disjoint reduced quorums at all?
 
     Disjoint masks inside the keep set cover at least the sum of their
     owners' smallest reduced sizes, so the ``need`` smallest must fit in it.
-    A quorum loses at most |F| members to F, which gives a cheaper test to
-    try first on ``smallest``, each process's smallest quorum size.
-    """
-    if need > len(correct):
-        return False
+    A quorum loses at most |F| members, which bounds them all from below
+    with no scan; ``by_size`` holds each process's (size, mask) pairs,
+    smallest first, so a scan stops once ``size - |F|`` cannot beat its least."""
     room = keep.bit_count()
-    dropped = len(smallest) - room
-    if sum(sorted(max(smallest[pid] - dropped, 0) for pid in correct)[:need]) > room:
+    dropped = len(by_size) - room
+    if need > len(correct) or need * (min(by_size[p][0][0] for p in correct) - dropped) > room:
         return False
-    sizes = sorted(min((m & keep).bit_count() for m, _ in quorum_masks[pid]) for pid in correct)
-    return sum(sizes[:need]) <= room
+    sizes = []
+    for pid in correct:
+        least = room
+        for size, mask in by_size[pid]:
+            if size - dropped >= least:
+                break
+            if (reduced := (mask & keep).bit_count()) < least:
+                least = reduced
+        sizes.append(least)
+    return sum(sorted(sizes)[:need]) <= room
 
 
-def _can_pack(
-    rows: Sequence[Collection[int]],
-    need: int,
-    used: int,
-    failed: dict[tuple[int, int], int],
-    budget: _Budget,
-) -> bool:
-    """Can ``need`` rows each take one of their masks, pairwise disjoint and
-    clear of ``used``?
+class _Packer(dict):
+    """Packs pairwise-disjoint masks, one vertex bit per mask of a row.
 
     For one faulty set, the best independence number over every quorum map
-    is the most rows packable so: only the members' choices matter, and
-    mutual independence is exactly pairwise disjointness of reduced masks.
-    Branch and bound over rows ordered by fewest masks, each narrowed to the
-    masks still clear; a node is cut when fewer than ``need`` rows keep one.
-    ``failed`` maps (index, used) to the least need that failed there, so
-    calls on the same rows may share it. ``budget`` is charged per node.
-    """
-    rows = sorted(rows, key=len)
+    is the most correct processes (rows) that can each take a quorum, their
+    reduced masks (quorum − F) pairwise disjoint: mutual independence is
+    disjointness outside F. A row's masks take a run of vertex bits; the
+    packer maps a mask to its clash set, the OR of ``hits[b]`` (the vertices
+    whose mask holds b) over its members b. ``(live & low) + low`` carries
+    into a run's ``top`` bit when another bit of the run is live."""
 
-    def search(i: int, live: list[tuple[int, list[int]]], need: int, used: int) -> bool:
-        if need == 0:
-            return True
-        if len(live) < need or failed.get((i, used), need + 1) <= need:
-            return False
-        budget.spend(1)
-        (j, masks), rest = live[0], live[1:]
-        for mask in masks:
-            taken = used | mask
-            narrowed = [(k, kept) for k, row in rest if (kept := [m for m in row if not m & taken])]
-            if search(j + 1, narrowed, need - 1, taken):
+    def __init__(self, rows: Sequence[Sequence[int]], width: int):  # masks below 1 << width
+        self.masks = [mask for row in rows for mask in row]
+        self.owners = [pid for pid, row in enumerate(rows) for _ in row]
+        self.starts = [0, *accumulate(map(len, rows))]
+        self.runs = [(1 << b) - (1 << a) for a, b in zip(self.starts, self.starts[1:])]
+        self.top = sum(run & ~(run >> 1) for run in self.runs)  # each run's top bit
+        self.low = sum(self.runs) ^ self.top  # and its other bits
+        columns = zip(*(f"{mask:0{width}b}" for mask in reversed(self.masks)))
+        self.hits = [int("".join(column), 2) for column in columns][::-1] or [0] * width
+        self[0] = 0
+
+    def __missing__(self, mask: int) -> int:
+        self[mask] = self[mask & mask - 1] | self.hits[(mask & -mask).bit_length() - 1]
+        return self[mask]
+
+    def reduce(self, keep: int) -> None:
+        """Set up one faulty set: a row's first vertex per distinct reduced mask is active."""
+        self.reduced = [mask & keep for mask in self.masks]
+        owned = zip(reversed(self.owners), reversed(self.reduced))
+        first = dict(zip(owned, reversed(range(len(self.masks)))))  # back to front: firsts win
+        self.active = sum(map((1).__lshift__, first.values()))
+
+    def can_pack(self, pids: list, need: int, used: int, failed: dict, budget: _Budget) -> bool:
+        """Can ``need`` of the rows ``pids`` take active vertices with pairwise-disjoint masks
+        clear of ``used``? Branch and bound over rows by fewest active vertices, one ``budget``
+        unit a node; taking a vertex drops its clash set from the live set, a node with under
+        ``need`` live rows is cut, and ``failed`` maps (index, used) to the least need failed."""
+        top, low, reduced, active = self.top, self.low, self.reduced, self.active
+        order = sorted((self.runs[pid] for pid in pids), key=lambda run: (active & run).bit_count())
+
+        def search(i: int, live: int, need: int, used: int) -> bool:
+            if need == 0:
                 return True
-        if search(j + 1, rest, need, used):
-            return True
-        failed[i, used] = need
-        return False
+            rows = ((((live & low) + low) | live) & top).bit_count()
+            if rows < need or failed.get((i, used), need + 1) <= need:
+                return False
+            budget.spend(1)
+            j = i
+            while not live & order[j]:
+                j += 1
+            row, rest = live & order[j], live & ~order[j]
+            while row:
+                mask = reduced[(row & -row).bit_length() - 1]
+                row &= row - 1
+                if search(j + 1, rest & ~self[mask], need - 1, used | mask):
+                    return True
+            if search(j + 1, rest, need, used):
+                return True
+            failed[i, used] = need
+            return False
 
-    live = [(j, kept) for j, row in enumerate(rows) if (kept := [m for m in row if not m & used])]
-    return search(0, live, need, used)
+        return search(0, active & sum(order) & ~self[used], need, used)
 
 
 def _lambda_and_witness(
@@ -237,10 +248,9 @@ def _lambda_and_witness(
     ``rebuild`` the search returns the value alone, with no witness.
     """
     budget = _Budget(budget_cap)
-    quorum_masks = [
-        [(sum(1 << member for member in q), q) for q in system] for system in model.quorums
-    ]
-    smallest = [min(map(len, system)) for system in model.quorums]
+    masks = [[sum(1 << member for member in q) for q in system] for system in model.quorums]
+    packer = _Packer(masks, model.n)
+    by_size = [sorted((mask.bit_count(), mask) for mask in row) for row in masks]
     everyone = (1 << model.n) - 1
     best = visited = 0
     best_faulty: frozenset[int] | None = None
@@ -249,28 +259,29 @@ def _lambda_and_witness(
             budget.spend(1)
             keep = everyone & ~sum(1 << p for p in combo)
             correct = [p for p in model.processes() if keep >> p & 1]
-            if not _ceiling_admits(quorum_masks, smallest, keep, correct, best + 1):
+            if not _ceiling_admits(by_size, keep, correct, best + 1):
                 continue
-            masks = _choice_masks(quorum_masks, keep, correct)
+            packer.reduce(keep)
             failed: dict[tuple[int, int], int] = {}
-            while _can_pack(masks, best + 1, 0, failed, budget):
-                best, best_faulty, best_masks = best + 1, frozenset(combo), masks
+            while packer.can_pack(correct, best + 1, 0, failed, budget):
+                best, best_faulty, best_keep = best + 1, frozenset(combo), keep
 
         assert best_faulty is not None  # every model admits some faulty set and a node
         if not rebuild:
             return best, None
         correct = [p for p in model.processes() if p not in best_faulty]
-        # greedy rebuild: smallest members first, lex-smallest quorum per
-        # member, lex-first filler quorums for everyone else
+        packer.reduce(best_keep)
+        # greedy rebuild: smallest members first, lex-first fitting quorums, lex-first fillers
         chosen: dict[int, Quorum] = {}
         used = 0
         for i, pid in enumerate(correct):
             if len(chosen) == best:
                 break
             failed = {}
-            for mask, quorum in best_masks[i].items():
-                if mask & used == 0 and _can_pack(
-                    best_masks[i + 1 :], best - len(chosen) - 1, used | mask, failed, budget
+            for v, quorum in enumerate(model.quorums[pid], packer.starts[pid]):
+                mask = packer.reduced[v]
+                if packer.active >> v & 1 and not mask & used and packer.can_pack(
+                    correct[i + 1 :], best - len(chosen) - 1, used | mask, failed, budget
                 ):
                     chosen[pid] = quorum
                     used |= mask
@@ -279,6 +290,7 @@ def _lambda_and_witness(
         raise SizeLimitExceeded(
             f"inconsistency search exceeded its budget of {budget_cap} units",
             partial_maximum=best,
+            best_faulty_set=best_faulty,
             faulty_sets_visited=visited,
             units_spent=budget_cap - budget.remaining,
         ) from None

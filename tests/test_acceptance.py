@@ -264,10 +264,12 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
             [1 << v | sum(bit for edge, bit in edge_bits.items() if v in edge)]
             for v in range(size)
         ]
+        packer = trust._Packer(rows, size + len(edges))
+        packer.reduce(-1)  # no faulty set
         failed = {}
         packed = 0
-        while trust._can_pack(
-            rows, packed + 1, 0, failed, trust._Budget(trust.DEFAULT_ENUM_BUDGET)
+        while packer.can_pack(
+            list(range(size)), packed + 1, 0, failed, trust._Budget(trust.DEFAULT_ENUM_BUDGET)
         ):
             packed += 1
         slow = subset_independence_number(

@@ -132,7 +132,11 @@ def gap_model() -> TrustModel:
 
 def stepped_run(scenario, seed, check) -> None:
     """Step a run as sim.run does, calling check(pid, state, events) for
-    every correct process after every event."""
+    every correct process after every event.
+
+    After every event no pending transaction is accepted: acceptance
+    happens only in ``_settle``, which takes what it accepts out of pending.
+    """
     rt = sim._Runtime(scenario, seed, False)
     rt.enqueue_scripts()
     events = 0
@@ -147,6 +151,7 @@ def stepped_run(scenario, seed, check) -> None:
             rt.step_delivery(pos)
         events += 1
         for pid, state in rt.engines.items():
+            assert not any(eng._accepted(state, tx) for tx in state.pending.values()), (pid, events)
             check(pid, state, events)
 
 
@@ -196,3 +201,23 @@ def test_accepted_test_matches_history_membership(kind, guard_off):
     for i, scenario in enumerate(corpus_scenarios(10)):
         stepped_run(scheduled(scenario, i, kind, guard_off), i, check)
     assert outcomes[True] and outcomes[False], outcomes
+
+
+@pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
+@pytest.mark.parametrize("kind", ["random", "fifo"])
+def test_no_accepted_transaction_reaches_the_pending_test(monkeypatch, kind, guard_off):
+    """``_maybe_pend`` tests only ``pending``: a transaction reaching it is
+    never accepted, since ``handle_echo`` returns early for accepted ones
+    and a request new to ``_try_echo`` was never pended, let alone accepted."""
+    pend = eng._maybe_pend
+    calls = Counter()
+
+    def checked(state, tx):
+        assert not eng._accepted(state, tx) and tx not in state.history.txs
+        calls[tx.encoding in state.pending] += 1
+        pend(state, tx)
+
+    monkeypatch.setattr(eng, "_maybe_pend", checked)
+    for i, scenario in enumerate(corpus_scenarios(10)):
+        sim.run(scheduled(scenario, i, kind, guard_off), seed=i)
+    assert calls[True] and calls[False], calls

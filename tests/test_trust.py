@@ -209,6 +209,18 @@ def test_value_skips_the_witness_rebuild(example1):
     assert max_independent_set_witness(example1, budget=7).independent_set == frozenset({0, 3})
 
 
+def test_budget_overrun_reports_the_best_faulty_set(example1):
+    with pytest.raises(SizeLimitExceeded) as err:
+        max_independent_set_witness(example1, budget=1)
+    assert (err.value.partial_maximum, err.value.best_faulty_set) == (0, None)
+    for budget in (2, 6):  # bound 1, then bound 2 with a second faulty set visited
+        with pytest.raises(SizeLimitExceeded) as err:
+            max_independent_set_witness(example1, budget=budget)
+        assert err.value.best_faulty_set == frozenset({2})
+    assert err.value.faulty_sets_visited == 2
+    assert max_independent_set_witness(example1).faulty_set == frozenset({2})
+
+
 def test_pruned_search_matches_brute_force(monkeypatch):
     from kspend.fuzz import random_model
 
@@ -242,6 +254,40 @@ def test_witnesses_are_pinned():
         assert sorted(w.faulty_set) == case["faulty"]
         assert {str(p): sorted(q) for p, q in w.quorum_map.items()} == case["quorums"]
         assert sorted(w.independent_set) == case["independent"]
+
+
+def charged_units(monkeypatch, search, model):
+    """What ``search(model)`` returns, and the budget units it charged."""
+    charged = 0
+    spend = trust._Budget.spend
+
+    def counting(self, units):
+        nonlocal charged
+        charged += units
+        spend(self, units)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trust._Budget, "spend", counting)
+        return search(model), charged
+
+
+def test_search_units_are_pinned(monkeypatch):
+    """Value and units charged, with and without the witness, on fixed models.
+
+    The expected units were counted on the list-based packing search that
+    preceded the bitset packer: the uniform ladder through (11, 7, 3), 40
+    asymmetric n = 14-16 models of the analyze benchmark's fixed draw and 40
+    small fuzz models. The same search tree charges the same units.
+    """
+    path = pathlib.Path(__file__).parent / "data" / "pinned_search_units.json"
+    cases = json.loads(path.read_text())
+    assert len(cases) == 85
+    for case in cases:
+        model = uniform_model(*case["uniform"]) if "uniform" in case else parse_model(case["model"])
+        value, units = charged_units(monkeypatch, inconsistency_number, model)
+        witness, witness_units = charged_units(monkeypatch, max_independent_set_witness, model)
+        assert (value, len(witness.independent_set)) == (case["value"], case["value"]), case
+        assert (units, witness_units) == (case["value_units"], case["witness_units"]), case
 
 
 def test_uniform_12_8_4_is_exact_within_the_default_budget():
@@ -304,23 +350,32 @@ def _random_rows(rng):
 def test_packing_search_matches_brute_force():
     rng = random.Random(31)
 
-    def can_pack(rows, need, used, failed=None):
-        return trust._can_pack(rows, need, used, {} if failed is None else failed,
+    def packer_of(rows):
+        packer = trust._Packer(rows, 7)
+        packer.reduce(-1)  # no faulty set: each mask is its own reduced mask
+        return packer
+
+    def can_pack(packer, need, used, failed=None, first=0):
+        # the rows from ``first`` on, as the witness rebuild asks suffixes
+        pids = list(range(first, len(packer.runs)))
+        return packer.can_pack(pids, need, used, {} if failed is None else failed,
                                trust._Budget(1 << 30))
 
     for _ in range(150):
         rows = _random_rows(rng)
+        packer = packer_of(rows)  # one per row list, its clash sets reused across calls
         failed = {}  # one memo per row list, shared as the analyzer shares it
         for used in (0, rng.randrange(1 << 7), rng.randrange(1 << 7)):
             best = brute_pack(rows, used)
             for need in range(len(rows) + 2):
-                assert can_pack(rows, need, used) == (need <= best), (rows, used, need)
-                assert can_pack(rows, need, used, failed) == (need <= best)
+                assert can_pack(packer, need, used) == (need <= best), (rows, used, need)
+                assert can_pack(packer, need, used, failed) == (need <= best)
         for i in range(len(rows) + 1):  # the witness rebuild asks suffixes
             used = rng.randrange(1 << 7)
             best = brute_pack(rows[i:], used)
             for need in range(len(rows) - i + 2):
-                assert can_pack(rows[i:], need, used) == (need <= best)
+                assert can_pack(packer, need, used, first=i) == (need <= best)
+                assert can_pack(packer_of(rows[i:]), need, used) == (need <= best)
 
 
 @settings(max_examples=60, deadline=None)
