@@ -1,4 +1,4 @@
-"""Randomized generators for models, histories, and adversarial scenarios.
+"""Randomized generators for models and adversarial scenarios.
 
 Everything is driven by a caller-supplied random.Random so corpora are
 reproducible from a single seed. Scenario generation uses the HMAC signing
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from . import engine as eng
-from .ledger import History, Transaction, genesis_tx, make_tx, tx_ref
+from .ledger import Transaction, genesis_tx, make_tx, tx_ref
 from .sim import Scenario, SchedulerSpec, ScriptedSend, PlanRule
 from .trust import (
     TrustModel,
@@ -96,47 +96,6 @@ def random_vulnerable_model(
                 )
             return model, k
     raise RuntimeError(f"no vulnerable model found in {max_tries} tries")
-
-
-def random_well_formed_history(rng: random.Random) -> History:
-    """A history satisfying every clause, timestamps included."""
-    n = rng.randint(2, 5)
-    grants = {p: rng.randint(5, 20) for p in range(n)}
-    genesis = genesis_tx(grants)
-    txs: list[Transaction] = [genesis]
-    unspent: dict[int, list[tuple[bytes, int]]] = {
-        p: [(tx_ref(genesis), grants[p])] for p in range(n)
-    }
-    issued: dict[int, int] = {p: 0 for p in range(n)}
-    for _ in range(rng.randint(0, 10)):
-        holders = [p for p in range(n) if unspent[p]]
-        if not holders:
-            break
-        issuer = rng.choice(holders)
-        take = rng.randint(1, min(2, len(unspent[issuer])))
-        picks = [unspent[issuer].pop(rng.randrange(len(unspent[issuer]))) for _ in range(take)]
-        total = sum(amount for _ref, amount in picks)
-        recipients = rng.sample(range(n), rng.randint(1, min(3, n)))
-        outputs: dict[int, int] = {}
-        remaining = total
-        for who in recipients[:-1]:
-            if remaining <= 1:
-                break
-            part = rng.randint(1, remaining - 1)
-            outputs[who] = outputs.get(who, 0) + part
-            remaining -= part
-        outputs[recipients[-1]] = outputs.get(recipients[-1], 0) + remaining
-        issued[issuer] += 1
-        tx = make_tx(
-            issuer,
-            outputs,
-            [ref for ref, _amount in picks],
-            timestamp=issued[issuer],
-        )
-        txs.append(tx)
-        for who, amount in tx.outputs:
-            unspent[who].append((tx_ref(tx), amount))
-    return History.of(txs)
 
 
 def _split_grant(rng: random.Random, issuer: int, grant: int, n: int) -> dict[int, int]:

@@ -9,7 +9,6 @@ distinct values the correct processes can deliver between them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from . import engine as eng
@@ -132,16 +131,3 @@ def delivered_values(report: RunReport) -> frozenset[bytes]:
     if report.delivered is None:
         return frozenset()
     return frozenset(m for m in report.delivered.values() if m is not None)
-
-
-def undelivered_live(report: RunReport) -> tuple[int, ...]:
-    """Live correct processes that delivered nothing (liveness diagnostics)."""
-    from .trust import is_live
-
-    scenario = report.scenario
-    delivered = report.delivered or {}
-    return tuple(
-        p
-        for p in sorted(report.histories)
-        if is_live(scenario.model, p, scenario.faulty_set) and p not in delivered
-    )

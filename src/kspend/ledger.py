@@ -351,10 +351,6 @@ def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFor
     return WellFormedness(ok=not failures, failures=tuple(failures))
 
 
-def is_well_formed(h: History, *, check_timestamps: bool = False) -> bool:
-    return well_formed_report(h, check_timestamps=check_timestamps).ok
-
-
 def balance(h: History, pid: int) -> int:
     """Received minus spent; never negative on a well-formed history."""
     if not h._base_report.ok:
@@ -470,15 +466,6 @@ def minimum_cover(
             )
             return tuple(clusters)
     raise AssertionError("coloring search must terminate")
-
-
-def cover_number(
-    collection: Mapping[int, History] | Iterable[History],
-    *,
-    cap: int = COVER_EXACT_CAP,
-    check_timestamps: bool = True,
-) -> int:
-    return len(minimum_cover(collection, cap=cap, check_timestamps=check_timestamps))
 
 
 @dataclass(frozen=True, slots=True)

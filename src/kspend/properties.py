@@ -6,6 +6,11 @@ not, and "vacuous" when the run gives no evidence either way (liveness
 clauses on a run that hit the event cap, or the spend bound when the
 inconsistency analysis itself ran out of budget).
 
+Each property has one checker over a context computed once per report;
+it returns the first violation it finds, or None when the property holds.
+Histories are walked in reference order and accusation stores in digest
+order, so no detail depends on set iteration order.
+
 The checker only consumes reports; it deliberately knows nothing about
 scheduling so it can be replayed on deserialized reports as well.
 """
@@ -13,11 +18,11 @@ scheduling so it can be replayed on deserialized reports as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .crypto import keychain, make_scheme
-from .ledger import Accusation, History, Transaction, is_genesis, tx_ref, verify_acc
+from .ledger import History, Transaction, conflicting_pairs, is_genesis, tx_ref, verify_acc
 from .ledger import conflicts  # noqa: F401  (unused; perfbench/spans.py wraps properties.conflicts)
 from .trust import is_live
 
@@ -46,17 +51,39 @@ class Verdict:
     detail: str | None = None
 
 
-def _accused_refs(accusations: Iterable[Accusation]) -> set[bytes]:
-    refs: set[bytes] = set()
-    for acc in accusations:
-        for tx, _sig in acc.proof:
-            refs.add(tx_ref(tx))
-    return refs
+_HOLDS = Verdict(HOLDS)
+_CAPPED = Verdict(VACUOUS, "run hit the event cap before quiescing")
 
 
-def _dependencies(tx: Transaction, issuer_history: History) -> set[bytes]:
+class _Context:
+    """What several checkers need from one report, computed once."""
+
+    def __init__(self, report: "RunReport"):
+        scenario = report.scenario
+        self.report = report
+        self.correct = sorted(report.histories)
+        self.live = [p for p in self.correct if is_live(scenario.model, p, scenario.faulty_set)]
+        actions = scenario.honest_actions
+        self.executed = [actions[rec[1]] for rec in report.trace if rec[0] == "action"]
+        self.accused = {
+            p: {tx_ref(tx) for acc in report.accusations[p] for tx, _sig in acc.proof}
+            for p in self.correct
+        }
+
+    def unsettled(self, ref: bytes, tx: Transaction, issuer_history: History) -> int | None:
+        """The first live process that neither holds tx nor accuses what it draws value from."""
+        depends = None  # built only once some live process lacks tx
+        for q in self.live:
+            if ref not in self.report.histories[q].by_ref:
+                depends = depends or _dependencies(ref, tx, issuer_history)
+                if not depends & self.accused[q]:
+                    return q
+        return None
+
+
+def _dependencies(ref: bytes, tx: Transaction, issuer_history: History) -> set[bytes]:
     """The tx itself plus every transaction it transitively draws value from."""
-    seen = {tx_ref(tx)}
+    seen = {ref}
     stack = list(tx.inputs)
     while stack:
         ref = stack.pop()
@@ -69,220 +96,146 @@ def _dependencies(tx: Transaction, issuer_history: History) -> set[bytes]:
     return seen
 
 
-def _executed_actions(report: "RunReport") -> list[tuple[int, Transaction]]:
-    out = []
-    for rec in report.trace:
-        if rec[0] == "action":
-            idx = rec[1]
-            out.append(report.scenario.honest_actions[idx])
-    return out
-
-
-def _settles(tx: Transaction, issuer_history: History, history: History,
-             accused: set[bytes]) -> bool:
-    if tx in history.txs:
-        return True
-    return bool(_dependencies(tx, issuer_history) & accused)
-
-
-def _eventual_conviction(report: "RunReport", correct: list[int],
-                         accused: dict[int, set[bytes]]) -> Verdict:
-    """Every correct process holding one side of a conflicting pair has both accused.
-
-    Conflicting pairs are found by grouping the pooled transactions by the
-    (issuer, input) they spend; only pairs within one group are visited.
-    """
-    holders: dict[Transaction, set[int]] = {}
-    for p in correct:
-        for tx in report.histories[p].txs:
-            holders.setdefault(tx, set()).add(p)
-    spends: dict[tuple[int, bytes], list[Transaction]] = {}
-    for tx in holders:
-        for ref in tx.inputs:
-            spends.setdefault((tx.issuer, ref), []).append(tx)
-    pairs = {
-        tuple(sorted((tx_ref(a), tx_ref(b)))): (a, b)
-        for group in spends.values()
-        for a, b in combinations(group, 2)
-    }
-    for refs in sorted(pairs):
-        a, b = pairs[refs]
-        for side in sorted(holders[a] | holders[b]):
-            if not set(refs) <= accused[side]:
-                return Verdict(
-                    VIOLATED,
-                    f"conflict {refs[0].hex()[:16]}/{refs[1].hex()[:16]} unconvicted at {side}",
-                )
-    return Verdict(HOLDS)
-
-
-def evaluate_properties(report: "RunReport") -> dict[str, Verdict]:
-    scenario = report.scenario
-    model = scenario.model
-    faulty = scenario.faulty_set
-    correct = sorted(report.histories)
-    live = {p for p in correct if is_live(model, p, faulty)}
-    verdicts: dict[str, Verdict] = {}
-
-    liveness_vacuous = None
-    if not report.quiescent:
-        liveness_vacuous = Verdict(VACUOUS, "run hit the event cap before quiescing")
-
-    executed = _executed_actions(report)
-    accused = {p: _accused_refs(report.accusations[p]) for p in correct}
-
-    # validity: a correct issuer's transfer reaches every live correct history,
-    # unless some dependency of it ends up accused everywhere it is missing
-    if liveness_vacuous is not None:
-        verdicts["validity"] = liveness_vacuous
-    else:
-        problem = None
-        for pid, tx in executed:
-            for q in live:
-                if not _settles(tx, report.histories[pid], report.histories[q], accused[q]):
-                    problem = (pid, tx, q)
-                    break
-            if problem:
-                break
-        if problem:
-            pid, tx, q = problem
-            verdicts["validity"] = Verdict(
+def _validity(ctx: _Context) -> Verdict | None:
+    """An executed transfer settles at every live correct process."""
+    for pid, tx in ctx.executed:
+        ref = tx_ref(tx)
+        q = ctx.unsettled(ref, tx, ctx.report.histories[pid])
+        if q is not None:
+            return Verdict(
                 VIOLATED,
-                f"transfer {tx_ref(tx).hex()[:16]} by {pid} neither accepted "
+                f"transfer {ref.hex()[:16]} by {pid} neither accepted "
                 f"nor convicted at live process {q}",
             )
-        else:
-            verdicts["validity"] = Verdict(HOLDS)
+    return None
 
-    # k-spending: no input of any issuer is spent more distinct ways than the
-    # trust model's inconsistency number allows
+
+def _k_spending(ctx: _Context) -> Verdict | None:
+    """No input is spent more distinct ways than the inconsistency number allows."""
+    report = ctx.report
     if report.k_bound is None:
-        verdicts["k-spending"] = Verdict(
-            VACUOUS, report.k_bound_note or "inconsistency bound unavailable"
-        )
-    elif report.gamma_max <= report.k_bound:
-        verdicts["k-spending"] = Verdict(HOLDS)
-    else:
-        verdicts["k-spending"] = Verdict(
-            VIOLATED,
-            f"observed spending number {report.gamma_max} exceeds bound {report.k_bound}",
-        )
+        return Verdict(VACUOUS, report.k_bound_note or "inconsistency bound unavailable")
+    if report.gamma_max <= report.k_bound:
+        return None
+    detail = f"observed spending number {report.gamma_max} exceeds bound {report.k_bound}"
+    return Verdict(VIOLATED, detail)
 
-    # eventual conviction: accepted conflicts convict the issuer at both sides
-    if liveness_vacuous is not None:
-        verdicts["eventual-conviction"] = liveness_vacuous
-    else:
-        verdicts["eventual-conviction"] = _eventual_conviction(report, correct, accused)
 
-    # accuracy: every stored accusation verifies and only names faulty processes;
-    # correct processes store the same accusations, so each signature of
-    # them is checked once here, independently of the run's own checks
+def _eventual_conviction(ctx: _Context) -> Verdict | None:
+    """Every correct process holding one side of a conflicting pair has both accused."""
+    holders: dict[Transaction, set[int]] = {}
+    for p in ctx.correct:
+        for tx in ctx.report.histories[p].txs:
+            holders.setdefault(tx, set()).add(p)
+    for a, b in conflicting_pairs(holders):
+        refs = {tx_ref(a), tx_ref(b)}
+        for side in sorted(holders[a] | holders[b]):
+            if not refs <= ctx.accused[side]:
+                return Verdict(
+                    VIOLATED,
+                    f"conflict {tx_ref(a).hex()[:16]}/{tx_ref(b).hex()[:16]} unconvicted at {side}",
+                )
+    return None
+
+
+def _accuracy(ctx: _Context) -> Verdict | None:
+    """Every stored accusation verifies (each signature once) and names only faulty processes."""
+    report, scenario = ctx.report, ctx.report.scenario
     scheme = make_scheme(scenario.sig_scheme)
-    _, public_keys = keychain(model.n, scheme, scenario.key_seed)
+    _, public_keys = keychain(scenario.model.n, scheme, scenario.key_seed)
     verified: set[tuple[bytes, bytes, bytes]] = set()
-    verdicts["accuracy"] = Verdict(HOLDS)
-    for p in correct:
-        for acc in report.accusations[p]:
+    for p in ctx.correct:
+        for acc in sorted(report.accusations[p], key=attrgetter("digest")):
             if not verify_acc(acc, public_keys, scheme, verified):
-                verdicts["accuracy"] = Verdict(
+                return Verdict(
                     VIOLATED, f"process {p} stores an accusation that fails verification"
                 )
-                break
-            if not acc.accused <= faulty:
-                wrong = sorted(acc.accused - faulty)
-                verdicts["accuracy"] = Verdict(
-                    VIOLATED, f"process {p} accuses non-faulty processes {wrong}"
-                )
-                break
-        if verdicts["accuracy"].status == VIOLATED:
-            break
+            if not acc.accused <= scenario.faulty_set:
+                wrong = sorted(acc.accused - scenario.faulty_set)
+                return Verdict(VIOLATED, f"process {p} accuses non-faulty processes {wrong}")
+    return None
 
-    # agreement: correct processes converge on the same accusation set
-    if liveness_vacuous is not None:
-        verdicts["agreement"] = liveness_vacuous
-    else:
-        # accusations travel by rebroadcast, so convergence does not depend
-        # on quorum liveness: every correct process is held to the same set
-        sets = {p: report.accusations[p] for p in correct}
-        distinct = {frozenset(s) for s in sets.values()}
-        if len(distinct) <= 1:
-            verdicts["agreement"] = Verdict(HOLDS)
-        else:
-            sizes = {p: len(s) for p, s in sorted(sets.items())}
-            verdicts["agreement"] = Verdict(
-                VIOLATED, f"live processes disagree on accusations: sizes {sizes}"
-            )
 
-    # integrity: transactions credited to a correct issuer were really issued
-    issued_refs = {tx_ref(tx) for _pid, tx in executed}
-    verdicts["integrity"] = Verdict(HOLDS)
-    for q in correct:
-        for tx in report.histories[q].txs:
-            if is_genesis(tx) or tx.issuer in faulty:
-                continue
-            if tx_ref(tx) not in issued_refs:
-                verdicts["integrity"] = Verdict(
+def _agreement(ctx: _Context) -> Verdict | None:
+    """Correct processes converge on one accusation set. Accusations travel by
+    rebroadcast, so every correct process is held to it, live or not."""
+    stores = {p: ctx.report.accusations[p] for p in ctx.correct}
+    if len({frozenset(s) for s in stores.values()}) <= 1:
+        return None
+    sizes = {p: len(s) for p, s in stores.items()}
+    return Verdict(VIOLATED, f"live processes disagree on accusations: sizes {sizes}")
+
+
+def _integrity(ctx: _Context) -> Verdict | None:
+    """Transactions credited to a correct issuer were really issued."""
+    issued = {tx_ref(tx) for _pid, tx in ctx.executed}
+    faulty = ctx.report.scenario.faulty_set
+    for q in ctx.correct:
+        for ref, tx in sorted(ctx.report.histories[q].by_ref.items()):
+            if ref not in issued and not is_genesis(tx) and tx.issuer not in faulty:
+                return Verdict(
                     VIOLATED,
                     f"history of {q} credits {tx.issuer} with unissued "
-                    f"transaction {tx_ref(tx).hex()[:16]}",
+                    f"transaction {ref.hex()[:16]}",
                 )
-                break
-        if verdicts["integrity"].status == VIOLATED:
-            break
+    return None
 
-    # monotonicity: accusation stores only ever grow, and the final stores are
-    # exactly what the trace accumulated
-    acc_seen: dict[int, set[str]] = {p: set() for p in correct}
-    verdicts["monotonicity"] = Verdict(HOLDS)
-    for rec in report.trace:
+
+def _monotonicity(ctx: _Context) -> Verdict | None:
+    """Accusation stores only grow, and end as what the trace accumulated.
+
+    Of several re-added accusations, the last one in the trace is named.
+    """
+    seen: dict[int, set[str]] = {p: set() for p in ctx.correct}
+    readded = None
+    for rec in ctx.report.trace:
         if rec[0] == "action":
             actor, new_acc = rec[2], rec[5]
         elif rec[0] == "deliver":
             actor, new_acc = rec[4], rec[7]
         else:
             continue
-        if actor not in acc_seen:
-            continue
-        for digest in new_acc:
-            if digest in acc_seen[actor]:
-                verdicts["monotonicity"] = Verdict(
-                    VIOLATED, f"process {actor} re-added accusation {digest[:16]}"
-                )
-            acc_seen[actor].add(digest)
-    if verdicts["monotonicity"].status == HOLDS:
-        from .ledger import accusation_digest
+        for digest in new_acc if actor in seen else ():
+            if digest in seen[actor]:
+                readded = Verdict(VIOLATED, f"process {actor} re-added accusation {digest[:16]}")
+            seen[actor].add(digest)
+    if readded is not None:
+        return readded
+    for p in ctx.correct:
+        if {a.digest.hex() for a in ctx.report.accusations[p]} != seen[p]:
+            return Verdict(VIOLATED, f"final accusation store of {p} diverges from its trace")
+    return None
 
-        for p in correct:
-            final = {accusation_digest(a).hex() for a in report.accusations[p]}
-            if final != acc_seen[p]:
-                verdicts["monotonicity"] = Verdict(
-                    VIOLATED, f"final accusation store of {p} diverges from its trace"
-                )
-                break
 
-    # termination: everything a correct process holds settles at every live one
-    if liveness_vacuous is not None:
-        verdicts["termination"] = liveness_vacuous
-    else:
-        verdicts["termination"] = Verdict(HOLDS)
-        done = False
-        for p in correct:
-            hist_p = report.histories[p]
-            for tx in hist_p.txs:
-                if is_genesis(tx):
-                    continue
-                for q in live:
-                    if not _settles(tx, hist_p, report.histories[q], accused[q]):
-                        verdicts["termination"] = Verdict(
-                            VIOLATED,
-                            f"transaction {tx_ref(tx).hex()[:16]} held by {p} "
-                            f"never settles at live process {q}",
-                        )
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
+def _termination(ctx: _Context) -> Verdict | None:
+    """Everything a correct process holds settles at every live one."""
+    for p in ctx.correct:
+        history = ctx.report.histories[p]
+        for ref, tx in sorted(history.by_ref.items()):
+            q = None if is_genesis(tx) else ctx.unsettled(ref, tx, history)
+            if q is not None:
+                return Verdict(VIOLATED, f"transaction {ref.hex()[:16]} held by {p} "
+                                         f"never settles at live process {q}")
+    return None
 
-    return {name: verdicts[name] for name in PROPERTY_NAMES}
+
+# name -> (checker, whether it is a liveness clause, left vacuous by a capped run)
+_CHECKERS = {
+    "validity": (_validity, True),
+    "k-spending": (_k_spending, False),
+    "eventual-conviction": (_eventual_conviction, True),
+    "accuracy": (_accuracy, False),
+    "agreement": (_agreement, True),
+    "integrity": (_integrity, False),
+    "monotonicity": (_monotonicity, False),
+    "termination": (_termination, True),
+}
+
+
+def evaluate_properties(report: "RunReport") -> dict[str, Verdict]:
+    ctx = _Context(report)
+    verdicts = {}
+    for name in PROPERTY_NAMES:
+        check, liveness = _CHECKERS[name]
+        verdicts[name] = _CAPPED if liveness and not report.quiescent else check(ctx) or _HOLDS
+    return verdicts

@@ -15,14 +15,13 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import engine as eng
 from . import properties as props
-from .crypto import KeyPair, keychain, make_scheme
+from .crypto import keychain, make_scheme
 from .errors import (
     InvalidFaultySet,
-    InvalidTransaction,
     MalformedHistory,
     SchemaError,
     SizeLimitExceeded,
@@ -482,19 +481,6 @@ def tx_to_obj(tx: Transaction) -> dict:
     }
 
 
-def tx_from_obj(obj: dict) -> Transaction:
-    try:
-        return make_tx(
-            issuer=obj["issuer"],
-            outputs={int(p): a for p, a in obj.get("outputs", {}).items()},
-            inputs=[bytes.fromhex(ref) for ref in obj.get("inputs", [])],
-            timestamp=obj.get("timestamp"),
-            message=bytes.fromhex(obj["message"]) if obj.get("message") is not None else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad transaction object: {exc}") from None
-
-
 def _accusation_to_obj(acc: Accusation) -> dict:
     return {
         "accused": sorted(acc.accused),
@@ -504,8 +490,8 @@ def _accusation_to_obj(acc: Accusation) -> dict:
 
 def _accusation_from_obj(obj: dict) -> Accusation:
     return Accusation.build(
-        obj["accused"],
-        [(tx_from_obj(p["tx"]), bytes.fromhex(p["sig"])) for p in obj["proof"]],
+        _ints(obj["accused"], "accused process"),
+        [(_tx_from_spec(p["tx"], {}, None), bytes.fromhex(p["sig"])) for p in obj["proof"]],
     )
 
 
@@ -574,12 +560,12 @@ def _tx_from_spec(spec: dict, table: dict[str, bytes], default_tm: int | None) -
     try:
         issuer = _int(spec["issuer"], "transaction issuer")
         outputs = {int(p): _int(a, "output amount") for p, a in spec.get("outputs", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        message = spec.get("message")
+        if message is not None:
+            message = message.encode() if not _is_hex(message) else bytes.fromhex(message)
+        inputs = [_resolve_ref(tok, table) for tok in spec.get("inputs", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad transaction spec: {exc}") from None
-    inputs = [_resolve_ref(tok, table) for tok in spec.get("inputs", [])]
-    message = spec.get("message")
-    if message is not None:
-        message = message.encode() if not _is_hex(message) else bytes.fromhex(message)
     tm = _int(spec.get("tm", spec.get("timestamp", default_tm)), "timestamp", optional=True)
     try:
         return make_tx(issuer, outputs, inputs, timestamp=tm, message=message)
@@ -827,7 +813,7 @@ def report_from_obj(obj: dict) -> RunReport:
             trace=trace,
             trace_hash=obj["trace_hash"],
             histories={
-                int(p): History.of(tx_from_obj(t) for t in txs)
+                int(p): History.of(_tx_from_spec(t, {}, None) for t in txs)
                 for p, txs in obj["histories"].items()
             },
             accusations={

@@ -368,12 +368,6 @@ def load_model(path: str) -> TrustModel:
     return parse_model(obj)
 
 
-def dump_model(model: TrustModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_obj(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_builtin_model(name: str) -> TrustModel:
     """Models shipped with the package, e.g. ``example1``."""
     try:

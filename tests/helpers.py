@@ -1,0 +1,59 @@
+"""Generators and diagnostics that only the tests use."""
+
+import random
+
+from kspend.ledger import History, Transaction, genesis_tx, make_tx, tx_ref
+from kspend.sim import RunReport
+from kspend.trust import is_live
+
+
+def random_well_formed_history(rng: random.Random) -> History:
+    """A history satisfying every clause, timestamps included."""
+    n = rng.randint(2, 5)
+    grants = {p: rng.randint(5, 20) for p in range(n)}
+    genesis = genesis_tx(grants)
+    txs: list[Transaction] = [genesis]
+    unspent: dict[int, list[tuple[bytes, int]]] = {
+        p: [(tx_ref(genesis), grants[p])] for p in range(n)
+    }
+    issued: dict[int, int] = {p: 0 for p in range(n)}
+    for _ in range(rng.randint(0, 10)):
+        holders = [p for p in range(n) if unspent[p]]
+        if not holders:
+            break
+        issuer = rng.choice(holders)
+        take = rng.randint(1, min(2, len(unspent[issuer])))
+        picks = [unspent[issuer].pop(rng.randrange(len(unspent[issuer]))) for _ in range(take)]
+        total = sum(amount for _ref, amount in picks)
+        recipients = rng.sample(range(n), rng.randint(1, min(3, n)))
+        outputs: dict[int, int] = {}
+        remaining = total
+        for who in recipients[:-1]:
+            if remaining <= 1:
+                break
+            part = rng.randint(1, remaining - 1)
+            outputs[who] = outputs.get(who, 0) + part
+            remaining -= part
+        outputs[recipients[-1]] = outputs.get(recipients[-1], 0) + remaining
+        issued[issuer] += 1
+        tx = make_tx(
+            issuer,
+            outputs,
+            [ref for ref, _amount in picks],
+            timestamp=issued[issuer],
+        )
+        txs.append(tx)
+        for who, amount in tx.outputs:
+            unspent[who].append((tx_ref(tx), amount))
+    return History.of(txs)
+
+
+def undelivered_live(report: RunReport) -> tuple[int, ...]:
+    """Live correct processes that delivered nothing (liveness diagnostics)."""
+    scenario = report.scenario
+    delivered = report.delivered or {}
+    return tuple(
+        p
+        for p in sorted(report.histories)
+        if is_live(scenario.model, p, scenario.faulty_set) and p not in delivered
+    )

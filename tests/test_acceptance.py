@@ -18,12 +18,10 @@ from kspend import engine as eng
 from kspend import trust
 from kspend.cli import main as cli_main
 from kspend.crypto import keychain, make_scheme
-from kspend.fuzz import random_well_formed_history
 from kspend.kcb import (
     byzantine_broadcast_scenario,
     correct_broadcast_scenario,
     delivered_values,
-    undelivered_live,
 )
 from kspend.ledger import (
     History,
@@ -45,6 +43,7 @@ from kspend.trust import (
     uniform_model,
 )
 
+from helpers import random_well_formed_history, undelivered_live
 from oracles import (
     brute_conflict_pairs,
     brute_cover_number,

@@ -20,7 +20,7 @@ from kspend.cli import main
 from kspend.properties import PROPERTY_NAMES
 from kspend.errors import SchemaError
 from kspend.sim import load_scenario
-from kspend.trust import dump_model, parse_model, uniform_model
+from kspend.trust import model_to_obj, parse_model, uniform_model
 
 
 @pytest.fixture()
@@ -309,7 +309,7 @@ def test_attack_json(runner):
 
 def test_attack_not_vulnerable(runner, tmp_path):
     path = tmp_path / "uniform.json"
-    dump_model(uniform_model(4, 3, 1), str(path))
+    path.write_text(json.dumps(model_to_obj(uniform_model(4, 3, 1))))
     human = runner.invoke(main, ["attack", "--model", str(path)])
     assert human.exit_code == 0
     assert "not vulnerable: inconsistency number is 1" in human.output

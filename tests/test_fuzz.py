@@ -6,10 +6,11 @@ from kspend.fuzz import (
     random_model,
     random_scenario,
     random_vulnerable_model,
-    random_well_formed_history,
 )
 from kspend.ledger import is_genesis, well_formed_report
 from kspend.trust import allows_faulty, max_independent_set_witness
+
+from helpers import random_well_formed_history
 
 
 def test_random_models_are_valid():

@@ -8,10 +8,11 @@ from kspend.kcb import (
     byzantine_broadcast_scenario,
     correct_broadcast_scenario,
     delivered_values,
-    undelivered_live,
 )
 from kspend.sim import load_scenario, run
 from kspend.trust import TrustModel, uniform_model
+
+from helpers import undelivered_live
 
 
 def test_correct_source_reaches_everyone(example1):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kspend.crypto import content_hash, keychain, make_scheme
 from kspend.errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
-from kspend.fuzz import random_well_formed_history
 from kspend.ledger import (
     Accusation,
     History,
@@ -18,12 +17,10 @@ from kspend.ledger import (
     balance,
     conflicting_pairs,
     conflicts,
-    cover_number,
     encode_accusation,
     encode_tx,
     genesis_tx,
     is_genesis,
-    is_well_formed,
     make_tx,
     minimum_cover,
     out_value,
@@ -34,6 +31,7 @@ from kspend.ledger import (
     well_formed_report,
 )
 
+from helpers import random_well_formed_history
 from oracles import brute_conflict_pairs, brute_cover_number, brute_spending_number
 
 G = genesis_tx({0: 10, 1: 5})
@@ -276,7 +274,7 @@ def test_well_formed_happy_path():
     t1 = spend(0, {1: 4, 0: 6}, [GREF], tm=1)
     t2 = spend(0, {2: 6}, [tx_ref(t1)], tm=2)
     h = History.of([G, t1, t2])
-    assert is_well_formed(h, check_timestamps=True)
+    assert well_formed_report(h, check_timestamps=True).ok
 
 
 def test_clause_failures_are_reported_individually():
@@ -299,7 +297,7 @@ def test_clause_failures_are_reported_individually():
     assert well_formed_report(double).clause_failed("no-conflict")
 
     untimed = History.of([G, make_tx(0, {1: 10}, [GREF])])
-    assert is_well_formed(untimed)
+    assert well_formed_report(untimed).ok
     report = well_formed_report(untimed, check_timestamps=True)
     assert report.clause_failed("predecessor")
 
@@ -326,7 +324,7 @@ def test_balance_requires_well_formedness():
 @given(st.integers(0, 2**32))
 def test_balances_nonnegative_and_conserved(seed):
     h = random_well_formed_history(random.Random(seed))
-    assert is_well_formed(h, check_timestamps=True)
+    assert well_formed_report(h, check_timestamps=True).ok
     g = next(tx for tx in h.txs if is_genesis(tx))
     pids = {p for tx in h.txs for p, _ in tx.outputs}
     totals = [balance(h, p) for p in pids]
@@ -381,8 +379,8 @@ def test_cover_splits_incomparable_branches():
     left = History.of([G, fork(1)])
     right = History.of([G, fork(2)])
     empty = History.of([G])
-    assert cover_number([left, right]) == 2
-    assert cover_number([left, right, empty]) == 2
+    assert len(minimum_cover([left, right])) == 2
+    assert len(minimum_cover([left, right, empty])) == 2
     clusters = minimum_cover({0: left, 1: right, 2: empty})
     assert sorted(len(c) for c in clusters) == [1, 2]
     covered = {h for cluster in clusters for h in cluster}
@@ -400,19 +398,19 @@ def test_cover_matches_partition_oracle():
             if rng.random() < 0.5:
                 picks.append(other)
             histories.append(History.of(picks))
-        assert cover_number(histories) == brute_cover_number(histories)
+        assert len(minimum_cover(histories)) == brute_cover_number(histories)
 
 
 def test_cover_cap_and_timestamp_gate():
     many = [History.of([G, fork(i)]) for i in range(13)]
     with pytest.raises(SizeLimitExceeded):
         minimum_cover(many)
-    assert cover_number(many, cap=16) == 13
+    assert len(minimum_cover(many, cap=16)) == 13
 
     untimed = History.of([G, make_tx(0, {1: 10}, [GREF])])
     with pytest.raises(MalformedHistory):
         minimum_cover([untimed])
-    assert cover_number([untimed], check_timestamps=False) == 1
+    assert len(minimum_cover([untimed], check_timestamps=False)) == 1
 
 
 def test_cover_of_empty_collection():

@@ -77,7 +77,15 @@ def old_body(state, msg) -> list:
         state.echoers[tx.encoding] = state.echoers.get(tx.encoding, 0) | 1 << msg.sender
     eng.record_request(state, tx, sig)
     eng._try_echo(state, tx, sig, out)
-    eng._maybe_pend(state, tx)
+    # the old pend test, spelled out: the engine's _maybe_pend no longer
+    # tests _accepted, because its callers have already established it
+    if (
+        tx.encoding not in state.pending
+        and not eng._accepted(state, tx)
+        and eng.quorum_check(state, tx)
+    ):
+        state.pending[tx.encoding] = tx
+        state.pended = True
     eng._settle(state, out)
     return out
 

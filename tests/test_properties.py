@@ -17,12 +17,14 @@ from kspend.properties import (
     PROPERTY_NAMES,
     VACUOUS,
     VIOLATED,
+    Verdict,
     evaluate_properties,
 )
 from kspend.sim import load_scenario, report_from_obj, report_to_obj, run
 from kspend.trust import is_live
 
 from oracles import brute_eventual_conviction
+from pinned_verdicts import directed
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +214,38 @@ def test_withheld_transaction_violates_termination(probe_report):
     )
     r.accusations = {**r.accusations, live_other: frozenset()}
     assert evaluate_properties(r)["termination"].status == VIOLATED
+
+
+# With two candidates for one detail, the detail names the first in
+# reference (transactions) or digest (accusations) order, never the first
+# in set iteration order: tests/test_pinned_verdicts.py pins both tamperings
+# below under PYTHONHASHSEED 0 and 1.
+
+
+def test_two_unsettled_unissued_transactions_name_the_lower_reference(demo_report):
+    r = dict(directed(demo_report))["two-unsettled-unissued"]
+    first = min(r.histories)
+    planted = sorted(set(r.histories[first].by_ref) - set(demo_report.histories[first].by_ref))
+    assert len(planted) == 2
+    verdicts = evaluate_properties(r)
+    lower = planted[0].hex()[:16]
+    assert verdicts["integrity"] == Verdict(
+        VIOLATED, f"history of {first} credits 1 with unissued transaction {lower}"
+    )
+    assert verdicts["termination"].status == VIOLATED
+    assert verdicts["termination"].detail.startswith(f"transaction {lower} held by {first} ")
+
+
+def test_unverifiable_and_wrong_accusations_name_the_lower_digest(demo_report):
+    r = dict(directed(demo_report))["unverifiable-and-wrong-accusation"]
+    first = min(r.accusations)
+    planted = sorted(r.accusations[first] - demo_report.accusations[first], key=lambda a: a.digest)
+    assert len(planted) == 2
+    fake = next(a for a in planted if a.proof[0][1] == b"\x00" * 8)
+    expected = (
+        f"process {first} stores an accusation that fails verification"
+        if planted[0] is fake
+        else f"process {first} accuses non-faulty processes [1]"
+    )
+    assert evaluate_properties(r)["accuracy"] == Verdict(VIOLATED, expected)
+

@@ -290,6 +290,37 @@ def test_report_with_flipped_verdict_is_rejected(data_dir):
             report_from_obj(flipped)
 
 
+def _history_txs(obj):
+    return [tx for txs in obj["histories"].values() for tx in txs]
+
+
+def _accusations(obj):
+    return [acc for accs in obj["accusations"].values() for acc in accs]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # JSON true/false equal 1/0, so each edit leaves every identity as it was
+        lambda o: [tx.update(issuer=False) for tx in _history_txs(o) if tx["issuer"] == 0],
+        lambda o: [
+            tx["outputs"].update({p: True for p, a in tx["outputs"].items() if a == 1})
+            for tx in _history_txs(o)
+        ],
+        lambda o: [pair["tx"].update(issuer=False) for a in _accusations(o) for pair in a["proof"]],
+        lambda o: [acc.update(accused=[False]) for acc in _accusations(o)],
+    ],
+)
+def test_report_with_boolean_ids_or_amounts_is_rejected(data_dir, edit):
+    report = run(load_scenario(str(data_dir / "mutant_probe.json")))
+    saved = json.dumps(report_to_obj(report))
+    obj = json.loads(saved)
+    edit(obj)
+    assert json.dumps(obj) != saved
+    with pytest.raises(SchemaError):
+        report_from_obj(obj)
+
+
 def test_authoring_format_symbolic_references(tmp_path):
     model_file = tmp_path / "model.json"
     model_file.write_text(json.dumps(model_to_obj(all_trust())))
@@ -380,6 +411,10 @@ def test_authoring_format_labelled_scripts():
         lambda o: o["genesis"].update({"x": 1}),
         lambda o: o["transactions"]["a"].update(outputs={"4294967296": 1}),
         lambda o: o["transactions"]["a"].update(tm=1 << 64),
+        # values of the wrong type fail as schema errors, not tracebacks
+        lambda o: o["transactions"]["a"].update(message=5),
+        lambda o: o["transactions"]["a"].update(outputs=[1]),
+        lambda o: o["honest_actions"].append({"issuer": 0, "outputs": {"1": 1}, "inputs": 5}),
     ],
 )
 def test_scenario_schema_errors(mutate):

@@ -11,7 +11,6 @@ from kspend.errors import InvalidParameters, SchemaError, SizeLimitExceeded
 from kspend.trust import (
     TrustModel,
     allows_faulty,
-    dump_model,
     fault_closure,
     inconsistency_number,
     is_live,
@@ -436,7 +435,7 @@ def test_uniform_formula_matches_brute_force_small():
 
 def test_model_roundtrip(tmp_path, example1):
     path = tmp_path / "m.json"
-    dump_model(example1, str(path))
+    path.write_text(json.dumps(model_to_obj(example1)))
     assert load_model(str(path)) == example1
     assert parse_model(model_to_obj(example1)) == example1
 
