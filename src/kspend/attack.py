@@ -90,7 +90,7 @@ def synthesize_multispend_attack(
         # the phase admits the request fan-out and any echo aimed at the target
         plan.append(PlanRule(tx_ref=tx_ref(tx), recipients=correct_part | {target}))
 
-    return Scenario.build(
+    scenario = Scenario.build(
         model=model,
         faulty_set=faulty,
         genesis=genesis,
@@ -102,3 +102,6 @@ def synthesize_multispend_attack(
         kcb_source=source,
         name=f"synthesized-multispend-k{k}",
     )
+    # the witness's independent set is a largest one: k is the exact bound
+    object.__setattr__(scenario, "k_bound", k)
+    return scenario

@@ -99,7 +99,7 @@ _SCHEMES = {"ed25519": Ed25519Scheme(), "hmac": HmacScheme()}
 def make_scheme(name: str):
     try:
         return _SCHEMES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown signature scheme: {name!r}") from None
 
 

@@ -23,6 +23,7 @@ from .crypto import keychain, make_scheme
 from .errors import (
     InvalidFaultySet,
     MalformedHistory,
+    NotVulnerable,
     SchemaError,
     SizeLimitExceeded,
 )
@@ -31,7 +32,6 @@ from .ledger import (
     History,
     Transaction,
     accusation_digest,
-    encode_tx,
     genesis_tx,
     is_genesis,
     make_tx,
@@ -88,6 +88,10 @@ class Scenario:
     kcb_source: int | None = None
     disable_used_input_guard: bool = False
     name: str = ""
+    # the inconsistency number, when the scenario's builder already searched
+    # for it; not an argument, so ``replace`` (a copy, perhaps on another
+    # model) drops it and ``run`` searches again
+    k_bound: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def build(
@@ -119,6 +123,10 @@ class Scenario:
                 raise ValueError(f"scripted transaction issued by non-faulty {send.tx.issuer}")
             if send.kind not in (eng.REQ, eng.ECHO):
                 raise ValueError(f"scripts may send REQ or ECHO, not {send.kind!r}")
+        source = kw.get("kcb_source")
+        if source is not None and not 0 <= source < model.n:
+            raise ValueError(f"kcb_source {source} is not a process of the model")
+        make_scheme(kw.get("sig_scheme", "ed25519"))  # an unknown scheme fails here, not in run
         return Scenario(
             model=model,
             faulty_set=faulty,
@@ -276,28 +284,28 @@ class _Runtime:
         return payload
 
     def enqueue_scripts(self) -> None:
+        # both schemes are deterministic: one signature per (signer, tx) serves
+        # every script that carries it
+        signed: dict[tuple[int, bytes], bytes] = {}
+
+        def sign(pid: int, tx: Transaction) -> bytes:
+            sig = signed.get((pid, tx.encoding))
+            if sig is None:
+                sig = signed[pid, tx.encoding] = self.scheme.sign(self.keys[pid], tx.encoding)
+            return sig
+
         for send in self.scenario.scripts:
-            issuer_keys = self.keys[send.tx.issuer]
-            issuer_sig = self.scheme.sign(issuer_keys, encode_tx(send.tx))
-            if send.kind == eng.REQ:
-                msg = eng.Message(
-                    kind=eng.REQ,
+            req = send.kind == eng.REQ
+            self.enqueue(
+                eng.Message(
+                    kind=eng.REQ if req else eng.ECHO,
                     sender=send.sender,
                     recipients=send.recipients,
                     tx=send.tx,
-                    issuer_sig=issuer_sig,
+                    issuer_sig=sign(send.tx.issuer, send.tx),
+                    echoer_sig=None if req else sign(send.sender, send.tx),
                 )
-            else:
-                echo_sig = self.scheme.sign(self.keys[send.sender], encode_tx(send.tx))
-                msg = eng.Message(
-                    kind=eng.ECHO,
-                    sender=send.sender,
-                    recipients=send.recipients,
-                    tx=send.tx,
-                    issuer_sig=issuer_sig,
-                    echoer_sig=echo_sig,
-                )
-            self.enqueue(msg)
+            )
 
     # --- effects --------------------------------------------------------
 
@@ -414,13 +422,13 @@ def run(scenario: Scenario, *, seed: int | None = None, check_invariants: bool =
     histories = {p: rt.engines[p].history for p in rt.correct}
     accusations = {p: frozenset(rt.engines[p].accusations) for p in rt.correct}
 
-    k_bound: int | None
+    k_bound = scenario.k_bound
     k_bound_note = None
-    try:
-        k_bound = inconsistency_number(scenario.model)
-    except SizeLimitExceeded as exc:
-        k_bound = None
-        k_bound_note = str(exc)
+    if k_bound is None:
+        try:
+            k_bound = inconsistency_number(scenario.model)
+        except SizeLimitExceeded as exc:
+            k_bound_note = str(exc)
 
     cover = None
     cover_note = None
@@ -548,6 +556,26 @@ def _int(value, what: str, *, optional: bool = False) -> int | None:
     return value
 
 
+def _key(token: str, what: str) -> int:
+    """A process id written as a JSON object key."""
+    try:
+        return int(token)
+    except ValueError:
+        raise SchemaError(f"{what} must be an integer, got {token!r}") from None
+
+
+def _obj(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _ints(values, what: str) -> frozenset[int]:
     if not isinstance(values, list):
         raise SchemaError(f"{what} must be a list of process ids, got {values!r}")
@@ -613,7 +641,7 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
 
     actions: list[tuple[int, Transaction]] = []
     issued_counts: dict[int, int] = {}
-    for idx, spec in enumerate(obj.get("honest_actions", [])):
+    for idx, spec in enumerate(_list(obj.get("honest_actions", []), "honest_actions")):
         body = spec.get("tx", spec) if isinstance(spec, dict) else spec
         issuer = _int(body.get("issuer") if isinstance(body, dict) else None,
                       f"honest action {idx} issuer")
@@ -625,8 +653,7 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     # labelled transactions for scripts; resolve to a fixpoint so labels may
     # reference each other in any order
     labelled: dict[str, Transaction] = {}
-    raw_txs = obj.get("transactions", {})
-    remaining = dict(raw_txs)
+    remaining = dict(_obj(obj.get("transactions", {}), "transactions"))
     while remaining:
         progressed = False
         for label in sorted(remaining):
@@ -645,9 +672,19 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     scripts: list[ScriptedSend] = []
     raw_scripts = obj.get("scripts", {})
     if isinstance(raw_scripts, dict):
-        items = [(int(pid), send) for pid in sorted(raw_scripts, key=int) for send in raw_scripts[pid]]
+        items = sorted(
+            (
+                (_key(pid, "script sender"), _obj(send, "script"))
+                for pid, sends in raw_scripts.items()
+                for send in _list(sends, f"scripts of sender {pid}")
+            ),
+            key=lambda item: item[0],
+        )
     else:
-        items = [(_int(send["sender"], "script sender"), send) for send in raw_scripts]
+        items = [
+            (_int(_obj(send, "script").get("sender"), "script sender"), send)
+            for send in _list(raw_scripts, "scripts")
+        ]
     for sender, send in items:
         tx_spec = send.get("tx")
         if isinstance(tx_spec, str):
@@ -669,13 +706,13 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             )
         )
 
-    sched_obj = obj.get("scheduler", {"kind": "fifo"})
+    sched_obj = _obj(obj.get("scheduler", {"kind": "fifo"}), "scheduler")
     plan = tuple(
         PlanRule(
-            tx_ref=_resolve_ref(rule["tx"], table),
+            tx_ref=_resolve_ref(rule.get("tx"), table),
             recipients=_ints(rule.get("to", []), "plan recipient"),
         )
-        for rule in sched_obj.get("plan", [])
+        for rule in (_obj(rule, "plan rule") for rule in _list(sched_obj.get("plan", []), "plan"))
     )
     try:
         scheduler = SchedulerSpec(
@@ -687,6 +724,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
         raise SchemaError(str(exc)) from None
 
     key_seed = obj.get("key_seed")
+    if key_seed is not None and not isinstance(key_seed, str):
+        raise SchemaError(f"key_seed must be a hex string, got {key_seed!r}")
     try:
         scenario = Scenario.build(
             model=model,
@@ -697,7 +736,7 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             scheduler=scheduler,
             max_events=_int(obj.get("max_events", DEFAULT_MAX_EVENTS), "max_events"),
             sig_scheme=obj.get("sig_scheme", "ed25519"),
-            key_seed=bytes.fromhex(key_seed) if key_seed else DEFAULT_KEY_SEED,
+            key_seed=DEFAULT_KEY_SEED if key_seed is None else bytes.fromhex(key_seed),
             kcb_source=_int(obj.get("kcb_source"), "kcb_source", optional=True),
             disable_used_input_guard=bool(obj.get("disable_used_input_guard", False)),
             name=obj.get("name", ""),
@@ -707,14 +746,20 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             raise
         raise SchemaError(str(exc)) from None
 
-    if obj.get("byzantine") == "synthesized-multispend":
+    byzantine = obj.get("byzantine")
+    if byzantine is not None:
+        if byzantine != "synthesized-multispend":
+            raise SchemaError(f"unknown byzantine tag: {byzantine!r}")
         from .attack import synthesize_multispend_attack
 
-        synthesized = synthesize_multispend_attack(
-            model,
-            sig_scheme=scenario.sig_scheme,
-            key_seed=scenario.key_seed,
-        )
+        try:
+            synthesized = synthesize_multispend_attack(
+                model,
+                sig_scheme=scenario.sig_scheme,
+                key_seed=scenario.key_seed,
+            )
+        except NotVulnerable as exc:
+            raise SchemaError(f"cannot synthesize a multi-spend attack: {exc}") from None
         scenario = replace(
             synthesized,
             name=scenario.name or synthesized.name,

@@ -1,5 +1,9 @@
+import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,7 @@ from kspend.trust import load_builtin_model
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 1000  # floor demanded by the randomized upper-bound sweep
 ATTACK_CORPUS_SIZE = 50
+GOLDEN_HASH_SEEDS = ("0", "1")
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +25,32 @@ def example1():
 @pytest.fixture(scope="session")
 def data_dir() -> pathlib.Path:
     return pathlib.Path(kspend.__file__).parent / "data"
+
+
+@pytest.fixture(scope="session")
+def golden_children() -> dict[str, dict]:
+    """Per hash seed, the golden runs' trace hashes and verdicts (``golden_child.py``).
+
+    One child process per seed, started side by side, so set iteration
+    order can leak into neither a trace nor a verdict.
+    """
+    script = pathlib.Path(__file__).parent / "golden_child.py"
+    src_root = str(pathlib.Path(kspend.__file__).parents[1])
+    children = {}
+    for seed in GOLDEN_HASH_SEEDS:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+        env["PYTHONHASHSEED"] = seed
+        children[seed] = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    out = {}
+    for seed, child in children.items():
+        stdout, stderr = child.communicate()
+        assert child.returncode == 0, stderr
+        out[seed] = json.loads(stdout)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -83,13 +83,16 @@ def golden_cases():
         yield f"kcb-byzantine-{i}", kcb.byzantine_broadcast_scenario(model), None
 
 
-def golden_hashes() -> dict[str, str]:
-    return {
-        name: kspend.run(scenario, seed=seed).trace_hash
-        for name, scenario, seed in golden_cases()
-    }
+def golden_reports():
+    """(name, report) of every pinned run, in golden_cases order."""
+    for name, scenario, seed in golden_cases():
+        yield name, kspend.run(scenario, seed=seed)
+
+
+def golden_hashes(reports) -> dict[str, str]:
+    return {name: report.trace_hash for name, report in reports}
 
 
 if __name__ == "__main__":
-    json.dump(golden_hashes(), sys.stdout, indent=1)
+    json.dump(golden_hashes(golden_reports()), sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -1,6 +1,6 @@
 """The property checker's verdicts on the golden runs, pinned in data/pinned_verdicts.json.
 
-Each golden run (``golden_traces.golden_cases``) is judged as it ran and
+Each golden run (``golden_traces.golden_reports``) is judged as it ran and
 after each tampering below that applies to it; a few directed tamperings
 of the demo report put two candidates for one detail side by side. Only
 verdicts other than "holds" are written, as [status, detail]. Any change
@@ -15,14 +15,13 @@ import json
 import pathlib
 import sys
 
-import kspend
 from kspend.crypto import keychain, make_scheme
 from kspend.ledger import Accusation, History, encode_tx, make_tx, tx_ref
 from kspend.properties import HOLDS, evaluate_properties
 from kspend.trust import is_live
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from golden_traces import golden_cases  # noqa: E402
+from golden_traces import golden_reports  # noqa: E402
 
 VERDICTS_FILE = pathlib.Path(__file__).parent / "data" / "pinned_verdicts.json"
 
@@ -115,10 +114,10 @@ def _judged(report) -> dict:
     }
 
 
-def pinned_verdicts() -> dict[str, dict]:
+def pinned_verdicts(reports) -> dict[str, dict]:
+    """The judged tamperings of each (name, report) of ``golden_traces.golden_reports``."""
     out = {}
-    for name, scenario, seed in golden_cases():
-        report = kspend.run(scenario, seed=seed)
+    for name, report in reports:
         for label, variant in tamperings(report):
             out[f"{name}|{label}"] = _judged(variant)
         if name == "demo_scenario":
@@ -128,5 +127,5 @@ def pinned_verdicts() -> dict[str, dict]:
 
 
 if __name__ == "__main__":
-    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pinned_verdicts().items()]
+    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pinned_verdicts(golden_reports()).items()]
     sys.stdout.write("{\n" + ",\n".join(lines) + "\n}\n")

@@ -1,13 +1,16 @@
 """Synthesized multi-spend attack scenarios."""
 
+import dataclasses
+
 import pytest
 
-from kspend import engine as eng
+from kspend import engine as eng, trust
 from kspend.attack import synthesize_multispend_attack
 from kspend.errors import NotVulnerable, SizeLimitExceeded
+from kspend.kcb import byzantine_broadcast_scenario
 from kspend.ledger import conflicts, tx_ref
-from kspend.sim import run
-from kspend.trust import TrustModel, uniform_model
+from kspend.sim import run, scenario_to_obj
+from kspend.trust import TrustModel, inconsistency_number, uniform_model
 
 
 def test_attack_scenario_shape(example1):
@@ -74,3 +77,31 @@ def test_bound_without_faulty_witness_is_rejected():
 def test_attack_respects_search_budget(example1):
     with pytest.raises(SizeLimitExceeded):
         synthesize_multispend_attack(example1, budget=1)
+
+
+def test_synthesized_scenario_carries_its_bound(example1, attack_corpus, monkeypatch):
+    """The witness's bound rides on the scenario into the run; a copy searches again."""
+    searches = []
+    real_search = trust._lambda_and_witness
+
+    def counting(*args, **kwargs):
+        searches.append(args[0])
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(trust, "_lambda_and_witness", counting)
+    models = [example1] + [report.scenario.model for _k, report in attack_corpus]
+    for model in models:
+        bound = inconsistency_number(model)
+        for synthesize in (synthesize_multispend_attack, byzantine_broadcast_scenario):
+            searches.clear()
+            scenario = synthesize(model, sig_scheme="hmac")
+            assert scenario.k_bound == bound
+            assert run(scenario).k_bound == bound
+            assert searches == [model]  # the synthesis; the run reuses its bound
+            copy = dataclasses.replace(scenario)
+            assert copy.k_bound is None
+            assert copy == scenario and hash(copy) == hash(scenario)
+            assert scenario_to_obj(copy) == scenario_to_obj(scenario)
+            searches.clear()
+            assert run(copy).k_bound == bound
+            assert searches == [model]

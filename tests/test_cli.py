@@ -238,6 +238,22 @@ def test_simulate_rejects_unencodable_and_boolean_fields(runner, data_dir, tmp_p
     assert message in result.output and "Traceback" not in result.output
 
 
+def test_simulate_rejects_an_attack_tag_on_a_model_that_is_not_vulnerable(
+    runner, data_dir, tmp_path
+):
+    obj = json.loads((data_dir / "demo_scenario.json").read_text())
+    obj["byzantine"] = "synthesized-multispend"
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["simulate", "--scenario", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (
+        "error: cannot synthesize a multi-spend attack: "
+        "inconsistency number is 1: correct histories can never split\n"
+    )
+
+
 def test_simulate_event_cap(runner, data_dir, tmp_path):
     obj = json.loads((data_dir / "demo_scenario.json").read_text())
     obj["max_events"] = 2

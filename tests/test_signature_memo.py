@@ -4,8 +4,9 @@ Every process of one run shares one set of verified (public key, signed
 bytes, signature) triples. These tests give two processes one memo, let
 the first verify real evidence, then show the second tampered or
 misattributed evidence: a memo keyed on less than the whole triple would
-let it through. The scope test counts real verifications: each distinct
-triple once per run, and again in the next run.
+let it through. The scope test counts real verifications and signatures:
+each distinct triple is verified once per run, each distinct (key, signed
+bytes) pair is signed once per run, and both again in the next run.
 """
 
 import pytest
@@ -142,16 +143,24 @@ def test_accusation_with_misattributed_proof_rejected(scheme_name):
 
 
 def test_each_triple_verified_once_per_run(monkeypatch):
-    """Real verifications equal the distinct triples presented, in every run."""
-    calls, presented = [], []
+    """Real verifications equal the distinct triples presented, in every run.
+
+    Signatures are made once per signer and signed bytes, in every run.
+    """
+    calls, presented, signs = [], [], []
     phase = {"name": "engine"}
     real_verify = crypto.Ed25519Scheme.verify
+    real_sign = crypto.Ed25519Scheme.sign
     real_once = crypto.verify_once
     real_evaluate = properties.evaluate_properties
 
     def counting_verify(self, public, message, signature):
         calls.append((phase["name"], (public, message, signature)))
         return real_verify(self, public, message, signature)
+
+    def counting_sign(self, keys, message):
+        signs.append((keys.public, message))
+        return real_sign(self, keys, message)
 
     def counting_once(scheme, verified, public, message, signature):
         presented.append((phase["name"], (public, message, signature)))
@@ -165,6 +174,7 @@ def test_each_triple_verified_once_per_run(monkeypatch):
             phase["name"] = "engine"
 
     monkeypatch.setattr(crypto.Ed25519Scheme, "verify", counting_verify)
+    monkeypatch.setattr(crypto.Ed25519Scheme, "sign", counting_sign)
     monkeypatch.setattr(eng, "verify_once", counting_once)
     monkeypatch.setattr(ledger, "verify_once", counting_once)
     monkeypatch.setattr(properties, "evaluate_properties", in_properties)
@@ -175,6 +185,7 @@ def test_each_triple_verified_once_per_run(monkeypatch):
     for _ in range(2):
         calls.clear()
         presented.clear()
+        signs.clear()
         report = kspend.run(scenario)
         assert report.quiescent and report.accusations
         assert all(v.status != "violated" for v in report.verdicts.values())
@@ -186,5 +197,8 @@ def test_each_triple_verified_once_per_run(monkeypatch):
             assert set(made) == set(shown), name
             counts[name] = len(made)
         assert len([t for p, t in presented if p == "engine"]) > counts["engine"]
+        # scripted sends share one signature per (signer, tx) with each other
+        assert len(signs) == len(set(signs)) > 0
+        counts["signs"] = len(signs)
         per_run.append(counts)
     assert per_run[0] == per_run[1]

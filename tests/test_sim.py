@@ -415,6 +415,25 @@ def test_authoring_format_labelled_scripts():
         lambda o: o["transactions"]["a"].update(message=5),
         lambda o: o["transactions"]["a"].update(outputs=[1]),
         lambda o: o["honest_actions"].append({"issuer": 0, "outputs": {"1": 1}, "inputs": 5}),
+        # shapes the loader used to index or iterate blindly
+        lambda o: o.update(scripts=[{"kind": "REQ", "tx": "a", "to": [1]}]),
+        lambda o: o["scripts"]["0"].append(5),
+        lambda o: o.update(scripts={"x": [{"kind": "REQ", "tx": "a", "to": [1]}]}),
+        lambda o: o.update(scripts=5),
+        lambda o: o.update(scheduler={"kind": "adversarial", "plan": [{"to": [1]}]}),
+        lambda o: o.update(scheduler={"kind": "adversarial", "plan": 5}),
+        lambda o: o.update(transactions=[1]),
+        lambda o: o.update(key_seed=5),
+        lambda o: o.update(scheduler=[]),
+        lambda o: o.update(sig_scheme="rsa"),
+        lambda o: o.update(honest_actions=5),
+        # values that used to load and run
+        lambda o: o.update(kcb_source=99),
+        lambda o: o.update(byzantine="nope"),
+        # a tag the model cannot carry: uniform (4, 3, 1) has bound 1
+        lambda o: o.update(
+            model=model_to_obj(uniform_model(4, 3, 1)), byzantine="synthesized-multispend"
+        ),
     ],
 )
 def test_scenario_schema_errors(mutate):
