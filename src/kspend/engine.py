@@ -178,7 +178,9 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
         for ref in tx.inputs:
             if any(echoers.get(t, 0) & own for t in state.requests[tx.issuer, ref]):
                 return
-    echo_sig = _sign(state, tx)
+    # the issuer's own echo signs the request's bytes with the request's key,
+    # and both schemes are deterministic, so the request signature is the echo's
+    echo_sig = issuer_sig if tx.issuer == state.pid else _sign(state, tx)
     out.append(
         Message(
             kind=ECHO,

@@ -222,7 +222,8 @@ class _Runtime:
         self.scheme = make_scheme(scenario.sig_scheme)
         self.keys, self.public_keys = keychain(scenario.model.n, self.scheme, scenario.key_seed)
         self.correct = [p for p in range(scenario.model.n) if p not in scenario.faulty_set]
-        verified: set[tuple[bytes, bytes, bytes]] = set()  # one per run, never across runs
+        # one per run, never across runs; the property checker shares it too
+        self.verified: set[tuple[bytes, bytes, bytes]] = set()
         self.engines: dict[int, eng.ProcessState] = {
             p: eng.initial_state(
                 p,
@@ -233,7 +234,7 @@ class _Runtime:
                 scenario.sig_scheme,
                 scenario.genesis,
                 disable_used_input_guard=scenario.disable_used_input_guard,
-                verified=verified,
+                verified=self.verified,
             )
             for p in self.correct
         }
@@ -472,7 +473,7 @@ def run(scenario: Scenario, *, seed: int | None = None, check_invariants: bool =
         delivered=delivered,
         unexecuted_actions=tuple(sorted(idx for todo in rt.todo.values() for idx in todo)),
     )
-    report.verdicts = props.evaluate_properties(report)
+    report.verdicts = props.evaluate_properties(report, verified=rt.verified)
     return report
 
 

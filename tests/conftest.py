@@ -54,6 +54,14 @@ def golden_children() -> dict[str, dict]:
 
 
 @pytest.fixture(scope="session")
+def golden_reports() -> list:
+    """(name, report) of every golden run (``golden_traces.py``), run once, shared."""
+    from golden_traces import golden_reports as run_golden  # golden_traces imports conftest
+
+    return list(run_golden())
+
+
+@pytest.fixture(scope="session")
 def fuzz_corpus():
     """Randomized scenarios with equivocating scripts, run once, shared.
 

@@ -4,10 +4,15 @@ Every process of one run shares one set of verified (public key, signed
 bytes, signature) triples. These tests give two processes one memo, let
 the first verify real evidence, then show the second tampered or
 misattributed evidence: a memo keyed on less than the whole triple would
-let it through. The scope test counts real verifications and signatures:
-each distinct triple is verified once per run, each distinct (key, signed
-bytes) pair is signed once per run, and both again in the next run.
+let it through. The scope tests count real verifications and signatures:
+each distinct triple is verified once per run, by the engine and the
+property checker together, each distinct (key, signed bytes) pair is
+signed once per run, and both again in the next run. The checker judges
+a tampered accusation the same with the run's memo as with a fresh one.
 """
+
+import dataclasses
+import json
 
 import pytest
 
@@ -15,7 +20,10 @@ import kspend
 from kspend import crypto, engine as eng, ledger, properties
 from kspend.crypto import keychain, make_scheme
 from kspend.ledger import encode_tx, genesis_tx, make_tx, tx_ref
+from kspend.sim import report_from_obj, report_to_obj
 from kspend.trust import load_builtin_model
+
+from golden_traces import honest_ring
 
 N = 3
 GENESIS = genesis_tx({p: 10 for p in range(N)})
@@ -145,6 +153,9 @@ def test_accusation_with_misattributed_proof_rejected(scheme_name):
 def test_each_triple_verified_once_per_run(monkeypatch):
     """Real verifications equal the distinct triples presented, in every run.
 
+    The engine and the property checker share the run's memo, so together
+    they verify each distinct triple once; a report loaded from JSON is
+    judged from scratch, verifying each triple of its accusations once.
     Signatures are made once per signer and signed bytes, in every run.
     """
     calls, presented, signs = [], [], []
@@ -166,10 +177,10 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         presented.append((phase["name"], (public, message, signature)))
         return real_once(scheme, verified, public, message, signature)
 
-    def in_properties(report):
+    def in_properties(report, **kwargs):
         phase["name"] = "properties"
         try:
-            return real_evaluate(report)
+            return real_evaluate(report, **kwargs)
         finally:
             phase["name"] = "engine"
 
@@ -189,16 +200,86 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         report = kspend.run(scenario)
         assert report.quiescent and report.accusations
         assert all(v.status != "violated" for v in report.verdicts.values())
-        counts = {}
-        for name in ("engine", "properties"):
-            made = [t for p, t in calls if p == name]
-            shown = [t for p, t in presented if p == name]
-            assert len(made) == len(set(shown)) > 0, name
-            assert set(made) == set(shown), name
-            counts[name] = len(made)
-        assert len([t for p, t in presented if p == "engine"]) > counts["engine"]
+        made = [t for _p, t in calls]
+        shown = {p: [t for q, t in presented if q == p] for p in ("engine", "properties")}
+        # engine and checker together: each distinct triple verified exactly once
+        assert len(made) == len(set(made)) > 0
+        assert set(made) == set(shown["engine"]) | set(shown["properties"])
+        assert len(shown["engine"]) > len(set(shown["engine"]))
+        # every triple the checker is shown was verified while the run ran
+        assert shown["properties"] and set(shown["properties"]) <= set(shown["engine"])
+        assert not [t for p, t in calls if p == "properties"]
         # scripted sends share one signature per (signer, tx) with each other
         assert len(signs) == len(set(signs)) > 0
-        counts["signs"] = len(signs)
-        per_run.append(counts)
+        per_run.append((len(made), len(signs)))
     assert per_run[0] == per_run[1]
+
+    # a loaded report is judged from scratch: each accusation triple once
+    _, public_keys = keychain(scenario.model.n, make_scheme("ed25519"), scenario.key_seed)
+    triples = {
+        (public_keys[tx.issuer], encode_tx(tx), sig)
+        for store in report.accusations.values() for acc in store for tx, sig in acc.proof
+    }
+    calls.clear()
+    clone = report_from_obj(json.loads(json.dumps(report_to_obj(report))))
+    assert clone.verdicts == report.verdicts
+    made = [t for _p, t in calls]
+    assert len(made) == len(triples) and set(made) == triples
+
+
+def test_honest_ring_signs_each_message_once_per_run(monkeypatch):
+    """An issuer's own echo reuses its request signature: no (key, bytes) is signed twice."""
+    signs = []
+    real_sign = crypto.HmacScheme.sign
+
+    def counting_sign(self, keys, message):
+        signs.append((keys.public, message))
+        return real_sign(self, keys, message)
+
+    monkeypatch.setattr(crypto.HmacScheme, "sign", counting_sign)
+    scenario = honest_ring(8, 64)
+    counts = []
+    for _ in range(2):
+        signs.clear()
+        report = kspend.run(scenario)
+        assert report.quiescent and not report.unexecuted_actions
+        assert len(signs) == len(set(signs)) > len(scenario.honest_actions)
+        counts.append(len(signs))
+    assert counts[0] == counts[1]
+
+
+def test_shared_memo_does_not_vouch_for_a_tampered_accusation(monkeypatch):
+    """A run's memo holds the genuine signature; a tampered copy still fails."""
+    captured = {}
+    real_evaluate = properties.evaluate_properties
+
+    def capturing(report, **kwargs):
+        captured.update(kwargs)
+        return real_evaluate(report, **kwargs)
+
+    monkeypatch.setattr(properties, "evaluate_properties", capturing)
+    scenario = kspend.synthesize_multispend_attack(load_builtin_model("example1"))
+    assert scenario.sig_scheme == "ed25519"
+    report = kspend.run(scenario)
+    memo = captured["verified"]
+    assert report.verdicts["accuracy"].status == properties.HOLDS
+
+    first = min(p for p, store in report.accusations.items() if store)
+    genuine = min(report.accusations[first], key=lambda acc: acc.digest)
+    (tx, sig), *rest = genuine.proof
+    forged = ledger.Accusation.build(genuine.accused, [(tx, tampered(sig)), *rest])
+    _, public_keys = keychain(scenario.model.n, make_scheme("ed25519"), scenario.key_seed)
+    assert (public_keys[tx.issuer], encode_tx(tx), sig) in memo
+    store = report.accusations[first] - {genuine} | {forged}
+    report = dataclasses.replace(report, accusations={**report.accusations, first: store})
+
+    shared = real_evaluate(report, verified=memo)["accuracy"]
+    fresh = real_evaluate(report)["accuracy"]
+    assert shared.status == properties.VIOLATED
+    assert shared == fresh
+    assert all(triple[2] != tampered(sig) for triple in memo)
+
+
+def test_shared_memo_verdicts_equal_a_fresh_judgement(golden_reports):
+    for name, report in golden_reports:
+        assert report.verdicts == properties.evaluate_properties(report), name

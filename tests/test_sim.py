@@ -23,8 +23,6 @@ from kspend.sim import (
 )
 from kspend.trust import TrustModel, model_to_obj, uniform_model
 
-from golden_traces import golden_cases
-
 
 def all_trust(n=3):
     full = [list(range(n))]
@@ -227,10 +225,9 @@ def test_report_roundtrip_through_json():
     assert clone.gamma_series == report.gamma_series
 
 
-def test_golden_reports_roundtrip_through_json():
+def test_golden_reports_roundtrip_through_json(golden_reports):
     # fuzz runs, attacks, broadcasts and rings: every summary number rechecks
-    for name, scenario, seed in golden_cases():
-        report = run(scenario, seed=seed)
+    for name, report in golden_reports:
         clone = report_from_obj(json.loads(json.dumps(report_to_obj(report))))
         assert (clone.events, clone.gamma_max, clone.cover, clone.k_bound) == (
             report.events, report.gamma_max, report.cover, report.k_bound
@@ -503,8 +500,8 @@ def odd_string_trace():
     return trace
 
 
-def test_trace_hash_matches_json_dumps_line_by_line(monkeypatch):
-    traces = [run(scenario, seed=seed).trace for _, scenario, seed in golden_cases()]
+def test_trace_hash_matches_json_dumps_line_by_line(monkeypatch, golden_reports):
+    traces = [report.trace for _, report in golden_reports]
     traces += [odd_string_trace(), []]
     for accelerated in (True, False):
         if not accelerated:
