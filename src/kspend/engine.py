@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import KeyPair, make_scheme, verify_once
+from .crypto import KeyPair, verify_once
 from .errors import InvalidTransaction
 from .ledger import (
     Accusation,
@@ -49,9 +49,9 @@ class ProcessState:
     pid: int
     n: int
     quorum_masks: tuple[int, ...]  # one bitmask of members per quorum
-    key_private: bytes
-    public_keys: dict[int, bytes]
-    scheme_name: str
+    keys: KeyPair
+    public_keys: dict[int, bytes]  # the run's directory, shared by its processes
+    scheme: object = field(compare=False, repr=False)  # signs and verifies
     history: History
     # per-transaction state is keyed by encoding, the transaction's identity,
     # whose hash bytes cache; per transaction, the bitmask of processes whose
@@ -82,9 +82,9 @@ def initial_state(
     pid: int,
     n: int,
     quorums: tuple[frozenset[int], ...],
-    key_private: bytes,
+    keys: KeyPair,
     public_keys: dict[int, bytes],
-    scheme_name: str,
+    scheme,
     genesis: Transaction,
     *,
     disable_used_input_guard: bool = False,
@@ -94,22 +94,17 @@ def initial_state(
         pid=pid,
         n=n,
         quorum_masks=tuple(sum(1 << q for q in quorum) for quorum in quorums),
-        key_private=key_private,
-        public_keys=dict(public_keys),
-        scheme_name=scheme_name,
+        keys=keys,
+        public_keys=public_keys,
+        scheme=scheme,
         history=History.of([genesis]),
         disable_used_input_guard=disable_used_input_guard,
         verified=set() if verified is None else verified,
     )
 
 
-def _scheme(state: ProcessState):
-    return make_scheme(state.scheme_name)
-
-
 def _sign(state: ProcessState, tx: Transaction) -> bytes:
-    keys = KeyPair(public=state.public_keys[state.pid], private=state.key_private)
-    return _scheme(state).sign(keys, encode_tx(tx))
+    return state.scheme.sign(state.keys, encode_tx(tx))
 
 
 def _verify(state: ProcessState, signer: int, tx: Transaction, sig: bytes | None) -> bool:
@@ -118,7 +113,7 @@ def _verify(state: ProcessState, signer: int, tx: Transaction, sig: bytes | None
     public = state.public_keys.get(signer)
     if public is None:
         return False
-    return verify_once(_scheme(state), state.verified, public, encode_tx(tx), sig)
+    return verify_once(state.scheme, state.verified, public, encode_tx(tx), sig)
 
 
 def _others(state: ProcessState) -> frozenset[int]:
@@ -128,7 +123,10 @@ def _others(state: ProcessState) -> frozenset[int]:
 def quorum_check(state: ProcessState, tx: Transaction) -> bool:
     """Did every member of some quorum echo tx? Own echoes count."""
     echoers = state.echoers.get(tx.encoding, 0)
-    return any(echoers & mask == mask for mask in state.quorum_masks)
+    for mask in state.quorum_masks:
+        if echoers & mask == mask:
+            return True
+    return False
 
 
 def _ready(state: ProcessState, tx: Transaction) -> bool:
@@ -332,7 +330,9 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     to ``_try_echo`` already. So it returns before any signature is checked.
     An issuer signature byte-identical to the one recorded with the request
     was verified, or made by this process, when it was recorded, so it is
-    not checked again.
+    not checked again. Once this process has echoed tx, ``_try_echo`` finds
+    that echo and returns in either guard mode, so it is not called; and
+    with nothing pended or unscanned ``_settle`` does nothing.
     """
     tx = msg.tx
     if tx is None or is_genesis(tx):
@@ -347,12 +347,14 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
         if not _verify(state, tx.issuer, tx, msg.issuer_sig):
             return []
     out: list[Message] = []
-    state.echoers[enc] = state.echoers.get(enc, 0) | 1 << msg.sender
+    echoers = state.echoers[enc] = state.echoers.get(enc, 0) | 1 << msg.sender
     if recorded is None:
         record_request(state, tx, msg.issuer_sig)
-    _try_echo(state, tx, msg.issuer_sig, out)
+    if not echoers >> state.pid & 1:
+        _try_echo(state, tx, msg.issuer_sig, out)
     _maybe_pend(state, tx)
-    _settle(state, out)
+    if state.pended or state.unscanned:
+        _settle(state, out)
     return out
 
 
@@ -360,7 +362,7 @@ def handle_acc(state: ProcessState, msg: Message) -> list[Message]:
     acc = msg.accusation
     if acc is None or acc in state.accusations:
         return []
-    if not verify_acc(acc, state.public_keys, _scheme(state), state.verified):
+    if not verify_acc(acc, state.public_keys, state.scheme, state.verified):
         return []
     state.accusations.add(acc)
     return [Message(kind=ACC, sender=state.pid, recipients=_others(state), accusation=acc)]

@@ -296,25 +296,31 @@ def _well_formed_base(h: History) -> WellFormedness:
         )
 
     # content-hash references make dependency cycles unconstructible, but the
-    # clause stays checkable: walk the resolved graph
-    state: dict[Transaction, int] = {}
+    # clause stays checkable: walk the resolved graph depth first, with an
+    # explicit stack, since a dependency chain is as long as the history
+    state: dict[Transaction, int] = {}  # 1 while on the walk's path, 2 once done
 
-    def cyclic(tx: Transaction) -> bool:
-        mark = state.get(tx, 0)
-        if mark == 1:
-            return True
-        if mark == 2:
-            return False
-        state[tx] = 1
-        for ref in tx.inputs:
-            dep = h.by_ref.get(ref)
-            if dep is not None and cyclic(dep):
-                return True
-        state[tx] = 2
+    def cyclic(root: Transaction) -> bool:
+        state[root] = 1
+        path = [(root, iter(root.inputs))]
+        while path:
+            tx, refs = path[-1]
+            for ref in refs:
+                dep = h.by_ref.get(ref)
+                mark = 2 if dep is None else state.get(dep, 0)
+                if mark == 1:
+                    return True
+                if mark == 0:
+                    state[dep] = 1
+                    path.append((dep, iter(dep.inputs)))
+                    break
+            else:
+                state[tx] = 2
+                path.pop()
         return False
 
     for tx in sorted(h.txs, key=tx_ref):
-        if cyclic(tx):
+        if tx not in state and cyclic(tx):
             failures.append(("cycle-freedom", f"{tx_ref(tx).hex()[:12]} sits on a dependency cycle"))
             break
 
@@ -349,15 +355,6 @@ def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFor
         return base
     failures = list(base.failures) + _timestamp_failures(h)
     return WellFormedness(ok=not failures, failures=tuple(failures))
-
-
-def balance(h: History, pid: int) -> int:
-    """Received minus spent; never negative on a well-formed history."""
-    if not h._base_report.ok:
-        raise MalformedHistory("balance requires a well-formed history")
-    received = sum(tx.pays(pid) for tx in h.txs)
-    spent = sum(out_value(tx) for tx in h.txs if tx.issuer == pid and not is_genesis(tx))
-    return received - spent
 
 
 def _as_histories(collection: Mapping[int, History] | Iterable[History]) -> list[History]:

@@ -58,10 +58,11 @@ _CAPPED = Verdict(VACUOUS, "run hit the event cap before quiescing")
 class _Context:
     """What several checkers need from one report, computed once."""
 
-    def __init__(self, report: "RunReport", verified: set[tuple[bytes, bytes, bytes]]):
+    def __init__(self, report: "RunReport", verified: set, public_keys: dict[int, bytes]):
         scenario = report.scenario
         self.report = report
         self.verified = verified
+        self.public_keys = public_keys
         self.correct = sorted(report.histories)
         self.live = [p for p in self.correct if is_live(scenario.model, p, scenario.faulty_set)]
         actions = scenario.honest_actions
@@ -143,10 +144,9 @@ def _accuracy(ctx: _Context) -> Verdict | None:
     """Every stored accusation verifies (each signature once) and names only faulty processes."""
     report, scenario = ctx.report, ctx.report.scenario
     scheme = make_scheme(scenario.sig_scheme)
-    _, public_keys = keychain(scenario.model.n, scheme, scenario.key_seed)
     for p in ctx.correct:
         for acc in sorted(report.accusations[p], key=attrgetter("digest")):
-            if not verify_acc(acc, public_keys, scheme, ctx.verified):
+            if not verify_acc(acc, ctx.public_keys, scheme, ctx.verified):
                 return Verdict(
                     VIOLATED, f"process {p} stores an accusation that fails verification"
                 )
@@ -233,15 +233,23 @@ _CHECKERS = {
 
 
 def evaluate_properties(
-    report: "RunReport", *, verified: set[tuple[bytes, bytes, bytes]] | None = None
+    report: "RunReport",
+    *,
+    verified: set[tuple[bytes, bytes, bytes]] | None = None,
+    public_keys: dict[int, bytes] | None = None,
 ) -> dict[str, Verdict]:
     """Judge every property on one report.
 
     ``verified`` is the memo of triples that passed verification in the run
-    that made the report, and none in it is checked again. Any other report
-    is judged with a fresh memo, so every signature in it is checked.
+    that made the report, and none in it is checked again; ``public_keys``
+    is that run's key directory. Any other report is judged with a fresh
+    memo and keys derived from its scenario, so every signature is checked.
     """
-    ctx = _Context(report, set() if verified is None else verified)
+    scenario = report.scenario
+    if public_keys is None:
+        scheme = make_scheme(scenario.sig_scheme)
+        _, public_keys = keychain(scenario.model.n, scheme, scenario.key_seed)
+    ctx = _Context(report, set() if verified is None else verified, public_keys)
     verdicts = {}
     for name in PROPERTY_NAMES:
         check, liveness = _CHECKERS[name]

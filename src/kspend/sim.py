@@ -229,9 +229,9 @@ class _Runtime:
                 p,
                 scenario.model.n,
                 scenario.model.quorums[p],
-                self.keys[p].private,
+                self.keys[p],
                 self.public_keys,
-                scenario.sig_scheme,
+                self.scheme,
                 scenario.genesis,
                 disable_used_input_guard=scenario.disable_used_input_guard,
                 verified=self.verified,
@@ -266,22 +266,28 @@ class _Runtime:
         self.spends: dict[tuple[int, bytes], set[bytes]] = {}
         self.gamma = 0
         self.gamma_series: list[int] = []
+        self.events = 0
+        self.quiescent = False
+        self.enqueue_scripts()
 
     # --- emission -------------------------------------------------------
 
     def enqueue(self, msg: eng.Message) -> str:
         msg_id = self.msg_count
         self.msg_count += 1
-        recipients = sorted(r for r in msg.recipients if r != msg.sender)
+        recipients = tuple(sorted(msg.recipients - {msg.sender}))
         payload = _payload_id(msg)
-        self.trace.append(("send", msg_id, msg.kind, msg.sender, tuple(recipients), payload))
-        for r in recipients:
-            d = _Delivery(_phase_of(self.plan, msg, r), self.seq, msg_id, msg, r, payload)
-            if self.adversarial:
+        self.trace.append(("send", msg_id, msg.kind, msg.sender, recipients, payload))
+        seq = self.seq
+        self.seq += len(recipients)
+        if self.adversarial:
+            for i, r in enumerate(recipients, seq):
+                d = _Delivery(_phase_of(self.plan, msg, r), i, msg_id, msg, r, payload)
                 heapq.heappush(self.deliveries, d)
-            else:
-                self.deliveries.append(d)
-            self.seq += 1
+        else:
+            self.deliveries.extend(
+                [_Delivery(0, i, msg_id, msg, r, payload) for i, r in enumerate(recipients, seq)]
+            )
         return payload
 
     def enqueue_scripts(self) -> None:
@@ -350,75 +356,57 @@ class _Runtime:
             else:
                 self.enabled.discard(idx)
 
-    def enabled_actions(self) -> list[int]:
-        return sorted(self.enabled)
+    def step(self) -> bool:
+        """Run the next event; False once the run is quiescent or at its event cap.
 
-    def pick(self, enabled: list[int]):
-        kind = self.scenario.scheduler.kind
-        if kind == "random":
-            pool_size = len(enabled) + len(self.deliveries)
-            choice = self.rng.randrange(pool_size)
-            if choice < len(enabled):
-                return ("action", enabled[choice])
-            return ("deliver", choice - len(enabled))
-        if enabled:
-            return ("action", enabled[0])
-        # fifo: enqueue appends in increasing seq and pop never reorders, so
-        # the queue is in seq order and its head is the oldest delivery;
-        # adversarial: the heap root has the least (phase, seq)
-        return ("deliver", 0)
-
-    def step_action(self, idx: int) -> None:
-        pid, tx = self.scenario.honest_actions[idx]
-        accepted, new_acc = self.apply(pid, eng.transfer, tx)
-        self.todo[pid].pop()
-        self.enabled.discard(idx)
-        self.refresh(pid)
-        self.trace.append(("action", idx, pid, tx_ref(tx).hex(), accepted, new_acc))
-
-    def step_delivery(self, pos: int) -> None:
-        d = heapq.heappop(self.deliveries) if self.adversarial else self.deliveries.pop(pos)
-        if d.recipient in self.engines:
-            accepted, new_acc = self.apply(d.recipient, eng.handle_message, d.message)
-            if accepted:
-                self.refresh(d.recipient)
+        fifo and adversarial run the least enabled action before any
+        delivery. fifo then delivers the queue head: ``enqueue`` appends in
+        increasing seq and nothing reorders the queue. adversarial delivers
+        the heap root, the least (phase, seq). random draws one of the
+        enabled actions, in index order, or one queued delivery.
+        """
+        enabled = self.enabled
+        if not enabled and not self.deliveries:
+            self.quiescent = True
+            return False
+        if self.events >= self.scenario.max_events:
+            return False
+        if self.rng is not None:
+            actions = sorted(enabled)
+            choice = self.rng.randrange(len(actions) + len(self.deliveries))
+            idx = actions[choice] if choice < len(actions) else None
+            pos = choice - len(actions)
         else:
-            accepted, new_acc = (), ()  # faulty recipients are script-only
-        self.trace.append(
-            (
-                "deliver",
-                d.msg_id,
-                d.message.kind,
-                d.message.sender,
-                d.recipient,
-                d.payload,
-                accepted,
-                new_acc,
-            )
-        )
+            idx = min(enabled) if enabled else None
+            pos = 0
+        if idx is not None:
+            pid, tx = self.scenario.honest_actions[idx]
+            accepted, new_acc = self.apply(pid, eng.transfer, tx)
+            self.todo[pid].pop()
+            enabled.discard(idx)
+            self.refresh(pid)
+            self.trace.append(("action", idx, pid, tx_ref(tx).hex(), accepted, new_acc))
+        else:
+            d = heapq.heappop(self.deliveries) if self.adversarial else self.deliveries.pop(pos)
+            msg = d.message
+            if d.recipient in self.engines:
+                accepted, new_acc = self.apply(d.recipient, eng.handle_message, msg)
+                if accepted:
+                    self.refresh(d.recipient)
+            else:
+                accepted, new_acc = (), ()  # faulty recipients are script-only
+            self.trace.append(("deliver", d.msg_id, msg.kind, msg.sender, d.recipient,
+                               d.payload, accepted, new_acc))
+        self.events += 1
+        self.gamma_series.append(self.gamma)
+        return True
 
 
 def run(scenario: Scenario, *, seed: int | None = None, check_invariants: bool = False) -> RunReport:
     """Execute a scenario to quiescence (or the event cap) and report."""
     rt = _Runtime(scenario, seed, check_invariants)
-    rt.enqueue_scripts()
-
-    events = 0
-    quiescent = False
-    while True:
-        enabled = rt.enabled_actions()
-        if not enabled and not rt.deliveries:
-            quiescent = True
-            break
-        if events >= scenario.max_events:
-            break
-        what, pos = rt.pick(enabled)
-        if what == "action":
-            rt.step_action(pos)
-        else:
-            rt.step_delivery(pos)
-        events += 1
-        rt.gamma_series.append(rt.gamma)
+    while rt.step():
+        pass
 
     histories = {p: rt.engines[p].history for p in rt.correct}
     accusations = {p: frozenset(rt.engines[p].accusations) for p in rt.correct}
@@ -433,7 +421,7 @@ def run(scenario: Scenario, *, seed: int | None = None, check_invariants: bool =
 
     cover = None
     cover_note = None
-    if quiescent:
+    if rt.quiescent:
         try:
             cover = len(minimum_cover(histories))
         except SizeLimitExceeded as exc:
@@ -458,8 +446,8 @@ def run(scenario: Scenario, *, seed: int | None = None, check_invariants: bool =
     report = RunReport(
         scenario=scenario,
         seed_used=rt.seed_used,
-        quiescent=quiescent,
-        events=events,
+        quiescent=rt.quiescent,
+        events=rt.events,
         trace=tuple(rt.trace),
         trace_hash=compute_trace_hash(rt.trace),
         histories=histories,
@@ -473,7 +461,9 @@ def run(scenario: Scenario, *, seed: int | None = None, check_invariants: bool =
         delivered=delivered,
         unexecuted_actions=tuple(sorted(idx for todo in rt.todo.values() for idx in todo)),
     )
-    report.verdicts = props.evaluate_properties(report, verified=rt.verified)
+    report.verdicts = props.evaluate_properties(
+        report, verified=rt.verified, public_keys=rt.public_keys
+    )
     return report
 
 

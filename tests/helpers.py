@@ -2,7 +2,8 @@
 
 import random
 
-from kspend.ledger import History, Transaction, genesis_tx, make_tx, tx_ref
+from kspend.errors import MalformedHistory
+from kspend.ledger import History, Transaction, genesis_tx, is_genesis, make_tx, out_value, tx_ref
 from kspend.sim import RunReport
 from kspend.trust import is_live
 
@@ -57,3 +58,12 @@ def undelivered_live(report: RunReport) -> tuple[int, ...]:
         for p in sorted(report.histories)
         if is_live(scenario.model, p, scenario.faulty_set) and p not in delivered
     )
+
+
+def balance(h: History, pid: int) -> int:
+    """Received minus spent; never negative on a well-formed history."""
+    if not h._base_report.ok:
+        raise MalformedHistory("balance requires a well-formed history")
+    received = sum(tx.pays(pid) for tx in h.txs)
+    spent = sum(out_value(tx) for tx in h.txs if tx.issuer == pid and not is_genesis(tx))
+    return received - spent

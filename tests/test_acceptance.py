@@ -25,7 +25,6 @@ from kspend.kcb import (
 )
 from kspend.ledger import (
     History,
-    balance,
     encode_tx,
     genesis_tx,
     make_tx,
@@ -43,7 +42,7 @@ from kspend.trust import (
     uniform_model,
 )
 
-from helpers import random_well_formed_history, undelivered_live
+from helpers import balance, random_well_formed_history, undelivered_live
 from oracles import (
     brute_conflict_pairs,
     brute_cover_number,
@@ -293,7 +292,7 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
     ]
     def fresh_state():
         return eng.initial_state(
-            3, 4, (frozenset(range(4)),), keys[3], _pub, "hmac", genesis
+            3, 4, (frozenset(range(4)),), keys[3], _pub, scheme, genesis
         )
 
     def pairs_of(msgs):

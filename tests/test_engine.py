@@ -22,7 +22,7 @@ FULL = (frozenset(range(N)),)
 
 def fresh(pid, quorums=FULL, mutant=False):
     return eng.initial_state(
-        pid, N, quorums, KEYS[pid].private, DIRECTORY, "hmac", GENESIS,
+        pid, N, quorums, KEYS[pid], DIRECTORY, SCHEME, GENESIS,
         disable_used_input_guard=mutant,
     )
 

@@ -14,7 +14,6 @@ from kspend.ledger import (
     History,
     Transaction,
     accusation_digest,
-    balance,
     conflicting_pairs,
     conflicts,
     encode_accusation,
@@ -31,7 +30,7 @@ from kspend.ledger import (
     well_formed_report,
 )
 
-from helpers import random_well_formed_history
+from helpers import balance, random_well_formed_history
 from oracles import brute_conflict_pairs, brute_cover_number, brute_spending_number
 
 G = genesis_tx({0: 10, 1: 5})
@@ -304,6 +303,32 @@ def test_clause_failures_are_reported_individually():
     t1 = spend(0, {1: 4, 0: 6}, [GREF], tm=1)
     gap = History.of([G, t1, spend(0, {2: 6}, [tx_ref(t1)], tm=3)])
     assert well_formed_report(gap, check_timestamps=True).clause_failed("predecessor")
+
+
+def test_dependency_chain_as_long_as_a_long_run_is_well_formed():
+    chain = [genesis_tx({0: 1})]
+    for t in range(3000):
+        chain.append(spend(0, {0: 1}, [tx_ref(chain[-1])], tm=t + 1))
+    assert well_formed_report(History.of(chain)).ok
+
+
+def test_cycle_is_found_at_any_depth_and_named_by_its_first_reacher():
+    """References are content hashes, so a cycle needs a forged index. A
+    cycle 3,000 hops long is found, and the clause names the first
+    transaction, in reference order, whose dependencies lead into it."""
+    forged = content_hash(b"forged reference")
+    loop = [spend(0, {0: 1}, [forged], tm=1)]
+    for t in range(2999):
+        loop.append(spend(0, {0: 1}, [tx_ref(loop[-1])], tm=t + 2))
+    tail = spend(0, {0: 1}, [tx_ref(loop[1500])], tm=1)  # reaches the loop, not on it
+    clear = spend(1, {1: 5}, [GREF], tm=1)  # reaches no cycle
+    txs = [G, clear, tail, *loop]
+    h = History(frozenset(txs), {**History.of(txs).by_ref, forged: loop[-1]})
+    first = min([tail, *loop], key=tx_ref)
+    detail = f"{tx_ref(first).hex()[:12]} sits on a dependency cycle"
+    assert [f for f in well_formed_report(h).failures if f[0] == "cycle-freedom"] == [
+        ("cycle-freedom", detail)
+    ]
 
 
 def test_balance_arithmetic():

@@ -103,8 +103,50 @@ def facts(state):
 @pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
 @pytest.mark.parametrize("kind", ["random", "fifo"])
 def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off):
-    handle = eng.handle_message
+    """Each step a handler skips, run on a copy of the state where it was
+    skipped, emits nothing and changes no fact: the whole old body at an
+    early return, and inside ``handle_echo`` its ``_try_echo`` after the
+    process's own echo and its ``_settle`` with nothing pended or unscanned."""
+    handle, try_echo, pend, settle = eng.handle_message, eng._try_echo, eng._maybe_pend, eng._settle
     early = Counter()
+    current = {}  # "msg": the ECHO being handled past its early returns
+    called = []  # the steps its handler called, in order
+
+    def replayed(state, step, *args):
+        replay, out = copy.deepcopy(state), []
+        step(replay, *args, out)
+        assert out == [] and replay.echoers == state.echoers
+        assert facts(replay) == facts(state)
+        early[f"skipped {step.__name__}"] += 1
+
+    def offered(state, tx, issuer_sig, out):
+        called.append("_try_echo")
+        try_echo(state, tx, issuer_sig, out)
+        called.append("_try_echo returned")
+
+    def pended(state, tx):
+        # the handler's own pend test, not one nested in _try_echo, comes
+        # right where its _try_echo ran or was skipped
+        if "msg" in current and called[-1:] != ["_try_echo"]:
+            if "_try_echo" not in called:
+                replayed(state, try_echo, tx, current["msg"].issuer_sig)
+            called.append("_maybe_pend")
+        pend(state, tx)
+
+    def settled(state, out):
+        called.append("_settle")
+        settle(state, out)
+
+    def echo_checked(state, msg):
+        current["msg"] = msg
+        called.clear()
+        try:
+            out = handle(state, msg)
+        finally:
+            del current["msg"]
+        if "_maybe_pend" in called and "_settle" not in called:
+            replayed(state, settle)  # the handler's last step, so state is as skipped
+        return out
 
     def checked(state, msg):
         if msg.kind in (eng.REQ, eng.ECHO) and returns_early(state, msg):
@@ -120,14 +162,18 @@ def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off
             tx = msg.tx
             assert (state.public_keys[tx.issuer], tx.encoding, msg.issuer_sig) in state.verified
             early["skipped issuer check"] += 1
-        return handle(state, msg)
+        return echo_checked(state, msg) if msg.kind == eng.ECHO else handle(state, msg)
 
     monkeypatch.setattr(eng, "handle_message", checked)
+    monkeypatch.setattr(eng, "_try_echo", offered)
+    monkeypatch.setattr(eng, "_maybe_pend", pended)
+    monkeypatch.setattr(eng, "_settle", settled)
     for i, scenario in enumerate(corpus_scenarios()):
         sim.run(scheduled(scenario, i, kind, guard_off), seed=i)
     # under fifo a request reaches each process before any echo of it does
     assert early[eng.ECHO] and (early[eng.REQ] or kind == "fifo"), early
     assert early["skipped issuer check"], early
+    assert early["skipped _try_echo"] and early["skipped _settle"], early
 
 
 def gap_model() -> TrustModel:
@@ -146,21 +192,11 @@ def stepped_run(scenario, seed, check) -> None:
     happens only in ``_settle``, which takes what it accepts out of pending.
     """
     rt = sim._Runtime(scenario, seed, False)
-    rt.enqueue_scripts()
-    events = 0
-    while True:
-        enabled = rt.enabled_actions()
-        if (not enabled and not rt.deliveries) or events >= scenario.max_events:
-            return
-        what, pos = rt.pick(enabled)
-        if what == "action":
-            rt.step_action(pos)
-        else:
-            rt.step_delivery(pos)
-        events += 1
+    while rt.step():
         for pid, state in rt.engines.items():
-            assert not any(eng._accepted(state, tx) for tx in state.pending.values()), (pid, events)
-            check(pid, state, events)
+            accepted = any(eng._accepted(state, tx) for tx in state.pending.values())
+            assert not accepted, (pid, rt.events)
+            check(pid, state, rt.events)
 
 
 def checked_run(scenario, seed, outcomes: Counter) -> None:

@@ -17,7 +17,7 @@ import json
 import pytest
 
 import kspend
-from kspend import crypto, engine as eng, ledger, properties
+from kspend import crypto, engine as eng, ledger, properties, sim
 from kspend.crypto import keychain, make_scheme
 from kspend.ledger import encode_tx, genesis_tx, make_tx, tx_ref
 from kspend.sim import report_from_obj, report_to_obj
@@ -37,7 +37,7 @@ def sharing_states(scheme_name):
     keys, directory = keychain(N, scheme, b"memo-test")
     verified = set()
     states = {
-        p: eng.initial_state(p, N, FULL, keys[p].private, directory, scheme_name, GENESIS,
+        p: eng.initial_state(p, N, FULL, keys[p], directory, scheme, GENESIS,
                              verified=verified)
         for p in range(N)
     }
@@ -153,17 +153,20 @@ def test_accusation_with_misattributed_proof_rejected(scheme_name):
 def test_each_triple_verified_once_per_run(monkeypatch):
     """Real verifications equal the distinct triples presented, in every run.
 
-    The engine and the property checker share the run's memo, so together
-    they verify each distinct triple once; a report loaded from JSON is
-    judged from scratch, verifying each triple of its accusations once.
+    The engine and the property checker share the run's memo and its keys,
+    so together they verify each distinct triple once and build one
+    keychain; a report loaded from JSON is judged from scratch, with its
+    own keychain, verifying each triple of its accusations once.
     Signatures are made once per signer and signed bytes, in every run.
     """
     calls, presented, signs = [], [], []
+    keychains = []  # keychain builds by phase, and what the checker is handed
     phase = {"name": "engine"}
     real_verify = crypto.Ed25519Scheme.verify
     real_sign = crypto.Ed25519Scheme.sign
     real_once = crypto.verify_once
     real_evaluate = properties.evaluate_properties
+    real_keychain = crypto.keychain
 
     def counting_verify(self, public, message, signature):
         calls.append((phase["name"], (public, message, signature)))
@@ -177,7 +180,12 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         presented.append((phase["name"], (public, message, signature)))
         return real_once(scheme, verified, public, message, signature)
 
+    def counting_keychain(*args):
+        keychains.append(phase["name"])
+        return real_keychain(*args)
+
     def in_properties(report, **kwargs):
+        keychains.append(sorted(kwargs))
         phase["name"] = "properties"
         try:
             return real_evaluate(report, **kwargs)
@@ -189,6 +197,8 @@ def test_each_triple_verified_once_per_run(monkeypatch):
     monkeypatch.setattr(eng, "verify_once", counting_once)
     monkeypatch.setattr(ledger, "verify_once", counting_once)
     monkeypatch.setattr(properties, "evaluate_properties", in_properties)
+    monkeypatch.setattr(sim, "keychain", counting_keychain)
+    monkeypatch.setattr(properties, "keychain", counting_keychain)
 
     scenario = kspend.synthesize_multispend_attack(load_builtin_model("example1"))
     assert scenario.sig_scheme == "ed25519"
@@ -197,7 +207,10 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         calls.clear()
         presented.clear()
         signs.clear()
+        keychains.clear()
         report = kspend.run(scenario)
+        # one keychain per run: the checker gets the run's memo and public keys
+        assert keychains == ["engine", ["public_keys", "verified"]]
         assert report.quiescent and report.accusations
         assert all(v.status != "violated" for v in report.verdicts.values())
         made = [t for _p, t in calls]
@@ -221,8 +234,10 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         for store in report.accusations.values() for acc in store for tx, sig in acc.proof
     }
     calls.clear()
+    keychains.clear()
     clone = report_from_obj(json.loads(json.dumps(report_to_obj(report))))
     assert clone.verdicts == report.verdicts
+    assert keychains == [[], "properties"]  # outside a run the checker builds its own
     made = [t for _p, t in calls]
     assert len(made) == len(triples) and set(made) == triples
 

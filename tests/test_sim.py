@@ -23,6 +23,8 @@ from kspend.sim import (
 )
 from kspend.trust import TrustModel, model_to_obj, uniform_model
 
+from golden_traces import honest_ring
+
 
 def all_trust(n=3):
     full = [list(range(n))]
@@ -101,6 +103,14 @@ def test_gamma_series_tracks_events_monotonically():
     assert list(report.gamma_series) == sorted(report.gamma_series)
     assert report.gamma_series[-1] == report.gamma_max
     assert report.gamma_max == spending_number(report.histories)
+
+
+def test_long_ring_run_reaches_quiescence():
+    """2,000 transfers make dependency chains 2,000 long; no check recurses along them."""
+    report = run(honest_ring(4, 2000))
+    assert report.quiescent and report.events == 32_000 and not report.unexecuted_actions
+    assert report.cover == 1
+    assert all(v.status == "holds" for v in report.verdicts.values())
 
 
 def test_unfundable_action_stays_unexecuted():

@@ -17,24 +17,16 @@ from oracles import polled_enabled_actions
 
 
 def checked_trace_hash(scenario, seed) -> str:
-    """Step a run as sim.run does, checking both wake rules before every pick."""
+    """Step a run as sim.run does, checking both wake rules before every event."""
     rt = sim._Runtime(scenario, seed, False)
-    rt.enqueue_scripts()
-    events = 0
     while True:
-        enabled = rt.enabled_actions()
-        assert enabled == polled_enabled_actions(rt), f"enabled actions at event {events}"
+        events = rt.events
+        assert sorted(rt.enabled) == polled_enabled_actions(rt), f"enabled actions at event {events}"
         for pid, state in rt.engines.items():
             ready = [tx for tx in state.pending.values() if eng._ready(state, tx)]
             assert not ready, f"process {pid} left ready transactions pending at event {events}"
-        if (not enabled and not rt.deliveries) or events >= scenario.max_events:
+        if not rt.step():
             return sim.compute_trace_hash(rt.trace)
-        what, pos = rt.pick(enabled)
-        if what == "action":
-            rt.step_action(pos)
-        else:
-            rt.step_delivery(pos)
-        events += 1
 
 
 def test_wake_rules_match_polling_on_the_golden_runs():
