@@ -2,10 +2,10 @@
 
 A transaction moves value from previously received transactions (its
 inputs) to a new output map. Histories are sets of transactions closed
-under the well-formedness clauses below; the spending number measures how
-many conflicting spends of one input made it into a family of histories,
-and the cover number measures how many mutually consistent "branches" the
-family splits into.
+under the well-formedness clauses below; the cover number measures how
+many mutually consistent "branches" a family of histories splits into.
+The simulator counts the spending number, how many conflicting spends of
+one input made it in, as a run goes.
 """
 
 from __future__ import annotations
@@ -367,26 +367,6 @@ def _as_histories(collection: Mapping[int, History] | Iterable[History]) -> list
         if h not in seen:
             seen.append(h)
     return seen
-
-
-def spending_number(collection: Mapping[int, History] | Iterable[History]) -> int:
-    """Largest count of distinct spends of one input by one issuer.
-
-    Ranges over all transactions appearing anywhere in the collection;
-    0 when nothing was spent at all.
-    """
-    histories = _as_histories(collection)
-    for h in histories:
-        if not h._base_report.ok:
-            raise MalformedHistory("spending number requires well-formed histories")
-    spenders: dict[tuple[int, bytes], set[bytes]] = {}
-    for h in histories:
-        for tx in h.txs:
-            if is_genesis(tx):
-                continue
-            for ref in tx.inputs:
-                spenders.setdefault((tx.issuer, ref), set()).add(tx_ref(tx))
-    return max((len(s) for s in spenders.values()), default=0)
 
 
 def _canonical_order(histories: list[History]) -> list[History]:

@@ -43,6 +43,10 @@ class TrustModel:
         # exact ints only: JSON true/false load as bools, an int subclass
         if type(n) is not int or n < 1:
             raise ValueError(f"process count must be a positive integer, got {n!r}")
+        rows = list(quorums)
+        # before range(n) is built: a huge n fails here, not out of memory
+        if len(rows) != n:
+            raise ValueError(f"expected one quorum system per process ({n}), got {len(rows)}")
         ids = frozenset(range(n))
 
         def members(group: Collection[int], what: str) -> frozenset[int]:
@@ -55,9 +59,6 @@ class TrustModel:
             return found
 
         systems = []
-        rows = list(quorums)
-        if len(rows) != n:
-            raise ValueError(f"expected one quorum system per process ({n}), got {len(rows)}")
         for pid, row in enumerate(rows):
             system = sorted({members(q, f"quorum of process {pid}") for q in row}, key=sorted)
             if not system:

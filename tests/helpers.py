@@ -2,8 +2,18 @@
 
 import random
 
+from kspend import sim
 from kspend.errors import MalformedHistory
-from kspend.ledger import History, Transaction, genesis_tx, is_genesis, make_tx, out_value, tx_ref
+from kspend.ledger import (
+    History,
+    Transaction,
+    _as_histories,
+    genesis_tx,
+    is_genesis,
+    make_tx,
+    out_value,
+    tx_ref,
+)
 from kspend.sim import RunReport
 from kspend.trust import is_live
 
@@ -67,3 +77,38 @@ def balance(h: History, pid: int) -> int:
     received = sum(tx.pays(pid) for tx in h.txs)
     spent = sum(out_value(tx) for tx in h.txs if tx.issuer == pid and not is_genesis(tx))
     return received - spent
+
+
+def spending_number(collection) -> int:
+    """Largest count of distinct spends of one input by one issuer.
+
+    Ranges over all transactions appearing anywhere in the collection (a
+    mapping or an iterable of histories); 0 when nothing was spent at all.
+    """
+    histories = _as_histories(collection)
+    for h in histories:
+        if not h._base_report.ok:
+            raise MalformedHistory("spending number requires well-formed histories")
+    spenders: dict[tuple[int, bytes], set[bytes]] = {}
+    for h in histories:
+        for tx in h.txs:
+            if is_genesis(tx):
+                continue
+            for ref in tx.inputs:
+                spenders.setdefault((tx.issuer, ref), set()).add(tx_ref(tx))
+    return max((len(s) for s in spenders.values()), default=0)
+
+
+def well_formed_trace_hash(scenario, seed) -> str:
+    """Step a run as sim.run does; after every event, every history must be well formed.
+
+    Returns the run's trace hash. Raises AssertionError naming the first
+    process whose history left well-formedness.
+    """
+    rt = sim._Runtime(scenario, seed)
+    while rt.step():
+        for pid, state in rt.engines.items():
+            base = state.history._base_report
+            if not base.ok:
+                raise AssertionError(f"history of {pid} left well-formedness: {base.failures}")
+    return sim.compute_trace_hash(rt.trace)

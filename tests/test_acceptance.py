@@ -29,7 +29,6 @@ from kspend.ledger import (
     genesis_tx,
     make_tx,
     minimum_cover,
-    spending_number,
     tx_ref,
     well_formed_report,
 )
@@ -42,7 +41,7 @@ from kspend.trust import (
     uniform_model,
 )
 
-from helpers import balance, random_well_formed_history, undelivered_live
+from helpers import balance, random_well_formed_history, spending_number, undelivered_live
 from oracles import (
     brute_conflict_pairs,
     brute_cover_number,

@@ -15,6 +15,7 @@ from kspend import engine as eng
 
 from conftest import GOLDEN_HASH_SEEDS
 from golden_traces import ATTACK_RUNS, FUZZ_RUNS, HASHES_FILE, golden_cases
+from helpers import well_formed_trace_hash
 
 # the golden runs with Byzantine senders: fuzz scripts, attacks, broadcasts
 ADVERSARIAL = ("fuzz-", "attack-", "kcb-", "example1-attack")
@@ -30,7 +31,7 @@ def test_golden_trace_hashes(golden_children, hash_seed):
 
 
 def test_golden_adversarial_runs_keep_histories_well_formed():
-    """check_invariants: every history stays well formed after every event.
+    """Every history stays well formed after every event.
 
     The checked runs must also keep their pinned traces.
     """
@@ -38,8 +39,7 @@ def test_golden_adversarial_runs_keep_histories_well_formed():
     checked = 0
     for name, scenario, seed in golden_cases():
         if name.startswith(ADVERSARIAL):
-            report = kspend.run(scenario, seed=seed, check_invariants=True)
-            assert report.trace_hash == pinned[name], name
+            assert well_formed_trace_hash(scenario, seed) == pinned[name], name
             checked += 1
     assert checked == FUZZ_RUNS + 3 * ATTACK_RUNS + 1
 
@@ -52,7 +52,7 @@ def test_check_invariants_stops_a_malformed_history(monkeypatch):
         if name.startswith("fuzz-"):
             kspend.run(scenario, seed=seed)  # unchecked, the run completes
             try:
-                kspend.run(scenario, seed=seed, check_invariants=True)
+                well_formed_trace_hash(scenario, seed)
             except AssertionError as exc:
                 assert "left well-formedness" in str(exc)
                 stopped.append(name)

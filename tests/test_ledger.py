@@ -24,13 +24,12 @@ from kspend.ledger import (
     minimum_cover,
     out_value,
     projection,
-    spending_number,
     tx_ref,
     verify_acc,
     well_formed_report,
 )
 
-from helpers import balance, random_well_formed_history
+from helpers import balance, random_well_formed_history, spending_number
 from oracles import brute_conflict_pairs, brute_cover_number, brute_spending_number
 
 G = genesis_tx({0: 10, 1: 5})

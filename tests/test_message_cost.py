@@ -191,7 +191,7 @@ def stepped_run(scenario, seed, check) -> None:
     After every event no pending transaction is accepted: acceptance
     happens only in ``_settle``, which takes what it accepts out of pending.
     """
-    rt = sim._Runtime(scenario, seed, False)
+    rt = sim._Runtime(scenario, seed)
     while rt.step():
         for pid, state in rt.engines.items():
             accepted = any(eng._accepted(state, tx) for tx in state.pending.values())

@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
 from kspend import fuzz, sim
-from kspend.errors import InvalidFaultySet, SchemaError
-from kspend.ledger import genesis_tx, make_tx, spending_number, tx_ref
+from kspend.errors import InvalidFaultySet, InvalidParameters, SchemaError
+from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import (
     PlanRule,
     Scenario,
@@ -24,6 +25,7 @@ from kspend.sim import (
 from kspend.trust import TrustModel, model_to_obj, uniform_model
 
 from golden_traces import honest_ring
+from helpers import spending_number
 
 
 def all_trust(n=3):
@@ -253,7 +255,7 @@ def test_report_with_edited_summary_is_rejected(field, saved, edited):
     obj = json.loads(json.dumps(report_to_obj(report)))
     assert obj[field] == saved
     obj[field] = edited
-    with pytest.raises(SchemaError, match=f"summary numbers contradict.*'{field}'"):
+    with pytest.raises(SchemaError, match=rf"re-run of its scenario differs in \['{field}'\]"):
         report_from_obj(obj)
 
 
@@ -270,7 +272,7 @@ def test_report_with_edited_gamma_series_is_rejected():
         dip,  # falls, then rises again to the same end
         [0] * len(series),  # never reaches gamma_max
     ):
-        with pytest.raises(SchemaError, match="'gamma_series'"):
+        with pytest.raises(SchemaError, match=r"differs in \['gamma_series'\]"):
             report_from_obj(dict(obj, gamma_series=edited))
 
 
@@ -279,7 +281,7 @@ def test_report_with_altered_trace_is_rejected():
     obj = json.loads(json.dumps(report_to_obj(report)))
     assert report_from_obj(obj).trace_hash == report.trace_hash
     obj["trace"][1][-1] = "altered"
-    with pytest.raises(SchemaError, match="trace_hash"):
+    with pytest.raises(SchemaError, match=r"re-run of its scenario differs in \['trace'\]"):
         report_from_obj(obj)
 
 
@@ -293,7 +295,7 @@ def test_report_with_flipped_verdict_is_rejected(data_dir):
         flipped = json.loads(json.dumps(obj))
         assert flipped["verdicts"][name]["status"] != status
         flipped["verdicts"][name]["status"] = status
-        with pytest.raises(SchemaError, match=f"verdicts differ.*'{name}'"):
+        with pytest.raises(SchemaError, match=rf"differs in \['verdicts\.{name}'\]"):
             report_from_obj(flipped)
 
 
@@ -324,8 +326,107 @@ def test_report_with_boolean_ids_or_amounts_is_rejected(data_dir, edit):
     obj = json.loads(saved)
     edit(obj)
     assert json.dumps(obj) != saved
-    with pytest.raises(SchemaError):
+    original = json.loads(saved)
+    tampered = sorted(k for k in obj if json.dumps(obj[k]) != json.dumps(original[k]))
+    with pytest.raises(SchemaError, match=re.escape(f"differs in {tampered}")):
         report_from_obj(obj)
+
+
+def _saved_report(data_dir, name):
+    report = run(load_scenario(str(data_dir / f"{name}.json")))
+    return json.loads(json.dumps(report_to_obj(report)))
+
+
+@pytest.mark.parametrize(
+    "name,edit,field",
+    [
+        # forgeries the field-by-field loader accepted
+        ("demo_scenario", lambda o: o["verdicts"]["k-spending"].update(detail="forged"),
+         "verdicts.k-spending"),
+        ("demo_scenario", lambda o: o.update(unexecuted_actions=[2]), "unexecuted_actions"),
+        ("demo_scenario", lambda o: o.update(delivered={"0": "00"}), "delivered"),
+        # edits it failed on with AttributeError or OverflowError
+        ("mutant_probe", lambda o: o.update(delivered=True), "delivered"),
+        ("mutant_probe", lambda o: o.update(delivered=-1), "delivered"),
+        ("mutant_probe", lambda o: _accusations(o)[0].update(accused=[-1]), "accusations"),
+    ],
+)
+def test_forged_report_fields_are_rejected(data_dir, name, edit, field):
+    obj = _saved_report(data_dir, name)
+    assert json.loads(json.dumps(report_to_obj(report_from_obj(obj)))) == obj
+    edit(obj)
+    with pytest.raises(SchemaError, match=re.escape(f"differs in {[field]}")):
+        report_from_obj(obj)
+
+
+def test_honest_action_issuer_outside_the_model_is_rejected(data_dir):
+    scenario_obj = json.loads((data_dir / "demo_scenario.json").read_text())
+    saved = _saved_report(data_dir, "demo_scenario")
+    for issuer in (-1, 7):
+        obj = json.loads(json.dumps(scenario_obj))
+        obj["honest_actions"][0]["issuer"] = issuer
+        with pytest.raises(SchemaError, match=f"issuer {issuer} is not a process of the model"):
+            scenario_from_obj(obj)
+        report = json.loads(json.dumps(saved))
+        report["scenario"]["honest_actions"][0]["tx"]["issuer"] = issuer
+        with pytest.raises(SchemaError, match=f"issuer {issuer} is not a process of the model"):
+            report_from_obj(report)
+
+
+_DELETE = object()
+# the value each leaf gets, in rotation; _DELETE removes the leaf
+_MUTATIONS = (None, True, False, -1, 0, 7, 1.5, "", "x", [], {}, [1], _DELETE)
+
+
+def _leaves(value, path):
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path
+
+
+def _mutated(saved, path, value):
+    obj = json.loads(json.dumps(saved))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("name", ["demo_scenario", "mutant_probe"])
+def test_mutated_saved_report_loads_only_as_its_own_re_run(data_dir, name):
+    """Every leaf outside the trace, and of its first and last records, mutated once.
+
+    A mutant is rejected with a domain error, or it is exactly the report
+    its own scenario re-runs to. A mutant that keeps the saved scenario
+    loads only if it equals the saved report.
+    """
+    saved = _saved_report(data_dir, name)
+    trace = saved["trace"]
+    paths = [path for key in saved if key != "trace" for path in _leaves(saved[key], (key,))]
+    paths += [path for i in (0, len(trace) - 1) for path in _leaves(trace[i], ("trace", i))]
+    canonical = json.dumps(saved, sort_keys=True)
+    rejected = 0
+    for i, path in enumerate(paths):
+        value = _MUTATIONS[i % len(_MUTATIONS)]
+        mutant = _mutated(saved, path, value)
+        try:
+            loaded = report_from_obj(mutant)
+        except (SchemaError, InvalidFaultySet, InvalidParameters):
+            rejected += 1
+            continue
+        except Exception as exc:
+            pytest.fail(f"{path} = {value!r} raised {exc!r}")
+        text = json.dumps(mutant, sort_keys=True)
+        assert json.dumps(report_to_obj(loaded), sort_keys=True) == text, (path, value)
+        assert path[0] == "scenario" or text == canonical, (path, value)
+    assert rejected and len(paths) > 200
 
 
 def test_authoring_format_symbolic_references(tmp_path):

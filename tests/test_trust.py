@@ -448,6 +448,8 @@ def test_model_roundtrip(tmp_path, example1):
         {"n": 2, "quorums": [[[0]], [[1]]]},  # missing fault model
         {"n": 2, "quorums": [[[0]]], "fault_model_maximal": []},
         {"n": "two", "quorums": [], "fault_model_maximal": []},
+        # rejected by its quorum count before range(n) is built
+        {"n": 2**70, "quorums": [[[0]]], "fault_model_maximal": [[]]},
     ],
 )
 def test_parse_model_schema_errors(obj):

@@ -18,7 +18,7 @@ from oracles import polled_enabled_actions
 
 def checked_trace_hash(scenario, seed) -> str:
     """Step a run as sim.run does, checking both wake rules before every event."""
-    rt = sim._Runtime(scenario, seed, False)
+    rt = sim._Runtime(scenario, seed)
     while True:
         events = rt.events
         assert sorted(rt.enabled) == polled_enabled_actions(rt), f"enabled actions at event {events}"
