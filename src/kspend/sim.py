@@ -124,6 +124,11 @@ class Scenario:
                 raise ValueError(f"scripted transaction issued by non-faulty {send.tx.issuer}")
             if send.kind not in (eng.REQ, eng.ECHO):
                 raise ValueError(f"scripts may send REQ or ECHO, not {send.kind!r}")
+        recipients = [("script", pid) for send in sends for pid in sorted(send.recipients)]
+        recipients += [("plan", pid) for rule in scheduler.plan for pid in sorted(rule.recipients)]
+        for what, pid in recipients:
+            if not 0 <= pid < model.n:
+                raise ValueError(f"{what} recipient {pid} is not a process of the model")
         source = kw.get("kcb_source")
         if source is not None and not 0 <= source < model.n:
             raise ValueError(f"kcb_source {source} is not a process of the model")
@@ -707,6 +712,13 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     key_seed = obj.get("key_seed")
     if key_seed is not None and not isinstance(key_seed, str):
         raise SchemaError(f"key_seed must be a hex string, got {key_seed!r}")
+    # exact types: bool("false") is True, and a null name would round-trip as null
+    guard_off = obj.get("disable_used_input_guard", False)
+    if type(guard_off) is not bool:
+        raise SchemaError(f"disable_used_input_guard must be true or false, got {guard_off!r}")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"scenario name must be a string, got {name!r}")
     try:
         scenario = Scenario.build(
             model=model,
@@ -719,8 +731,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             sig_scheme=obj.get("sig_scheme", "ed25519"),
             key_seed=DEFAULT_KEY_SEED if key_seed is None else bytes.fromhex(key_seed),
             kcb_source=_int(obj.get("kcb_source"), "kcb_source", optional=True),
-            disable_used_input_guard=bool(obj.get("disable_used_input_guard", False)),
-            name=obj.get("name", ""),
+            disable_used_input_guard=guard_off,
+            name=name,
         )
     except ValueError as exc:  # InvalidFaultySet is no ValueError: it passes as it is
         raise SchemaError(str(exc)) from None

@@ -8,6 +8,13 @@ inconsistency number is the largest independent set any such graph admits,
 over every faulty set in the downward closure of the fault model and every
 choice of quorums; it bounds how many conflicting spends of one asset an
 adversary can drive into correct histories.
+
+The exact search visits faulty sets largest first. Dropping a correct x
+from a packing under F leaves a packing under F ∪ {x}, so a set's value is
+at most one more than any one-fault extension's, and those were visited
+before it. A set is skipped when that bound cannot beat the best value, or
+when it has more extension processes than the best plus one; otherwise its
+extension processes are forced into every packing it searches.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ ProcessId = int
 Quorum = frozenset[int]
 
 DEFAULT_ENUM_BUDGET = 1 << 26
+_MAX_BOUNDS = 1 << 20  # extension bounds the exact search holds at once
 
 
 @dataclass(frozen=True)
@@ -204,19 +212,34 @@ class _Packer(dict):
         first = dict(zip(owned, reversed(range(len(self.masks)))))  # back to front: firsts win
         self.active = sum(map((1).__lshift__, first.values()))
 
-    def can_pack(self, pids: list, need: int, used: int, failed: dict, budget: _Budget) -> bool:
+    def can_pack(
+        self, pids: list, need: int, used: int, failed: dict, budget: _Budget, forced: int = 0
+    ) -> bool:
         """Can ``need`` of the rows ``pids`` take active vertices with pairwise-disjoint masks
         clear of ``used``? Branch and bound over rows by fewest active vertices, one ``budget``
         unit a node; taking a vertex drops its clash set from the live set, a node with under
-        ``need`` live rows is cut, and ``failed`` maps (index, used) to the least need failed."""
-        top, low, reduced, active = self.top, self.low, self.reduced, self.active
-        order = sorted((self.runs[pid] for pid in pids), key=lambda run: (active & run).bit_count())
+        ``need`` live rows is cut, and ``failed`` maps (index, used) to the least need failed.
+
+        The rows set in ``forced``, some of ``pids`` and at most ``need``, come first and are
+        never skipped: the caller knows every packing of ``need`` rows holds them all, so a
+        node where one of them has no live vertex left is cut."""
+        top, low, reduced, active, runs = self.top, self.low, self.reduced, self.active, self.runs
+        order = sorted((runs[pid] for pid in pids), key=lambda run: (active & run).bit_count())
+        if forced:  # a stable sort: the forced rows lead, fewest active vertices first
+            forced_runs = sum(runs[pid] for pid in pids if forced >> pid & 1)
+            order.sort(key=lambda run: not run & forced_runs)
+        firsts = forced.bit_count()
+        forced_tops = top & sum(order[:firsts])
 
         def search(i: int, live: int, need: int, used: int) -> bool:
             if need == 0:
                 return True
-            rows = ((((live & low) + low) | live) & top).bit_count()
-            if rows < need or failed.get((i, used), need + 1) <= need:
+            alive = (((live & low) + low) | live) & top
+            if (
+                alive.bit_count() < need
+                or i < firsts and (alive & forced_tops).bit_count() < firsts - i  # one died
+                or failed.get((i, used), need + 1) <= need
+            ):
                 return False
             budget.spend(1)
             j = i
@@ -228,7 +251,7 @@ class _Packer(dict):
                 row &= row - 1
                 if search(j + 1, rest & ~self[mask], need - 1, used | mask):
                     return True
-            if search(j + 1, rest, need, used):
+            if j >= firsts and search(j + 1, rest, need, used):
                 return True
             failed[i, used] = need
             return False
@@ -241,31 +264,47 @@ def _lambda_and_witness(
 ) -> tuple[int, Witness | None]:
     """The exact search: every faulty set in closure order, one unit each.
 
-    A faulty set whose packing ceiling cannot beat the best value so far is
-    skipped; otherwise the decision search asks for one more than the best,
-    then one more while it succeeds, sharing its failures across those asks.
-    Only a strict improvement moves the witness, so skipping never changes
-    it. The witness rebuild is charged to the same budget; without
-    ``rebuild`` the search returns the value alone, with no witness.
+    A packing under F less any correct process x is a packing under
+    F ∪ {x}, so λ(F) ≤ λ(F ∪ {x}) + 1; and every visited set's λ is at most
+    the best value once its visit ends. The one-fault extensions of F come
+    earlier in closure order, so F is skipped when the best value just after
+    its first extension was visited is below the best now, or when it has
+    more extension processes than the best plus one: a packing of the best
+    plus one must hold them all. Otherwise, a set whose packing ceiling
+    cannot beat the best is skipped too, and the decision search, with the
+    extension processes forced into every packing, asks for one more than
+    the best, then one more while it succeeds, sharing its failures across
+    those asks. Only a strict improvement moves the witness, so skipping
+    never changes it. The witness rebuild is charged to the same budget;
+    without ``rebuild`` the search returns the value alone, with no witness.
     """
     budget = _Budget(budget_cap)
     masks = [[sum(1 << member for member in q) for q in system] for system in model.quorums]
     packer = _Packer(masks, model.n)
     by_size = [sorted((mask.bit_count(), mask) for mask in row) for row in masks]
     everyone = (1 << model.n) - 1
+    # faulty mask of a set still to visit -> (best after its first extension) << n | extensions
+    bounds: dict[int, int] = {}
     best = visited = 0
     best_faulty: frozenset[int] | None = None
     try:
         for visited, combo in enumerate(_closure_order(model), 1):
             budget.spend(1)
-            keep = everyone & ~sum(1 << p for p in combo)
-            correct = [p for p in model.processes() if keep >> p & 1]
-            if not _ceiling_admits(by_size, keep, correct, best + 1):
-                continue
-            packer.reduce(keep)
-            failed: dict[tuple[int, int], int] = {}
-            while packer.can_pack(correct, best + 1, 0, failed, budget):
-                best, best_faulty, best_keep = best + 1, frozenset(combo), keep
+            faulty = sum(map((1).__lshift__, combo))
+            bound, forced = divmod(bounds.pop(faulty, best << model.n), 1 << model.n)
+            keep = everyone & ~faulty
+            if bound >= best and forced.bit_count() <= best + 1:  # λ(F) <= bound + 1
+                correct = [p for p in model.processes() if keep >> p & 1]
+                if _ceiling_admits(by_size, keep, correct, best + 1):
+                    packer.reduce(keep)
+                    failed: dict[tuple[int, int], int] = {}
+                    while packer.can_pack(correct, best + 1, 0, failed, budget, forced):
+                        best, best_faulty, best_keep = best + 1, frozenset(combo), keep
+            # a bound is only ever a prune: one dropped here costs search, never the value
+            if len(bounds) < _MAX_BOUNDS:
+                first = best << model.n
+                for bit in map((1).__lshift__, combo):
+                    bounds[faulty ^ bit] = bounds.get(faulty ^ bit, first) | bit
 
         assert best_faulty is not None  # every model admits some faulty set and a node
         if not rebuild:

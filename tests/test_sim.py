@@ -77,6 +77,13 @@ def test_scenario_build_validates():
     with pytest.raises(ValueError):
         Scenario.build(model=faulty_model, faulty_set={0}, genesis=genesis,
                        scripts=(ScriptedSend(0, "ACC", bad_kind_tx, frozenset({2})),))
+    with pytest.raises(ValueError, match="script recipient 7 is not a process of the model"):
+        Scenario.build(model=faulty_model, faulty_set={0}, genesis=genesis,
+                       scripts=(ScriptedSend(0, "REQ", bad_kind_tx, frozenset({1, 7})),))
+    plan = (PlanRule(tx_ref(bad_kind_tx), frozenset({-5, 2})),)
+    with pytest.raises(ValueError, match="plan recipient -5 is not a process of the model"):
+        Scenario.build(model=faulty_model, faulty_set={0}, genesis=genesis,
+                       scheduler=SchedulerSpec("adversarial", plan=plan))
 
 
 def test_scheduler_spec_validates_kind():
@@ -538,6 +545,16 @@ def test_authoring_format_labelled_scripts():
         # values that used to load and run
         lambda o: o.update(kcb_source=99),
         lambda o: o.update(byzantine="nope"),
+        # each truthy, so bool() switched the test-only mutant on
+        lambda o: o.update(disable_used_input_guard="false"),
+        lambda o: o.update(disable_used_input_guard="no"),
+        lambda o: o.update(disable_used_input_guard=[0]),
+        lambda o: o.update(disable_used_input_guard=1),
+        lambda o: o.update(name=None),
+        lambda o: o.update(name=5),
+        lambda o: o.update(name=["x"]),
+        lambda o: o["scripts"]["0"][0].update(to=[1, 3, -5]),
+        lambda o: o.update(scheduler={"kind": "adversarial", "plan": [{"tx": "a", "to": [3]}]}),
         # a tag the model cannot carry: uniform (4, 3, 1) has bound 1
         lambda o: o.update(
             model=model_to_obj(uniform_model(4, 3, 1)), byzantine="synthesized-multispend"

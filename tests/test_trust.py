@@ -31,6 +31,7 @@ from oracles import (
     build_trust_graph,
     subset_independence_number,
 )
+from pinned_search_units import UNITS_FILE, charged_units
 
 
 def tiny(n, quorums, faults):
@@ -239,6 +240,95 @@ def test_pruned_search_matches_brute_force(monkeypatch):
     assert verdicts.count(False) > 20 and verdicts.count(True) > 20
 
 
+def _extension_rules(model, lam):
+    """Per faulty set in closure order: does the first rule, the second, or neither skip it?
+
+    ``lam`` maps each faulty set to its brute-force value. Just after a set
+    is visited, the search's best is the largest value visited so far.
+    """
+    best, first_best, extensions, rules = 0, {}, {}, {}
+    for faulty in fault_closure(model):
+        if first_best.get(faulty, best) < best:
+            rules[faulty] = "bound"
+        elif len(extensions.get(faulty, ())) > best + 1:
+            rules[faulty] = "too-many"
+        else:
+            rules[faulty] = None
+        best = max(best, lam[faulty])
+        for p in faulty:
+            first_best.setdefault(faulty - {p}, best)
+            extensions.setdefault(faulty - {p}, set()).add(p)
+    return rules
+
+
+def test_extension_rules_match_brute_force(monkeypatch):
+    """λ(F) ≤ λ(F ∪ {x}) + 1, and the skips and forced rows it licenses are exact.
+
+    A faulty set reaches the ceiling only when neither extension rule skips
+    it; a search with forced rows answers as one without them.
+    """
+    from kspend.fuzz import random_model
+
+    ceilinged, forced_calls = [], []
+    admits, can_pack = trust._ceiling_admits, trust._Packer.can_pack
+
+    def recording_admits(by_size, keep, correct, need):
+        ceilinged.append(keep)
+        return admits(by_size, keep, correct, need)
+
+    def recording_can_pack(self, pids, need, used, failed, budget, forced=0):
+        if forced:
+            units = []
+            for rows in (forced, 0):  # fresh memos: a memo is only valid for its own order
+                fresh = trust._Budget(1 << 30)
+                units.append((can_pack(self, pids, need, used, {}, fresh, rows),
+                              (1 << 30) - fresh.remaining))
+            assert units[0][0] == units[1][0]
+            forced_calls.append(units[0][1] < units[1][1])
+        return can_pack(self, pids, need, used, failed, budget, forced)
+
+    monkeypatch.setattr(trust, "_ceiling_admits", recording_admits)
+    monkeypatch.setattr(trust._Packer, "can_pack", recording_can_pack)
+    rng = random.Random(18)
+    rules = []
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        drawn = random_model(rng, n=n)
+        faults = [rng.sample(range(n), rng.randint(1, n // 2)) for _ in range(rng.randint(1, 3))]
+        model = TrustModel.build(n, drawn.quorums, faults)
+        closure = fault_closure(model)
+        lam = {f: brute_inconsistency(model, faulty_sets=[f]) for f in closure}
+        for f in closure:
+            for x in set(range(n)) - f:
+                if allows_faulty(model, f | {x}):
+                    assert lam[f] <= lam[f | {x}] + 1, (model, f, x)
+        ceilinged.clear()
+        assert inconsistency_number(model) == max(lam.values())
+        model_rules = _extension_rules(model, lam)
+        everyone = (1 << n) - 1
+        reached = [everyone & ~sum(1 << p for p in f) for f, rule in model_rules.items()
+                   if not rule]
+        assert ceilinged == reached, model
+        rules.extend(model_rules.values())
+    # each rule skipped some faulty sets and not all, and forced rows cut some searches
+    assert rules.count("bound") > 5 and rules.count("too-many") > 5 and rules.count(None) > 50
+    assert 0 < forced_calls.count(True) < len(forced_calls)
+
+
+def test_dropped_bounds_change_no_value_or_witness(monkeypatch):
+    """A bound only prunes: held two at a time, values and witnesses stay the same."""
+    from kspend.fuzz import random_model
+
+    rng = random.Random(19)
+    models = [uniform_model(8, 5, 2), uniform_model(9, 6, 3)]
+    models += [random_model(rng, n=rng.randint(6, 10)) for _ in range(30)]
+    expected = [max_independent_set_witness(m) for m in models]
+    monkeypatch.setattr(trust, "_MAX_BOUNDS", 2)
+    for model, witness in zip(models, expected):
+        assert inconsistency_number(model) == len(witness.independent_set)
+        assert max_independent_set_witness(model) == witness
+
+
 def test_witnesses_are_pinned():
     """Faulty set, quorum map and independent set on fixed fuzz models.
 
@@ -255,36 +345,22 @@ def test_witnesses_are_pinned():
         assert sorted(w.independent_set) == case["independent"]
 
 
-def charged_units(monkeypatch, search, model):
-    """What ``search(model)`` returns, and the budget units it charged."""
-    charged = 0
-    spend = trust._Budget.spend
-
-    def counting(self, units):
-        nonlocal charged
-        charged += units
-        spend(self, units)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(trust._Budget, "spend", counting)
-        return search(model), charged
-
-
-def test_search_units_are_pinned(monkeypatch):
+def test_search_units_are_pinned():
     """Value and units charged, with and without the witness, on fixed models.
 
-    The expected units were counted on the list-based packing search that
-    preceded the bitset packer: the uniform ladder through (11, 7, 3), 40
-    asymmetric n = 14-16 models of the analyze benchmark's fixed draw and 40
-    small fuzz models. The same search tree charges the same units.
+    The cases are the uniform ladder through (11, 7, 3), 40 asymmetric
+    n = 14-16 models of the analyze benchmark's fixed draw and 40 small fuzz
+    models. The units were counted on the search that bounds each faulty set
+    by its one-fault extensions and forces their processes into the packing;
+    a change to them is a change of how much the search visits, made on
+    purpose by regenerating the file with ``tests/pinned_search_units.py``.
     """
-    path = pathlib.Path(__file__).parent / "data" / "pinned_search_units.json"
-    cases = json.loads(path.read_text())
+    cases = json.loads(UNITS_FILE.read_text())
     assert len(cases) == 85
     for case in cases:
         model = uniform_model(*case["uniform"]) if "uniform" in case else parse_model(case["model"])
-        value, units = charged_units(monkeypatch, inconsistency_number, model)
-        witness, witness_units = charged_units(monkeypatch, max_independent_set_witness, model)
+        value, units = charged_units(inconsistency_number, model)
+        witness, witness_units = charged_units(max_independent_set_witness, model)
         assert (value, len(witness.independent_set)) == (case["value"], case["value"]), case
         assert (units, witness_units) == (case["value_units"], case["witness_units"]), case
 
