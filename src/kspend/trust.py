@@ -14,7 +14,11 @@ from a packing under F leaves a packing under F ∪ {x}, so a set's value is
 at most one more than any one-fault extension's, and those were visited
 before it. A set is skipped when that bound cannot beat the best value, or
 when it has more extension processes than the best plus one; otherwise its
-extension processes are forced into every packing it searches.
+extension processes are forced into every packing it searches. Before each
+search asks for one more process than the best, a volume ceiling counts the
+processes that packing's disjoint quorums must cover outside F: the forced
+processes' smallest quorums plus the smallest of the others'. An ask whose
+count exceeds the correct processes is refused without a search.
 """
 
 from __future__ import annotations
@@ -155,19 +159,23 @@ class _Exhausted(Exception):
     pass
 
 
-def _ceiling_admits(by_size: list, keep: int, correct: list[int], need: int) -> bool:
-    """Can ``need`` processes hold pairwise-disjoint reduced quorums at all?
+def _least_volumes(by_size: list, keep: int, correct: list, forced: int, need: int) -> list:
+    """Entry ``j`` bounds from below how many keep processes a packing of ``j`` rows that
+    holds every ``forced`` row covers. One call per faulty set.
 
-    Disjoint masks inside the keep set cover at least the sum of their
-    owners' smallest reduced sizes, so the ``need`` smallest must fit in it.
-    A quorum loses at most |F| members, which bounds them all from below
-    with no scan; ``by_size`` holds each process's (size, mask) pairs,
-    smallest first, so a scan stops once ``size - |F|`` cannot beat its least."""
+    Pairwise-disjoint reduced quorums cover the sum of their sizes, and each is at least
+    its owner's smallest reduced size: the forced rows' sizes, plus the ``j - |forced|``
+    smallest of the others'. Under |forced| rows no packing holds them all, so those entries
+    exceed the keep set. A quorum loses at most |F| members, so ``j`` times the least quorum
+    size less |F| is a weaker bound that needs no scan; it is returned when it already
+    refuses ``need``. ``by_size`` holds each process's (size, mask) pairs smallest first, so
+    a scan stops once ``size - |F|`` cannot beat its least."""
     room = keep.bit_count()
     dropped = len(by_size) - room
-    if need > len(correct) or need * (min(by_size[p][0][0] for p in correct) - dropped) > room:
-        return False
-    sizes = []
+    floor = min((by_size[p][0][0] for p in correct), default=0) - dropped
+    if need * floor > room:
+        return [j * floor for j in range(len(correct) + 1)]
+    held, free = 0, []
     for pid in correct:
         least = room
         for size, mask in by_size[pid]:
@@ -175,8 +183,17 @@ def _ceiling_admits(by_size: list, keep: int, correct: list[int], need: int) -> 
                 break
             if (reduced := (mask & keep).bit_count()) < least:
                 least = reduced
-        sizes.append(least)
-    return sum(sorted(sizes)[:need]) <= room
+        if forced >> pid & 1:
+            held += least
+        else:
+            free.append(least)
+    return [room + 1] * forced.bit_count() + list(accumulate(sorted(free), initial=held))
+
+
+def _ceiling_admits(volumes: list[int], keep: int, need: int) -> bool:
+    """Can ``need`` rows, every forced one among them, fit their reduced quorums in keep?
+    A refusal is exact: disjoint masks inside keep cover at most |keep| processes."""
+    return need < len(volumes) and volumes[need] <= keep.bit_count()
 
 
 class _Packer(dict):
@@ -270,13 +287,15 @@ def _lambda_and_witness(
     earlier in closure order, so F is skipped when the best value just after
     its first extension was visited is below the best now, or when it has
     more extension processes than the best plus one: a packing of the best
-    plus one must hold them all. Otherwise, a set whose packing ceiling
-    cannot beat the best is skipped too, and the decision search, with the
+    plus one must hold them all. Otherwise the decision search, with the
     extension processes forced into every packing, asks for one more than
     the best, then one more while it succeeds, sharing its failures across
-    those asks. Only a strict improvement moves the witness, so skipping
-    never changes it. The witness rebuild is charged to the same budget;
-    without ``rebuild`` the search returns the value alone, with no witness.
+    those asks; before each ask, the ceiling over the set's least volumes,
+    computed once per set and counting the forced processes, must admit it.
+    A set whose ceiling refuses the first ask is never set up for a search.
+    Only a strict improvement moves the witness, so skipping never changes
+    it. The witness rebuild is charged to the same budget; without
+    ``rebuild`` the search returns the value alone, with no witness.
     """
     budget = _Budget(budget_cap)
     masks = [[sum(1 << member for member in q) for q in system] for system in model.quorums]
@@ -295,11 +314,15 @@ def _lambda_and_witness(
             keep = everyone & ~faulty
             if bound >= best and forced.bit_count() <= best + 1:  # λ(F) <= bound + 1
                 correct = [p for p in model.processes() if keep >> p & 1]
-                if _ceiling_admits(by_size, keep, correct, best + 1):
-                    packer.reduce(keep)
-                    failed: dict[tuple[int, int], int] = {}
-                    while packer.can_pack(correct, best + 1, 0, failed, budget, forced):
-                        best, best_faulty, best_keep = best + 1, frozenset(combo), keep
+                volumes = _least_volumes(by_size, keep, correct, forced, best + 1)
+                failed: dict[tuple[int, int], int] | None = None
+                while _ceiling_admits(volumes, keep, best + 1):
+                    if failed is None:  # the first ask the ceiling admits sets the set up
+                        packer.reduce(keep)
+                        failed = {}
+                    if not packer.can_pack(correct, best + 1, 0, failed, budget, forced):
+                        break
+                    best, best_faulty, best_keep = best + 1, frozenset(combo), keep
             # a bound is only ever a prune: one dropped here costs search, never the value
             if len(bounds) < _MAX_BOUNDS:
                 first = best << model.n

@@ -72,11 +72,12 @@ def brute_inconsistency(model, faulty_sets=None) -> int:
     return best
 
 
-def brute_pack(rows, used=0) -> int:
+def brute_pack(rows, used=0, forced=()) -> int:
     """Most rows that can each take one of their masks, pairwise disjoint and
-    clear of ``used``: every pick of one mask or nothing per row."""
-    best = 0
-    for picks in product(*([None, *row] for row in rows)):
+    clear of ``used``: every pick of one mask or nothing per row. A row whose
+    index is in ``forced`` must take a mask; -1 when no pick lets them all."""
+    best = -1
+    for picks in product(*(row if i in forced else [None, *row] for i, row in enumerate(rows))):
         taken = [m for m in picks if m is not None]
         if all(not m & used for m in taken) and all(
             not a & b for a, b in combinations(taken, 2)

@@ -130,13 +130,13 @@ def test_analyze_budget_exceeded_reports_the_best_faulty_set(runner):
     # bound 0 has no faulty set behind it, so none is printed
     result = runner.invoke(main, ["analyze", "--model", "example1", "--exact-cap", "1"])
     assert "faulty set behind" not in result.output
-    # six units reach bound 2 on the first faulty set, {2}, then overrun on
+    # five units reach bound 2 on the first faulty set, {2}, then overrun on
     # the second: the line names the set behind the bound, not the last one
-    result = runner.invoke(main, ["analyze", "--model", "example1", "--exact-cap", "6"])
+    result = runner.invoke(main, ["analyze", "--model", "example1", "--exact-cap", "5"])
     assert result.exit_code == 3
     lines = result.output.splitlines()
     assert lines[1] == "best bound found before giving up: 2"
-    assert lines[2] == "faulty sets visited: 2; budget units spent: 7"
+    assert lines[2] == "faulty sets visited: 2; budget units spent: 6"
     assert lines[3] == "faulty set behind that bound: {2}"
 
 

@@ -201,19 +201,20 @@ def test_budget_exhaustion_reports_partial(example1):
 
 
 def test_value_skips_the_witness_rebuild(example1):
-    # six units find the value; the witness rebuild needs one more
-    assert inconsistency_number(example1, budget=6) == 2
+    # five units find the value, the ceiling refusing a third process with no
+    # search; the witness rebuild needs one more
+    assert inconsistency_number(example1, budget=5) == 2
     with pytest.raises(SizeLimitExceeded) as err:
-        max_independent_set_witness(example1, budget=6)
+        max_independent_set_witness(example1, budget=5)
     assert err.value.partial_maximum == 2
-    assert max_independent_set_witness(example1, budget=7).independent_set == frozenset({0, 3})
+    assert max_independent_set_witness(example1, budget=6).independent_set == frozenset({0, 3})
 
 
 def test_budget_overrun_reports_the_best_faulty_set(example1):
     with pytest.raises(SizeLimitExceeded) as err:
         max_independent_set_witness(example1, budget=1)
     assert (err.value.partial_maximum, err.value.best_faulty_set) == (0, None)
-    for budget in (2, 6):  # bound 1, then bound 2 with a second faulty set visited
+    for budget in (2, 5):  # bound 1, then bound 2 with a second faulty set visited
         with pytest.raises(SizeLimitExceeded) as err:
             max_independent_set_witness(example1, budget=budget)
         assert err.value.best_faulty_set == frozenset({2})
@@ -238,6 +239,46 @@ def test_pruned_search_matches_brute_force(monkeypatch):
         assert inconsistency_number(m) == brute_inconsistency(m)
     # the ceiling did skip faulty sets on these models, and did not skip all
     assert verdicts.count(False) > 20 and verdicts.count(True) > 20
+
+
+def test_ceiling_refuses_only_asks_no_forced_packing_meets(monkeypatch):
+    """Every ask the volume ceiling refuses has no packing, forced processes included.
+
+    For each faulty set that reaches the ceiling, with the forced processes the
+    search passes, and each need from 1 to one more than the correct processes:
+    if the ceiling refuses the ask, no ``need`` correct processes holding every
+    forced one take pairwise-disjoint quorums outside F.
+    """
+    from kspend.fuzz import random_model
+
+    reached = []
+    volumes = trust._least_volumes
+
+    def recording_volumes(by_size, keep, correct, forced, need):
+        reached.append((by_size, keep, correct, forced))
+        return volumes(by_size, keep, correct, forced, need)
+
+    monkeypatch.setattr(trust, "_least_volumes", recording_volumes)
+    rng = random.Random(1901)
+    refusals = {True: 0, False: 0}  # by whether the ask held forced processes
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        drawn = random_model(rng, n=n)
+        faults = [rng.sample(range(n), rng.randint(1, n // 2)) for _ in range(rng.randint(2, 3))]
+        model = TrustModel.build(n, drawn.quorums, faults)
+        reached.clear()
+        inconsistency_number(model)
+        for by_size, keep, correct, forced in reached:
+            faulty = {p for p in range(n) if not keep >> p & 1}
+            rows = [[sum(1 << m for m in q - faulty) for q in model.quorums[p]] for p in correct]
+            held = [i for i, p in enumerate(correct) if forced >> p & 1]
+            most = brute_pack(rows, forced=held)
+            for need in range(1, len(correct) + 2):
+                asked = volumes(by_size, keep, correct, forced, need)
+                if not trust._ceiling_admits(asked, keep, need):
+                    assert not len(held) <= need <= most, (model, faulty, held, need)
+                    refusals[bool(held)] += 1
+    assert refusals[True] > 20 and refusals[False] > 20
 
 
 def _extension_rules(model, lam):
@@ -270,11 +311,11 @@ def test_extension_rules_match_brute_force(monkeypatch):
     from kspend.fuzz import random_model
 
     ceilinged, forced_calls = [], []
-    admits, can_pack = trust._ceiling_admits, trust._Packer.can_pack
+    volumes, can_pack = trust._least_volumes, trust._Packer.can_pack
 
-    def recording_admits(by_size, keep, correct, need):
+    def recording_volumes(by_size, keep, correct, forced, need):
         ceilinged.append(keep)
-        return admits(by_size, keep, correct, need)
+        return volumes(by_size, keep, correct, forced, need)
 
     def recording_can_pack(self, pids, need, used, failed, budget, forced=0):
         if forced:
@@ -287,7 +328,7 @@ def test_extension_rules_match_brute_force(monkeypatch):
             forced_calls.append(units[0][1] < units[1][1])
         return can_pack(self, pids, need, used, failed, budget, forced)
 
-    monkeypatch.setattr(trust, "_ceiling_admits", recording_admits)
+    monkeypatch.setattr(trust, "_least_volumes", recording_volumes)
     monkeypatch.setattr(trust._Packer, "can_pack", recording_can_pack)
     rng = random.Random(18)
     rules = []
@@ -351,9 +392,11 @@ def test_search_units_are_pinned():
     The cases are the uniform ladder through (11, 7, 3), 40 asymmetric
     n = 14-16 models of the analyze benchmark's fixed draw and 40 small fuzz
     models. The units were counted on the search that bounds each faulty set
-    by its one-fault extensions and forces their processes into the packing;
-    a change to them is a change of how much the search visits, made on
-    purpose by regenerating the file with ``tests/pinned_search_units.py``.
+    by its one-fault extensions, forces their processes into the packing, and
+    asks its volume ceiling, which counts the forced processes, before every
+    packing search; a change to them is a change of how much the search
+    visits, made on purpose by regenerating the file with
+    ``tests/pinned_search_units.py``.
     """
     cases = json.loads(UNITS_FILE.read_text())
     assert len(cases) == 85
