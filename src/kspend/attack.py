@@ -34,7 +34,6 @@ def synthesize_multispend_attack(
     *,
     sig_scheme: str = "ed25519",
     key_seed: bytes = DEFAULT_KEY_SEED,
-    budget: int | None = None,
     messages: Sequence[bytes] | None = None,
 ) -> Scenario:
     """Build the scenario described above, or raise NotVulnerable.
@@ -43,8 +42,7 @@ def synthesize_multispend_attack(
     bound is only attained with an empty faulty set, which leaves no
     process that could issue conflicting spends.
     """
-    kw = {} if budget is None else {"budget": budget}
-    witness = max_independent_set_witness(model, **kw)
+    witness = max_independent_set_witness(model)
     targets = sorted(witness.independent_set)
     k = len(targets)
     if k < 2:

@@ -20,7 +20,6 @@ from .ledger import (
     History,
     Transaction,
     conflicts,
-    encode_tx,
     inputs_incoming,
     is_genesis,
     tx_ref,
@@ -104,7 +103,7 @@ def initial_state(
 
 
 def _sign(state: ProcessState, tx: Transaction) -> bytes:
-    return state.scheme.sign(state.keys, encode_tx(tx))
+    return state.scheme.sign(state.keys, tx.encoding)
 
 
 def _verify(state: ProcessState, signer: int, tx: Transaction, sig: bytes | None) -> bool:
@@ -113,7 +112,7 @@ def _verify(state: ProcessState, signer: int, tx: Transaction, sig: bytes | None
     public = state.public_keys.get(signer)
     if public is None:
         return False
-    return verify_once(state.scheme, state.verified, public, encode_tx(tx), sig)
+    return verify_once(state.scheme, state.verified, public, tx.encoding, sig)
 
 
 def _others(state: ProcessState) -> frozenset[int]:
@@ -215,12 +214,6 @@ def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> b
     return True
 
 
-def _absorb_request(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list[Message]) -> None:
-    """Store a signed request if new, then echo it if its inputs are fresh."""
-    if record_request(state, tx, issuer_sig):
-        _try_echo(state, tx, issuer_sig, out)
-
-
 def detect_conflicts(state: ProcessState) -> list[Message]:
     """Turn conflicting signed requests recorded since the last call into accusations.
 
@@ -298,7 +291,8 @@ def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
     out: list[Message] = [
         Message(kind=REQ, sender=state.pid, recipients=_others(state), tx=tx, issuer_sig=sig)
     ]
-    _absorb_request(state, tx, sig, out)
+    if record_request(state, tx, sig):
+        _try_echo(state, tx, sig, out)
     _settle(state, out)
     return out
 
@@ -317,7 +311,8 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
     if not _verify(state, tx.issuer, tx, msg.issuer_sig):
         return []
     out: list[Message] = []
-    _absorb_request(state, tx, msg.issuer_sig, out)
+    if record_request(state, tx, msg.issuer_sig):
+        _try_echo(state, tx, msg.issuer_sig, out)
     _settle(state, out)
     return out
 

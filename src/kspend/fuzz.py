@@ -29,6 +29,8 @@ _VULNERABLE_UNIFORM = tuple(
     for f in range(1, q)
     if (n - f) // (q - f) >= 2
 )
+_VULNERABLE_TRIES = 200
+_GRANT = 10  # what the funding root pays each process of a random scenario
 
 
 def random_model(rng: random.Random, n: int | None = None) -> TrustModel:
@@ -68,14 +70,12 @@ def _hub_and_blocks_model(rng: random.Random) -> TrustModel:
     return TrustModel.build(n, systems, [[hub]])
 
 
-def random_vulnerable_model(
-    rng: random.Random, *, min_k: int = 2, max_tries: int = 200
-) -> tuple[TrustModel, int]:
-    """A model whose bound is at least min_k and attainable with real faults.
+def random_vulnerable_model(rng: random.Random) -> tuple[TrustModel, int]:
+    """A model whose bound is at least 2 and attainable with real faults.
 
     Returns the model together with its inconsistency number.
     """
-    for _ in range(max_tries):
+    for _ in range(_VULNERABLE_TRIES):
         style = rng.random()
         if style < 0.4:
             n, q, f = rng.choice(_VULNERABLE_UNIFORM)
@@ -89,30 +89,25 @@ def random_vulnerable_model(
             expected = None
         witness = max_independent_set_witness(model)
         k = len(witness.independent_set)
-        if k >= min_k and witness.faulty_set:
+        if k >= 2 and witness.faulty_set:
             if expected is not None and k != expected:
                 raise AssertionError(
                     f"uniform bound mismatch: formula {expected}, search {k}"
                 )
             return model, k
-    raise RuntimeError(f"no vulnerable model found in {max_tries} tries")
+    raise RuntimeError(f"no vulnerable model found in {_VULNERABLE_TRIES} tries")
 
 
-def _split_grant(rng: random.Random, issuer: int, grant: int, n: int) -> dict[int, int]:
+def _split_grant(rng: random.Random, issuer: int, n: int) -> dict[int, int]:
     target = rng.randrange(n)
-    keep = rng.randint(0, grant - 1)
-    outputs = {target: grant - keep}
+    keep = rng.randint(0, _GRANT - 1)
+    outputs = {target: _GRANT - keep}
     if keep:
         outputs[issuer] = outputs.get(issuer, 0) + keep
     return outputs
 
 
-def random_scenario(
-    rng: random.Random,
-    *,
-    model: TrustModel | None = None,
-    grant: int = 10,
-) -> Scenario:
+def random_scenario(rng: random.Random, *, model: TrustModel | None = None) -> Scenario:
     """Honest transfers plus equivocating-send scripts under a random schedule."""
     model = model if model is not None else random_model(rng)
     n = model.n
@@ -121,12 +116,12 @@ def random_scenario(
     if len(faulty) == n:
         faulty = faulty - {max(faulty)}
     correct = [p for p in range(n) if p not in faulty]
-    genesis = genesis_tx({p: grant for p in range(n)})
+    genesis = genesis_tx({p: _GRANT for p in range(n)})
     genesis_ref = tx_ref(genesis)
 
     actions: list[tuple[int, Transaction]] = []
     for issuer in rng.sample(correct, min(len(correct), rng.randint(0, 3))):
-        outputs = _split_grant(rng, issuer, grant, n)
+        outputs = _split_grant(rng, issuer, n)
         first = make_tx(issuer, outputs, [genesis_ref], timestamp=1)
         actions.append((issuer, first))
         change = dict(first.outputs).get(issuer, 0)
@@ -149,7 +144,7 @@ def random_scenario(
         for _ in range(12):
             if len(spends) == want:
                 break
-            outputs = _split_grant(rng, bad, grant, n)
+            outputs = _split_grant(rng, bad, n)
             message = rng.randbytes(4) if rng.random() < 0.3 else None
             spends.add(make_tx(bad, outputs, [genesis_ref], timestamp=1, message=message))
         for tx in sorted(spends, key=tx_ref):

@@ -103,7 +103,6 @@ def byzantine_broadcast_scenario(
     *,
     sig_scheme: str = "ed25519",
     key_seed: bytes = DEFAULT_KEY_SEED,
-    budget: int | None = None,
 ) -> Scenario:
     """A misbehaving source tries to deliver as many distinct values as it can.
 
@@ -119,7 +118,6 @@ def byzantine_broadcast_scenario(
             model,
             sig_scheme=sig_scheme,
             key_seed=key_seed,
-            budget=budget,
             messages=payloads,
         )
     except NotVulnerable:

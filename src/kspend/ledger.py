@@ -142,11 +142,6 @@ def _encode(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-def encode_tx(tx: Transaction) -> bytes:
-    """Canonical length-prefixed encoding; the signing and hashing preimage."""
-    return tx.encoding
-
-
 @lru_cache(maxsize=4096)
 def tx_ref(tx: Transaction) -> bytes:
     """Content hash of the canonical encoding."""
@@ -187,9 +182,6 @@ def conflicting_pairs(
 class WellFormedness:
     ok: bool
     failures: tuple[tuple[str, str], ...] = ()
-
-    def clause_failed(self, clause: str) -> bool:
-        return any(c == clause for c, _ in self.failures)
 
 
 @dataclass(frozen=True)
@@ -263,25 +255,22 @@ def inputs_incoming(tx: Transaction, resolver: History) -> bool:
 
 
 def _well_formed_base(h: History) -> WellFormedness:
+    """Every clause but the timestamps'; a transaction's failures come in reference order."""
     failures: list[tuple[str, str]] = []
-    roots = [tx for tx in h.txs if is_genesis(tx)]
+    ordered = sorted(h.txs, key=tx_ref)
+    roots = [tx for tx in ordered if is_genesis(tx)]
     if len(roots) != 1:
         failures.append(("t-validity", f"expected exactly one funding root, found {len(roots)}"))
 
-    regular = [tx for tx in h.txs if not is_genesis(tx)]
-    unresolved: set[Transaction] = set()
-    for tx in regular:
+    for tx in ordered:
+        if is_genesis(tx):
+            continue
         missing = [ref for ref in tx.inputs if ref not in h.by_ref]
         if missing:
-            unresolved.add(tx)
             failures.append(
                 ("completeness", f"{tx_ref(tx).hex()[:12]} has {len(missing)} unresolved input(s)")
             )
-
-    for tx in regular:
-        if tx in unresolved:
-            continue
-        if not inputs_incoming(tx, h):
+        elif not inputs_incoming(tx, h):
             failures.append(
                 ("t-validity", f"{tx_ref(tx).hex()[:12]} spends an input not paid to its issuer")
             )
@@ -319,7 +308,7 @@ def _well_formed_base(h: History) -> WellFormedness:
                 path.pop()
         return False
 
-    for tx in sorted(h.txs, key=tx_ref):
+    for tx in ordered:
         if tx not in state and cyclic(tx):
             failures.append(("cycle-freedom", f"{tx_ref(tx).hex()[:12]} sits on a dependency cycle"))
             break
@@ -329,16 +318,13 @@ def _well_formed_base(h: History) -> WellFormedness:
 
 def _timestamp_failures(h: History) -> list[tuple[str, str]]:
     failures = []
+    stamps = {(tx.issuer, tx.timestamp) for tx in h.txs if not is_genesis(tx)}
     for tx in sorted(h.txs, key=tx_ref):
         if is_genesis(tx):
             continue
         if tx.timestamp is None:
             failures.append(("predecessor", f"{tx_ref(tx).hex()[:12]} carries no timestamp"))
-        elif tx.timestamp > 1 and not any(
-            other.issuer == tx.issuer and other.timestamp == tx.timestamp - 1
-            for other in h.txs
-            if not is_genesis(other)
-        ):
+        elif tx.timestamp > 1 and (tx.issuer, tx.timestamp - 1) not in stamps:
             failures.append(
                 (
                     "predecessor",
@@ -369,10 +355,6 @@ def _as_histories(collection: Mapping[int, History] | Iterable[History]) -> list
     return seen
 
 
-def _canonical_order(histories: list[History]) -> list[History]:
-    return sorted(histories, key=lambda h: tuple(sorted(h.by_ref)))
-
-
 def _compatible(a: History, b: History) -> bool:
     # pairwise cluster condition: per-issuer projections form a chain
     for issuer in a.issuers | b.issuers:
@@ -385,26 +367,25 @@ def _compatible(a: History, b: History) -> bool:
 
 def minimum_cover(
     collection: Mapping[int, History] | Iterable[History],
-    *,
-    cap: int = COVER_EXACT_CAP,
-    check_timestamps: bool = True,
 ) -> tuple[tuple[History, ...], ...]:
     """Fewest clusters whose union is the collection.
 
     A cluster is a set of histories whose per-issuer projections are
     pairwise comparable, so clusters are exactly the cliques of the
     compatibility graph and the minimum cover is an exact minimum clique
-    cover (computed as a coloring of the incompatibility graph).
+    cover (computed as a coloring of the incompatibility graph). Every
+    history must be well formed, timestamps included, and there may be at
+    most ``COVER_EXACT_CAP`` distinct ones.
     """
-    histories = _canonical_order(_as_histories(collection))
+    histories = sorted(_as_histories(collection), key=lambda h: tuple(sorted(h.by_ref)))
     for h in histories:
-        if not well_formed_report(h, check_timestamps=check_timestamps).ok:
+        if not well_formed_report(h, check_timestamps=True).ok:
             raise MalformedHistory("cover analysis requires well-formed histories")
     m = len(histories)
     if m == 0:
         return ()
-    if m > cap:
-        raise SizeLimitExceeded(f"cover search capped at {cap} histories, got {m}")
+    if m > COVER_EXACT_CAP:
+        raise SizeLimitExceeded(f"cover search capped at {COVER_EXACT_CAP} histories, got {m}")
 
     incompat = [set() for _ in range(m)]
     for i in range(m):
@@ -482,10 +463,6 @@ def encode_accusation(acc: Accusation) -> bytes:
     return b"".join(parts)
 
 
-def accusation_digest(acc: Accusation) -> bytes:
-    return acc.digest
-
-
 def verify_acc(
     acc: Accusation, public_keys: Mapping[int, bytes], scheme, verified: set | None = None
 ) -> bool:
@@ -504,7 +481,7 @@ def verify_acc(
     by_issuer: dict[int, list[Transaction]] = {}
     for tx, sig in acc.proof:
         public = public_keys.get(tx.issuer)
-        if public is None or not verify_once(scheme, verified, public, encode_tx(tx), sig):
+        if public is None or not verify_once(scheme, verified, public, tx.encoding, sig):
             return False
         if tx.issuer not in acc.accused:
             return False

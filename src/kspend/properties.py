@@ -29,17 +29,6 @@ from .trust import is_live
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import RunReport
 
-PROPERTY_NAMES = (
-    "validity",
-    "k-spending",
-    "eventual-conviction",
-    "accuracy",
-    "agreement",
-    "integrity",
-    "monotonicity",
-    "termination",
-)
-
 HOLDS = "holds"
 VIOLATED = "violated"
 VACUOUS = "vacuous"
@@ -230,6 +219,7 @@ _CHECKERS = {
     "monotonicity": (_monotonicity, False),
     "termination": (_termination, True),
 }
+PROPERTY_NAMES = tuple(_CHECKERS)
 
 
 def evaluate_properties(
@@ -251,7 +241,6 @@ def evaluate_properties(
         _, public_keys = keychain(scenario.model.n, scheme, scenario.key_seed)
     ctx = _Context(report, set() if verified is None else verified, public_keys)
     verdicts = {}
-    for name in PROPERTY_NAMES:
-        check, liveness = _CHECKERS[name]
+    for name, (check, liveness) in _CHECKERS.items():
         verdicts[name] = _CAPPED if liveness and not report.quiescent else check(ctx) or _HOLDS
     return verdicts

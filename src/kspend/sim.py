@@ -15,6 +15,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from . import engine as eng
@@ -31,7 +32,6 @@ from .ledger import (
     Accusation,
     History,
     Transaction,
-    accusation_digest,
     genesis_tx,
     is_genesis,
     make_tx,
@@ -208,7 +208,7 @@ def _payload_id(msg: eng.Message) -> str:
     if msg.tx is not None:
         return tx_ref(msg.tx).hex()
     if msg.accusation is not None:
-        return accusation_digest(msg.accusation).hex()
+        return msg.accusation.digest.hex()
     return ""
 
 
@@ -783,7 +783,7 @@ def report_to_obj(report: RunReport) -> dict:
             for p, h in report.histories.items()
         },
         "accusations": {
-            str(p): [_accusation_to_obj(a) for a in sorted(accs, key=accusation_digest)]
+            str(p): [_accusation_to_obj(a) for a in sorted(accs, key=attrgetter("digest"))]
             for p, accs in report.accusations.items()
         },
         "gamma_series": list(report.gamma_series),

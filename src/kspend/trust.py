@@ -159,20 +159,22 @@ class _Exhausted(Exception):
     pass
 
 
-def _least_volumes(by_size: list, keep: int, correct: list, forced: int, need: int) -> list:
+def _least_volumes(
+    by_size: list, keep: int, correct: list, forced: int, need: int, least_size: int
+) -> list:
     """Entry ``j`` bounds from below how many keep processes a packing of ``j`` rows that
     holds every ``forced`` row covers. One call per faulty set.
 
     Pairwise-disjoint reduced quorums cover the sum of their sizes, and each is at least
     its owner's smallest reduced size: the forced rows' sizes, plus the ``j - |forced|``
     smallest of the others'. Under |forced| rows no packing holds them all, so those entries
-    exceed the keep set. A quorum loses at most |F| members, so ``j`` times the least quorum
-    size less |F| is a weaker bound that needs no scan; it is returned when it already
-    refuses ``need``. ``by_size`` holds each process's (size, mask) pairs smallest first, so
-    a scan stops once ``size - |F|`` cannot beat its least."""
+    exceed the keep set. A quorum loses at most |F| members, so ``j`` times ``least_size``,
+    the model's least quorum size, less |F| is a weaker bound that needs no scan; it is
+    returned when it already refuses ``need``. ``by_size`` holds each process's (size, mask)
+    pairs smallest first, so a scan stops once ``size - |F|`` cannot beat its least."""
     room = keep.bit_count()
     dropped = len(by_size) - room
-    floor = min((by_size[p][0][0] for p in correct), default=0) - dropped
+    floor = least_size - dropped
     if need * floor > room:
         return [j * floor for j in range(len(correct) + 1)]
     held, free = 0, []
@@ -301,6 +303,7 @@ def _lambda_and_witness(
     masks = [[sum(1 << member for member in q) for q in system] for system in model.quorums]
     packer = _Packer(masks, model.n)
     by_size = [sorted((mask.bit_count(), mask) for mask in row) for row in masks]
+    least_size = min(row[0][0] for row in by_size)
     everyone = (1 << model.n) - 1
     # faulty mask of a set still to visit -> (best after its first extension) << n | extensions
     bounds: dict[int, int] = {}
@@ -314,7 +317,7 @@ def _lambda_and_witness(
             keep = everyone & ~faulty
             if bound >= best and forced.bit_count() <= best + 1:  # λ(F) <= bound + 1
                 correct = [p for p in model.processes() if keep >> p & 1]
-                volumes = _least_volumes(by_size, keep, correct, forced, best + 1)
+                volumes = _least_volumes(by_size, keep, correct, forced, best + 1, least_size)
                 failed: dict[tuple[int, int], int] | None = None
                 while _ceiling_admits(volumes, keep, best + 1):
                     if failed is None:  # the first ask the ceiling admits sets the set up

@@ -7,6 +7,7 @@ from kspend.errors import MalformedHistory
 from kspend.ledger import (
     History,
     Transaction,
+    WellFormedness,
     _as_histories,
     genesis_tx,
     is_genesis,
@@ -68,6 +69,11 @@ def undelivered_live(report: RunReport) -> tuple[int, ...]:
         for p in sorted(report.histories)
         if is_live(scenario.model, p, scenario.faulty_set) and p not in delivered
     )
+
+
+def clause_failed(report: WellFormedness, clause: str) -> bool:
+    """Is ``clause`` among the report's failed clauses?"""
+    return any(c == clause for c, _ in report.failures)
 
 
 def balance(h: History, pid: int) -> int:

@@ -3,9 +3,10 @@
 Each case records the value and the units that ``inconsistency_number``
 and ``max_independent_set_witness`` charge: the uniform ladder through
 (11, 7, 3), the first 40 asymmetric models of the analyze benchmark's
-fixed draw and 40 small fuzz models. Any change to the file is a change
-of how much the exact search visits. Regenerate it only when that is the
-intent:
+fixed draw, 40 small fuzz models and, last, the bundled example1, whose
+figures the budget tests read (``example1_case``). Any change to the file
+is a change of how much the exact search visits. Regenerate it only when
+that is the intent:
 
     PYTHONPATH=src python tests/pinned_search_units.py > tests/data/pinned_search_units.json
 """
@@ -54,6 +55,15 @@ def unit_cases():
     for _ in range(40):
         model = fuzz.random_model(rng)
         yield {"kind": "fuzz", "model": model_to_obj(model)}, model
+    model = trust.load_builtin_model("example1")
+    yield {"kind": "example1", "model": model_to_obj(model)}, model
+
+
+def example1_case() -> dict:
+    """The pinned case of example1: its value and the units each search charges."""
+    case = json.loads(UNITS_FILE.read_text())[-1]
+    assert case["kind"] == "example1"
+    return case
 
 
 def measured(case, model) -> dict:

@@ -16,7 +16,7 @@ import pathlib
 import sys
 
 from kspend.crypto import keychain, make_scheme
-from kspend.ledger import Accusation, History, encode_tx, make_tx, tx_ref
+from kspend.ledger import Accusation, History, make_tx, tx_ref
 from kspend.properties import HOLDS, evaluate_properties
 from kspend.trust import is_live
 
@@ -97,7 +97,7 @@ def directed(report):
     keys, _ = keychain(scenario.model.n, scheme, scenario.key_seed)
     a = make_tx(1, {0: 10}, [root], timestamp=1)
     b = make_tx(1, {2: 10}, [root], timestamp=1)
-    signed = [(tx, scheme.sign(keys[1], encode_tx(tx))) for tx in (a, b)]
+    signed = [(tx, scheme.sign(keys[1], tx.encoding)) for tx in (a, b)]
     wrong = Accusation.build({1}, signed)
     fake = Accusation.build({1}, [(tx, b"\x00" * 8) for tx in (a, b)])
     store = report.accusations[first] | {wrong, fake}

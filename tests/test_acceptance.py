@@ -25,7 +25,6 @@ from kspend.kcb import (
 )
 from kspend.ledger import (
     History,
-    encode_tx,
     genesis_tx,
     make_tx,
     minimum_cover,
@@ -314,7 +313,7 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
                     message=rng.randbytes(2),
                 )
                 pool.append(tx)
-                eng.record_request(state, tx, scheme.sign(keys[issuer], encode_tx(tx)))
+                eng.record_request(state, tx, scheme.sign(keys[issuer], tx.encoding))
         got = {frozenset(pair) for pair in pairs_of(eng.detect_conflicts(state))}
         if got != brute_conflict_pairs(pool):
             conflict_mismatches += 1
@@ -327,7 +326,7 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
         while shuffled:
             chunk = order_rng.randint(1, 3)
             for tx in shuffled[:chunk]:
-                eng.record_request(state, tx, scheme.sign(keys[tx.issuer], encode_tx(tx)))
+                eng.record_request(state, tx, scheme.sign(keys[tx.issuer], tx.encoding))
             del shuffled[:chunk]
             found = pairs_of(eng.detect_conflicts(state))
             keys_in_order = [(a.issuer, tx_ref(a), tx_ref(b)) for a, b in found]

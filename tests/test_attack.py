@@ -1,10 +1,11 @@
 """Synthesized multi-spend attack scenarios."""
 
 import dataclasses
+import functools
 
 import pytest
 
-from kspend import engine as eng, trust
+from kspend import attack, engine as eng, trust
 from kspend.attack import synthesize_multispend_attack
 from kspend.errors import NotVulnerable, SizeLimitExceeded
 from kspend.kcb import byzantine_broadcast_scenario
@@ -74,9 +75,11 @@ def test_bound_without_faulty_witness_is_rejected():
         synthesize_multispend_attack(model)
 
 
-def test_attack_respects_search_budget(example1):
+def test_attack_respects_search_budget(example1, monkeypatch):
+    budgeted = functools.partial(trust.max_independent_set_witness, budget=1)
+    monkeypatch.setattr(attack, "max_independent_set_witness", budgeted)
     with pytest.raises(SizeLimitExceeded):
-        synthesize_multispend_attack(example1, budget=1)
+        synthesize_multispend_attack(example1)
 
 
 def test_synthesized_scenario_carries_its_bound(example1, attack_corpus, monkeypatch):

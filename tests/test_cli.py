@@ -22,6 +22,8 @@ from kspend.errors import SchemaError
 from kspend.sim import load_scenario
 from kspend.trust import model_to_obj, parse_model, uniform_model
 
+from pinned_search_units import example1_case
+
 
 @pytest.fixture()
 def runner():
@@ -130,13 +132,15 @@ def test_analyze_budget_exceeded_reports_the_best_faulty_set(runner):
     # bound 0 has no faulty set behind it, so none is printed
     result = runner.invoke(main, ["analyze", "--model", "example1", "--exact-cap", "1"])
     assert "faulty set behind" not in result.output
-    # five units reach bound 2 on the first faulty set, {2}, then overrun on
-    # the second: the line names the set behind the bound, not the last one
-    result = runner.invoke(main, ["analyze", "--model", "example1", "--exact-cap", "5"])
+    # the value's units reach bound 2 on the first faulty set, {2}, and visit
+    # the second; the witness rebuild then overruns: the line names the set
+    # behind the bound, not the last one
+    units = example1_case()["value_units"]
+    result = runner.invoke(main, ["analyze", "--model", "example1", "--exact-cap", str(units)])
     assert result.exit_code == 3
     lines = result.output.splitlines()
     assert lines[1] == "best bound found before giving up: 2"
-    assert lines[2] == "faulty sets visited: 2; budget units spent: 6"
+    assert lines[2] == f"faulty sets visited: 2; budget units spent: {units + 1}"
     assert lines[3] == "faulty set behind that bound: {2}"
 
 
@@ -423,3 +427,17 @@ def _run_table(command):
     )
     assert done.returncode == 0, (command, done.stderr)
     assert "n=10 q=7" in done.stdout, command
+
+
+# --- pinned output -----------------------------------------------------------
+
+
+def test_cli_output_is_pinned():
+    """Every pinned invocation exits and prints exactly as ``pinned_cli.json`` says."""
+    from pinned_cli import CLI_FILE, cli_cases
+
+    pinned = json.loads(CLI_FILE.read_text())
+    got = list(cli_cases())
+    assert [case["args"] for case in got] == [case["args"] for case in pinned]
+    moved = [" ".join(g["args"]) for g, p in zip(got, pinned) if g != p]
+    assert not moved, f"CLI output moved for {moved}"

@@ -11,7 +11,7 @@ import pytest
 from kspend import engine as eng
 from kspend.crypto import keychain, make_scheme
 from kspend.errors import InvalidTransaction
-from kspend.ledger import Accusation, encode_tx, genesis_tx, make_tx, tx_ref
+from kspend.ledger import Accusation, genesis_tx, make_tx, tx_ref
 
 N = 3
 SCHEME = make_scheme("hmac")
@@ -88,7 +88,7 @@ def test_handlers_are_deterministic_and_pure_on_rejects():
     assert eng.handle_message(s, bad) == []
     assert s == before
 
-    sig = SCHEME.sign(KEYS[0], encode_tx(tx))
+    sig = SCHEME.sign(KEYS[0], tx.encoding)
     good = eng.Message(kind=eng.REQ, sender=0, recipients=frozenset({1}), tx=tx,
                        issuer_sig=sig)
     a, b = copy.deepcopy(s), copy.deepcopy(s)
@@ -134,7 +134,7 @@ def test_transfer_never_self_conflicts():
 def test_used_input_guard_blocks_second_echo():
     s = fresh(1)
     a, b = pay(0, {1: 10}), pay(0, {2: 10})
-    sig = lambda t: SCHEME.sign(KEYS[0], encode_tx(t))
+    sig = lambda t: SCHEME.sign(KEYS[0], t.encoding)
     req = lambda t: eng.Message(kind=eng.REQ, sender=0, recipients=frozenset({1}),
                                 tx=t, issuer_sig=sig(t))
     first = eng.handle_message(s, req(a))
@@ -152,7 +152,7 @@ def test_used_input_guard_blocks_second_echo():
 def test_mutant_echoes_conflicting_requests():
     s = fresh(1, mutant=True)
     a, b = pay(0, {1: 10}), pay(0, {2: 10})
-    sig = lambda t: SCHEME.sign(KEYS[0], encode_tx(t))
+    sig = lambda t: SCHEME.sign(KEYS[0], t.encoding)
     for t in (a, b):
         out = eng.handle_message(
             s,
@@ -172,8 +172,8 @@ def test_mutant_echoes_conflicting_requests():
 def test_echo_requires_both_signatures():
     s = fresh(2)
     tx = pay(0, {1: 10})
-    issuer_sig = SCHEME.sign(KEYS[0], encode_tx(tx))
-    echo_sig = SCHEME.sign(KEYS[1], encode_tx(tx))
+    issuer_sig = SCHEME.sign(KEYS[0], tx.encoding)
+    echo_sig = SCHEME.sign(KEYS[1], tx.encoding)
     wrong_echoer = eng.Message(kind=eng.ECHO, sender=1, recipients=frozenset({2}),
                                tx=tx, issuer_sig=issuer_sig, echoer_sig=issuer_sig)
     assert eng.handle_message(s, wrong_echoer) == []
@@ -192,8 +192,8 @@ def test_detect_conflicts_is_idempotent():
     s = fresh(1)
     a, b = pay(0, {1: 10}), pay(0, {2: 10})
     for t in (a, b):
-        assert eng.record_request(s, t, SCHEME.sign(KEYS[0], encode_tx(t)))
-    assert not eng.record_request(s, a, SCHEME.sign(KEYS[0], encode_tx(a)))
+        assert eng.record_request(s, t, SCHEME.sign(KEYS[0], t.encoding))
+    assert not eng.record_request(s, a, SCHEME.sign(KEYS[0], a.encoding))
     first = eng.detect_conflicts(s)
     assert len(first) == 1 and first[0].kind == eng.ACC
     assert eng.detect_conflicts(s) == []
@@ -201,7 +201,7 @@ def test_detect_conflicts_is_idempotent():
 
 
 def test_detect_conflicts_emits_only_unknown_pairs_in_order():
-    sig = lambda t: SCHEME.sign(KEYS[0], encode_tx(t))
+    sig = lambda t: SCHEME.sign(KEYS[0], t.encoding)
     a, b, c = pay(0, {1: 10}), pay(0, {2: 10}), pay(0, {0: 10})
     s = fresh(1)
     # the pair (a, b) is already known from a received accusation
@@ -222,7 +222,7 @@ def test_detect_conflicts_emits_only_unknown_pairs_in_order():
 
 def test_accusations_rebroadcast_once():
     a, b = pay(0, {1: 10}), pay(0, {2: 10})
-    sig = lambda t: SCHEME.sign(KEYS[0], encode_tx(t))
+    sig = lambda t: SCHEME.sign(KEYS[0], t.encoding)
     acc = Accusation.build({0}, [(a, sig(a)), (b, sig(b))])
     msg = eng.Message(kind=eng.ACC, sender=1, recipients=frozenset({2}), accusation=acc)
     s = fresh(2)

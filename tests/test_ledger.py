@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kspend import ledger
 from kspend.crypto import content_hash, keychain, make_scheme
 from kspend.errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
 from kspend.ledger import (
     Accusation,
     History,
     Transaction,
-    accusation_digest,
     conflicting_pairs,
     conflicts,
     encode_accusation,
-    encode_tx,
     genesis_tx,
     is_genesis,
     make_tx,
@@ -29,7 +28,7 @@ from kspend.ledger import (
     well_formed_report,
 )
 
-from helpers import balance, random_well_formed_history, spending_number
+from helpers import balance, clause_failed, random_well_formed_history, spending_number
 from oracles import brute_conflict_pairs, brute_cover_number, brute_spending_number
 
 G = genesis_tx({0: 10, 1: 5})
@@ -97,7 +96,7 @@ def test_largest_wire_values_stay_distinct_from_the_funding_root():
 def test_directly_built_transaction_rejects_bad_timestamp(timestamp):
     # timestamp 0 would encode, and so hash, like no timestamp at all
     untimed = Transaction(issuer=0, outputs=((1, 10),), inputs=(GREF,))
-    assert encode_tx(untimed) == encode_tx(make_tx(0, {1: 10}, [GREF]))
+    assert untimed.encoding == make_tx(0, {1: 10}, [GREF]).encoding
     with pytest.raises(ValueError, match="bad timestamp"):
         Transaction(issuer=0, outputs=((1, 10),), inputs=(GREF,), timestamp=timestamp)
 
@@ -154,9 +153,9 @@ def test_encoding_separates_every_field():
         spend(1, {1: 10}, [GREF]),
         spend(0, {1: 9, 0: 1}, [GREF]),
     ]
-    encodings = {encode_tx(t) for t in [base] + variants}
+    encodings = {t.encoding for t in [base] + variants}
     assert len(encodings) == len(variants) + 1
-    assert encode_tx(base) == encode_tx(spend(0, {1: 10}, [GREF]))
+    assert base.encoding == spend(0, {1: 10}, [GREF]).encoding
     assert len(tx_ref(base)) == 32
 
 
@@ -208,9 +207,9 @@ def test_copies_keep_the_encoding():
     tx = spend(0, {1: 10}, [GREF], message=b"m")
     for twin in (copy.deepcopy(tx), pickle.loads(pickle.dumps(tx)), dataclasses.replace(tx)):
         assert twin == tx and hash(twin) == hash(tx)
-        assert twin.encoding == encode_tx(tx) and tx_ref(twin) == tx_ref(tx)
+        assert twin.encoding == tx.encoding and tx_ref(twin) == tx_ref(tx)
     later = dataclasses.replace(tx, timestamp=2)
-    assert later.encoding == encode_tx(spend(0, {1: 10}, [GREF], tm=2, message=b"m"))
+    assert later.encoding == spend(0, {1: 10}, [GREF], tm=2, message=b"m").encoding
     assert later != tx
     with pytest.raises(ValueError, match="bad timestamp"):
         dataclasses.replace(tx, timestamp=0)
@@ -219,16 +218,16 @@ def test_copies_keep_the_encoding():
 def test_accusation_keeps_its_digest():
     a, b, sig, _, _ = _signed_conflict()
     acc = Accusation.build({2}, [(a, sig(a)), (b, sig(b))])
-    assert accusation_digest(acc) == content_hash(encode_accusation(acc))
+    assert acc.digest == content_hash(encode_accusation(acc))
     twin = Accusation.build({2}, [(b, sig(b)), (a, sig(a))])
     assert twin is not acc and twin == acc and hash(twin) == hash(acc)
     assert len({acc, twin}) == 1
     for copied in (copy.deepcopy(acc), pickle.loads(pickle.dumps(acc)), dataclasses.replace(acc)):
-        assert copied == acc and accusation_digest(copied) == accusation_digest(acc)
+        assert copied == acc and copied.digest == acc.digest
     wider = dataclasses.replace(acc, accused=frozenset({2, 3}))
     assert wider != acc
-    assert accusation_digest(wider) == content_hash(encode_accusation(wider))
-    assert accusation_digest(wider) != accusation_digest(acc)
+    assert wider.digest == content_hash(encode_accusation(wider))
+    assert wider.digest != acc.digest
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -278,30 +277,30 @@ def test_well_formed_happy_path():
 def test_clause_failures_are_reported_individually():
     t = spend(0, {1: 10}, [GREF])
     no_root = History.of([t])
-    assert well_formed_report(no_root).clause_failed("t-validity")
-    assert well_formed_report(no_root).clause_failed("completeness")
+    assert clause_failed(well_formed_report(no_root), "t-validity")
+    assert clause_failed(well_formed_report(no_root), "completeness")
 
     dangling = History.of([G, spend(0, {1: 10}, [b"\x01" * 32])])
-    assert well_formed_report(dangling).clause_failed("completeness")
+    assert clause_failed(well_formed_report(dangling), "completeness")
 
     # spending an input that pays someone else
     theft = History.of([G, spend(2, {0: 10}, [GREF])])
-    assert well_formed_report(theft).clause_failed("t-validity")
+    assert clause_failed(well_formed_report(theft), "t-validity")
 
     unbalanced = History.of([G, spend(0, {1: 7}, [GREF])])
-    assert well_formed_report(unbalanced).clause_failed("t-validity")
+    assert clause_failed(well_formed_report(unbalanced), "t-validity")
 
     double = History.of([G, spend(0, {1: 10}, [GREF]), spend(0, {0: 10}, [GREF])])
-    assert well_formed_report(double).clause_failed("no-conflict")
+    assert clause_failed(well_formed_report(double), "no-conflict")
 
     untimed = History.of([G, make_tx(0, {1: 10}, [GREF])])
     assert well_formed_report(untimed).ok
     report = well_formed_report(untimed, check_timestamps=True)
-    assert report.clause_failed("predecessor")
+    assert clause_failed(report, "predecessor")
 
     t1 = spend(0, {1: 4, 0: 6}, [GREF], tm=1)
     gap = History.of([G, t1, spend(0, {2: 6}, [tx_ref(t1)], tm=3)])
-    assert well_formed_report(gap, check_timestamps=True).clause_failed("predecessor")
+    assert clause_failed(well_formed_report(gap, check_timestamps=True), "predecessor")
 
 
 def test_dependency_chain_as_long_as_a_long_run_is_well_formed():
@@ -309,6 +308,23 @@ def test_dependency_chain_as_long_as_a_long_run_is_well_formed():
     for t in range(3000):
         chain.append(spend(0, {0: 1}, [tx_ref(chain[-1])], tm=t + 1))
     assert well_formed_report(History.of(chain)).ok
+    # each transaction's predecessor is found in one set, not by a scan of the history
+    assert well_formed_report(History.of(chain), check_timestamps=True).ok
+    gap = chain[:1500] + [spend(0, {0: 1}, [tx_ref(chain[1499])], tm=1501)]
+    failures = well_formed_report(History.of(gap), check_timestamps=True).failures
+    assert [clause for clause, _ in failures] == ["predecessor"]
+
+
+def test_failures_come_in_reference_order():
+    """A history's failures name its transactions in reference order, not set order."""
+    dangling = [spend(0, {1: 10}, [content_hash(bytes([i]))]) for i in range(6)]
+    theft = [spend(2, {0: 10}, [GREF], message=bytes([i])) for i in range(4)]
+    failures = well_formed_report(History.of([G, *dangling, *theft])).failures
+    expected = sorted((tx_ref(tx).hex()[:12], "completeness" if tx in dangling else "t-validity")
+                      for tx in dangling + theft)
+    assert [(detail[:12], clause) for clause, detail in failures if clause != "no-conflict"] == (
+        expected
+    )
 
 
 def test_cycle_is_found_at_any_depth_and_named_by_its_first_reacher():
@@ -425,16 +441,16 @@ def test_cover_matches_partition_oracle():
         assert len(minimum_cover(histories)) == brute_cover_number(histories)
 
 
-def test_cover_cap_and_timestamp_gate():
+def test_cover_cap_and_timestamp_gate(monkeypatch):
     many = [History.of([G, fork(i)]) for i in range(13)]
     with pytest.raises(SizeLimitExceeded):
         minimum_cover(many)
-    assert len(minimum_cover(many, cap=16)) == 13
+    monkeypatch.setattr(ledger, "COVER_EXACT_CAP", 16)  # read at call time
+    assert len(minimum_cover(many)) == 13
 
     untimed = History.of([G, make_tx(0, {1: 10}, [GREF])])
     with pytest.raises(MalformedHistory):
         minimum_cover([untimed])
-    assert len(minimum_cover([untimed], check_timestamps=False)) == 1
 
 
 def test_cover_of_empty_collection():
@@ -449,7 +465,7 @@ def _signed_conflict(issuer=2, scheme_name="hmac"):
     keys, directory = keychain(4, scheme, b"acc-test")
     a = spend(issuer, {1: 10}, [GREF])
     b = spend(issuer, {0: 10}, [GREF])
-    sig = lambda t: scheme.sign(keys[issuer], encode_tx(t))
+    sig = lambda t: scheme.sign(keys[issuer], t.encoding)
     return a, b, sig, directory, scheme
 
 

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from kspend.crypto import keychain, make_scheme
-from kspend.ledger import Accusation, History, encode_tx, make_tx, tx_ref
+from kspend.ledger import Accusation, History, make_tx, tx_ref
 from kspend.properties import (
     HOLDS,
     PROPERTY_NAMES,
@@ -158,7 +158,7 @@ def test_accusing_a_correct_process_violates_accuracy(demo_report):
     b = make_tx(1, {2: 10}, [genesis_ref], timestamp=1)
     acc = Accusation.build(
         {1},
-        [(a, scheme.sign(keys[1], encode_tx(a))), (b, scheme.sign(keys[1], encode_tx(b)))],
+        [(a, scheme.sign(keys[1], a.encoding)), (b, scheme.sign(keys[1], b.encoding))],
     )
     assert 1 not in scenario.faulty_set
     r.accusations = {p: s | {acc} for p, s in r.accusations.items()}

@@ -19,7 +19,7 @@ import pytest
 import kspend
 from kspend import crypto, engine as eng, ledger, properties, sim
 from kspend.crypto import keychain, make_scheme
-from kspend.ledger import encode_tx, genesis_tx, make_tx, tx_ref
+from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import report_from_obj, report_to_obj
 from kspend.trust import load_builtin_model
 
@@ -41,7 +41,7 @@ def sharing_states(scheme_name):
                              verified=verified)
         for p in range(N)
     }
-    sign = lambda signer, tx: scheme.sign(keys[signer], encode_tx(tx))
+    sign = lambda signer, tx: scheme.sign(keys[signer], tx.encoding)
     return states, sign, verified
 
 
@@ -230,7 +230,7 @@ def test_each_triple_verified_once_per_run(monkeypatch):
     # a loaded report is a re-run: each distinct triple once, the run's own
     _, public_keys = keychain(scenario.model.n, make_scheme("ed25519"), scenario.key_seed)
     triples = {
-        (public_keys[tx.issuer], encode_tx(tx), sig)
+        (public_keys[tx.issuer], tx.encoding, sig)
         for store in report.accusations.values() for acc in store for tx, sig in acc.proof
     }
     run_made = set(made)
@@ -286,7 +286,7 @@ def test_shared_memo_does_not_vouch_for_a_tampered_accusation(monkeypatch):
     (tx, sig), *rest = genuine.proof
     forged = ledger.Accusation.build(genuine.accused, [(tx, tampered(sig)), *rest])
     _, public_keys = keychain(scenario.model.n, make_scheme("ed25519"), scenario.key_seed)
-    assert (public_keys[tx.issuer], encode_tx(tx), sig) in memo
+    assert (public_keys[tx.issuer], tx.encoding, sig) in memo
     store = report.accusations[first] - {genuine} | {forged}
     report = dataclasses.replace(report, accusations={**report.accusations, first: store})
 

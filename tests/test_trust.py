@@ -31,7 +31,7 @@ from oracles import (
     build_trust_graph,
     subset_independence_number,
 )
-from pinned_search_units import UNITS_FILE, charged_units
+from pinned_search_units import UNITS_FILE, charged_units, example1_case
 
 
 def tiny(n, quorums, faults):
@@ -201,20 +201,23 @@ def test_budget_exhaustion_reports_partial(example1):
 
 
 def test_value_skips_the_witness_rebuild(example1):
-    # five units find the value, the ceiling refusing a third process with no
-    # search; the witness rebuild needs one more
-    assert inconsistency_number(example1, budget=5) == 2
+    # the value's units find it, the ceiling refusing a third process with no
+    # search; the witness rebuild needs more
+    case = example1_case()
+    assert inconsistency_number(example1, budget=case["value_units"]) == 2
     with pytest.raises(SizeLimitExceeded) as err:
-        max_independent_set_witness(example1, budget=5)
+        max_independent_set_witness(example1, budget=case["value_units"])
     assert err.value.partial_maximum == 2
-    assert max_independent_set_witness(example1, budget=6).independent_set == frozenset({0, 3})
+    witness = max_independent_set_witness(example1, budget=case["witness_units"])
+    assert witness.independent_set == frozenset({0, 3})
 
 
 def test_budget_overrun_reports_the_best_faulty_set(example1):
     with pytest.raises(SizeLimitExceeded) as err:
         max_independent_set_witness(example1, budget=1)
     assert (err.value.partial_maximum, err.value.best_faulty_set) == (0, None)
-    for budget in (2, 5):  # bound 1, then bound 2 with a second faulty set visited
+    # bound 1, then bound 2 with a second faulty set visited
+    for budget in (2, example1_case()["value_units"]):
         with pytest.raises(SizeLimitExceeded) as err:
             max_independent_set_witness(example1, budget=budget)
         assert err.value.best_faulty_set == frozenset({2})
@@ -254,9 +257,9 @@ def test_ceiling_refuses_only_asks_no_forced_packing_meets(monkeypatch):
     reached = []
     volumes = trust._least_volumes
 
-    def recording_volumes(by_size, keep, correct, forced, need):
-        reached.append((by_size, keep, correct, forced))
-        return volumes(by_size, keep, correct, forced, need)
+    def recording_volumes(by_size, keep, correct, forced, need, least_size):
+        reached.append((by_size, keep, correct, forced, least_size))
+        return volumes(by_size, keep, correct, forced, need, least_size)
 
     monkeypatch.setattr(trust, "_least_volumes", recording_volumes)
     rng = random.Random(1901)
@@ -268,13 +271,13 @@ def test_ceiling_refuses_only_asks_no_forced_packing_meets(monkeypatch):
         model = TrustModel.build(n, drawn.quorums, faults)
         reached.clear()
         inconsistency_number(model)
-        for by_size, keep, correct, forced in reached:
+        for by_size, keep, correct, forced, least_size in reached:
             faulty = {p for p in range(n) if not keep >> p & 1}
             rows = [[sum(1 << m for m in q - faulty) for q in model.quorums[p]] for p in correct]
             held = [i for i, p in enumerate(correct) if forced >> p & 1]
             most = brute_pack(rows, forced=held)
             for need in range(1, len(correct) + 2):
-                asked = volumes(by_size, keep, correct, forced, need)
+                asked = volumes(by_size, keep, correct, forced, need, least_size)
                 if not trust._ceiling_admits(asked, keep, need):
                     assert not len(held) <= need <= most, (model, faulty, held, need)
                     refusals[bool(held)] += 1
@@ -313,9 +316,9 @@ def test_extension_rules_match_brute_force(monkeypatch):
     ceilinged, forced_calls = [], []
     volumes, can_pack = trust._least_volumes, trust._Packer.can_pack
 
-    def recording_volumes(by_size, keep, correct, forced, need):
+    def recording_volumes(by_size, keep, correct, forced, need, least_size):
         ceilinged.append(keep)
-        return volumes(by_size, keep, correct, forced, need)
+        return volumes(by_size, keep, correct, forced, need, least_size)
 
     def recording_can_pack(self, pids, need, used, failed, budget, forced=0):
         if forced:
@@ -390,8 +393,8 @@ def test_search_units_are_pinned():
     """Value and units charged, with and without the witness, on fixed models.
 
     The cases are the uniform ladder through (11, 7, 3), 40 asymmetric
-    n = 14-16 models of the analyze benchmark's fixed draw and 40 small fuzz
-    models. The units were counted on the search that bounds each faulty set
+    n = 14-16 models of the analyze benchmark's fixed draw, 40 small fuzz
+    models and example1. The units were counted on the search that bounds each faulty set
     by its one-fault extensions, forces their processes into the packing, and
     asks its volume ceiling, which counts the forced processes, before every
     packing search; a change to them is a change of how much the search
@@ -399,7 +402,7 @@ def test_search_units_are_pinned():
     ``tests/pinned_search_units.py``.
     """
     cases = json.loads(UNITS_FILE.read_text())
-    assert len(cases) == 85
+    assert len(cases) == 86
     for case in cases:
         model = uniform_model(*case["uniform"]) if "uniform" in case else parse_model(case["model"])
         value, units = charged_units(inconsistency_number, model)
