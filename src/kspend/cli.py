@@ -237,7 +237,7 @@ def _emit_report(report: RunReport, as_json: bool) -> None:
     for pid in sorted(report.histories):
         hist = report.histories[pid]
         accs = len(report.accusations[pid])
-        click.echo(f"process {pid}: {len(hist.txs)} accepted, {accs} accusations")
+        click.echo(f"process {pid}: {len(hist)} accepted, {accs} accusations")
     if report.delivered is not None:
         for pid in sorted(report.delivered):
             value = report.delivered[pid]

@@ -186,28 +186,31 @@ class WellFormedness:
 
 @dataclass(frozen=True)
 class History:
-    """A set of transactions containing the funding root.
+    """A set of transactions containing the funding root, as one table.
 
-    ``by_ref`` indexes ``txs`` by reference; it is built once by ``of`` and
-    extended by ``with_tx``, and takes no part in equality or hashing.
+    ``by_ref`` maps each reference to its transaction in the order added:
+    ``with_tx`` puts its transaction last, so a grown history's last
+    entries are the ones it gained. Iteration follows that order; equality
+    and the hash ignore it.
     """
 
-    txs: frozenset[Transaction]
-    by_ref: dict[bytes, Transaction] = field(compare=False, repr=False)
+    by_ref: dict[bytes, Transaction]
 
     @staticmethod
     def of(txs: Iterable[Transaction]) -> "History":
-        txs = frozenset(txs)
-        return History(txs, {tx_ref(tx): tx for tx in txs})
+        return History({tx_ref(tx): tx for tx in txs})
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.by_ref))
 
     def __contains__(self, tx: Transaction) -> bool:
-        return tx in self.txs
+        return self.by_ref.get(tx_ref(tx)) == tx
 
     def __iter__(self) -> Iterator[Transaction]:
-        return iter(self.txs)
+        return iter(self.by_ref.values())
 
     def __len__(self) -> int:
-        return len(self.txs)
+        return len(self.by_ref)
 
     def resolve(self, ref: bytes) -> Transaction:
         try:
@@ -216,9 +219,7 @@ class History:
             raise UnresolvedInput(f"no transaction with reference {ref.hex()[:16]}…") from None
 
     def with_tx(self, tx: Transaction) -> "History":
-        by_ref = dict(self.by_ref)
-        by_ref[tx_ref(tx)] = tx
-        return History(self.txs | {tx}, by_ref)
+        return History({**self.by_ref, tx_ref(tx): tx})
 
     @cached_property
     def _base_report(self) -> WellFormedness:
@@ -226,12 +227,12 @@ class History:
 
     @cached_property
     def issuers(self) -> frozenset[int]:
-        return frozenset(tx.issuer for tx in self.txs if not is_genesis(tx))
+        return frozenset(tx.issuer for tx in self if not is_genesis(tx))
 
 
 def projection(h: History, issuer: int) -> frozenset[Transaction]:
     """The fragment of ``h`` issued by one process."""
-    return frozenset(tx for tx in h.txs if tx.issuer == issuer and not is_genesis(tx))
+    return frozenset(tx for tx in h if tx.issuer == issuer and not is_genesis(tx))
 
 
 def in_value(tx: Transaction, resolver: History) -> int:
@@ -257,7 +258,7 @@ def inputs_incoming(tx: Transaction, resolver: History) -> bool:
 def _well_formed_base(h: History) -> WellFormedness:
     """Every clause but the timestamps'; a transaction's failures come in reference order."""
     failures: list[tuple[str, str]] = []
-    ordered = sorted(h.txs, key=tx_ref)
+    ordered = sorted(h, key=tx_ref)
     roots = [tx for tx in ordered if is_genesis(tx)]
     if len(roots) != 1:
         failures.append(("t-validity", f"expected exactly one funding root, found {len(roots)}"))
@@ -279,7 +280,7 @@ def _well_formed_base(h: History) -> WellFormedness:
                 ("t-validity", f"{tx_ref(tx).hex()[:12]} breaks value conservation")
             )
 
-    for a, b in conflicting_pairs(h.txs):
+    for a, b in conflicting_pairs(h):
         failures.append(
             ("no-conflict", f"{tx_ref(a).hex()[:12]} and {tx_ref(b).hex()[:12]} share an input")
         )
@@ -318,8 +319,8 @@ def _well_formed_base(h: History) -> WellFormedness:
 
 def _timestamp_failures(h: History) -> list[tuple[str, str]]:
     failures = []
-    stamps = {(tx.issuer, tx.timestamp) for tx in h.txs if not is_genesis(tx)}
-    for tx in sorted(h.txs, key=tx_ref):
+    stamps = {(tx.issuer, tx.timestamp) for tx in h if not is_genesis(tx)}
+    for tx in sorted(h, key=tx_ref):
         if is_genesis(tx):
             continue
         if tx.timestamp is None:
@@ -345,14 +346,8 @@ def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFor
 
 def _as_histories(collection: Mapping[int, History] | Iterable[History]) -> list[History]:
     if isinstance(collection, Mapping):
-        items = [collection[k] for k in sorted(collection)]
-    else:
-        items = list(collection)
-    seen: list[History] = []
-    for h in items:
-        if h not in seen:
-            seen.append(h)
-    return seen
+        collection = [collection[k] for k in sorted(collection)]
+    return list(dict.fromkeys(collection))
 
 
 def _compatible(a: History, b: History) -> bool:

@@ -116,7 +116,7 @@ def _eventual_conviction(ctx: _Context) -> Verdict | None:
     """Every correct process holding one side of a conflicting pair has both accused."""
     holders: dict[Transaction, set[int]] = {}
     for p in ctx.correct:
-        for tx in ctx.report.histories[p].txs:
+        for tx in ctx.report.histories[p]:
             holders.setdefault(tx, set()).add(p)
     for a, b in conflicting_pairs(holders):
         refs = {tx_ref(a), tx_ref(b)}

@@ -15,6 +15,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -321,12 +322,12 @@ class _Runtime:
 
     # --- effects --------------------------------------------------------
 
-    def note_acceptances(self, pid: int, added: Iterable[Transaction]) -> tuple[str, ...]:
+    def note_acceptances(self, before: History, after: History) -> tuple[str, ...]:
+        # a handler only appends to the history, so what it accepted is the tail
+        added = islice(reversed(after.by_ref.values()), len(after) - len(before))
         refs = []
         for tx in sorted(added, key=tx_ref):
             refs.append(tx_ref(tx).hex())
-            if is_genesis(tx):
-                continue
             for ref in tx.inputs:
                 bucket = self.spends.setdefault((tx.issuer, ref), set())
                 bucket.add(tx_ref(tx))
@@ -336,15 +337,15 @@ class _Runtime:
 
     def apply(self, pid: int, fn, *args) -> tuple[tuple[str, ...], tuple[str, ...]]:
         state = self.engines[pid]
-        before_hist = state.history.txs
+        before = state.history
         out = fn(state, *args)
         new_acc: tuple[str, ...] = ()
         if out:
             payloads = [self.enqueue(msg) for msg in out]
             # every ACC a handler returns carries an accusation it newly stored
             new_acc = tuple(sorted(p for msg, p in zip(out, payloads) if msg.kind == eng.ACC))
-        after = state.history.txs
-        accepted = () if after is before_hist else self.note_acceptances(pid, after - before_hist)
+        after = state.history
+        accepted = () if after is before else self.note_acceptances(before, after)
         return accepted, new_acc
 
     # --- scheduling -----------------------------------------------------
@@ -438,7 +439,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
         for p in rt.correct:
             mine = [
                 tx
-                for tx in histories[p].txs
+                for tx in histories[p]
                 if tx.issuer == scenario.kcb_source and genesis_ref in tx.inputs
             ]
             if mine:
@@ -543,11 +544,17 @@ def _int(value, what: str, *, optional: bool = False) -> int | None:
 
 
 def _key(token: str, what: str) -> int:
-    """A process id written as a JSON object key."""
+    """A process id as a JSON object key, spelled as str() spells it: "03" or "+3" aliases "3"."""
     try:
-        return int(token)
+        if str(int(token)) == token:
+            return int(token)
     except ValueError:
-        raise SchemaError(f"{what} must be an integer, got {token!r}") from None
+        pass
+    raise SchemaError(f"{what} must be a plain decimal integer, got {token!r}")
+
+
+def _amounts(obj: dict, what: str) -> dict[int, int]:
+    return {_key(p, f"{what} process id"): _int(a, f"{what} amount") for p, a in obj.items()}
 
 
 def _obj(value, what: str) -> dict:
@@ -573,7 +580,7 @@ def _tx_from_spec(spec: dict, table: dict[str, bytes], default_tm: int) -> Trans
         raise SchemaError("transaction spec must be an object")
     try:
         issuer = _int(spec["issuer"], "transaction issuer")
-        outputs = {int(p): _int(a, "output amount") for p, a in spec.get("outputs", {}).items()}
+        outputs = _amounts(spec.get("outputs", {}), "output")
         message = spec.get("message")
         if message is not None:
             message = message.encode() if not _is_hex(message) else bytes.fromhex(message)
@@ -617,9 +624,7 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     if not isinstance(genesis_outputs, dict):
         raise SchemaError("genesis must map process ids to amounts")
     try:
-        genesis = genesis_tx(
-            {int(p): _int(a, "genesis amount") for p, a in genesis_outputs.items()}
-        )
+        genesis = genesis_tx(_amounts(genesis_outputs, "genesis"))
     except ValueError as exc:
         raise SchemaError(f"bad genesis: {exc}") from None
 
@@ -779,7 +784,7 @@ def report_to_obj(report: RunReport) -> dict:
         "trace": [list(rec) for rec in report.trace],
         "trace_hash": report.trace_hash,
         "histories": {
-            str(p): [tx_to_obj(tx) for tx in sorted(h.txs, key=tx_ref)]
+            str(p): [tx_to_obj(h.by_ref[ref]) for ref in sorted(h.by_ref)]
             for p, h in report.histories.items()
         },
         "accusations": {

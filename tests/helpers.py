@@ -80,8 +80,8 @@ def balance(h: History, pid: int) -> int:
     """Received minus spent; never negative on a well-formed history."""
     if not h._base_report.ok:
         raise MalformedHistory("balance requires a well-formed history")
-    received = sum(tx.pays(pid) for tx in h.txs)
-    spent = sum(out_value(tx) for tx in h.txs if tx.issuer == pid and not is_genesis(tx))
+    received = sum(tx.pays(pid) for tx in h)
+    spent = sum(out_value(tx) for tx in h if tx.issuer == pid and not is_genesis(tx))
     return received - spent
 
 
@@ -97,7 +97,7 @@ def spending_number(collection) -> int:
             raise MalformedHistory("spending number requires well-formed histories")
     spenders: dict[tuple[int, bytes], set[bytes]] = {}
     for h in histories:
-        for tx in h.txs:
+        for tx in h:
             if is_genesis(tx):
                 continue
             for ref in tx.inputs:

@@ -90,7 +90,7 @@ def brute_spending_number(histories) -> int:
     """Double loop over the pooled transactions, counting spends per input."""
     pool = set()
     for h in histories:
-        pool |= set(h.txs)
+        pool |= set(h)
     best = 0
     for tx in pool:
         for ref in tx.inputs:
@@ -102,12 +102,12 @@ def brute_spending_number(histories) -> int:
 
 def compatible_pair(a: History, b: History) -> bool:
     # genesis has a negative issuer and never counts toward projections
-    issuers = {tx.issuer for tx in a.txs} | {tx.issuer for tx in b.txs}
+    issuers = {tx.issuer for tx in a} | {tx.issuer for tx in b}
     for issuer in issuers:
         if issuer < 0:
             continue
-        fa = {tx for tx in a.txs if tx.issuer == issuer}
-        fb = {tx for tx in b.txs if tx.issuer == issuer}
+        fa = {tx for tx in a if tx.issuer == issuer}
+        fb = {tx for tx in b if tx.issuer == issuer}
         if not (fa <= fb or fb <= fa):
             return False
     return True
@@ -167,8 +167,8 @@ def brute_eventual_conviction(report) -> str:
     correct = sorted(report.histories)
     for p in correct:
         for q in correct:
-            for a in report.histories[p].txs:
-                for b in report.histories[q].txs:
+            for a in report.histories[p]:
+                for b in report.histories[q]:
                     if a == b or a.issuer != b.issuer or not set(a.inputs) & set(b.inputs):
                         continue
                     for side in (p, q):

@@ -49,7 +49,7 @@ def tamperings(report):
         ref = tx_ref(tx)
         holder = next((p for p in live if p != issuer and ref in report.histories[p].by_ref), None)
         if holder is not None:
-            kept = History.of(t for t in report.histories[holder].txs if tx_ref(t) != ref)
+            kept = History.of(t for t in report.histories[holder] if tx_ref(t) != ref)
             yield "drop-spend", replace(report, histories={**report.histories, holder: kept})
     # one store stripped, for each process that has one
     for p in pids:

@@ -218,7 +218,7 @@ def test_criterion_09_cluster_analysis(fuzz_corpus):
         if report.cover < report.gamma_max:
             below_gamma += 1
         for cluster in minimum_cover(report.histories):
-            pooled = set().union(*(set(h.txs) for h in cluster))
+            pooled = set().union(*(set(h) for h in cluster))
             if not well_formed_report(History.of(pooled), check_timestamps=True).ok:
                 malformed_unions += 1
         if len(report.histories) <= 5:

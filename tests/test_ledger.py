@@ -233,16 +233,42 @@ def test_accusation_keeps_its_digest():
 @pytest.mark.parametrize("seed", range(8))
 def test_extended_index_matches_a_rebuilt_one(seed):
     rng = random.Random(seed)
-    pool = sorted(random_well_formed_history(rng).txs, key=tx_ref)
+    pool = sorted(random_well_formed_history(rng), key=tx_ref)
     pool.append(spend(0, {1: 1}, [b"\x07" * 32]))  # an unresolved input changes nothing
     h = History.of(rng.sample(pool, 1))
     for _ in range(2 * len(pool)):
         parent_index = dict(h.by_ref)
         child = h.with_tx(rng.choice(pool))
         assert h.by_ref == parent_index  # the parent's index is copied, not shared
-        assert child.by_ref == History.of(child.txs).by_ref
-        assert child == History.of(child.txs)
+        assert child.by_ref == History.of(child).by_ref
+        assert child == History.of(child)
         h = child
+
+
+def test_history_equality_and_hash_ignore_the_order_of_additions():
+    a = spend(0, {1: 10}, [GREF])
+    b = spend(1, {0: 5}, [GREF])
+    assert History.of([a, b]) == History.of([b, a])
+    assert hash(History.of([a, b])) == hash(History.of([b, a]))
+    assert History.of([G, a]) != History.of([G, b])
+    assert len({History.of([G, a, b]), History.of([b, G, a]), History.of([G, a])}) == 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_with_tx_puts_its_transaction_last(seed):
+    """The runtime reads what a handler accepted from the tail of ``by_ref``."""
+    rng = random.Random(seed)
+    txs = list(random_well_formed_history(rng))
+    grown = History.of(txs[:1])
+    for tx in txs[1:]:
+        grown = grown.with_tx(tx)
+        assert next(reversed(grown.by_ref.values())) == tx
+    assert list(grown) == txs
+    for _ in range(4):
+        rng.shuffle(txs)
+        rebuilt = History.of(txs)
+        assert list(rebuilt) == txs
+        assert rebuilt == grown and hash(rebuilt) == hash(grown)
 
 
 def test_tx_ref_cache_is_bounded():
@@ -338,7 +364,7 @@ def test_cycle_is_found_at_any_depth_and_named_by_its_first_reacher():
     tail = spend(0, {0: 1}, [tx_ref(loop[1500])], tm=1)  # reaches the loop, not on it
     clear = spend(1, {1: 5}, [GREF], tm=1)  # reaches no cycle
     txs = [G, clear, tail, *loop]
-    h = History(frozenset(txs), {**History.of(txs).by_ref, forged: loop[-1]})
+    h = History({**History.of(txs).by_ref, forged: loop[-1]})
     first = min([tail, *loop], key=tx_ref)
     detail = f"{tx_ref(first).hex()[:12]} sits on a dependency cycle"
     assert [f for f in well_formed_report(h).failures if f[0] == "cycle-freedom"] == [
@@ -365,8 +391,8 @@ def test_balance_requires_well_formedness():
 def test_balances_nonnegative_and_conserved(seed):
     h = random_well_formed_history(random.Random(seed))
     assert well_formed_report(h, check_timestamps=True).ok
-    g = next(tx for tx in h.txs if is_genesis(tx))
-    pids = {p for tx in h.txs for p, _ in tx.outputs}
+    g = next(tx for tx in h if is_genesis(tx))
+    pids = {p for tx in h for p, _ in tx.outputs}
     totals = [balance(h, p) for p in pids]
     assert all(b >= 0 for b in totals)
     assert sum(totals) == out_value(g)

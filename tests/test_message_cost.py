@@ -53,7 +53,7 @@ def returns_early(state, msg) -> bool:
         return False
     if msg.kind == eng.REQ:
         return any(tx.encoding in bucket for bucket in state.requests.values())
-    return tx.encoding in state.pending or tx in state.history.txs
+    return tx.encoding in state.pending or tx in state.history
 
 
 def recorded_sig(state, tx) -> bytes | None:
@@ -239,7 +239,7 @@ def test_accepted_test_matches_history_membership(kind, guard_off):
     def check(pid, state, events):
         for tx in recorded_txs(state).values():
             fast = eng._accepted(state, tx)
-            assert fast == (tx in state.history.txs), (pid, events)
+            assert fast == (tx in state.history), (pid, events)
             outcomes[fast] += 1
 
     for i, scenario in enumerate(corpus_scenarios(10)):
@@ -257,7 +257,7 @@ def test_no_accepted_transaction_reaches_the_pending_test(monkeypatch, kind, gua
     calls = Counter()
 
     def checked(state, tx):
-        assert not eng._accepted(state, tx) and tx not in state.history.txs
+        assert not eng._accepted(state, tx) and tx not in state.history
         calls[tx.encoding in state.pending] += 1
         pend(state, tx)
 

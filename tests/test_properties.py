@@ -87,7 +87,7 @@ def test_dropping_an_accepted_transfer_violates_validity(demo_report):
         p for p in sorted(r.histories)
         if p != issuer and is_live(r.scenario.model, p, r.scenario.faulty_set)
     )
-    pruned = {t for t in r.histories[victim].txs if tx_ref(t) != tx_ref(tx)}
+    pruned = {t for t in r.histories[victim] if tx_ref(t) != tx_ref(tx)}
     r.histories = {**r.histories, victim: History.of(pruned)}
     assert evaluate_properties(r)["validity"].status == VIOLATED
 
@@ -203,14 +203,14 @@ def test_store_diverging_from_trace_violates_monotonicity(demo_report):
 def test_withheld_transaction_violates_termination(probe_report):
     r = clone(probe_report)
     accepted = next(
-        p for p in sorted(r.histories) if len(r.histories[p].txs) > 1
+        p for p in sorted(r.histories) if len(r.histories[p]) > 1
     )
-    spend = next(t for t in r.histories[accepted].txs if t.inputs)
+    spend = next(t for t in r.histories[accepted] if t.inputs)
     live_other = next(
         p for p in sorted(r.histories)
         if p != accepted
         and is_live(r.scenario.model, p, r.scenario.faulty_set)
-        and spend not in r.histories[p].txs
+        and spend not in r.histories[p]
     )
     r.accusations = {**r.accusations, live_other: frozenset()}
     assert evaluate_properties(r)["termination"].status == VIOLATED
