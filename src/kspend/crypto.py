@@ -78,19 +78,29 @@ class HmacScheme:
         return hmac.compare_digest(expect, signature)
 
 
-def verify_once(scheme, verified: set, public: bytes, message: bytes, signature: bytes) -> bool:
-    """``scheme.verify``, skipped for a triple already in ``verified``.
+@dataclass
+class Verifier:
+    """One run's signature check: its scheme, its public directory, and the
+    memo of (public key, bytes, signature) triples that passed, so each is
+    checked once per run. Only passes are memoized, so a forged signature
+    is checked (and rejected) every time it is presented. It holds no
+    private key."""
 
-    Only successful checks are added, so a forged signature is checked
-    (and rejected) every time it is presented.
-    """
-    triple = (public, message, signature)
-    if triple in verified:
+    scheme: object
+    public: dict[int, bytes]
+    verified: set[tuple[bytes, bytes, bytes]] = field(default_factory=set)
+
+    def verify(self, signer: int, message: bytes, signature: bytes | None) -> bool:
+        public = self.public.get(signer)
+        if public is None or signature is None:
+            return False
+        triple = (public, message, signature)
+        if triple in self.verified:
+            return True
+        if not self.scheme.verify(public, message, signature):
+            return False
+        self.verified.add(triple)
         return True
-    if not scheme.verify(public, message, signature):
-        return False
-    verified.add(triple)
-    return True
 
 
 _SCHEMES = {"ed25519": Ed25519Scheme(), "hmac": HmacScheme()}

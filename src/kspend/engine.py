@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import KeyPair, verify_once
+from .crypto import KeyPair, Verifier
 from .errors import InvalidTransaction
 from .ledger import (
     Accusation,
@@ -21,7 +21,6 @@ from .ledger import (
     Transaction,
     conflicts,
     inputs_incoming,
-    is_genesis,
     tx_ref,
     tx_valid,
     verify_acc,
@@ -49,8 +48,8 @@ class ProcessState:
     n: int
     quorum_masks: tuple[int, ...]  # one bitmask of members per quorum
     keys: KeyPair
-    public_keys: dict[int, bytes]  # the run's directory, shared by its processes
-    scheme: object = field(compare=False, repr=False)  # signs and verifies
+    # the run's scheme, directory and signature memo, shared by its processes
+    verifier: Verifier = field(compare=False, repr=False)
     history: History
     # per-transaction state is keyed by encoding, the transaction's identity,
     # whose hash bytes cache; per transaction, the bitmask of processes whose
@@ -59,10 +58,9 @@ class ProcessState:
     pending: dict[bytes, Transaction] = field(default_factory=dict)
     pended: bool = False  # a transaction was pended since the last settle
     # the spend index: every verified request, under each (issuer, input) it
-    # spends, with the first signature seen for it; (issuer, None) holds
-    # requests that spend nothing. An input is used once this process echoed
-    # some request in its bucket.
-    requests: dict[tuple[int, bytes | None], dict[bytes, tuple[Transaction, bytes]]] = field(
+    # spends, with the first signature seen for it. An input is used once
+    # this process echoed some request in its bucket.
+    requests: dict[tuple[int, bytes], dict[bytes, tuple[Transaction, bytes]]] = field(
         default_factory=dict
     )
     unscanned: list[Transaction] = field(default_factory=list)  # recorded since detect_conflicts
@@ -70,11 +68,6 @@ class ProcessState:
     accepted: dict[tuple[int, bytes], Transaction] = field(default_factory=dict)
     accusations: set[Accusation] = field(default_factory=set)
     disable_used_input_guard: bool = False  # test-only mutant switch
-    # (public key, signed bytes, signature) triples that passed verification;
-    # shared by every process of one run, so each is checked once per run
-    verified: set[tuple[bytes, bytes, bytes]] = field(
-        default_factory=set, compare=False, repr=False
-    )
 
 
 def initial_state(
@@ -82,37 +75,24 @@ def initial_state(
     n: int,
     quorums: tuple[frozenset[int], ...],
     keys: KeyPair,
-    public_keys: dict[int, bytes],
-    scheme,
+    verifier: Verifier,
     genesis: Transaction,
     *,
     disable_used_input_guard: bool = False,
-    verified: set[tuple[bytes, bytes, bytes]] | None = None,
 ) -> ProcessState:
     return ProcessState(
         pid=pid,
         n=n,
         quorum_masks=tuple(sum(1 << q for q in quorum) for quorum in quorums),
         keys=keys,
-        public_keys=public_keys,
-        scheme=scheme,
+        verifier=verifier,
         history=History.of([genesis]),
         disable_used_input_guard=disable_used_input_guard,
-        verified=set() if verified is None else verified,
     )
 
 
 def _sign(state: ProcessState, tx: Transaction) -> bytes:
-    return state.scheme.sign(state.keys, tx.encoding)
-
-
-def _verify(state: ProcessState, signer: int, tx: Transaction, sig: bytes | None) -> bool:
-    if sig is None:
-        return False
-    public = state.public_keys.get(signer)
-    if public is None:
-        return False
-    return verify_once(state.scheme, state.verified, public, tx.encoding, sig)
+    return state.verifier.scheme.sign(state.keys, tx.encoding)
 
 
 def _others(state: ProcessState) -> frozenset[int]:
@@ -140,10 +120,7 @@ def _ready(state: ProcessState, tx: Transaction) -> bool:
 
 
 def _accepted(state: ProcessState, tx: Transaction) -> bool:
-    # only a transaction that spends something is ever accepted, and
-    # ``accepted`` holds the accepted spend of each of its (issuer, input)
-    if not tx.inputs:
-        return False
+    # ``accepted`` holds the accepted spend of each (issuer, input)
     prior = state.accepted.get((tx.issuer, tx.inputs[0]))
     return prior is not None and prior.encoding == tx.encoding
 
@@ -155,14 +132,7 @@ def _maybe_pend(state: ProcessState, tx: Transaction) -> None:
 
 
 def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list[Message]) -> None:
-    """Echo unless tx spends nothing or some input of this issuer was already used.
-
-    A request that spends no input can never be accepted (it conserves no
-    value), and with no input that could count as used it would be echoed
-    again on every ECHO of it.
-    """
-    if not tx.inputs:
-        return
+    """Echo unless some input of this issuer was already used."""
     own = 1 << state.pid
     echoers = state.echoers
     enc = tx.encoding
@@ -198,7 +168,7 @@ def _recorded(state: ProcessState, tx: Transaction) -> tuple[Transaction, bytes]
     A request is filed under every key it spends, so its first key's bucket
     holds it exactly when it was recorded.
     """
-    bucket = state.requests.get((tx.issuer, tx.inputs[0] if tx.inputs else None))
+    bucket = state.requests.get((tx.issuer, tx.inputs[0]))
     return None if bucket is None else bucket.get(tx.encoding)
 
 
@@ -206,10 +176,9 @@ def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> b
     """Index a verified signed request; False if tx was already recorded."""
     if _recorded(state, tx):
         return False
-    keys = [(tx.issuer, ref) for ref in tx.inputs] or [(tx.issuer, None)]
     entry = (tx, issuer_sig)
-    for key in keys:
-        state.requests.setdefault(key, {})[tx.encoding] = entry
+    for ref in tx.inputs:
+        state.requests.setdefault((tx.issuer, ref), {})[tx.encoding] = entry
     state.unscanned.append(tx)
     return True
 
@@ -271,8 +240,6 @@ def can_transfer(state: ProcessState, tx: Transaction) -> bool:
 def _check_transfer(state: ProcessState, tx: Transaction) -> None:
     if tx.issuer != state.pid:
         raise InvalidTransaction(f"process {state.pid} cannot issue for {tx.issuer}")
-    if is_genesis(tx):
-        raise InvalidTransaction("the funding root cannot be reissued")
     if any(ref not in state.history.by_ref for ref in tx.inputs):
         raise InvalidTransaction("inputs must already be in the issuer's history")
     if not inputs_incoming(tx, state.history):
@@ -300,15 +267,17 @@ def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
 def handle_req(state: ProcessState, msg: Message) -> list[Message]:
     """Record and echo a new signed request.
 
-    A request already recorded can change nothing: it was offered to
+    A request that spends nothing, the funding root among them, can never
+    be accepted (it conserves no value), so it is dropped at the door. A
+    request already recorded can change nothing: it was offered to
     ``_try_echo`` when recorded, which never echoes it twice, and between
-    handlers nothing is pended or unscanned. So it returns before its
+    handlers nothing is pended or unscanned. So both return before any
     signature is checked.
     """
     tx = msg.tx
-    if tx is None or is_genesis(tx) or _recorded(state, tx):
+    if tx is None or not tx.inputs or _recorded(state, tx):
         return []
-    if not _verify(state, tx.issuer, tx, msg.issuer_sig):
+    if not state.verifier.verify(tx.issuer, tx.encoding, msg.issuer_sig):
         return []
     out: list[Message] = []
     if record_request(state, tx, msg.issuer_sig):
@@ -320,9 +289,11 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
 def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     """Count a verified echo, recording and echoing its request if new.
 
-    The echo of a pending or accepted transaction can change nothing: its
-    quorum is never read again, and its request is recorded and was offered
-    to ``_try_echo`` already. So it returns before any signature is checked.
+    The echo of a request that spends nothing is dropped, as the request
+    is. The echo of a pending or accepted transaction can change nothing:
+    its quorum is never read again, and its request is recorded and was
+    offered to ``_try_echo`` already. So both return before any signature
+    is checked.
     An issuer signature byte-identical to the one recorded with the request
     was verified, or made by this process, when it was recorded, so it is
     not checked again. Once this process has echoed tx, ``_try_echo`` finds
@@ -330,16 +301,16 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     with nothing pended or unscanned ``_settle`` does nothing.
     """
     tx = msg.tx
-    if tx is None or is_genesis(tx):
+    if tx is None or not tx.inputs:
         return []
     enc = tx.encoding
     if enc in state.pending or _accepted(state, tx):
         return []
-    if not _verify(state, msg.sender, tx, msg.echoer_sig):
+    if not state.verifier.verify(msg.sender, enc, msg.echoer_sig):
         return []
     recorded = _recorded(state, tx)
     if recorded is None or recorded[1] != msg.issuer_sig:
-        if not _verify(state, tx.issuer, tx, msg.issuer_sig):
+        if not state.verifier.verify(tx.issuer, enc, msg.issuer_sig):
             return []
     out: list[Message] = []
     echoers = state.echoers[enc] = state.echoers.get(enc, 0) | 1 << msg.sender
@@ -357,7 +328,7 @@ def handle_acc(state: ProcessState, msg: Message) -> list[Message]:
     acc = msg.accusation
     if acc is None or acc in state.accusations:
         return []
-    if not verify_acc(acc, state.public_keys, state.scheme, state.verified):
+    if not verify_acc(acc, state.verifier):
         return []
     state.accusations.add(acc)
     return [Message(kind=ACC, sender=state.pid, recipients=_others(state), accusation=acc)]

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .crypto import content_hash, verify_once
+from .crypto import Verifier, content_hash
 from .errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
 
 GENESIS_ISSUER = -1
@@ -458,25 +458,20 @@ def encode_accusation(acc: Accusation) -> bytes:
     return b"".join(parts)
 
 
-def verify_acc(
-    acc: Accusation, public_keys: Mapping[int, bytes], scheme, verified: set | None = None
-) -> bool:
+def verify_acc(acc: Accusation, verifier: Verifier) -> bool:
     """Check an accusation on evidence alone; no trust model involved.
 
     Every proof pair must be validly signed by its issuer, every issuer
     must be among the accused, and each accused process must have at least
-    two distinct pairwise-conflicting transactions in the proof. Signature
-    triples already in ``verified`` are not checked again, and those that
-    pass are added to it (see ``crypto.verify_once``).
+    two distinct pairwise-conflicting transactions in the proof. Signatures
+    go through ``verifier``, so a triple it already passed is not checked
+    again.
     """
     if not acc.accused or not acc.proof:
         return False
-    if verified is None:
-        verified = set()
     by_issuer: dict[int, list[Transaction]] = {}
     for tx, sig in acc.proof:
-        public = public_keys.get(tx.issuer)
-        if public is None or not verify_once(scheme, verified, public, tx.encoding, sig):
+        if not verifier.verify(tx.issuer, tx.encoding, sig):
             return False
         if tx.issuer not in acc.accused:
             return False

@@ -12,7 +12,7 @@ Histories are walked in reference order and accusation stores in digest
 order, so no detail depends on set iteration order.
 
 The checker only consumes reports; it deliberately knows nothing about
-scheduling so it can be replayed on deserialized reports as well.
+scheduling so it can be replayed on tampered copies, with a fresh verifier.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .crypto import keychain, make_scheme
 from .ledger import History, Transaction, conflicting_pairs, is_genesis, tx_ref, verify_acc
 from .ledger import conflicts  # noqa: F401  (unused; perfbench/spans.py wraps properties.conflicts)
 from .trust import is_live
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .crypto import Verifier
     from .sim import RunReport
 
 HOLDS = "holds"
@@ -47,11 +47,10 @@ _CAPPED = Verdict(VACUOUS, "run hit the event cap before quiescing")
 class _Context:
     """What several checkers need from one report, computed once."""
 
-    def __init__(self, report: "RunReport", verified: set, public_keys: dict[int, bytes]):
+    def __init__(self, report: "RunReport", verifier: "Verifier"):
         scenario = report.scenario
         self.report = report
-        self.verified = verified
-        self.public_keys = public_keys
+        self.verifier = verifier
         self.correct = sorted(report.histories)
         self.live = [p for p in self.correct if is_live(scenario.model, p, scenario.faulty_set)]
         actions = scenario.honest_actions
@@ -132,10 +131,9 @@ def _eventual_conviction(ctx: _Context) -> Verdict | None:
 def _accuracy(ctx: _Context) -> Verdict | None:
     """Every stored accusation verifies (each signature once) and names only faulty processes."""
     report, scenario = ctx.report, ctx.report.scenario
-    scheme = make_scheme(scenario.sig_scheme)
     for p in ctx.correct:
         for acc in sorted(report.accusations[p], key=attrgetter("digest")):
-            if not verify_acc(acc, ctx.public_keys, scheme, ctx.verified):
+            if not verify_acc(acc, ctx.verifier):
                 return Verdict(
                     VIOLATED, f"process {p} stores an accusation that fails verification"
                 )
@@ -222,24 +220,13 @@ _CHECKERS = {
 PROPERTY_NAMES = tuple(_CHECKERS)
 
 
-def evaluate_properties(
-    report: "RunReport",
-    *,
-    verified: set[tuple[bytes, bytes, bytes]] | None = None,
-    public_keys: dict[int, bytes] | None = None,
-) -> dict[str, Verdict]:
+def evaluate_properties(report: "RunReport", verifier: "Verifier") -> dict[str, Verdict]:
     """Judge every property on one report.
 
-    ``verified`` is the memo of triples that passed verification in the run
-    that made the report, and none in it is checked again; ``public_keys``
-    is that run's key directory. Any other report is judged with a fresh
-    memo and keys derived from its scenario, so every signature is checked.
+    ``verifier`` is the run's own: a signature it already passed in the run
+    that made the report is not checked again.
     """
-    scenario = report.scenario
-    if public_keys is None:
-        scheme = make_scheme(scenario.sig_scheme)
-        _, public_keys = keychain(scenario.model.n, scheme, scenario.key_seed)
-    ctx = _Context(report, set() if verified is None else verified, public_keys)
+    ctx = _Context(report, verifier)
     verdicts = {}
     for name, (check, liveness) in _CHECKERS.items():
         verdicts[name] = _CAPPED if liveness and not report.quiescent else check(ctx) or _HOLDS

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from . import engine as eng
 from . import properties as props
-from .crypto import keychain, make_scheme
+from .crypto import Verifier, keychain, make_scheme
 from .errors import (
     InvalidFaultySet,
     MalformedHistory,
@@ -110,12 +110,13 @@ class Scenario:
             raise ValueError("scenario genesis must be a funding root")
         actions = tuple(honest_actions)
         for pid, tx in actions:
-            if not 0 <= pid < model.n:
-                raise ValueError(f"honest action issuer {pid} is not a process of the model")
+            if not 0 <= tx.issuer < model.n:
+                raise ValueError(f"honest action issuer {tx.issuer} is not a process of the model")
+            if tx.issuer != pid:
+                raise ValueError(f"honest action issuer {pid} conflicts with its "
+                                 f"transaction's issuer {tx.issuer}")
             if pid in faulty:
                 raise ValueError(f"honest action issued by declared-faulty process {pid}")
-            if tx.issuer != pid:
-                raise ValueError("honest action issuer mismatch")
         sends = tuple(scripts)
         for send in sends:
             if send.sender not in faulty:
@@ -146,12 +147,11 @@ class Scenario:
 
 
 class _Delivery(NamedTuple):
-    # ordered as a tuple: by (phase, seq), and seq is unique
+    # ordered as a tuple: by (phase, msg_id, recipient), which is unique
     phase: int
-    seq: int
     msg_id: int
-    message: eng.Message
     recipient: int
+    message: eng.Message
     payload: str  # _payload_id(message), computed once per message
 
 
@@ -225,22 +225,20 @@ def _phase_of(plan: tuple[PlanRule, ...], msg: eng.Message, recipient: int) -> i
 class _Runtime:
     def __init__(self, scenario: Scenario, seed: int | None):
         self.scenario = scenario
-        self.scheme = make_scheme(scenario.sig_scheme)
-        self.keys, self.public_keys = keychain(scenario.model.n, self.scheme, scenario.key_seed)
-        self.correct = [p for p in range(scenario.model.n) if p not in scenario.faulty_set]
+        scheme = make_scheme(scenario.sig_scheme)
+        self.keys, public = keychain(scenario.model.n, scheme, scenario.key_seed)
         # one per run, never across runs; the property checker shares it too
-        self.verified: set[tuple[bytes, bytes, bytes]] = set()
+        self.verifier = Verifier(scheme, public)
+        self.correct = [p for p in range(scenario.model.n) if p not in scenario.faulty_set]
         self.engines: dict[int, eng.ProcessState] = {
             p: eng.initial_state(
                 p,
                 scenario.model.n,
                 scenario.model.quorums[p],
                 self.keys[p],
-                self.public_keys,
-                self.scheme,
+                self.verifier,
                 scenario.genesis,
                 disable_used_input_guard=scenario.disable_used_input_guard,
-                verified=self.verified,
             )
             for p in self.correct
         }
@@ -252,10 +250,9 @@ class _Runtime:
             self.rng = random.Random(self.seed_used)
         self.adversarial = sched.kind == "adversarial"
         self.plan = sched.plan if self.adversarial else ()
-        self.seq = 0
         self.msg_count = 0
-        # queued deliveries: in seq order, or under the adversarial scheduler
-        # a heap whose root, the least (phase, seq), is delivered next
+        # queued deliveries: in send order, or under the adversarial scheduler
+        # a heap whose root, the least (phase, msg_id, recipient), is delivered next
         self.deliveries: list[_Delivery] = []
         self.trace: list = []
         # per issuer, its unexecuted action indices with the next one last;
@@ -284,27 +281,24 @@ class _Runtime:
         recipients = tuple(sorted(msg.recipients - {msg.sender}))
         payload = _payload_id(msg)
         self.trace.append(("send", msg_id, msg.kind, msg.sender, recipients, payload))
-        seq = self.seq
-        self.seq += len(recipients)
         if self.adversarial:
-            for i, r in enumerate(recipients, seq):
-                d = _Delivery(_phase_of(self.plan, msg, r), i, msg_id, msg, r, payload)
+            for r in recipients:
+                d = _Delivery(_phase_of(self.plan, msg, r), msg_id, r, msg, payload)
                 heapq.heappush(self.deliveries, d)
         else:
-            self.deliveries.extend(
-                [_Delivery(0, i, msg_id, msg, r, payload) for i, r in enumerate(recipients, seq)]
-            )
+            self.deliveries.extend([_Delivery(0, msg_id, r, msg, payload) for r in recipients])
         return payload
 
     def enqueue_scripts(self) -> None:
         # both schemes are deterministic: one signature per (signer, tx) serves
         # every script that carries it
         signed: dict[tuple[int, bytes], bytes] = {}
+        scheme = self.verifier.scheme
 
         def sign(pid: int, tx: Transaction) -> bytes:
             sig = signed.get((pid, tx.encoding))
             if sig is None:
-                sig = signed[pid, tx.encoding] = self.scheme.sign(self.keys[pid], tx.encoding)
+                sig = signed[pid, tx.encoding] = scheme.sign(self.keys[pid], tx.encoding)
             return sig
 
         for send in self.scenario.scripts:
@@ -364,8 +358,8 @@ class _Runtime:
 
         fifo and adversarial run the least enabled action before any
         delivery. fifo then delivers the queue head: ``enqueue`` appends in
-        increasing seq and nothing reorders the queue. adversarial delivers
-        the heap root, the least (phase, seq). random draws one of the
+        send order and nothing reorders the queue. adversarial delivers the
+        heap root, the least (phase, send order). random draws one of the
         enabled actions, in index order, or one queued delivery.
         """
         enabled = self.enabled
@@ -464,9 +458,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
         delivered=delivered,
         unexecuted_actions=tuple(sorted(idx for todo in rt.todo.values() for idx in todo)),
     )
-    report.verdicts = props.evaluate_properties(
-        report, verified=rt.verified, public_keys=rt.public_keys
-    )
+    report.verdicts = props.evaluate_properties(report, rt.verifier)
     return report
 
 
@@ -588,6 +580,8 @@ def _tx_from_spec(spec: dict, table: dict[str, bytes], default_tm: int) -> Trans
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad transaction spec: {exc}") from None
     tm = _int(spec.get("tm", spec.get("timestamp", default_tm)), "timestamp", optional=True)
+    if "timestamp" in spec and _int(spec["timestamp"], "timestamp", optional=True) != tm:
+        raise SchemaError(f"transaction tm {tm} conflicts with its timestamp {spec['timestamp']}")
     try:
         return make_tx(issuer, outputs, inputs, timestamp=tm, message=message)
     except ValueError as exc:
@@ -638,7 +632,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
                       f"honest action {idx} issuer")
         issued_counts[issuer] = issued_counts.get(issuer, 0) + 1
         tx = _tx_from_spec(body, table, default_tm=issued_counts[issuer])
-        actions.append((issuer, tx))
+        # the wrapped form names the issuer twice; Scenario.build compares them
+        actions.append((_int(spec.get("issuer", issuer), f"honest action {idx} issuer"), tx))
         table[f"action:{idx}"] = tx_ref(tx)
 
     # labelled transactions for scripts; resolve to a fixpoint so labels may
@@ -650,7 +645,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
         for label in sorted(remaining):
             try:
                 tx = _tx_from_spec(remaining[label], table, default_tm=1)
-            except SchemaError:
+            except SchemaError as exc:
+                failed = f"{label}: {exc}"
                 continue
             labelled[label] = tx
             table[f"tx:{label}"] = tx_ref(tx)
@@ -658,7 +654,7 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             del remaining[label]
             progressed = True
         if not progressed:
-            raise SchemaError(f"unresolvable transaction labels: {sorted(remaining)}")
+            raise SchemaError(f"unresolvable transaction labels: {sorted(remaining)} ({failed})")
 
     scripts: list[ScriptedSend] = []
     raw_scripts = obj.get("scripts", {})
@@ -677,6 +673,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             for send in _list(raw_scripts, "scripts")
         ]
     for sender, send in items:
+        if _int(send.get("sender", sender), "script sender") != sender:
+            raise SchemaError(f"script of sender {sender} says sender {send['sender']}")
         tx_spec = send.get("tx")
         if isinstance(tx_spec, str):
             key = tx_spec[3:] if tx_spec.startswith("tx:") else tx_spec

@@ -16,7 +16,7 @@ import sys
 import kspend
 from kspend import fuzz, kcb
 from kspend.ledger import genesis_tx, make_tx, tx_ref
-from kspend.sim import SchedulerSpec, load_scenario
+from kspend.sim import PlanRule, SchedulerSpec, ScriptedSend, load_scenario
 from kspend.trust import TrustModel, load_builtin_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -45,6 +45,26 @@ def honest_ring(n: int, transfers: int) -> kspend.Scenario:
         scheduler=SchedulerSpec("fifo"),
         sig_scheme="hmac",
         name=f"ring-n{n}-t{transfers}",
+    )
+
+
+def spend_nothing_probe() -> kspend.Scenario:
+    """Faulty process 0 requests and echoes a transaction that spends nothing,
+    and requests a real spend of the funding root from two processes."""
+    genesis = genesis_tx({p: 1 for p in range(4)})
+    empty = make_tx(0, {1: 1}, [], timestamp=1)
+    spend = make_tx(0, {1: 1}, [tx_ref(genesis)], timestamp=1)
+    return kspend.Scenario.build(
+        model=TrustModel.build(4, [[range(4)]] * 4, [[0]]),
+        faulty_set={0},
+        genesis=genesis,
+        scripts=[
+            ScriptedSend(0, "REQ", empty, frozenset({1, 2, 3})),
+            ScriptedSend(0, "ECHO", empty, frozenset({1, 2, 3})),
+            ScriptedSend(0, "REQ", spend, frozenset({1, 2})),
+        ],
+        sig_scheme="hmac",
+        name="spend-nothing",
     )
 
 
@@ -81,6 +101,16 @@ def golden_cases():
         yield f"attack-{i}/ed25519", kspend.synthesize_multispend_attack(model), None
     for i, model in enumerate(models):
         yield f"kcb-byzantine-{i}", kcb.byzantine_broadcast_scenario(model), None
+    spend_nothing = spend_nothing_probe()
+    empty = spend_nothing.scripts[0].tx
+    yield "spend-nothing/fifo", spend_nothing, None
+    yield "spend-nothing/random", dataclasses.replace(
+        spend_nothing, scheduler=SchedulerSpec("random", seed=3)
+    ), None
+    plan = (PlanRule(tx_ref(empty), frozenset({2})),)
+    yield "spend-nothing/adversarial", dataclasses.replace(
+        spend_nothing, scheduler=SchedulerSpec("adversarial", plan=plan)
+    ), None
 
 
 def golden_reports():

@@ -3,6 +3,7 @@
 import random
 
 from kspend import sim
+from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.errors import MalformedHistory
 from kspend.ledger import (
     History,
@@ -15,6 +16,7 @@ from kspend.ledger import (
     out_value,
     tx_ref,
 )
+from kspend.properties import Verdict, evaluate_properties
 from kspend.sim import RunReport
 from kspend.trust import is_live
 
@@ -69,6 +71,15 @@ def undelivered_live(report: RunReport) -> tuple[int, ...]:
         for p in sorted(report.histories)
         if is_live(scenario.model, p, scenario.faulty_set) and p not in delivered
     )
+
+
+def judge(report: RunReport) -> dict[str, Verdict]:
+    """The verdicts on a report, tampered perhaps, under a fresh verifier
+    built from its scenario, so every signature is checked."""
+    scenario = report.scenario
+    scheme = make_scheme(scenario.sig_scheme)
+    _, public = keychain(scenario.model.n, scheme, scenario.key_seed)
+    return evaluate_properties(report, Verifier(scheme, public))
 
 
 def clause_failed(report: WellFormedness, clause: str) -> bool:

@@ -17,11 +17,12 @@ import sys
 
 from kspend.crypto import keychain, make_scheme
 from kspend.ledger import Accusation, History, make_tx, tx_ref
-from kspend.properties import HOLDS, evaluate_properties
+from kspend.properties import HOLDS
 from kspend.trust import is_live
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from golden_traces import golden_reports  # noqa: E402
+from helpers import judge  # noqa: E402
 
 VERDICTS_FILE = pathlib.Path(__file__).parent / "data" / "pinned_verdicts.json"
 
@@ -109,7 +110,7 @@ def directed(report):
 def _judged(report) -> dict:
     return {
         name: [v.status, v.detail]
-        for name, v in evaluate_properties(report).items()
+        for name, v in judge(report).items()
         if v.status != HOLDS
     }
 

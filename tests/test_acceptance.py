@@ -17,7 +17,7 @@ import kspend
 from kspend import engine as eng
 from kspend import trust
 from kspend.cli import main as cli_main
-from kspend.crypto import keychain, make_scheme
+from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.kcb import (
     byzantine_broadcast_scenario,
     correct_broadcast_scenario,
@@ -290,7 +290,7 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
     ]
     def fresh_state():
         return eng.initial_state(
-            3, 4, (frozenset(range(4)),), keys[3], _pub, scheme, genesis
+            3, 4, (frozenset(range(4)),), keys[3], Verifier(scheme, _pub), genesis
         )
 
     def pairs_of(msgs):

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from kspend.crypto import content_hash, keychain, make_scheme
+from kspend.crypto import Verifier, content_hash, keychain, make_scheme
 
 
 def test_content_hash_is_sha256():
@@ -53,6 +53,24 @@ def test_keychain_layout():
     sig = scheme.sign(keys[2], b"payload")
     assert scheme.verify(directory[2], b"payload", sig)
     assert not scheme.verify(directory[1], b"payload", sig)
+
+
+@pytest.mark.parametrize("name", ["ed25519", "hmac"])
+def test_verifier_memoizes_only_passes(name):
+    scheme = make_scheme(name)
+    keys, directory = keychain(2, scheme, b"run-seed")
+    verifier = Verifier(scheme, directory)
+    sig = scheme.sign(keys[0], b"payload")
+    forged = bytes([sig[0] ^ 1]) + sig[1:]
+    # an unknown signer, a missing or forged signature, or another signer fails
+    assert not verifier.verify(2, b"payload", sig)
+    assert not verifier.verify(0, b"payload", None)
+    assert not verifier.verify(0, b"payload", forged)
+    assert not verifier.verify(1, b"payload", sig)
+    assert not verifier.verified
+    assert verifier.verify(0, b"payload", sig)
+    assert verifier.verified == {(directory[0], b"payload", sig)}
+    assert not verifier.verify(0, b"payload", forged)
 
 
 def test_keypair_repr_hides_private_half():

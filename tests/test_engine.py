@@ -9,7 +9,7 @@ import copy
 import pytest
 
 from kspend import engine as eng
-from kspend.crypto import keychain, make_scheme
+from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.errors import InvalidTransaction
 from kspend.ledger import Accusation, genesis_tx, make_tx, tx_ref
 
@@ -22,7 +22,7 @@ FULL = (frozenset(range(N)),)
 
 def fresh(pid, quorums=FULL, mutant=False):
     return eng.initial_state(
-        pid, N, quorums, KEYS[pid], DIRECTORY, SCHEME, GENESIS,
+        pid, N, quorums, KEYS[pid], Verifier(SCHEME, DIRECTORY), GENESIS,
         disable_used_input_guard=mutant,
     )
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kspend import ledger
-from kspend.crypto import content_hash, keychain, make_scheme
+from kspend.crypto import Verifier, content_hash, keychain, make_scheme
 from kspend.errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
 from kspend.ledger import (
     Accusation,
@@ -506,29 +506,29 @@ def test_accusation_build_is_canonical():
 def test_verify_acc_accepts_real_evidence():
     a, b, sig, directory, scheme = _signed_conflict()
     acc = Accusation.build({2}, [(a, sig(a)), (b, sig(b))])
-    assert verify_acc(acc, directory, scheme)
+    assert verify_acc(acc, Verifier(scheme, directory))
 
 
 def test_verify_acc_rejects_bad_evidence():
     a, b, sig, directory, scheme = _signed_conflict()
     good = [(a, sig(a)), (b, sig(b))]
-    assert not verify_acc(Accusation.build({2}, []), directory, scheme)
-    assert not verify_acc(Accusation.build(set(), good), directory, scheme)
+    assert not verify_acc(Accusation.build({2}, []), Verifier(scheme, directory))
+    assert not verify_acc(Accusation.build(set(), good), Verifier(scheme, directory))
     # proof signed by a process outside the accused set
-    assert not verify_acc(Accusation.build({1}, good), directory, scheme)
+    assert not verify_acc(Accusation.build({1}, good), Verifier(scheme, directory))
     # a single transaction proves nothing
-    assert not verify_acc(Accusation.build({2}, [(a, sig(a))]), directory, scheme)
+    assert not verify_acc(Accusation.build({2}, [(a, sig(a))]), Verifier(scheme, directory))
     # forged signature
     assert not verify_acc(
-        Accusation.build({2}, [(a, sig(a)), (b, b"\x00" * 32)]), directory, scheme
+        Accusation.build({2}, [(a, sig(a)), (b, b"\x00" * 32)]), Verifier(scheme, directory)
     )
     # non-conflicting pair
     c = spend(2, {0: 10}, [tx_ref(a)])
     assert not verify_acc(
-        Accusation.build({2}, [(a, sig(a)), (c, sig(c))]), directory, scheme
+        Accusation.build({2}, [(a, sig(a)), (c, sig(c))]), Verifier(scheme, directory)
     )
     # signer unknown to the directory
-    assert not verify_acc(acc_unknown(sig), {0: directory[0]}, scheme)
+    assert not verify_acc(acc_unknown(sig), Verifier(scheme, {0: directory[0]}))
 
 
 def acc_unknown(sig):

@@ -160,7 +160,8 @@ def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off
         if msg.kind == eng.ECHO and recorded_sig(state, msg.tx) == msg.issuer_sig:
             # the issuer check is skipped: the signature was verified before
             tx = msg.tx
-            assert (state.public_keys[tx.issuer], tx.encoding, msg.issuer_sig) in state.verified
+            verifier = state.verifier
+            assert (verifier.public[tx.issuer], tx.encoding, msg.issuer_sig) in verifier.verified
             early["skipped issuer check"] += 1
         return echo_checked(state, msg) if msg.kind == eng.ECHO else handle(state, msg)
 

@@ -18,11 +18,11 @@ from kspend.properties import (
     VACUOUS,
     VIOLATED,
     Verdict,
-    evaluate_properties,
 )
 from kspend.sim import load_scenario, report_from_obj, report_to_obj, run
 from kspend.trust import is_live
 
+from helpers import judge
 from oracles import brute_eventual_conviction
 from pinned_verdicts import directed
 
@@ -57,7 +57,7 @@ def test_missing_bound_makes_k_spending_vacuous(demo_report):
     r = clone(demo_report)
     r.k_bound = None
     r.k_bound_note = "search aborted"
-    verdicts = evaluate_properties(r)
+    verdicts = judge(r)
     assert verdicts["k-spending"].status == VACUOUS
     assert "aborted" in verdicts["k-spending"].detail
 
@@ -65,7 +65,7 @@ def test_missing_bound_makes_k_spending_vacuous(demo_report):
 def test_exceeding_bound_violates_k_spending(demo_report):
     r = clone(demo_report)
     r.gamma_max = r.k_bound + 1
-    verdicts = evaluate_properties(r)
+    verdicts = judge(r)
     assert verdicts["k-spending"].status == VIOLATED
     assert str(r.k_bound) in verdicts["k-spending"].detail
 
@@ -73,7 +73,7 @@ def test_exceeding_bound_violates_k_spending(demo_report):
 def test_nonquiescent_runs_leave_liveness_open(demo_report):
     r = clone(demo_report)
     r.quiescent = False
-    verdicts = evaluate_properties(r)
+    verdicts = judge(r)
     for name in ("validity", "termination", "agreement", "eventual-conviction"):
         assert verdicts[name].status == VACUOUS, name
     for name in ("accuracy", "integrity", "monotonicity", "k-spending"):
@@ -89,7 +89,7 @@ def test_dropping_an_accepted_transfer_violates_validity(demo_report):
     )
     pruned = {t for t in r.histories[victim] if tx_ref(t) != tx_ref(tx)}
     r.histories = {**r.histories, victim: History.of(pruned)}
-    assert evaluate_properties(r)["validity"].status == VIOLATED
+    assert judge(r)["validity"].status == VIOLATED
 
 
 def test_unissued_transaction_violates_integrity(demo_report):
@@ -100,7 +100,7 @@ def test_unissued_transaction_violates_integrity(demo_report):
     assert tx_ref(forged) not in issued
     target = max(r.histories)
     r.histories = {**r.histories, target: r.histories[target].with_tx(forged)}
-    assert evaluate_properties(r)["integrity"].status == VIOLATED
+    assert judge(r)["integrity"].status == VIOLATED
 
 
 def plant_conflict(report, convicted_at=()):
@@ -126,7 +126,7 @@ def plant_conflict(report, convicted_at=()):
 def test_unconvicted_conflict_violates_eventual_conviction(demo_report):
     # a conflicting pair attributed to a process that issued nothing, with
     # all accusations stripped
-    verdicts = evaluate_properties(plant_conflict(demo_report))
+    verdicts = judge(plant_conflict(demo_report))
     assert verdicts["eventual-conviction"].status == VIOLATED
 
 
@@ -140,7 +140,7 @@ def test_conviction_check_matches_brute_oracle(fuzz_corpus, attack_corpus, demo_
     reports = list(fuzz_corpus) + [r for _k, r in attack_corpus] + planted
     statuses = []
     for r in reports:
-        got = evaluate_properties(r)["eventual-conviction"].status
+        got = judge(r)["eventual-conviction"].status
         assert got == brute_eventual_conviction(r), r.scenario.name
         statuses.append(got)
     assert statuses[-3:] == [VIOLATED, VIOLATED, HOLDS]
@@ -162,7 +162,7 @@ def test_accusing_a_correct_process_violates_accuracy(demo_report):
     )
     assert 1 not in scenario.faulty_set
     r.accusations = {p: s | {acc} for p, s in r.accusations.items()}
-    assert evaluate_properties(r)["accuracy"].status == VIOLATED
+    assert judge(r)["accuracy"].status == VIOLATED
 
 
 def test_unverifiable_accusation_violates_accuracy(demo_report):
@@ -173,7 +173,7 @@ def test_unverifiable_accusation_violates_accuracy(demo_report):
     fake = Accusation.build({1}, [(a, b"\x00" * 8), (b, b"\x00" * 8)])
     first = min(r.accusations)
     r.accusations = {**r.accusations, first: r.accusations[first] | {fake}}
-    verdicts = evaluate_properties(r)
+    verdicts = judge(r)
     assert verdicts["accuracy"].status == VIOLATED
     assert verdicts["agreement"].status == VIOLATED  # stores now differ too
 
@@ -187,7 +187,7 @@ def test_replayed_accusation_violates_monotonicity(probe_report):
     actor, digest = seeded[4], seeded[7][0]
     replay = ("deliver", 999, "ACC", 0, actor, "", (), (digest,))
     r.trace = r.trace + (replay,)
-    assert evaluate_properties(r)["monotonicity"].status == VIOLATED
+    assert judge(r)["monotonicity"].status == VIOLATED
 
 
 def test_store_diverging_from_trace_violates_monotonicity(demo_report):
@@ -197,7 +197,7 @@ def test_store_diverging_from_trace_violates_monotonicity(demo_report):
     b = make_tx(2, {1: 10}, [genesis_ref], timestamp=1)
     ghost = Accusation.build({2}, [(a, b"s1"), (b, b"s2")])
     r.accusations = {p: s | {ghost} for p, s in r.accusations.items()}
-    assert evaluate_properties(r)["monotonicity"].status == VIOLATED
+    assert judge(r)["monotonicity"].status == VIOLATED
 
 
 def test_withheld_transaction_violates_termination(probe_report):
@@ -213,7 +213,7 @@ def test_withheld_transaction_violates_termination(probe_report):
         and spend not in r.histories[p]
     )
     r.accusations = {**r.accusations, live_other: frozenset()}
-    assert evaluate_properties(r)["termination"].status == VIOLATED
+    assert judge(r)["termination"].status == VIOLATED
 
 
 # With two candidates for one detail, the detail names the first in
@@ -227,7 +227,7 @@ def test_two_unsettled_unissued_transactions_name_the_lower_reference(demo_repor
     first = min(r.histories)
     planted = sorted(set(r.histories[first].by_ref) - set(demo_report.histories[first].by_ref))
     assert len(planted) == 2
-    verdicts = evaluate_properties(r)
+    verdicts = judge(r)
     lower = planted[0].hex()[:16]
     assert verdicts["integrity"] == Verdict(
         VIOLATED, f"history of {first} credits 1 with unissued transaction {lower}"
@@ -247,5 +247,5 @@ def test_unverifiable_and_wrong_accusations_name_the_lower_digest(demo_report):
         if planted[0] is fake
         else f"process {first} accuses non-faulty processes [1]"
     )
-    assert evaluate_properties(r)["accuracy"] == Verdict(VIOLATED, expected)
+    assert judge(r)["accuracy"] == Verdict(VIOLATED, expected)
 

@@ -1,10 +1,10 @@
 """The per-run memo of verified signatures.
 
-Every process of one run shares one set of verified (public key, signed
-bytes, signature) triples. These tests give two processes one memo, let
-the first verify real evidence, then show the second tampered or
-misattributed evidence: a memo keyed on less than the whole triple would
-let it through. The scope tests count real verifications and signatures:
+Every process of one run shares one verifier, and so one set of verified
+(public key, signed bytes, signature) triples. These tests give two
+processes one verifier, let the first verify real evidence, then show the
+second tampered or misattributed evidence: a memo keyed on less than the
+whole triple would let it through. The scope tests count real verifications and signatures:
 each distinct triple is verified once per run, by the engine and the
 property checker together, each distinct (key, signed bytes) pair is
 signed once per run, and both again in the next run. The checker judges
@@ -18,12 +18,13 @@ import pytest
 
 import kspend
 from kspend import crypto, engine as eng, ledger, properties, sim
-from kspend.crypto import keychain, make_scheme
+from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import report_from_obj, report_to_obj
 from kspend.trust import load_builtin_model
 
 from golden_traces import honest_ring
+from helpers import judge
 
 N = 3
 GENESIS = genesis_tx({p: 10 for p in range(N)})
@@ -35,14 +36,10 @@ def sharing_states(scheme_name):
     """Processes 0-2 on one signature memo, with their keys."""
     scheme = make_scheme(scheme_name)
     keys, directory = keychain(N, scheme, b"memo-test")
-    verified = set()
-    states = {
-        p: eng.initial_state(p, N, FULL, keys[p], directory, scheme, GENESIS,
-                             verified=verified)
-        for p in range(N)
-    }
+    verifier = Verifier(scheme, directory)
+    states = {p: eng.initial_state(p, N, FULL, keys[p], verifier, GENESIS) for p in range(N)}
     sign = lambda signer, tx: scheme.sign(keys[signer], tx.encoding)
-    return states, sign, verified
+    return states, sign, verifier.verified
 
 
 def echoed(state, p, tx):
@@ -99,14 +96,14 @@ def test_recorded_request_vouches_only_for_its_own_issuer_signature(monkeypatch,
     good = sign(0, tx)
     assert eng.handle_message(states[2], req(0, tx, good, 2))  # recorded and echoed
     issuer_checks = []
-    real_verify = eng._verify
+    real_verify = Verifier.verify
 
-    def counting(state, signer, tx, sig):
+    def counting(self, signer, message, sig):
         if signer == tx.issuer:
             issuer_checks.append(sig)
-        return real_verify(state, signer, tx, sig)
+        return real_verify(self, signer, message, sig)
 
-    monkeypatch.setattr(eng, "_verify", counting)
+    monkeypatch.setattr(Verifier, "verify", counting)
     # another issuer signature on the recorded request is checked, and a forged one fails
     assert eng.handle_message(states[2], echo(1, tx, tampered(good), sign(1, tx), 2)) == []
     assert issuer_checks == [tampered(good)] and not echoed(states[2], 1, tx)
@@ -153,18 +150,19 @@ def test_accusation_with_misattributed_proof_rejected(scheme_name):
 def test_each_triple_verified_once_per_run(monkeypatch):
     """Real verifications equal the distinct triples presented, in every run.
 
-    The engine and the property checker share the run's memo and its keys,
-    so together they verify each distinct triple once and build one
-    keychain. A report loaded from JSON is a re-run of its scenario, so it
-    verifies the same distinct triples, each once, with one keychain.
+    The engine and the property checker share the run's verifier, so
+    together they verify each distinct triple once and build one keychain.
+    A report loaded from JSON is a re-run of its scenario, so it verifies
+    the same distinct triples, each once, with one keychain.
     Signatures are made once per signer and signed bytes, in every run.
     """
     calls, presented, signs = [], [], []
-    keychains = []  # keychain builds by phase, and what the checker is handed
+    keychains = []  # keychain builds by phase
+    built, handed = [], []  # the verifiers runs build, and those the checker is handed
     phase = {"name": "engine"}
     real_verify = crypto.Ed25519Scheme.verify
     real_sign = crypto.Ed25519Scheme.sign
-    real_once = crypto.verify_once
+    real_once = Verifier.verify
     real_evaluate = properties.evaluate_properties
     real_keychain = crypto.keychain
 
@@ -176,29 +174,32 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         signs.append((keys.public, message))
         return real_sign(self, keys, message)
 
-    def counting_once(scheme, verified, public, message, signature):
-        presented.append((phase["name"], (public, message, signature)))
-        return real_once(scheme, verified, public, message, signature)
+    def counting_once(self, signer, message, signature):
+        presented.append((phase["name"], (self.public[signer], message, signature)))
+        return real_once(self, signer, message, signature)
 
     def counting_keychain(*args):
         keychains.append(phase["name"])
         return real_keychain(*args)
 
-    def in_properties(report, **kwargs):
-        keychains.append(sorted(kwargs))
+    def building(*args):
+        built.append(Verifier(*args))
+        return built[-1]
+
+    def in_properties(report, verifier):
+        handed.append(verifier)
         phase["name"] = "properties"
         try:
-            return real_evaluate(report, **kwargs)
+            return real_evaluate(report, verifier)
         finally:
             phase["name"] = "engine"
 
     monkeypatch.setattr(crypto.Ed25519Scheme, "verify", counting_verify)
     monkeypatch.setattr(crypto.Ed25519Scheme, "sign", counting_sign)
-    monkeypatch.setattr(eng, "verify_once", counting_once)
-    monkeypatch.setattr(ledger, "verify_once", counting_once)
+    monkeypatch.setattr(Verifier, "verify", counting_once)
     monkeypatch.setattr(properties, "evaluate_properties", in_properties)
     monkeypatch.setattr(sim, "keychain", counting_keychain)
-    monkeypatch.setattr(properties, "keychain", counting_keychain)
+    monkeypatch.setattr(sim, "Verifier", building)
 
     scenario = kspend.synthesize_multispend_attack(load_builtin_model("example1"))
     assert scenario.sig_scheme == "ed25519"
@@ -208,9 +209,12 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         presented.clear()
         signs.clear()
         keychains.clear()
+        built.clear()
+        handed.clear()
         report = kspend.run(scenario)
-        # one keychain per run: the checker gets the run's memo and public keys
-        assert keychains == ["engine", ["public_keys", "verified"]]
+        # one keychain per run, and the checker gets the run's own verifier
+        assert keychains == ["engine"]
+        assert len(built) == 1 and len(handed) == 1 and handed[0] is built[0]
         assert report.quiescent and report.accusations
         assert all(v.status != "violated" for v in report.verdicts.values())
         made = [t for _p, t in calls]
@@ -236,9 +240,12 @@ def test_each_triple_verified_once_per_run(monkeypatch):
     run_made = set(made)
     calls.clear()
     keychains.clear()
+    built.clear()
+    handed.clear()
     clone = report_from_obj(json.loads(json.dumps(report_to_obj(report))))
     assert clone.verdicts == report.verdicts
-    assert keychains == ["engine", ["public_keys", "verified"]]
+    assert keychains == ["engine"]
+    assert len(built) == 1 and len(handed) == 1 and handed[0] is built[0]
     made = [t for _p, t in calls]
     assert len(made) == len(set(made)) and set(made) == run_made
     assert triples <= run_made
@@ -270,15 +277,16 @@ def test_shared_memo_does_not_vouch_for_a_tampered_accusation(monkeypatch):
     captured = {}
     real_evaluate = properties.evaluate_properties
 
-    def capturing(report, **kwargs):
-        captured.update(kwargs)
-        return real_evaluate(report, **kwargs)
+    def capturing(report, verifier):
+        captured["verifier"] = verifier
+        return real_evaluate(report, verifier)
 
     monkeypatch.setattr(properties, "evaluate_properties", capturing)
     scenario = kspend.synthesize_multispend_attack(load_builtin_model("example1"))
     assert scenario.sig_scheme == "ed25519"
     report = kspend.run(scenario)
-    memo = captured["verified"]
+    verifier = captured["verifier"]
+    memo = verifier.verified
     assert report.verdicts["accuracy"].status == properties.HOLDS
 
     first = min(p for p, store in report.accusations.items() if store)
@@ -290,8 +298,8 @@ def test_shared_memo_does_not_vouch_for_a_tampered_accusation(monkeypatch):
     store = report.accusations[first] - {genuine} | {forged}
     report = dataclasses.replace(report, accusations={**report.accusations, first: store})
 
-    shared = real_evaluate(report, verified=memo)["accuracy"]
-    fresh = real_evaluate(report)["accuracy"]
+    shared = real_evaluate(report, verifier)["accuracy"]
+    fresh = judge(report)["accuracy"]
     assert shared.status == properties.VIOLATED
     assert shared == fresh
     assert all(triple[2] != tampered(sig) for triple in memo)
@@ -299,4 +307,4 @@ def test_shared_memo_does_not_vouch_for_a_tampered_accusation(monkeypatch):
 
 def test_shared_memo_verdicts_equal_a_fresh_judgement(golden_reports):
     for name, report in golden_reports:
-        assert report.verdicts == properties.evaluate_properties(report), name
+        assert report.verdicts == judge(report), name

@@ -541,6 +541,37 @@ def test_authoring_format_labelled_scripts():
     assert scenario2.scripts[0].tx.inputs == (bytes.fromhex(hex_ref),)
 
 
+def _schema_base() -> dict:
+    return {
+        "model": model_to_obj(uniform_model(3, 2, 1)),
+        "faulty": [0],
+        "genesis": {"0": 1},
+        "honest_actions": [],
+        "transactions": {"a": {"issuer": 0, "outputs": {"1": 1}, "inputs": ["genesis"]}},
+        "scripts": {"0": [{"kind": "REQ", "tx": "a", "to": [1]}]},
+    }
+
+
+# two spellings of one field that disagree, each loaded once with one of them
+# dropped: (mutation, what the error must say)
+CONFLICTING_FIELDS = {
+    "wrapped action issuer": (
+        lambda o: o.update(honest_actions=[
+            {"issuer": 1, "tx": {"issuer": 2, "outputs": {"0": 1}, "inputs": ["genesis"]}}
+        ]),
+        "honest action issuer 1 conflicts with its transaction's issuer 2",
+    ),
+    "dict-form script sender": (
+        lambda o: o["scripts"]["0"][0].update(sender=2),
+        "script of sender 0 says sender 2",
+    ),
+    "tm and timestamp": (
+        lambda o: o["transactions"]["a"].update(tm=1, timestamp=2),
+        "transaction tm 1 conflicts with its timestamp 2",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -612,21 +643,24 @@ def test_authoring_format_labelled_scripts():
         lambda o: o["transactions"]["a"].update(outputs={"1": 1, "1 ": 4}),
         lambda o: o["transactions"]["a"].update(outputs={"01": 1}),
         lambda o: o.update(scripts={"+0": [{"kind": "REQ", "tx": "a", "to": [1]}]}),
+        *(mutate for mutate, _detail in CONFLICTING_FIELDS.values()),
     ],
 )
 def test_scenario_schema_errors(mutate):
-    model = uniform_model(3, 2, 1)
-    obj = {
-        "model": model_to_obj(model),
-        "faulty": [0],
-        "genesis": {"0": 1},
-        "honest_actions": [],
-        "transactions": {"a": {"issuer": 0, "outputs": {"1": 1}, "inputs": ["genesis"]}},
-        "scripts": {"0": [{"kind": "REQ", "tx": "a", "to": [1]}]},
-    }
+    obj = _schema_base()
     mutate(obj)
     with pytest.raises(SchemaError):
         scenario_from_obj(obj)
+
+
+@pytest.mark.parametrize("case", sorted(CONFLICTING_FIELDS))
+def test_conflicting_fields_name_both_values(case):
+    mutate, detail = CONFLICTING_FIELDS[case]
+    obj = _schema_base()
+    mutate(obj)
+    with pytest.raises(SchemaError) as err:
+        scenario_from_obj(obj)
+    assert detail in str(err.value)
 
 
 def test_load_scenario_bad_file(tmp_path):
