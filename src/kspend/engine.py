@@ -20,9 +20,8 @@ from .ledger import (
     History,
     Transaction,
     conflicts,
-    inputs_incoming,
+    tx_fault,
     tx_ref,
-    tx_valid,
     verify_acc,
 )
 
@@ -109,11 +108,8 @@ def quorum_check(state: ProcessState, tx: Transaction) -> bool:
 
 
 def _ready(state: ProcessState, tx: Transaction) -> bool:
-    # c1: inputs already accepted
-    if any(ref not in state.history.by_ref for ref in tx.inputs):
-        return False
-    # c2: a transaction at all (inputs pay the issuer) and value-conserving
-    if not inputs_incoming(tx, state.history) or not tx_valid(tx, state.history):
+    # c1 and c2: inputs already accepted, paying the issuer, value conserved
+    if tx_fault(tx, state.history) is not None:
         return False
     # c3: accepting it must not put conflicting spends in the history
     return all(state.accepted.get((tx.issuer, ref), tx) == tx for ref in tx.inputs)
@@ -229,31 +225,28 @@ def _settle(state: ProcessState, out: list[Message]) -> None:
         out.extend(detect_conflicts(state))
 
 
-def can_transfer(state: ProcessState, tx: Transaction) -> bool:
-    try:
-        _check_transfer(state, tx)
-    except InvalidTransaction:
-        return False
-    return True
-
-
-def _check_transfer(state: ProcessState, tx: Transaction) -> None:
+def _refusal(state: ProcessState, tx: Transaction) -> str | None:
+    """Why this process may not issue tx now, opening with the clause; None if it may."""
     if tx.issuer != state.pid:
-        raise InvalidTransaction(f"process {state.pid} cannot issue for {tx.issuer}")
-    if any(ref not in state.history.by_ref for ref in tx.inputs):
-        raise InvalidTransaction("inputs must already be in the issuer's history")
-    if not inputs_incoming(tx, state.history):
-        raise InvalidTransaction("every input must pay the issuer")
-    if not tx_valid(tx, state.history):
-        raise InvalidTransaction("outputs must be positive and conserve value")
+        return f"issuer: process {state.pid} cannot issue for {tx.issuer}"
+    fault = tx_fault(tx, state.history)
+    if fault is not None:
+        return f"{fault[0]}: the transaction {fault[1]}"
     signed = (state.requests.get((state.pid, ref), {}) for ref in tx.inputs)
     if any(conflicts(tx, prior) for bucket in signed for prior, _ in bucket.values()):
-        raise InvalidTransaction("conflicts with a transaction this process already signed")
+        return "already signed: the transaction conflicts with one this process signed"
+    return None
+
+
+def can_transfer(state: ProcessState, tx: Transaction) -> bool:
+    return _refusal(state, tx) is None
 
 
 def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
     """Sign and broadcast a request, processing our own copy inline."""
-    _check_transfer(state, tx)
+    refusal = _refusal(state, tx)
+    if refusal is not None:
+        raise InvalidTransaction(refusal)
     sig = _sign(state, tx)
     out: list[Message] = [
         Message(kind=REQ, sender=state.pid, recipients=_others(state), tx=tx, issuer_sig=sig)

@@ -41,10 +41,6 @@ class SizeLimitExceeded(KspendError):
         self.units_spent = units_spent
 
 
-class UnresolvedInput(KspendError):
-    """A transaction input reference does not resolve in the given history."""
-
-
 class InvalidTransaction(KspendError):
     """A transfer request violates the issuing rules."""
 

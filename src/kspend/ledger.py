@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .crypto import Verifier, content_hash
-from .errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
+from .errors import MalformedHistory, SizeLimitExceeded
 
 GENESIS_ISSUER = -1
 
@@ -212,12 +212,6 @@ class History:
     def __len__(self) -> int:
         return len(self.by_ref)
 
-    def resolve(self, ref: bytes) -> Transaction:
-        try:
-            return self.by_ref[ref]
-        except KeyError:
-            raise UnresolvedInput(f"no transaction with reference {ref.hex()[:16]}…") from None
-
     def with_tx(self, tx: Transaction) -> "History":
         return History({**self.by_ref, tx_ref(tx): tx})
 
@@ -235,24 +229,31 @@ def projection(h: History, issuer: int) -> frozenset[Transaction]:
     return frozenset(tx for tx in h if tx.issuer == issuer and not is_genesis(tx))
 
 
-def in_value(tx: Transaction, resolver: History) -> int:
-    """Total paid to the issuer by the resolved inputs."""
-    if is_genesis(tx):
-        return 0
-    return sum(resolver.resolve(ref).pays(tx.issuer) for ref in tx.inputs)
+def tx_fault(tx: Transaction, history: History) -> tuple[str, str] | None:
+    """The first clause a transaction other than the funding root breaks
+    against ``history``, as (clause, reason), or None if it may join it.
 
-
-def tx_valid(tx: Transaction, resolver: History) -> bool:
-    """Spends exactly what it received, and received something."""
-    if is_genesis(tx):
-        return True
+    Completeness: every input is in the history. Then t-validity: every
+    input pays the issuer, and the outputs are positive and spend exactly
+    what the inputs pay. Well-formedness, the engine's readiness check and
+    its transfer check all ask this one function.
+    """
+    table = history.by_ref
+    paid = 0
+    unpaid = False
+    for ref in tx.inputs:
+        source = table.get(ref)
+        if source is None:
+            return "completeness", "has an unresolved input"
+        amount = source.pays(tx.issuer)
+        unpaid = unpaid or not amount
+        paid += amount
+    if unpaid:
+        return "t-validity", "spends an input not paid to its issuer"
     out = out_value(tx)
-    return out > 0 and out == in_value(tx, resolver)
-
-
-def inputs_incoming(tx: Transaction, resolver: History) -> bool:
-    # definitional for transactions: every input must pay the issuer
-    return all(resolver.resolve(ref).pays(tx.issuer) > 0 for ref in tx.inputs)
+    if out <= 0 or out != paid:
+        return "t-validity", "breaks value conservation"
+    return None
 
 
 def _well_formed_base(h: History) -> WellFormedness:
@@ -266,19 +267,10 @@ def _well_formed_base(h: History) -> WellFormedness:
     for tx in ordered:
         if is_genesis(tx):
             continue
-        missing = [ref for ref in tx.inputs if ref not in h.by_ref]
-        if missing:
-            failures.append(
-                ("completeness", f"{tx_ref(tx).hex()[:12]} has {len(missing)} unresolved input(s)")
-            )
-        elif not inputs_incoming(tx, h):
-            failures.append(
-                ("t-validity", f"{tx_ref(tx).hex()[:12]} spends an input not paid to its issuer")
-            )
-        elif not tx_valid(tx, h):
-            failures.append(
-                ("t-validity", f"{tx_ref(tx).hex()[:12]} breaks value conservation")
-            )
+        fault = tx_fault(tx, h)
+        if fault is not None:
+            clause, reason = fault
+            failures.append((clause, f"{tx_ref(tx).hex()[:12]} {reason}"))
 
     for a, b in conflicting_pairs(h):
         failures.append(

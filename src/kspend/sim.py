@@ -62,6 +62,8 @@ class SchedulerSpec:
     def __post_init__(self):
         if self.kind not in ("fifo", "random", "adversarial"):
             raise ValueError(f"unknown scheduler kind: {self.kind!r}")
+        if self.plan and self.kind != "adversarial":
+            raise ValueError(f"a {self.kind} scheduler takes no plan")
 
 
 @dataclass(frozen=True)
@@ -640,6 +642,12 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     # reference each other in any order
     labelled: dict[str, Transaction] = {}
     remaining = dict(_obj(obj.get("transactions", {}), "transactions"))
+    for label in remaining:
+        # a label spelled like another reference would shadow it in the table
+        if label == "genesis" or label.startswith(("tx:", "action:")) or (
+            len(label) == 64 and _is_hex(label)
+        ):
+            raise SchemaError(f"transaction label {label!r} is spelled like a reference")
     while remaining:
         progressed = False
         for label in sorted(remaining):

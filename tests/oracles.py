@@ -145,6 +145,23 @@ def brute_cover_number(histories) -> int:
     return best
 
 
+def brute_tx_fault(tx, history):
+    """The first clause a transaction other than the funding root breaks
+    against ``history``, or None: every input present (completeness), then
+    every input paying the issuer, then outputs positive and equal to what
+    the inputs pay (both t-validity). Three separate scans of the
+    reference table, as the ledger once wrote the rule."""
+    table = history.by_ref
+    if any(ref not in table for ref in tx.inputs):
+        return "completeness"
+    if not all(table[ref].pays(tx.issuer) > 0 for ref in tx.inputs):
+        return "t-validity"
+    out = sum(amount for _, amount in tx.outputs)
+    if not (out > 0 and out == sum(table[ref].pays(tx.issuer) for ref in tx.inputs)):
+        return "t-validity"
+    return None
+
+
 def brute_conflict_pairs(txs):
     """Unordered conflicting pairs as frozensets of transactions."""
     pool = list(set(txs))

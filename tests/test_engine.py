@@ -97,24 +97,42 @@ def test_handlers_are_deterministic_and_pure_on_rejects():
     assert out_a == out_b and a == b
 
 
+def _signed_then_conflicting(s):
+    eng.transfer(s, pay(0, {1: 10}))
+    return pay(0, {2: 10})
+
+
+# the clause each refusal's message opens with
+REFUSED_CLAUSE = {
+    "foreign issuer": "issuer: ",
+    "genesis reissue": "issuer: ",
+    "unknown input": "completeness: ",
+    "value mismatch": "t-validity: ",
+    "empty spend": "t-validity: ",
+    "already signed": "already signed: ",
+}
+
+
 @pytest.mark.parametrize(
     "builder,reason",
     [
-        (lambda: pay(1, {0: 10}), "foreign issuer"),
-        (lambda: GENESIS, "genesis reissue"),
-        (lambda: pay(0, {1: 10}, [b"\x07" * 32]), "unknown input"),
-        (lambda: make_tx(0, {1: 5}, [tx_ref(genesis_tx({1: 5}))], timestamp=1),
+        (lambda s: pay(1, {0: 10}), "foreign issuer"),
+        (lambda s: GENESIS, "genesis reissue"),
+        (lambda s: pay(0, {1: 10}, [b"\x07" * 32]), "unknown input"),
+        (lambda s: make_tx(0, {1: 5}, [tx_ref(genesis_tx({1: 5}))], timestamp=1),
          "unknown input"),
-        (lambda: pay(0, {1: 7}), "value mismatch"),
-        (lambda: pay(0, {}), "empty spend"),
+        (lambda s: pay(0, {1: 7}), "value mismatch"),
+        (lambda s: pay(0, {}), "empty spend"),
+        (_signed_then_conflicting, "already signed"),
     ],
 )
 def test_transfer_rejections(builder, reason):
     s = fresh(0)
-    tx = builder()
+    tx = builder(s)
     assert not eng.can_transfer(s, tx), reason
-    with pytest.raises(InvalidTransaction):
+    with pytest.raises(InvalidTransaction) as err:
         eng.transfer(s, tx)
+    assert str(err.value).startswith(REFUSED_CLAUSE[reason]), str(err.value)
 
 
 def test_transfer_refuses_inputs_paying_someone_else():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kspend import ledger
 from kspend.crypto import Verifier, content_hash, keychain, make_scheme
-from kspend.errors import MalformedHistory, SizeLimitExceeded, UnresolvedInput
+from kspend.errors import MalformedHistory, SizeLimitExceeded
 from kspend.ledger import (
     Accusation,
     History,
@@ -29,7 +29,7 @@ from kspend.ledger import (
 )
 
 from helpers import balance, clause_failed, random_well_formed_history, spending_number
-from oracles import brute_conflict_pairs, brute_cover_number, brute_spending_number
+from oracles import brute_conflict_pairs, brute_cover_number, brute_spending_number, brute_tx_fault
 
 G = genesis_tx({0: 10, 1: 5})
 GREF = tx_ref(G)
@@ -286,9 +286,8 @@ def test_history_resolution():
     t = spend(0, {1: 10}, [GREF])
     h = History.of([G]).with_tx(t)
     assert t in h and len(h) == 2
-    assert h.resolve(GREF) == G
-    with pytest.raises(UnresolvedInput):
-        h.resolve(b"\x00" * 32)
+    assert h.by_ref[GREF] == G
+    assert h.by_ref.get(b"\x00" * 32) is None
     assert projection(h, 0) == frozenset({t})
     assert projection(h, 1) == frozenset()
 
@@ -351,6 +350,54 @@ def test_failures_come_in_reference_order():
     assert [(detail[:12], clause) for clause, detail in failures if clause != "no-conflict"] == (
         expected
     )
+
+
+def _admission_case(rng):
+    """A random (transaction, history) pair and the shapes it was drawn with.
+
+    The history is a funding root plus a few spends paying anyone; the
+    transaction spends some of its entries, some references it lacks, or
+    nothing, and pays out exactly what its present inputs pay, one more,
+    one less, nothing, or a random amount.
+    """
+    txs = [genesis_tx({p: rng.randint(0, 3) for p in range(3)})]
+    for tm in range(1, rng.randint(1, 5)):
+        source = tx_ref(rng.choice(txs))
+        txs.append(spend(rng.randrange(3), {p: rng.randint(0, 3) for p in range(3)}, [source], tm))
+    history = History.of(txs)
+    issuer = rng.randrange(3)
+    present = rng.sample(list(history.by_ref), rng.randint(0, len(history)))
+    absent = [content_hash(b"absent %d" % rng.randrange(9)) for _ in range(rng.choice((0, 0, 1, 2)))]
+    paid = [history.by_ref[ref].pays(issuer) for ref in present]
+    total = rng.choice((sum(paid), sum(paid) + 1, sum(paid) - 1, 0, rng.randint(0, 9)))
+    first = rng.randint(0, max(total, 0))
+    tx = spend(issuer, {0: first, rng.randint(1, 2): max(total, 0) - first}, present + absent)
+    shapes = {
+        "missing": bool(absent) and not present,
+        "partly missing": bool(absent) and bool(present),
+        "input paying someone else": not absent and 0 in paid,
+        "empty outputs": not tx.outputs,
+        "overspend": not absent and out_value(tx) > sum(paid),
+        "underspend": not absent and 0 < out_value(tx) < sum(paid),
+    }
+    return tx, history, shapes
+
+
+def test_tx_fault_matches_the_brute_rule():
+    """The ledger's admission rule names the first clause the three-scan
+    oracle names, over pairs that draw every way of breaking it."""
+    rng = random.Random(2401)
+    seen = dict.fromkeys(["missing", "partly missing", "input paying someone else",
+                          "empty outputs", "overspend", "underspend", "admitted"], 0)
+    for _ in range(2500):
+        tx, history, shapes = _admission_case(rng)
+        expected = brute_tx_fault(tx, history)
+        fault = ledger.tx_fault(tx, history)
+        assert (fault and fault[0]) == expected, (tx, list(history))
+        seen["admitted"] += expected is None
+        for shape, drawn in shapes.items():
+            seen[shape] += drawn
+    assert min(seen.values()) >= 50, seen
 
 
 def test_cycle_is_found_at_any_depth_and_named_by_its_first_reacher():

@@ -572,6 +572,17 @@ CONFLICTING_FIELDS = {
 }
 
 
+# labels spelled like another reference, which they would shadow: the
+# funding root, honest action 0, the tx: spelling of label a, a literal hash
+SHADOWING_LABELS = ["genesis", "action:0", "tx:a", "ab" * 32]
+
+
+def _labelled(label):
+    return lambda o: o["transactions"].update(
+        {label: {"issuer": 0, "outputs": {"2": 1}, "inputs": ["genesis"]}}
+    )
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -644,6 +655,11 @@ CONFLICTING_FIELDS = {
         lambda o: o["transactions"]["a"].update(outputs={"01": 1}),
         lambda o: o.update(scripts={"+0": [{"kind": "REQ", "tx": "a", "to": [1]}]}),
         *(mutate for mutate, _detail in CONFLICTING_FIELDS.values()),
+        *(_labelled(label) for label in SHADOWING_LABELS),
+        # a plan only the adversarial scheduler reads
+        lambda o: o.update(scheduler={"kind": "fifo", "plan": [{"tx": "a", "to": [1]}]}),
+        lambda o: o.update(scheduler={"kind": "random", "seed": 1,
+                                      "plan": [{"tx": "a", "to": [1]}]}),
     ],
 )
 def test_scenario_schema_errors(mutate):
@@ -661,6 +677,23 @@ def test_conflicting_fields_name_both_values(case):
     with pytest.raises(SchemaError) as err:
         scenario_from_obj(obj)
     assert detail in str(err.value)
+
+
+@pytest.mark.parametrize("label", SHADOWING_LABELS)
+def test_shadowing_labels_are_named(label):
+    obj = _schema_base()
+    _labelled(label)(obj)
+    with pytest.raises(SchemaError) as err:
+        scenario_from_obj(obj)
+    assert repr(label) in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["fifo", "random"])
+def test_a_plan_needs_the_adversarial_scheduler(kind, data_dir):
+    obj = json.loads((data_dir / "mutant_probe.json").read_text())
+    obj["scheduler"]["kind"] = kind
+    with pytest.raises(SchemaError, match=f"a {kind} scheduler takes no plan"):
+        scenario_from_obj(obj)
 
 
 def test_load_scenario_bad_file(tmp_path):
