@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import os
 import random
+import re
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
@@ -39,7 +41,14 @@ from .ledger import (
     minimum_cover,
     tx_ref,
 )
-from .trust import TrustModel, allows_faulty, inconsistency_number, model_to_obj, parse_model
+from .trust import (
+    TrustModel,
+    allows_faulty,
+    inconsistency_number,
+    load_model,
+    model_to_obj,
+    parse_model,
+)
 
 DEFAULT_KEY_SEED = b"kspend"
 DEFAULT_MAX_EVENTS = 100_000
@@ -133,6 +142,11 @@ class Scenario:
         for what, pid in recipients:
             if not 0 <= pid < model.n:
                 raise ValueError(f"{what} recipient {pid} is not a process of the model")
+        if scheduler.plan:
+            sent = {tx_ref(tx) for _, tx in actions} | {tx_ref(send.tx) for send in sends}
+            for rule in scheduler.plan:
+                if rule.tx_ref not in sent:
+                    raise ValueError(f"plan rule for {rule.tx_ref.hex()[:12]}, which nothing sends")
         source = kw.get("kcb_source")
         if source is not None and not 0 <= source < model.n:
             raise ValueError(f"kcb_source {source} is not a process of the model")
@@ -518,16 +532,23 @@ def scenario_to_obj(scenario: Scenario) -> dict:
     }
 
 
-def _resolve_ref(token, table: dict[str, bytes]) -> bytes:
+def _resolve_ref(token, names: dict[str, Transaction]) -> bytes:
     if isinstance(token, str):
-        if token in table:
-            return table[token]
+        if token in names:
+            return tx_ref(names[token])
         if len(token) == 64:
-            try:
-                return bytes.fromhex(token)
-            except ValueError:
-                pass
+            return _hex(token, "input reference")
     raise SchemaError(f"unresolvable input reference: {token!r}")
+
+
+_HEX = re.compile("(?:[0-9a-f]{2})*")
+
+
+def _hex(value, what: str) -> bytes:
+    # the one spelling bytes.hex() writes: lowercase digit pairs, nothing else
+    if not isinstance(value, str) or not _HEX.fullmatch(value):
+        raise SchemaError(f"{what} must be a hex string, got {value!r}")
+    return bytes.fromhex(value)
 
 
 def _int(value, what: str, *, optional: bool = False) -> int | None:
@@ -551,9 +572,13 @@ def _amounts(obj: dict, what: str) -> dict[int, int]:
     return {_key(p, f"{what} process id"): _int(a, f"{what} amount") for p, a in obj.items()}
 
 
-def _obj(value, what: str) -> dict:
+def _obj(value, what: str, fields: set[str] | None = None) -> dict:
+    """An object, whose keys, if ``fields`` is given, are all among them."""
     if not isinstance(value, dict):
         raise SchemaError(f"{what} must be an object, got {value!r}")
+    unknown = sorted(set(value) - fields) if fields is not None else ()
+    if unknown:
+        raise SchemaError(f"{what} takes no field {', '.join(map(repr, unknown))}")
     return value
 
 
@@ -569,53 +594,73 @@ def _ints(values, what: str) -> frozenset[int]:
     return frozenset(_int(v, what) for v in values)
 
 
-def _tx_from_spec(spec: dict, table: dict[str, bytes], default_tm: int) -> Transaction:
-    if not isinstance(spec, dict):
-        raise SchemaError("transaction spec must be an object")
+def _tx_from_spec(spec, names: dict[str, Transaction], default_tm: int) -> Transaction:
+    _obj(spec, "transaction", {"issuer", "outputs", "inputs", "timestamp", "message"})
     try:
         issuer = _int(spec["issuer"], "transaction issuer")
         outputs = _amounts(spec.get("outputs", {}), "output")
         message = spec.get("message")
         if message is not None:
-            message = message.encode() if not _is_hex(message) else bytes.fromhex(message)
-        inputs = [_resolve_ref(tok, table) for tok in spec.get("inputs", [])]
+            message = _hex(message, "transaction message")
+        inputs = [_resolve_ref(tok, names) for tok in spec.get("inputs", [])]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad transaction spec: {exc}") from None
-    tm = _int(spec.get("tm", spec.get("timestamp", default_tm)), "timestamp", optional=True)
-    if "timestamp" in spec and _int(spec["timestamp"], "timestamp", optional=True) != tm:
-        raise SchemaError(f"transaction tm {tm} conflicts with its timestamp {spec['timestamp']}")
+    tm = _int(spec.get("timestamp", default_tm), "timestamp", optional=True)
     try:
         return make_tx(issuer, outputs, inputs, timestamp=tm, message=message)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
 
-def _is_hex(s: str) -> bool:
-    if not isinstance(s, str) or len(s) % 2 or not s:
-        return False
-    try:
-        bytes.fromhex(s)
-    except ValueError:
-        return False
-    return True
+_TAGGED_FIELDS = {
+    "name", "model", "model_file", "sig_scheme", "key_seed", "max_events", "byzantine",
+}
+_SCENARIO_FIELDS = _TAGGED_FIELDS - {"byzantine"} | {
+    "faulty", "genesis", "honest_actions", "transactions", "scripts", "scheduler",
+    "kcb_source", "disable_used_input_guard",
+}
 
 
 def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
-    """Accepts both the authoring format (symbolic refs) and the resolved one."""
+    """Load a scenario as ``scenario_to_obj`` writes it, or authored with symbolic refs.
+
+    Each object has one set of field names, and any other field is refused by name.
+    """
     if not isinstance(obj, dict):
         raise SchemaError("scenario file must hold a JSON object")
     if "model" in obj:
         model = parse_model(obj["model"])
     elif "model_file" in obj:
-        import os
-
-        from .trust import load_model
-
         model = load_model(os.path.join(base_dir, obj["model_file"]))
     else:
         raise SchemaError("scenario needs a model or model_file")
+    # exact type: a null name would round-trip as null
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"scenario name must be a string, got {name!r}")
+    max_events = _int(obj.get("max_events", DEFAULT_MAX_EVENTS), "max_events")
+    keys = dict(sig_scheme=obj.get("sig_scheme", "ed25519"),
+                key_seed=_hex(obj.get("key_seed", DEFAULT_KEY_SEED.hex()), "key_seed"))
+    try:
+        if "byzantine" not in obj:
+            scenario = _authored(obj, model, name=name, max_events=max_events, **keys)
+            _obj(obj, "scenario", _SCENARIO_FIELDS)
+        elif obj["byzantine"] != "synthesized-multispend":
+            raise SchemaError(f"unknown byzantine tag: {obj['byzantine']!r}")
+        else:
+            from .attack import synthesize_multispend_attack
 
-    faulty = _ints(obj.get("faulty", []), "faulty process id")
+            attack = synthesize_multispend_attack(model, **keys)
+            scenario = replace(attack, name=name or attack.name, max_events=max_events)
+            _obj(obj, "byzantine-tagged scenario", _TAGGED_FIELDS)
+    except ValueError as exc:  # InvalidFaultySet is no ValueError: it passes as it is
+        raise SchemaError(str(exc)) from None
+    except NotVulnerable as exc:
+        raise SchemaError(f"cannot synthesize a multi-spend attack: {exc}") from None
+    return scenario
+
+
+def _authored(obj: dict, model: TrustModel, **run_fields) -> Scenario:
     genesis_outputs = obj.get("genesis", {})
     if not isinstance(genesis_outputs, dict):
         raise SchemaError("genesis must map process ids to amounts")
@@ -624,155 +669,88 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     except ValueError as exc:
         raise SchemaError(f"bad genesis: {exc}") from None
 
-    table: dict[str, bytes] = {"genesis": tx_ref(genesis)}
+    # every name a transaction goes by: genesis, action:i, and label and tx:label
+    names: dict[str, Transaction] = {"genesis": genesis}
 
     actions: list[tuple[int, Transaction]] = []
     issued_counts: dict[int, int] = {}
     for idx, spec in enumerate(_list(obj.get("honest_actions", []), "honest_actions")):
-        body = spec.get("tx", spec) if isinstance(spec, dict) else spec
-        issuer = _int(body.get("issuer") if isinstance(body, dict) else None,
-                      f"honest action {idx} issuer")
+        what = f"honest action {idx}"
+        spec = _obj(spec, what)
+        # bare, or wrapped as scenario_to_obj writes it, naming the issuer twice
+        body = _obj(spec, what, {"issuer", "tx"})["tx"] if "tx" in spec else spec
+        issuer = _int(_obj(body, f"{what} tx").get("issuer"), f"{what} issuer")
         issued_counts[issuer] = issued_counts.get(issuer, 0) + 1
-        tx = _tx_from_spec(body, table, default_tm=issued_counts[issuer])
-        # the wrapped form names the issuer twice; Scenario.build compares them
-        actions.append((_int(spec.get("issuer", issuer), f"honest action {idx} issuer"), tx))
-        table[f"action:{idx}"] = tx_ref(tx)
+        tx = _tx_from_spec(body, names, default_tm=issued_counts[issuer])
+        # Scenario.build compares the two issuers
+        actions.append((_int(spec.get("issuer", issuer), f"{what} issuer"), tx))
+        names[f"action:{idx}"] = tx
 
-    # labelled transactions for scripts; resolve to a fixpoint so labels may
-    # reference each other in any order
-    labelled: dict[str, Transaction] = {}
+    # labelled transactions; resolve to a fixpoint so labels may reference
+    # each other in any order
     remaining = dict(_obj(obj.get("transactions", {}), "transactions"))
     for label in remaining:
-        # a label spelled like another reference would shadow it in the table
+        # a label spelled like another reference would shadow it
         if label == "genesis" or label.startswith(("tx:", "action:")) or (
-            len(label) == 64 and _is_hex(label)
+            len(label) == 64 and _HEX.fullmatch(label)
         ):
             raise SchemaError(f"transaction label {label!r} is spelled like a reference")
     while remaining:
         progressed = False
         for label in sorted(remaining):
             try:
-                tx = _tx_from_spec(remaining[label], table, default_tm=1)
+                tx = _tx_from_spec(remaining[label], names, default_tm=1)
             except SchemaError as exc:
                 failed = f"{label}: {exc}"
                 continue
-            labelled[label] = tx
-            table[f"tx:{label}"] = tx_ref(tx)
-            table[label] = tx_ref(tx)
+            names[label] = names[f"tx:{label}"] = tx
             del remaining[label]
             progressed = True
         if not progressed:
             raise SchemaError(f"unresolvable transaction labels: {sorted(remaining)} ({failed})")
 
     scripts: list[ScriptedSend] = []
-    raw_scripts = obj.get("scripts", {})
-    if isinstance(raw_scripts, dict):
-        items = sorted(
-            (
-                (_key(pid, "script sender"), _obj(send, "script"))
-                for pid, sends in raw_scripts.items()
-                for send in _list(sends, f"scripts of sender {pid}")
-            ),
-            key=lambda item: item[0],
-        )
-    else:
-        items = [
-            (_int(_obj(send, "script").get("sender"), "script sender"), send)
-            for send in _list(raw_scripts, "scripts")
-        ]
-    for sender, send in items:
-        if _int(send.get("sender", sender), "script sender") != sender:
-            raise SchemaError(f"script of sender {sender} says sender {send['sender']}")
-        tx_spec = send.get("tx")
-        if isinstance(tx_spec, str):
-            key = tx_spec[3:] if tx_spec.startswith("tx:") else tx_spec
-            if key not in labelled:
-                raise SchemaError(f"script references unknown transaction {tx_spec!r}")
-            tx = labelled[key]
+    for send in _list(obj.get("scripts", []), "scripts"):
+        send = _obj(send, "script", {"sender", "kind", "to", "tx"})
+        tx = send.get("tx")
+        if isinstance(tx, str):
+            if tx not in names:
+                raise SchemaError(f"script references unknown transaction {tx!r}")
+            tx = names[tx]
         else:
-            tx = _tx_from_spec(tx_spec, table, default_tm=1)
-        kind = send.get("kind")
-        if kind not in (eng.REQ, eng.ECHO):
-            raise SchemaError(f"script kind must be REQ or ECHO, got {kind!r}")
-        scripts.append(
-            ScriptedSend(
-                sender=sender,
-                kind=kind,
-                tx=tx,
-                recipients=_ints(send.get("to", []), "script recipient"),
-            )
-        )
+            tx = _tx_from_spec(tx, names, default_tm=1)
+        sender = _int(send.get("sender"), "script sender")
+        recipients = _ints(send.get("to", []), "script recipient")
+        scripts.append(ScriptedSend(sender, send.get("kind"), tx, recipients))
 
-    sched_obj = _obj(obj.get("scheduler", {"kind": "fifo"}), "scheduler")
-    plan = tuple(
-        PlanRule(
-            tx_ref=_resolve_ref(rule.get("tx"), table),
-            recipients=_ints(rule.get("to", []), "plan recipient"),
-        )
-        for rule in (_obj(rule, "plan rule") for rule in _list(sched_obj.get("plan", []), "plan"))
-    )
-    try:
-        scheduler = SchedulerSpec(
-            kind=sched_obj.get("kind", "fifo"),
-            seed=_int(sched_obj.get("seed"), "scheduler seed", optional=True),
-            plan=plan,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
-    key_seed = obj.get("key_seed")
-    if key_seed is not None and not isinstance(key_seed, str):
-        raise SchemaError(f"key_seed must be a hex string, got {key_seed!r}")
-    # exact types: bool("false") is True, and a null name would round-trip as null
+    sched_obj = _obj(obj.get("scheduler", {"kind": "fifo"}), "scheduler", {"kind", "seed", "plan"})
+    plan = []
+    for rule in _list(sched_obj.get("plan", []), "plan"):
+        rule = _obj(rule, "plan rule", {"tx", "to"})
+        recipients = _ints(rule.get("to", []), "plan recipient")
+        plan.append(PlanRule(_resolve_ref(rule.get("tx"), names), recipients))
+    # exact type: bool("false") is True
     guard_off = obj.get("disable_used_input_guard", False)
     if type(guard_off) is not bool:
         raise SchemaError(f"disable_used_input_guard must be true or false, got {guard_off!r}")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        raise SchemaError(f"scenario name must be a string, got {name!r}")
-    try:
-        scenario = Scenario.build(
-            model=model,
-            faulty_set=faulty,
-            genesis=genesis,
-            honest_actions=actions,
-            scripts=scripts,
-            scheduler=scheduler,
-            max_events=_int(obj.get("max_events", DEFAULT_MAX_EVENTS), "max_events"),
-            sig_scheme=obj.get("sig_scheme", "ed25519"),
-            key_seed=DEFAULT_KEY_SEED if key_seed is None else bytes.fromhex(key_seed),
-            kcb_source=_int(obj.get("kcb_source"), "kcb_source", optional=True),
-            disable_used_input_guard=guard_off,
-            name=name,
-        )
-    except ValueError as exc:  # InvalidFaultySet is no ValueError: it passes as it is
-        raise SchemaError(str(exc)) from None
-
-    byzantine = obj.get("byzantine")
-    if byzantine is not None:
-        if byzantine != "synthesized-multispend":
-            raise SchemaError(f"unknown byzantine tag: {byzantine!r}")
-        from .attack import synthesize_multispend_attack
-
-        try:
-            synthesized = synthesize_multispend_attack(
-                model,
-                sig_scheme=scenario.sig_scheme,
-                key_seed=scenario.key_seed,
-            )
-        except NotVulnerable as exc:
-            raise SchemaError(f"cannot synthesize a multi-spend attack: {exc}") from None
-        scenario = replace(
-            synthesized,
-            name=scenario.name or synthesized.name,
-            max_events=scenario.max_events,
-        )
-    return scenario
+    return Scenario.build(
+        model=model,
+        faulty_set=_ints(obj.get("faulty", []), "faulty process id"),
+        genesis=genesis,
+        honest_actions=actions,
+        scripts=scripts,
+        scheduler=SchedulerSpec(
+            kind=sched_obj.get("kind", "fifo"),
+            seed=_int(sched_obj.get("seed"), "scheduler seed", optional=True),
+            plan=tuple(plan),
+        ),
+        kcb_source=_int(obj.get("kcb_source"), "kcb_source", optional=True),
+        disable_used_input_guard=guard_off,
+        **run_fields,
+    )
 
 
 def load_scenario(path: str) -> Scenario:
-    import os
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

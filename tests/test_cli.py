@@ -242,6 +242,33 @@ def test_simulate_rejects_unencodable_and_boolean_fields(runner, data_dir, tmp_p
     assert message in result.output and "Traceback" not in result.output
 
 
+def _tag_example1(obj, data_dir):
+    model = json.loads((data_dir / "example1.json").read_text())
+    obj.clear()
+    obj.update(model=model, byzantine="synthesized-multispend", disable_used_input_guard=True)
+
+
+@pytest.mark.parametrize(
+    "name, edit, field",
+    [
+        ("demo_scenario", lambda o, d: o["honest_actions"][0].update(tm=1), "'tm'"),
+        ("mutant_probe", lambda o, d: o.update(scripts={"0": o["scripts"]}), "scripts"),
+        ("demo_scenario", lambda o, d: o["honest_actions"][0].update(message="hello"), "message"),
+        ("demo_scenario", lambda o, d: o.update(schedular=o.pop("scheduler")), "'schedular'"),
+        ("demo_scenario", _tag_example1, "'disable_used_input_guard'"),
+    ],
+    ids=["tm", "dict-form scripts", "text message", "misspelled scheduler", "tagged guard"],
+)
+def test_simulate_names_a_field_it_does_not_read(runner, data_dir, tmp_path, name, edit, field):
+    obj = json.loads((data_dir / f"{name}.json").read_text())
+    edit(obj, data_dir)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["simulate", "--scenario", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error:") and field in result.output
+
+
 def test_simulate_rejects_an_attack_tag_on_a_model_that_is_not_vulnerable(
     runner, data_dir, tmp_path
 ):

@@ -25,6 +25,7 @@ from kspend.sim import (
 from kspend.trust import (
     TrustModel,
     inconsistency_number,
+    load_builtin_model,
     model_to_obj,
     parse_model,
     uniform_model,
@@ -516,15 +517,13 @@ def test_authoring_format_labelled_scripts():
         "transactions": {
             "a": {"issuer": 0, "outputs": {"1": 1}, "inputs": ["genesis"]},
             "b": {"issuer": 0, "outputs": {"2": 1}, "inputs": ["genesis"]},
-            "chain": {"issuer": 0, "outputs": {"1": 1}, "inputs": ["tx:a"], "tm": 2},
+            "chain": {"issuer": 0, "outputs": {"1": 1}, "inputs": ["tx:a"], "timestamp": 2},
         },
-        "scripts": {
-            "0": [
-                {"kind": "REQ", "tx": "a", "to": [1]},
-                {"kind": "REQ", "tx": "tx:b", "to": [2]},
-                {"kind": "ECHO", "tx": "chain", "to": [1, 2]},
-            ]
-        },
+        "scripts": [
+            {"sender": 0, "kind": "REQ", "tx": "a", "to": [1]},
+            {"sender": 0, "kind": "REQ", "tx": "tx:b", "to": [2]},
+            {"sender": 0, "kind": "ECHO", "tx": "chain", "to": [1, 2]},
+        ],
         "scheduler": {"kind": "adversarial", "plan": [{"tx": "a", "to": [1]}]},
     }
     scenario = scenario_from_obj(obj)
@@ -535,7 +534,7 @@ def test_authoring_format_labelled_scripts():
     hex_ref = tx_ref(scenario.scripts[0].tx).hex()
     obj2 = dict(obj, scripts=[{"sender": 0, "kind": "REQ", "to": [1],
                                "tx": {"issuer": 0, "outputs": {"1": 1},
-                                      "inputs": [hex_ref], "tm": 2}}])
+                                      "inputs": [hex_ref], "timestamp": 2}}])
     del obj2["scheduler"]
     scenario2 = scenario_from_obj(obj2)
     assert scenario2.scripts[0].tx.inputs == (bytes.fromhex(hex_ref),)
@@ -548,8 +547,14 @@ def _schema_base() -> dict:
         "genesis": {"0": 1},
         "honest_actions": [],
         "transactions": {"a": {"issuer": 0, "outputs": {"1": 1}, "inputs": ["genesis"]}},
-        "scripts": {"0": [{"kind": "REQ", "tx": "a", "to": [1]}]},
+        "scripts": [{"sender": 0, "kind": "REQ", "tx": "a", "to": [1]}],
     }
+
+
+def test_schema_base_loads():
+    # every case below edits this scenario, so each fails on its own edit
+    scenario = scenario_from_obj(_schema_base())
+    assert [(s.sender, s.kind, s.recipients) for s in scenario.scripts] == [(0, "REQ", {1})]
 
 
 # two spellings of one field that disagree, each loaded once with one of them
@@ -561,13 +566,58 @@ CONFLICTING_FIELDS = {
         ]),
         "honest action issuer 1 conflicts with its transaction's issuer 2",
     ),
-    "dict-form script sender": (
-        lambda o: o["scripts"]["0"][0].update(sender=2),
-        "script of sender 0 says sender 2",
+}
+
+
+def _tagged(o, **fields):
+    """Replace the scenario with an attack tag on a vulnerable model, plus fields."""
+    o.clear()
+    o.update(model=model_to_obj(load_builtin_model("example1")),
+             byzantine="synthesized-multispend", **fields)
+
+
+# spellings the loader dropped and fields no object of a scenario carries,
+# each refused by name: (mutation, what the error must say)
+UNREAD_FIELDS = {
+    "tm": (lambda o: o["transactions"]["a"].update(tm=1), "transaction takes no field 'tm'"),
+    "dict-form scripts": (
+        lambda o: o.update(scripts={"0": [{"kind": "REQ", "tx": "a", "to": [1]}]}),
+        "scripts must be a list",
     ),
-    "tm and timestamp": (
-        lambda o: o["transactions"]["a"].update(tm=1, timestamp=2),
-        "transaction tm 1 conflicts with its timestamp 2",
+    "text message": (
+        lambda o: o["transactions"]["a"].update(message="hello"),
+        "transaction message must be a hex string, got 'hello'",
+    ),
+    "scenario": (
+        lambda o: o.update(schedular={"kind": "fifo"}), "scenario takes no field 'schedular'"
+    ),
+    "tagged scenario": (
+        lambda o: _tagged(o, disable_used_input_guard=True, faulty=[2]),
+        "tagged scenario takes no field 'disable_used_input_guard', 'faulty'",
+    ),
+    "transaction": (
+        lambda o: o["transactions"]["a"].update(output={"1": 1}),
+        "transaction takes no field 'output'",
+    ),
+    "wrapped honest action": (
+        lambda o: o["honest_actions"].append({
+            "issuer": 1,
+            "tx": {"issuer": 1, "outputs": {"0": 1}, "inputs": ["genesis"]},
+            "note": "x",
+        }),
+        "honest action 0 takes no field 'note'",
+    ),
+    "script": (
+        lambda o: o["scripts"][0].update(recipients=[2]), "script takes no field 'recipients'"
+    ),
+    "scheduler": (
+        lambda o: o.update(scheduler={"kind": "random", "sed": 3}),
+        "scheduler takes no field 'sed'",
+    ),
+    "plan rule": (
+        lambda o: o.update(scheduler={"kind": "adversarial",
+                                      "plan": [{"tx": "a", "to": [1], "phase": 0}]}),
+        "plan rule takes no field 'phase'",
     ),
 }
 
@@ -588,8 +638,8 @@ def _labelled(label):
     [
         lambda o: o.pop("model"),
         lambda o: o.update(genesis=[1, 2]),
-        lambda o: o["scripts"]["0"].append({"kind": "REQ", "tx": "missing", "to": [1]}),
-        lambda o: o["scripts"]["0"].append({"kind": "NOPE", "tx": "a", "to": [1]}),
+        lambda o: o["scripts"].append({"sender": 0, "kind": "REQ", "tx": "missing", "to": [1]}),
+        lambda o: o["scripts"].append({"sender": 0, "kind": "NOPE", "tx": "a", "to": [1]}),
         lambda o: o["transactions"].update(
             loop={"issuer": 0, "outputs": {"1": 1}, "inputs": ["loop"]}
         ),
@@ -603,22 +653,22 @@ def _labelled(label):
         lambda o: o["honest_actions"].append({"issuer": True, "outputs": {"0": 1}}),
         lambda o: o["transactions"]["a"].update(issuer=False),
         lambda o: o["transactions"]["a"].update(outputs={"1": True}),
-        lambda o: o["transactions"]["a"].update(tm=True),
-        lambda o: o["scripts"]["0"][0].update(to=[True]),
+        lambda o: o["transactions"]["a"].update(timestamp=True),
+        lambda o: o["scripts"][0].update(to=[True]),
         lambda o: o.update(scripts=[{"sender": False, "kind": "REQ", "tx": "a", "to": [1]}]),
         # values the transaction encoding cannot hold
         lambda o: o["genesis"].update({"4294967296": 1}),
         lambda o: o["genesis"].update({"-3": 1}),
         lambda o: o["genesis"].update({"x": 1}),
         lambda o: o["transactions"]["a"].update(outputs={"4294967296": 1}),
-        lambda o: o["transactions"]["a"].update(tm=1 << 64),
+        lambda o: o["transactions"]["a"].update(timestamp=1 << 64),
         # values of the wrong type fail as schema errors, not tracebacks
         lambda o: o["transactions"]["a"].update(message=5),
         lambda o: o["transactions"]["a"].update(outputs=[1]),
         lambda o: o["honest_actions"].append({"issuer": 0, "outputs": {"1": 1}, "inputs": 5}),
         # shapes the loader used to index or iterate blindly
         lambda o: o.update(scripts=[{"kind": "REQ", "tx": "a", "to": [1]}]),
-        lambda o: o["scripts"]["0"].append(5),
+        lambda o: o["scripts"].append(5),
         lambda o: o.update(scripts={"x": [{"kind": "REQ", "tx": "a", "to": [1]}]}),
         lambda o: o.update(scripts=5),
         lambda o: o.update(scheduler={"kind": "adversarial", "plan": [{"to": [1]}]}),
@@ -639,7 +689,7 @@ def _labelled(label):
         lambda o: o.update(name=None),
         lambda o: o.update(name=5),
         lambda o: o.update(name=["x"]),
-        lambda o: o["scripts"]["0"][0].update(to=[1, 3, -5]),
+        lambda o: o["scripts"][0].update(to=[1, 3, -5]),
         lambda o: o.update(scheduler={"kind": "adversarial", "plan": [{"tx": "a", "to": [3]}]}),
         # a tag the model cannot carry: uniform (4, 3, 1) has bound 1
         lambda o: o.update(
@@ -660,6 +710,7 @@ def _labelled(label):
         lambda o: o.update(scheduler={"kind": "fifo", "plan": [{"tx": "a", "to": [1]}]}),
         lambda o: o.update(scheduler={"kind": "random", "seed": 1,
                                       "plan": [{"tx": "a", "to": [1]}]}),
+        *(mutate for mutate, _detail in UNREAD_FIELDS.values()),
     ],
 )
 def test_scenario_schema_errors(mutate):
@@ -672,6 +723,16 @@ def test_scenario_schema_errors(mutate):
 @pytest.mark.parametrize("case", sorted(CONFLICTING_FIELDS))
 def test_conflicting_fields_name_both_values(case):
     mutate, detail = CONFLICTING_FIELDS[case]
+    obj = _schema_base()
+    mutate(obj)
+    with pytest.raises(SchemaError) as err:
+        scenario_from_obj(obj)
+    assert detail in str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_FIELDS))
+def test_unread_fields_are_named(case):
+    mutate, detail = UNREAD_FIELDS[case]
     obj = _schema_base()
     mutate(obj)
     with pytest.raises(SchemaError) as err:
@@ -696,6 +757,25 @@ def test_a_plan_needs_the_adversarial_scheduler(kind, data_dir):
         scenario_from_obj(obj)
 
 
+def test_a_plan_rule_names_a_sent_transaction(data_dir):
+    obj = json.loads((data_dir / "mutant_probe.json").read_text())
+    obj["scheduler"]["plan"].append({"tx": "ab" * 32, "to": [1]})
+    with pytest.raises(SchemaError, match=f"plan rule for {'ab' * 6}, which nothing sends"):
+        scenario_from_obj(obj)
+
+
+def test_build_refuses_a_plan_rule_nothing_sends(data_dir):
+    probe = load_scenario(str(data_dir / "mutant_probe.json"))
+    unsent = make_tx(0, {3: 1}, [tx_ref(probe.genesis)], timestamp=1)
+    args = (probe.model, probe.faulty_set, probe.genesis, (), probe.scripts)
+    for rule in (PlanRule(tx_ref(unsent), frozenset({1})), PlanRule(b"\xab" * 32, frozenset({1}))):
+        plan = SchedulerSpec("adversarial", plan=probe.scheduler.plan + (rule,))
+        with pytest.raises(ValueError, match=f"plan rule for {rule.tx_ref.hex()[:12]}"):
+            Scenario.build(*args, scheduler=plan, sig_scheme="hmac")
+    # the probe's own plan names only scripted transactions
+    assert Scenario.build(*args, scheduler=probe.scheduler, sig_scheme="hmac").scheduler.plan
+
+
 def test_load_scenario_bad_file(tmp_path):
     with pytest.raises(SchemaError):
         load_scenario(str(tmp_path / "missing.json"))
@@ -708,8 +788,6 @@ def test_load_scenario_bad_file(tmp_path):
 def test_synthesized_tag_expands_to_attack(example1):
     obj = {
         "model": model_to_obj(example1),
-        "faulty": [2],
-        "genesis": {},
         "byzantine": "synthesized-multispend",
         "name": "tagged",
         "max_events": 500,
