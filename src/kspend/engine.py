@@ -17,7 +17,6 @@ from .crypto import KeyPair, Verifier
 from .errors import InvalidTransaction
 from .ledger import (
     Accusation,
-    History,
     Transaction,
     conflicts,
     tx_fault,
@@ -49,7 +48,9 @@ class ProcessState:
     keys: KeyPair
     # the run's scheme, directory and signature memo, shared by its processes
     verifier: Verifier = field(compare=False, repr=False)
-    history: History
+    # the history: each accepted transaction under its reference, in the
+    # order accepted. It only grows, so what a handler accepted is its tail.
+    by_ref: dict[bytes, Transaction]
     # per-transaction state is keyed by encoding, the transaction's identity,
     # whose hash bytes cache; per transaction, the bitmask of processes whose
     # verified echo of it this process holds, its own included
@@ -85,7 +86,7 @@ def initial_state(
         quorum_masks=tuple(sum(1 << q for q in quorum) for quorum in quorums),
         keys=keys,
         verifier=verifier,
-        history=History.of([genesis]),
+        by_ref={tx_ref(genesis): genesis},
         disable_used_input_guard=disable_used_input_guard,
     )
 
@@ -109,7 +110,7 @@ def quorum_check(state: ProcessState, tx: Transaction) -> bool:
 
 def _ready(state: ProcessState, tx: Transaction) -> bool:
     # c1 and c2: inputs already accepted, paying the issuer, value conserved
-    if tx_fault(tx, state.history) is not None:
+    if tx_fault(tx, state.by_ref) is not None:
         return False
     # c3: accepting it must not put conflicting spends in the history
     return all(state.accepted.get((tx.issuer, ref), tx) == tx for ref in tx.inputs)
@@ -217,7 +218,7 @@ def _settle(state: ProcessState, out: list[Message]) -> None:
         progressed = False
         for tx in sorted(state.pending.values(), key=tx_ref):
             if _ready(state, tx):
-                state.history = state.history.with_tx(tx)
+                state.by_ref[tx_ref(tx)] = tx
                 state.accepted.update(((tx.issuer, ref), tx) for ref in tx.inputs)
                 del state.pending[tx.encoding]
                 progressed = True
@@ -229,7 +230,7 @@ def _refusal(state: ProcessState, tx: Transaction) -> str | None:
     """Why this process may not issue tx now, opening with the clause; None if it may."""
     if tx.issuer != state.pid:
         return f"issuer: process {state.pid} cannot issue for {tx.issuer}"
-    fault = tx_fault(tx, state.history)
+    fault = tx_fault(tx, state.by_ref)
     if fault is not None:
         return f"{fault[0]}: the transaction {fault[1]}"
     signed = (state.requests.get((state.pid, ref), {}) for ref in tx.inputs)

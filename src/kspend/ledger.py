@@ -188,10 +188,10 @@ class WellFormedness:
 class History:
     """A set of transactions containing the funding root, as one table.
 
-    ``by_ref`` maps each reference to its transaction in the order added:
-    ``with_tx`` puts its transaction last, so a grown history's last
-    entries are the ones it gained. Iteration follows that order; equality
-    and the hash ignore it.
+    ``by_ref`` maps each reference to its transaction in the order added.
+    Iteration follows that order; equality and the hash ignore it. The
+    table is never changed once a ``History`` holds it, so ``issuers``
+    cannot go stale.
     """
 
     by_ref: dict[bytes, Transaction]
@@ -212,13 +212,6 @@ class History:
     def __len__(self) -> int:
         return len(self.by_ref)
 
-    def with_tx(self, tx: Transaction) -> "History":
-        return History({**self.by_ref, tx_ref(tx): tx})
-
-    @cached_property
-    def _base_report(self) -> WellFormedness:
-        return _well_formed_base(self)
-
     @cached_property
     def issuers(self) -> frozenset[int]:
         return frozenset(tx.issuer for tx in self if not is_genesis(tx))
@@ -229,20 +222,20 @@ def projection(h: History, issuer: int) -> frozenset[Transaction]:
     return frozenset(tx for tx in h if tx.issuer == issuer and not is_genesis(tx))
 
 
-def tx_fault(tx: Transaction, history: History) -> tuple[str, str] | None:
+def tx_fault(tx: Transaction, by_ref: Mapping[bytes, Transaction]) -> tuple[str, str] | None:
     """The first clause a transaction other than the funding root breaks
-    against ``history``, as (clause, reason), or None if it may join it.
+    against a history's table ``by_ref``, as (clause, reason), or None if
+    it may join it.
 
     Completeness: every input is in the history. Then t-validity: every
     input pays the issuer, and the outputs are positive and spend exactly
     what the inputs pay. Well-formedness, the engine's readiness check and
     its transfer check all ask this one function.
     """
-    table = history.by_ref
     paid = 0
     unpaid = False
     for ref in tx.inputs:
-        source = table.get(ref)
+        source = by_ref.get(ref)
         if source is None:
             return "completeness", "has an unresolved input"
         amount = source.pays(tx.issuer)
@@ -267,7 +260,7 @@ def _well_formed_base(h: History) -> WellFormedness:
     for tx in ordered:
         if is_genesis(tx):
             continue
-        fault = tx_fault(tx, h)
+        fault = tx_fault(tx, h.by_ref)
         if fault is not None:
             clause, reason = fault
             failures.append((clause, f"{tx_ref(tx).hex()[:12]} {reason}"))
@@ -329,7 +322,7 @@ def _timestamp_failures(h: History) -> list[tuple[str, str]]:
 
 def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFormedness:
     """Evaluate every clause, returning which ones failed and why."""
-    base = h._base_report
+    base = _well_formed_base(h)
     if not check_timestamps:
         return base
     failures = list(base.failures) + _timestamp_failures(h)

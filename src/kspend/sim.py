@@ -332,9 +332,9 @@ class _Runtime:
 
     # --- effects --------------------------------------------------------
 
-    def note_acceptances(self, before: History, after: History) -> tuple[str, ...]:
-        # a handler only appends to the history, so what it accepted is the tail
-        added = islice(reversed(after.by_ref.values()), len(after) - len(before))
+    def note_acceptances(self, table: dict[bytes, Transaction], before: int) -> tuple[str, ...]:
+        # a handler only adds to the table, so what it accepted is past ``before``
+        added = islice(reversed(table.values()), len(table) - before)
         refs = []
         for tx in sorted(added, key=tx_ref):
             refs.append(tx_ref(tx).hex())
@@ -347,15 +347,15 @@ class _Runtime:
 
     def apply(self, pid: int, fn, *args) -> tuple[tuple[str, ...], tuple[str, ...]]:
         state = self.engines[pid]
-        before = state.history
+        before = len(state.by_ref)
         out = fn(state, *args)
         new_acc: tuple[str, ...] = ()
         if out:
             payloads = [self.enqueue(msg) for msg in out]
             # every ACC a handler returns carries an accusation it newly stored
             new_acc = tuple(sorted(p for msg, p in zip(out, payloads) if msg.kind == eng.ACC))
-        after = state.history
-        accepted = () if after is before else self.note_acceptances(before, after)
+        table = state.by_ref
+        accepted = () if len(table) == before else self.note_acceptances(table, before)
         return accepted, new_acc
 
     # --- scheduling -----------------------------------------------------
@@ -421,7 +421,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
     while rt.step():
         pass
 
-    histories = {p: rt.engines[p].history for p in rt.correct}
+    histories = {p: History(rt.engines[p].by_ref) for p in rt.correct}
     accusations = {p: frozenset(rt.engines[p].accusations) for p in rt.correct}
 
     k_bound = scenario.k_bound
@@ -629,6 +629,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     if not isinstance(obj, dict):
         raise SchemaError("scenario file must hold a JSON object")
     if "model" in obj:
+        if "model_file" in obj:
+            raise SchemaError("scenario takes one of 'model' and 'model_file', not both")
         model = parse_model(obj["model"])
     elif "model_file" in obj:
         model = load_model(os.path.join(base_dir, obj["model_file"]))
@@ -682,8 +684,8 @@ def _authored(obj: dict, model: TrustModel, **run_fields) -> Scenario:
         issuer = _int(_obj(body, f"{what} tx").get("issuer"), f"{what} issuer")
         issued_counts[issuer] = issued_counts.get(issuer, 0) + 1
         tx = _tx_from_spec(body, names, default_tm=issued_counts[issuer])
-        # Scenario.build compares the two issuers
-        actions.append((_int(spec.get("issuer", issuer), f"{what} issuer"), tx))
+        # Scenario.build compares the two issuers; a wrapped action must name its own
+        actions.append((_int(spec.get("issuer"), f"{what} issuer"), tx))
         names[f"action:{idx}"] = tx
 
     # labelled transactions; resolve to a fixpoint so labels may reference

@@ -15,6 +15,7 @@ from kspend.ledger import (
     make_tx,
     out_value,
     tx_ref,
+    well_formed_report,
 )
 from kspend.properties import Verdict, evaluate_properties
 from kspend.sim import RunReport
@@ -87,13 +88,15 @@ def clause_failed(report: WellFormedness, clause: str) -> bool:
     return any(c == clause for c, _ in report.failures)
 
 
-def balance(h: History, pid: int) -> int:
-    """Received minus spent; never negative on a well-formed history."""
-    if not h._base_report.ok:
+def balances(h: History, pids) -> list[int]:
+    """Each process's received minus spent; never negative on a well-formed history."""
+    if not well_formed_report(h).ok:
         raise MalformedHistory("balance requires a well-formed history")
-    received = sum(tx.pays(pid) for tx in h)
-    spent = sum(out_value(tx) for tx in h if tx.issuer == pid and not is_genesis(tx))
-    return received - spent
+    return [
+        sum(tx.pays(pid) for tx in h)
+        - sum(out_value(tx) for tx in h if tx.issuer == pid and not is_genesis(tx))
+        for pid in pids
+    ]
 
 
 def spending_number(collection) -> int:
@@ -104,7 +107,7 @@ def spending_number(collection) -> int:
     """
     histories = _as_histories(collection)
     for h in histories:
-        if not h._base_report.ok:
+        if not well_formed_report(h).ok:
             raise MalformedHistory("spending number requires well-formed histories")
     spenders: dict[tuple[int, bytes], set[bytes]] = {}
     for h in histories:
@@ -119,13 +122,18 @@ def spending_number(collection) -> int:
 def well_formed_trace_hash(scenario, seed) -> str:
     """Step a run as sim.run does; after every event, every history must be well formed.
 
-    Returns the run's trace hash. Raises AssertionError naming the first
-    process whose history left well-formedness.
+    A process's history is judged again only when its table grew. Returns
+    the run's trace hash. Raises AssertionError naming the first process
+    whose history left well-formedness.
     """
     rt = sim._Runtime(scenario, seed)
+    judged = dict.fromkeys(rt.engines, 0)  # each table's length when last judged
     while rt.step():
         for pid, state in rt.engines.items():
-            base = state.history._base_report
+            if len(state.by_ref) == judged[pid]:
+                continue
+            judged[pid] = len(state.by_ref)
+            base = well_formed_report(History(dict(state.by_ref)))
             if not base.ok:
                 raise AssertionError(f"history of {pid} left well-formedness: {base.failures}")
     return sim.compute_trace_hash(rt.trace)

@@ -63,9 +63,9 @@ def tamperings(report):
     root = tx_ref(scenario.genesis)
     a = make_tx(issuer, {0: 1}, [root], timestamp=1)
     b = make_tx(issuer, {1: 1}, [root], timestamp=1)
-    planted = {**report.histories, pids[0]: report.histories[pids[0]].with_tx(a)}
+    planted = {**report.histories, pids[0]: History.of([*report.histories[pids[0]], a])}
     if len(pids) > 1:
-        planted[pids[1]] = planted[pids[1]].with_tx(b)
+        planted[pids[1]] = History.of([*planted[pids[1]], b])
     yield "plant-conflict", replace(report, histories=planted)
     yield "capped", replace(report, quiescent=False)
     yield "k-bound-0", replace(report, k_bound=0)
@@ -88,7 +88,7 @@ def directed(report):
     # two transactions by process 1 credited at one process only: both are
     # unissued (integrity) and neither settles anywhere else (termination)
     extra = [make_tx(1, {0: 1}, [root], timestamp=1, message=bytes([i])) for i in range(2)]
-    credited = report.histories[first].with_tx(extra[0]).with_tx(extra[1])
+    credited = History.of([*report.histories[first], *extra])
     yield "two-unsettled-unissued", replace(
         report, histories={**report.histories, first: credited}
     )

@@ -40,7 +40,7 @@ from kspend.trust import (
     uniform_model,
 )
 
-from helpers import balance, random_well_formed_history, spending_number, undelivered_live
+from helpers import balances, random_well_formed_history, spending_number, undelivered_live
 from oracles import (
     brute_conflict_pairs,
     brute_cover_number,
@@ -163,7 +163,7 @@ def test_criterion_07_balances_never_negative():
     negatives = 0
     for _ in range(10_000):
         history = random_well_formed_history(rng)
-        if any(balance(history, pid) < 0 for pid in range(6)):
+        if min(balances(history, range(6))) < 0:
             negatives += 1
     _report(7, negatives == 0, f"10000 histories, {negatives} negative balances")
 

@@ -256,8 +256,10 @@ def _tag_example1(obj, data_dir):
         ("demo_scenario", lambda o, d: o["honest_actions"][0].update(message="hello"), "message"),
         ("demo_scenario", lambda o, d: o.update(schedular=o.pop("scheduler")), "'schedular'"),
         ("demo_scenario", _tag_example1, "'disable_used_input_guard'"),
+        ("demo_scenario", lambda o, d: o.update(model_file="nowhere.json"), "'model_file'"),
     ],
-    ids=["tm", "dict-form scripts", "text message", "misspelled scheduler", "tagged guard"],
+    ids=["tm", "dict-form scripts", "text message", "misspelled scheduler", "tagged guard",
+         "model and model_file"],
 )
 def test_simulate_names_a_field_it_does_not_read(runner, data_dir, tmp_path, name, edit, field):
     obj = json.loads((data_dir / f"{name}.json").read_text())

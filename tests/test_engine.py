@@ -54,7 +54,7 @@ def test_transfer_broadcasts_request_and_own_echo():
     assert [m.kind for m in out] == [eng.REQ, eng.ECHO]
     assert all(m.recipients == frozenset({1, 2}) for m in out)
     assert echoed(s, 0, tx)
-    assert tx not in s.history  # own echo alone is not a full quorum
+    assert tx_ref(tx) not in s.by_ref  # own echo alone is not a full quorum
 
 
 def test_acceptance_waits_for_the_last_echo():
@@ -64,11 +64,11 @@ def test_acceptance_waits_for_the_last_echo():
 
     echoes = deliver(states, [req])
     assert sorted(m.sender for m in echoes) == [1, 2]
-    assert all(tx not in states[p].history for p in range(N))
+    assert all(tx_ref(tx) not in states[p].by_ref for p in range(N))
 
     deliver(states, [echo0] + echoes)
     for p in range(N):
-        assert tx in states[p].history, p
+        assert tx_ref(tx) in states[p].by_ref, p
     assert eng.quorum_check(states[0], tx)
 
 
@@ -76,7 +76,7 @@ def test_singleton_quorum_accepts_immediately():
     s = fresh(0, quorums=(frozenset({0}),))
     tx = pay(0, {1: 10})
     eng.transfer(s, tx)
-    assert tx in s.history
+    assert tx_ref(tx) in s.by_ref
 
 
 def test_handlers_are_deterministic_and_pure_on_rejects():

@@ -23,7 +23,7 @@ import pytest
 
 from kspend import engine as eng
 from kspend import attack, fuzz, sim
-from kspend.ledger import is_genesis
+from kspend.ledger import is_genesis, tx_ref
 from kspend.sim import SchedulerSpec
 from kspend.trust import TrustModel, load_builtin_model, self_inclusion_gaps
 
@@ -53,7 +53,7 @@ def returns_early(state, msg) -> bool:
         return False
     if msg.kind == eng.REQ:
         return any(tx.encoding in bucket for bucket in state.requests.values())
-    return tx.encoding in state.pending or tx in state.history
+    return tx.encoding in state.pending or tx_ref(tx) in state.by_ref
 
 
 def recorded_sig(state, tx) -> bytes | None:
@@ -92,7 +92,7 @@ def old_body(state, msg) -> list:
 
 def facts(state):
     return (
-        state.history,
+        dict(state.by_ref),
         dict(state.pending),
         dict(state.accepted),
         {key: dict(bucket) for key, bucket in state.requests.items()},
@@ -240,7 +240,7 @@ def test_accepted_test_matches_history_membership(kind, guard_off):
     def check(pid, state, events):
         for tx in recorded_txs(state).values():
             fast = eng._accepted(state, tx)
-            assert fast == (tx in state.history), (pid, events)
+            assert fast == (tx_ref(tx) in state.by_ref), (pid, events)
             outcomes[fast] += 1
 
     for i, scenario in enumerate(corpus_scenarios(10)):
@@ -258,7 +258,7 @@ def test_no_accepted_transaction_reaches_the_pending_test(monkeypatch, kind, gua
     calls = Counter()
 
     def checked(state, tx):
-        assert not eng._accepted(state, tx) and tx not in state.history
+        assert not eng._accepted(state, tx) and tx_ref(tx) not in state.by_ref
         calls[tx.encoding in state.pending] += 1
         pend(state, tx)
 

@@ -99,7 +99,7 @@ def test_unissued_transaction_violates_integrity(demo_report):
     issued = {tx_ref(t) for _p, t in r.scenario.honest_actions}
     assert tx_ref(forged) not in issued
     target = max(r.histories)
-    r.histories = {**r.histories, target: r.histories[target].with_tx(forged)}
+    r.histories = {**r.histories, target: History.of([*r.histories[target], forged])}
     assert judge(r)["integrity"].status == VIOLATED
 
 
@@ -114,8 +114,8 @@ def plant_conflict(report, convicted_at=()):
     b = make_tx(3, {1: 10}, [genesis_ref], timestamp=1)
     pids = sorted(r.histories)
     r.histories = dict(r.histories)
-    r.histories[pids[0]] = r.histories[pids[0]].with_tx(a)
-    r.histories[pids[1]] = r.histories[pids[1]].with_tx(b)
+    r.histories[pids[0]] = History.of([*r.histories[pids[0]], a])
+    r.histories[pids[1]] = History.of([*r.histories[pids[1]], b])
     acc = Accusation.build({3}, [(a, b"sig-a"), (b, b"sig-b")])
     r.accusations = {
         p: frozenset({acc}) if p in convicted_at else frozenset() for p in r.accusations

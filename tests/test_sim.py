@@ -576,8 +576,10 @@ def _tagged(o, **fields):
              byzantine="synthesized-multispend", **fields)
 
 
-# spellings the loader dropped and fields no object of a scenario carries,
-# each refused by name: (mutation, what the error must say)
+# spellings the loader dropped, fields no object of a scenario carries, a
+# model_file beside a model (it went unread) and a wrapped action's missing
+# issuer (it was taken from the transaction), each refused by name:
+# (mutation, what the error must say)
 UNREAD_FIELDS = {
     "tm": (lambda o: o["transactions"]["a"].update(tm=1), "transaction takes no field 'tm'"),
     "dict-form scripts": (
@@ -618,6 +620,16 @@ UNREAD_FIELDS = {
         lambda o: o.update(scheduler={"kind": "adversarial",
                                       "plan": [{"tx": "a", "to": [1], "phase": 0}]}),
         "plan rule takes no field 'phase'",
+    ),
+    "model_file beside model": (
+        lambda o: o.update(model_file="nowhere.json"),
+        "scenario takes one of 'model' and 'model_file', not both",
+    ),
+    "wrapped honest action without issuer": (
+        lambda o: o["honest_actions"].append(
+            {"tx": {"issuer": 1, "outputs": {"0": 1}, "inputs": ["genesis"]}}
+        ),
+        "honest action 0 issuer must be an integer, got None",
     ),
 }
 

@@ -5,6 +5,10 @@ accepts something or executes an action, and the engine runs its settle
 loop only when something was pended since the last one. After every event
 the enabled actions must equal what polling every issuer finds, and no
 pending transaction of a correct process may be ready.
+
+The simulator reads what an event accepted from the tail of the acting
+process's table, so after every event the table must keep its earlier
+entries in order and gain exactly the references the trace records.
 """
 
 import json
@@ -17,7 +21,8 @@ from oracles import polled_enabled_actions
 
 
 def checked_trace_hash(scenario, seed) -> str:
-    """Step a run as sim.run does, checking both wake rules before every event."""
+    """Step a run as sim.run does, checking both wake rules before every
+    event and the tail rule after it."""
     rt = sim._Runtime(scenario, seed)
     while True:
         events = rt.events
@@ -25,8 +30,16 @@ def checked_trace_hash(scenario, seed) -> str:
         for pid, state in rt.engines.items():
             ready = [tx for tx in state.pending.values() if eng._ready(state, tx)]
             assert not ready, f"process {pid} left ready transactions pending at event {events}"
+        before = {pid: list(state.by_ref) for pid, state in rt.engines.items()}
         if not rt.step():
             return sim.compute_trace_hash(rt.trace)
+        record = rt.trace[-1]
+        actor = record[2] if record[0] == "action" else record[4]
+        for pid, state in rt.engines.items():
+            table = list(state.by_ref)
+            assert table[: len(before[pid])] == before[pid], f"process {pid} at event {events}"
+            gained = {ref.hex() for ref in table[len(before[pid]) :]}
+            assert gained == set(record[-2] if pid == actor else ()), f"process {pid} at event {events}"
 
 
 def test_wake_rules_match_polling_on_the_golden_runs():
@@ -38,3 +51,14 @@ def test_wake_rules_match_polling_on_the_golden_runs():
             assert checked_trace_hash(scenario, seed) == pinned[name], name
             checked += 1
     assert checked == 65
+
+
+def test_a_process_grows_one_table_for_its_whole_run():
+    name, scenario, seed = next(case for case in golden_cases() if case[0].startswith("ring-"))
+    rt = sim._Runtime(scenario, seed)
+    tables = {pid: state.by_ref for pid, state in rt.engines.items()}
+    assert all(len(table) == 1 for table in tables.values())
+    while rt.step():
+        pass
+    for pid, state in rt.engines.items():
+        assert state.by_ref is tables[pid] and len(state.by_ref) > 1, (name, pid)
