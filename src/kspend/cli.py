@@ -199,6 +199,7 @@ def _witness_obj(witness) -> dict:
 @_guarded
 def table(n: int, q: int, as_json: bool) -> None:
     """Closed-form inconsistency for every fault budget of a symmetric model."""
+    uniform_inconsistency(n, q, 0)  # validates q, which range(q) skips when q < 1
     rows = [(f, uniform_inconsistency(n, q, f)) for f in range(q)]
     if as_json:
         click.echo(

@@ -11,7 +11,7 @@ one input made it in, as a run goes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -189,9 +189,7 @@ class History:
     """A set of transactions containing the funding root, as one table.
 
     ``by_ref`` maps each reference to its transaction in the order added.
-    Iteration follows that order; equality and the hash ignore it. The
-    table is never changed once a ``History`` holds it, so ``issuers``
-    cannot go stale.
+    Iteration follows that order; equality and the hash ignore it.
     """
 
     by_ref: dict[bytes, Transaction]
@@ -211,15 +209,6 @@ class History:
 
     def __len__(self) -> int:
         return len(self.by_ref)
-
-    @cached_property
-    def issuers(self) -> frozenset[int]:
-        return frozenset(tx.issuer for tx in self if not is_genesis(tx))
-
-
-def projection(h: History, issuer: int) -> frozenset[Transaction]:
-    """The fragment of ``h`` issued by one process."""
-    return frozenset(tx for tx in h if tx.issuer == issuer and not is_genesis(tx))
 
 
 def tx_fault(tx: Transaction, by_ref: Mapping[bytes, Transaction]) -> tuple[str, str] | None:
@@ -249,83 +238,42 @@ def tx_fault(tx: Transaction, by_ref: Mapping[bytes, Transaction]) -> tuple[str,
     return None
 
 
-def _well_formed_base(h: History) -> WellFormedness:
-    """Every clause but the timestamps'; a transaction's failures come in reference order."""
-    failures: list[tuple[str, str]] = []
-    ordered = sorted(h, key=tx_ref)
-    roots = [tx for tx in ordered if is_genesis(tx)]
-    if len(roots) != 1:
-        failures.append(("t-validity", f"expected exactly one funding root, found {len(roots)}"))
+def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFormedness:
+    """Evaluate every clause in one pass over the table in reference order,
+    returning which ones failed and why.
 
-    for tx in ordered:
+    An entry's key must be its transaction's reference: a dependency cycle
+    would then need a content hash that is its own ancestor's input, so the
+    key check stands for cycle-freedom. Under ``check_timestamps`` each
+    transaction also needs a same-issuer predecessor stamped one less.
+    """
+    failures: list[tuple[str, str]] = []
+    stamps = {(tx.issuer, tx.timestamp) for tx in h if not is_genesis(tx)}
+    roots = 0
+    for ref, tx in sorted(h.by_ref.items()):
+        name = ref.hex()[:12]
+        if tx_ref(tx) != ref:
+            failures.append(("cycle-freedom", f"{name} keys a transaction of another reference"))
         if is_genesis(tx):
+            roots += 1
             continue
         fault = tx_fault(tx, h.by_ref)
         if fault is not None:
-            clause, reason = fault
-            failures.append((clause, f"{tx_ref(tx).hex()[:12]} {reason}"))
-
+            failures.append((fault[0], f"{name} {fault[1]}"))
+        if not check_timestamps:
+            continue
+        if tx.timestamp is None:
+            failures.append(("predecessor", f"{name} carries no timestamp"))
+        elif tx.timestamp > 1 and (tx.issuer, tx.timestamp - 1) not in stamps:
+            failures.append(
+                ("predecessor", f"{name} (t={tx.timestamp}) lacks a same-issuer predecessor")
+            )
+    if roots != 1:
+        failures.append(("t-validity", f"expected exactly one funding root, found {roots}"))
     for a, b in conflicting_pairs(h):
         failures.append(
             ("no-conflict", f"{tx_ref(a).hex()[:12]} and {tx_ref(b).hex()[:12]} share an input")
         )
-
-    # content-hash references make dependency cycles unconstructible, but the
-    # clause stays checkable: walk the resolved graph depth first, with an
-    # explicit stack, since a dependency chain is as long as the history
-    state: dict[Transaction, int] = {}  # 1 while on the walk's path, 2 once done
-
-    def cyclic(root: Transaction) -> bool:
-        state[root] = 1
-        path = [(root, iter(root.inputs))]
-        while path:
-            tx, refs = path[-1]
-            for ref in refs:
-                dep = h.by_ref.get(ref)
-                mark = 2 if dep is None else state.get(dep, 0)
-                if mark == 1:
-                    return True
-                if mark == 0:
-                    state[dep] = 1
-                    path.append((dep, iter(dep.inputs)))
-                    break
-            else:
-                state[tx] = 2
-                path.pop()
-        return False
-
-    for tx in ordered:
-        if tx not in state and cyclic(tx):
-            failures.append(("cycle-freedom", f"{tx_ref(tx).hex()[:12]} sits on a dependency cycle"))
-            break
-
-    return WellFormedness(ok=not failures, failures=tuple(failures))
-
-
-def _timestamp_failures(h: History) -> list[tuple[str, str]]:
-    failures = []
-    stamps = {(tx.issuer, tx.timestamp) for tx in h if not is_genesis(tx)}
-    for tx in sorted(h, key=tx_ref):
-        if is_genesis(tx):
-            continue
-        if tx.timestamp is None:
-            failures.append(("predecessor", f"{tx_ref(tx).hex()[:12]} carries no timestamp"))
-        elif tx.timestamp > 1 and (tx.issuer, tx.timestamp - 1) not in stamps:
-            failures.append(
-                (
-                    "predecessor",
-                    f"{tx_ref(tx).hex()[:12]} (t={tx.timestamp}) lacks a same-issuer predecessor",
-                )
-            )
-    return failures
-
-
-def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFormedness:
-    """Evaluate every clause, returning which ones failed and why."""
-    base = _well_formed_base(h)
-    if not check_timestamps:
-        return base
-    failures = list(base.failures) + _timestamp_failures(h)
     return WellFormedness(ok=not failures, failures=tuple(failures))
 
 
@@ -335,14 +283,19 @@ def _as_histories(collection: Mapping[int, History] | Iterable[History]) -> list
     return list(dict.fromkeys(collection))
 
 
-def _compatible(a: History, b: History) -> bool:
-    # pairwise cluster condition: per-issuer projections form a chain
-    for issuer in a.issuers | b.issuers:
-        pa = {tx_ref(tx) for tx in projection(a, issuer)}
-        pb = {tx_ref(tx) for tx in projection(b, issuer)}
-        if not (pa <= pb or pb <= pa):
-            return False
-    return True
+def _fragments(h: History) -> dict[int, set[bytes]]:
+    """The references of ``h`` per issuer, the funding root's left out."""
+    fragments: dict[int, set[bytes]] = {}
+    for ref, tx in h.by_ref.items():
+        if not is_genesis(tx):
+            fragments.setdefault(tx.issuer, set()).add(ref)
+    return fragments
+
+
+def _compatible(a: dict[int, set[bytes]], b: dict[int, set[bytes]]) -> bool:
+    # pairwise cluster condition: per-issuer fragments form a chain; an
+    # issuer only one side has is a chain with the empty fragment
+    return all(a[i] <= b[i] or b[i] <= a[i] for i in a.keys() & b.keys())
 
 
 def minimum_cover(
@@ -367,10 +320,11 @@ def minimum_cover(
     if m > COVER_EXACT_CAP:
         raise SizeLimitExceeded(f"cover search capped at {COVER_EXACT_CAP} histories, got {m}")
 
+    fragments = [_fragments(h) for h in histories]
     incompat = [set() for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            if not _compatible(histories[i], histories[j]):
+            if not _compatible(fragments[i], fragments[j]):
                 incompat[i].add(j)
                 incompat[j].add(i)
 

@@ -137,7 +137,8 @@ class Scenario:
                 raise ValueError(f"scripted transaction issued by non-faulty {send.tx.issuer}")
             if send.kind not in (eng.REQ, eng.ECHO):
                 raise ValueError(f"scripts may send REQ or ECHO, not {send.kind!r}")
-        recipients = [("script", pid) for send in sends for pid in sorted(send.recipients)]
+        recipients = [("genesis", pid) for pid, _ in genesis.outputs]
+        recipients += [("script", pid) for send in sends for pid in sorted(send.recipients)]
         recipients += [("plan", pid) for rule in scheduler.plan for pid in sorted(rule.recipients)]
         for what, pid in recipients:
             if not 0 <= pid < model.n:
@@ -641,6 +642,8 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
     if not isinstance(name, str):
         raise SchemaError(f"scenario name must be a string, got {name!r}")
     max_events = _int(obj.get("max_events", DEFAULT_MAX_EVENTS), "max_events")
+    if max_events < 1:
+        raise SchemaError(f"max_events must be at least 1, got {max_events}")
     keys = dict(sig_scheme=obj.get("sig_scheme", "ed25519"),
                 key_seed=_hex(obj.get("key_seed", DEFAULT_KEY_SEED.hex()), "key_seed"))
     try:

@@ -62,7 +62,10 @@ class TrustModel:
         ids = frozenset(range(n))
 
         def members(group: Collection[int], what: str) -> frozenset[int]:
-            found = frozenset(group)
+            try:
+                found = frozenset(group)
+            except TypeError:  # not a collection, or a collection of unhashable members
+                raise ValueError(f"{what} must be a collection of process ids, got {group!r}") from None
             # the raw members' types, since frozenset() folds a True into an equal 1
             if not (found <= ids and set(map(type, group)) <= {int}):
                 raise ValueError(
@@ -405,6 +408,9 @@ def uniform_model(n: int, q: int, f: int) -> TrustModel:
 def parse_model(obj: object) -> TrustModel:
     if not isinstance(obj, dict):
         raise SchemaError("trust model file must hold a JSON object")
+    unknown = sorted(set(obj) - {"n", "quorums", "fault_model_maximal"})
+    if unknown:
+        raise SchemaError(f"trust model takes no field {', '.join(map(repr, unknown))}")
     try:
         n = obj["n"]
         quorums = obj["quorums"]

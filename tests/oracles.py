@@ -11,7 +11,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from kspend.engine import can_transfer
-from kspend.ledger import History
+from kspend.ledger import History, tx_ref
 
 
 def subset_independence_number(nodes, adjacent) -> int:
@@ -171,6 +171,41 @@ def brute_conflict_pairs(txs):
             if a.issuer == b.issuer and set(a.inputs) & set(b.inputs):
                 out.add(frozenset((a, b)))
     return out
+
+
+def brute_well_formed(history, check_timestamps=False) -> bool:
+    """Every clause, each checked on its own: every key is its transaction's
+    reference, no dependency reaches itself (a plain recursive walk), one
+    funding root, every other transaction fits the history and conflicts
+    with none, and, under ``check_timestamps``, each carries a timestamp and
+    one less is stamped on a transaction of its issuer unless it is 1."""
+    table = history.by_ref
+    txs = list(table.values())
+    roots = [tx for tx in txs if tx.issuer < 0 and not tx.inputs]
+    spends = [tx for tx in txs if tx not in roots]
+    walked = set()
+
+    def reaches_itself(ref, path):
+        if ref in path:
+            return True
+        if ref in walked or ref not in table:
+            return False
+        walked.add(ref)
+        return any(reaches_itself(dep, path | {ref}) for dep in table[ref].inputs)
+
+    return (
+        all(tx_ref(tx) == ref for ref, tx in table.items())
+        and not any(reaches_itself(ref, frozenset()) for ref in table)
+        and len(roots) == 1
+        and all(brute_tx_fault(tx, history) is None for tx in spends)
+        and not brute_conflict_pairs(txs)
+        and not (check_timestamps and any(
+            tx.timestamp is None or tx.timestamp > 1 and not any(
+                o.issuer == tx.issuer and o.timestamp == tx.timestamp - 1 for o in spends
+            )
+            for tx in spends
+        ))
+    )
 
 
 def brute_eventual_conviction(report) -> str:

@@ -176,6 +176,13 @@ def test_table_invalid_parameters(runner):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_table_refuses_a_quorum_size_with_no_rows(runner, q):
+    result = runner.invoke(main, ["table", "--q", q])
+    assert result.exit_code == 2
+    assert result.output == f"error: need 0 < q <= n, got q={q}, n=100\n"
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -228,6 +235,11 @@ def test_simulate_rejects_malformed_scenario(runner, tmp_path):
         (lambda o: o["genesis"].update({"-3": 1}), "bad genesis"),
         (lambda o: o["honest_actions"][0].update(issuer=True), "issuer"),
         (lambda o: o.update(max_events=True), "max_events"),
+        # each loaded: the first failed on the raw "'int' object is not
+        # iterable", the others ran no event
+        (lambda o: o["model"].update(fault_model_maximal=[3]), "faulty set must be a collection"),
+        (lambda o: o.update(max_events=-5), "max_events must be at least 1, got -5"),
+        (lambda o: o["genesis"].update({"9": 5}), "genesis recipient 9 is not a process"),
     ],
 )
 def test_simulate_rejects_unencodable_and_boolean_fields(runner, data_dir, tmp_path, edit, message):
@@ -257,9 +269,10 @@ def _tag_example1(obj, data_dir):
         ("demo_scenario", lambda o, d: o.update(schedular=o.pop("scheduler")), "'schedular'"),
         ("demo_scenario", _tag_example1, "'disable_used_input_guard'"),
         ("demo_scenario", lambda o, d: o.update(model_file="nowhere.json"), "'model_file'"),
+        ("demo_scenario", lambda o, d: o["model"].update(fault_model=[[1]]), "'fault_model'"),
     ],
     ids=["tm", "dict-form scripts", "text message", "misspelled scheduler", "tagged guard",
-         "model and model_file"],
+         "model and model_file", "model field"],
 )
 def test_simulate_names_a_field_it_does_not_read(runner, data_dir, tmp_path, name, edit, field):
     obj = json.loads((data_dir / f"{name}.json").read_text())

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import pickle
@@ -22,14 +23,19 @@ from kspend.ledger import (
     make_tx,
     minimum_cover,
     out_value,
-    projection,
     tx_ref,
     verify_acc,
     well_formed_report,
 )
 
 from helpers import balances, clause_failed, random_well_formed_history, spending_number
-from oracles import brute_conflict_pairs, brute_cover_number, brute_spending_number, brute_tx_fault
+from oracles import (
+    brute_conflict_pairs,
+    brute_cover_number,
+    brute_spending_number,
+    brute_tx_fault,
+    brute_well_formed,
+)
 
 G = genesis_tx({0: 10, 1: 5})
 GREF = tx_ref(G)
@@ -281,8 +287,6 @@ def test_history_resolution():
     assert t in h and len(h) == 2
     assert h.by_ref[GREF] == G
     assert h.by_ref.get(b"\x00" * 32) is None
-    assert projection(h, 0) == frozenset({t})
-    assert projection(h, 1) == frozenset()
 
 
 def test_well_formed_happy_path():
@@ -393,10 +397,48 @@ def test_tx_fault_matches_the_brute_rule():
     assert min(seen.values()) >= 50, seen
 
 
-def test_cycle_is_found_at_any_depth_and_named_by_its_first_reacher():
-    """References are content hashes, so a cycle needs a forged index. A
-    cycle 3,000 hops long is found, and the clause names the first
-    transaction, in reference order, whose dependencies lead into it."""
+def _mutants(h, rng):
+    """``h`` broken, perhaps, one way each: a transaction under a second,
+    forged key; an input's entry dropped; a second spend of a transaction's
+    inputs; a leaf restamped one later, which leaves a timestamp gap."""
+    table = h.by_ref
+    spends = [tx for tx in h if not is_genesis(tx)]
+    spent = {ref for tx in h for ref in tx.inputs}
+    yield "forged key", History({**table, rng.randbytes(32): rng.choice(list(h))})
+    if not spends:
+        return
+    tx = rng.choice(spends)
+    dropped = rng.choice(tx.inputs)
+    yield "dropped input", History({ref: t for ref, t in table.items() if ref != dropped})
+    twin = make_tx(tx.issuer, dict(tx.outputs), tx.inputs, tx.timestamp, message=b"twin")
+    yield "conflicting spend", History.of([*h, twin])
+    leaf = rng.choice([tx for tx in spends if tx_ref(tx) not in spent])
+    later = dataclasses.replace(leaf, timestamp=leaf.timestamp + 1)
+    yield "timestamp gap", History.of([later if t is leaf else t for t in h])
+
+
+def test_well_formed_report_matches_the_brute_clauses():
+    """The one-pass report passes exactly the histories the clause-by-clause
+    oracle passes, with and without timestamps, over random well-formed
+    histories and a mutant of each kind."""
+    rng = random.Random(2701)
+    refused = collections.Counter()
+    for _ in range(300):
+        h = random_well_formed_history(rng)
+        for kind, mutant in [("none", h), *_mutants(h, rng)]:
+            for check_timestamps in (False, True):
+                ok = well_formed_report(mutant, check_timestamps=check_timestamps).ok
+                assert ok == brute_well_formed(mutant, check_timestamps), (kind, list(mutant))
+                refused[kind, check_timestamps] += not ok
+    kinds = ["forged key", "dropped input", "conflicting spend", "timestamp gap"]
+    assert min(refused[kind, True] for kind in kinds) >= 250, refused
+    assert refused["none", False] == refused["none", True] == refused["timestamp gap", False] == 0
+
+
+def test_a_forged_key_is_named_at_any_depth():
+    """References are content hashes, so a dependency cycle needs a key that
+    is not its transaction's reference. Closing a chain 3,000 hops long
+    through such a key is found by the key alone, and the clause names it."""
     forged = content_hash(b"forged reference")
     loop = [spend(0, {0: 1}, [forged], tm=1)]
     for t in range(2999):
@@ -405,11 +447,23 @@ def test_cycle_is_found_at_any_depth_and_named_by_its_first_reacher():
     clear = spend(1, {1: 5}, [GREF], tm=1)  # reaches no cycle
     txs = [G, clear, tail, *loop]
     h = History({**History.of(txs).by_ref, forged: loop[-1]})
-    first = min([tail, *loop], key=tx_ref)
-    detail = f"{tx_ref(first).hex()[:12]} sits on a dependency cycle"
+    detail = f"{forged.hex()[:12]} keys a transaction of another reference"
     assert [f for f in well_formed_report(h).failures if f[0] == "cycle-freedom"] == [
         ("cycle-freedom", detail)
     ]
+
+
+def test_a_forged_key_without_a_cycle_is_named():
+    """A key standing in for another transaction's reference closes no
+    cycle, yet it pays its spender as that transaction would."""
+    t1 = spend(0, {1: 10}, [GREF], tm=1)
+    forged = content_hash(b"forged reference")
+    t2 = spend(1, {0: 10}, [forged], tm=1)
+    h = History({**History.of([G, t1, t2]).by_ref, forged: t1})
+    assert ledger.tx_fault(t2, h.by_ref) is None
+    assert well_formed_report(h).failures == (
+        ("cycle-freedom", f"{forged.hex()[:12]} keys a transaction of another reference"),
+    )
 
 
 def test_balance_arithmetic():

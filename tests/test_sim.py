@@ -91,6 +91,8 @@ def test_scenario_build_validates():
     with pytest.raises(ValueError, match="plan recipient -5 is not a process of the model"):
         Scenario.build(model=faulty_model, faulty_set={0}, genesis=genesis,
                        scheduler=SchedulerSpec("adversarial", plan=plan))
+    with pytest.raises(ValueError, match="genesis recipient 9 is not a process of the model"):
+        Scenario.build(model=faulty_model, faulty_set={0}, genesis=genesis_tx({0: 10, 9: 5}))
 
 
 def test_scheduler_spec_validates_kind():
@@ -631,6 +633,9 @@ UNREAD_FIELDS = {
         ),
         "honest action 0 issuer must be an integer, got None",
     ),
+    "model": (
+        lambda o: o["model"].update(fault_model=[[1]]), "trust model takes no field 'fault_model'"
+    ),
 }
 
 
@@ -786,6 +791,28 @@ def test_build_refuses_a_plan_rule_nothing_sends(data_dir):
             Scenario.build(*args, scheduler=plan, sig_scheme="hmac")
     # the probe's own plan names only scripted transactions
     assert Scenario.build(*args, scheduler=probe.scheduler, sig_scheme="hmac").scheduler.plan
+
+
+# values that loaded and ran nothing: (mutation, what the error must say)
+EMPTY_RUNS = {
+    "max_events -5": (lambda o: o.update(max_events=-5), "max_events must be at least 1, got -5"),
+    "max_events 0": (lambda o: o.update(max_events=0), "max_events must be at least 1, got 0"),
+    "tagged max_events": (
+        lambda o: _tagged(o, max_events=-5), "max_events must be at least 1, got -5"
+    ),
+    "genesis outside the model": (
+        lambda o: o["genesis"].update({"9": 5}), "genesis recipient 9 is not a process of the model"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_RUNS))
+def test_a_scenario_that_would_run_nothing_is_refused(case):
+    mutate, detail = EMPTY_RUNS[case]
+    obj = _schema_base()
+    mutate(obj)
+    with pytest.raises(SchemaError, match=detail):
+        scenario_from_obj(obj)
 
 
 def test_load_scenario_bad_file(tmp_path):

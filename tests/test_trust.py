@@ -73,6 +73,24 @@ def test_build_rejects_malformed(n, quorums, faults):
         TrustModel.build(n, quorums, faults)
 
 
+@pytest.mark.parametrize(
+    "quorums, faults, detail",
+    [
+        ([[[0]], [1]], [], "quorum of process 1 must be a collection of process ids, got 1"),
+        ([[[0]], [[1]]], [3], "faulty set must be a collection of process ids, got 3"),
+    ],
+    ids=["quorum", "faulty set"],
+)
+def test_build_names_a_group_that_is_no_collection(quorums, faults, detail):
+    with pytest.raises(ValueError, match=detail):
+        TrustModel.build(2, quorums, faults)
+
+
+def test_build_takes_any_collection_of_ids():
+    m = TrustModel.build(2, [[range(2)], [frozenset({1})]], [range(1), frozenset()])
+    assert m == tiny(2, [[[0, 1]], [[1]]], [[0]])
+
+
 def test_allows_faulty_is_downward_closure_membership():
     m = tiny(3, [[[0]], [[1]], [[2]]], [[0, 1]])
     assert allows_faulty(m, frozenset())
