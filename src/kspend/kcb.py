@@ -63,7 +63,7 @@ def _fallback_equivocation(
     value B from the other half; with an inconsistency number of 1, at most
     one of the equivocating spends can ever be accepted anywhere.
     """
-    candidates = sorted(set().union(*model.fault_model)) if model.fault_model else []
+    candidates = sorted(set().union(*model.fault_model))
     if not candidates:
         raise NotVulnerable("the fault model admits no faulty process at all")
     source = candidates[0]

@@ -1,11 +1,12 @@
 """Transactions, histories, and the damage metrics computed over them.
 
 A transaction moves value from previously received transactions (its
-inputs) to a new output map. Histories are sets of transactions closed
-under the well-formedness clauses below; the cover number measures how
-many mutually consistent "branches" a family of histories splits into.
-The simulator counts the spending number, how many conflicting spends of
-one input made it in, as a run goes.
+inputs) to a new output map. A history is a plain ``{ref: tx}`` table,
+each transaction under its reference, closed under the well-formedness
+clauses below; the cover number measures how many mutually consistent
+"branches" a family of such tables splits into. The simulator counts the
+spending number, how many conflicting spends of one input made it in, as
+a run goes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .crypto import Verifier, content_hash
 from .errors import MalformedHistory, SizeLimitExceeded
@@ -184,33 +185,6 @@ class WellFormedness:
     failures: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class History:
-    """A set of transactions containing the funding root, as one table.
-
-    ``by_ref`` maps each reference to its transaction in the order added.
-    Iteration follows that order; equality and the hash ignore it.
-    """
-
-    by_ref: dict[bytes, Transaction]
-
-    @staticmethod
-    def of(txs: Iterable[Transaction]) -> "History":
-        return History({tx_ref(tx): tx for tx in txs})
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.by_ref))
-
-    def __contains__(self, tx: Transaction) -> bool:
-        return self.by_ref.get(tx_ref(tx)) == tx
-
-    def __iter__(self) -> Iterator[Transaction]:
-        return iter(self.by_ref.values())
-
-    def __len__(self) -> int:
-        return len(self.by_ref)
-
-
 def tx_fault(tx: Transaction, by_ref: Mapping[bytes, Transaction]) -> tuple[str, str] | None:
     """The first clause a transaction other than the funding root breaks
     against a history's table ``by_ref``, as (clause, reason), or None if
@@ -238,7 +212,9 @@ def tx_fault(tx: Transaction, by_ref: Mapping[bytes, Transaction]) -> tuple[str,
     return None
 
 
-def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFormedness:
+def well_formed_report(
+    table: Mapping[bytes, Transaction], *, check_timestamps: bool = False
+) -> WellFormedness:
     """Evaluate every clause in one pass over the table in reference order,
     returning which ones failed and why.
 
@@ -248,16 +224,16 @@ def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFor
     transaction also needs a same-issuer predecessor stamped one less.
     """
     failures: list[tuple[str, str]] = []
-    stamps = {(tx.issuer, tx.timestamp) for tx in h if not is_genesis(tx)}
+    stamps = {(tx.issuer, tx.timestamp) for tx in table.values() if not is_genesis(tx)}
     roots = 0
-    for ref, tx in sorted(h.by_ref.items()):
+    for ref, tx in sorted(table.items()):
         name = ref.hex()[:12]
         if tx_ref(tx) != ref:
             failures.append(("cycle-freedom", f"{name} keys a transaction of another reference"))
         if is_genesis(tx):
             roots += 1
             continue
-        fault = tx_fault(tx, h.by_ref)
+        fault = tx_fault(tx, table)
         if fault is not None:
             failures.append((fault[0], f"{name} {fault[1]}"))
         if not check_timestamps:
@@ -270,23 +246,25 @@ def well_formed_report(h: History, *, check_timestamps: bool = False) -> WellFor
             )
     if roots != 1:
         failures.append(("t-validity", f"expected exactly one funding root, found {roots}"))
-    for a, b in conflicting_pairs(h):
+    for a, b in conflicting_pairs(table.values()):
         failures.append(
             ("no-conflict", f"{tx_ref(a).hex()[:12]} and {tx_ref(b).hex()[:12]} share an input")
         )
     return WellFormedness(ok=not failures, failures=tuple(failures))
 
 
-def _as_histories(collection: Mapping[int, History] | Iterable[History]) -> list[History]:
+def _as_histories(collection: Mapping[int, dict] | Iterable[dict]) -> list[dict]:
     if isinstance(collection, Mapping):
         collection = [collection[k] for k in sorted(collection)]
-    return list(dict.fromkeys(collection))
+    # a duplicate has equal content, not just equal keys: a table forging a
+    # value under a good table's keys must stay to be judged
+    return list({frozenset(h.items()): h for h in collection}.values())
 
 
-def _fragments(h: History) -> dict[int, set[bytes]]:
-    """The references of ``h`` per issuer, the funding root's left out."""
+def _fragments(table: Mapping[bytes, Transaction]) -> dict[int, set[bytes]]:
+    """The references of a table per issuer, the funding root's left out."""
     fragments: dict[int, set[bytes]] = {}
-    for ref, tx in h.by_ref.items():
+    for ref, tx in table.items():
         if not is_genesis(tx):
             fragments.setdefault(tx.issuer, set()).add(ref)
     return fragments
@@ -299,9 +277,9 @@ def _compatible(a: dict[int, set[bytes]], b: dict[int, set[bytes]]) -> bool:
 
 
 def minimum_cover(
-    collection: Mapping[int, History] | Iterable[History],
-) -> tuple[tuple[History, ...], ...]:
-    """Fewest clusters whose union is the collection.
+    collection: Mapping[int, dict] | Iterable[dict],
+) -> tuple[tuple[dict[bytes, Transaction], ...], ...]:
+    """Fewest clusters whose union is the collection of ``{ref: tx}`` tables.
 
     A cluster is a set of histories whose per-issuer projections are
     pairwise comparable, so clusters are exactly the cliques of the
@@ -310,7 +288,7 @@ def minimum_cover(
     history must be well formed, timestamps included, and there may be at
     most ``COVER_EXACT_CAP`` distinct ones.
     """
-    histories = sorted(_as_histories(collection), key=lambda h: tuple(sorted(h.by_ref)))
+    histories = sorted(_as_histories(collection), key=sorted)
     for h in histories:
         if not well_formed_report(h, check_timestamps=True).ok:
             raise MalformedHistory("cover analysis requires well-formed histories")
@@ -349,14 +327,10 @@ def minimum_cover(
     for k in range(1, m + 1):
         colors = [-1] * m
         if assign(0, k):
-            classes: dict[int, list[History]] = {}
+            classes: dict[int, list[dict[bytes, Transaction]]] = {}
             for v, c in enumerate(colors):
                 classes.setdefault(c, []).append(histories[v])
-            clusters = sorted(
-                (tuple(cls) for cls in classes.values()),
-                key=lambda cls: tuple(sorted(cls[0].by_ref)),
-            )
-            return tuple(clusters)
+            return tuple(sorted(map(tuple, classes.values()), key=lambda cls: sorted(cls[0])))
     raise AssertionError("coloring search must terminate")
 
 

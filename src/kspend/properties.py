@@ -8,8 +8,8 @@ inconsistency analysis itself ran out of budget).
 
 Each property has one checker over a context computed once per report;
 it returns the first violation it finds, or None when the property holds.
-Histories are walked in reference order and accusation stores in digest
-order, so no detail depends on set iteration order.
+Histories (``{ref: tx}`` tables) are walked in reference order and
+accusation stores in digest order: no detail depends on set iteration order.
 
 The checker only consumes reports; it deliberately knows nothing about
 scheduling so it can be replayed on tampered copies, with a fresh verifier.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .ledger import History, Transaction, conflicting_pairs, is_genesis, tx_ref, verify_acc
+from .ledger import Transaction, conflicting_pairs, is_genesis, tx_ref, verify_acc
 from .ledger import conflicts  # noqa: F401  (unused; perfbench/spans.py wraps properties.conflicts)
 from .trust import is_live
 
@@ -60,18 +60,18 @@ class _Context:
             for p in self.correct
         }
 
-    def unsettled(self, ref: bytes, tx: Transaction, issuer_history: History) -> int | None:
+    def unsettled(self, ref: bytes, tx: Transaction, issuer_history: dict) -> int | None:
         """The first live process that neither holds tx nor accuses what it draws value from."""
         depends = None  # built only once some live process lacks tx
         for q in self.live:
-            if ref not in self.report.histories[q].by_ref:
+            if ref not in self.report.histories[q]:
                 depends = depends or _dependencies(ref, tx, issuer_history)
                 if not depends & self.accused[q]:
                     return q
         return None
 
 
-def _dependencies(ref: bytes, tx: Transaction, issuer_history: History) -> set[bytes]:
+def _dependencies(ref: bytes, tx: Transaction, issuer_history: dict) -> set[bytes]:
     """The tx itself plus every transaction it transitively draws value from."""
     seen = {ref}
     stack = list(tx.inputs)
@@ -80,7 +80,7 @@ def _dependencies(ref: bytes, tx: Transaction, issuer_history: History) -> set[b
         if ref in seen:
             continue
         seen.add(ref)
-        parent = issuer_history.by_ref.get(ref)
+        parent = issuer_history.get(ref)
         if parent is not None:
             stack.extend(parent.inputs)
     return seen
@@ -115,7 +115,7 @@ def _eventual_conviction(ctx: _Context) -> Verdict | None:
     """Every correct process holding one side of a conflicting pair has both accused."""
     holders: dict[Transaction, set[int]] = {}
     for p in ctx.correct:
-        for tx in ctx.report.histories[p]:
+        for tx in ctx.report.histories[p].values():
             holders.setdefault(tx, set()).add(p)
     for a, b in conflicting_pairs(holders):
         refs = {tx_ref(a), tx_ref(b)}
@@ -158,7 +158,7 @@ def _integrity(ctx: _Context) -> Verdict | None:
     issued = {tx_ref(tx) for _pid, tx in ctx.executed}
     faulty = ctx.report.scenario.faulty_set
     for q in ctx.correct:
-        for ref, tx in sorted(ctx.report.histories[q].by_ref.items()):
+        for ref, tx in sorted(ctx.report.histories[q].items()):
             if ref not in issued and not is_genesis(tx) and tx.issuer not in faulty:
                 return Verdict(
                     VIOLATED,
@@ -198,7 +198,7 @@ def _termination(ctx: _Context) -> Verdict | None:
     """Everything a correct process holds settles at every live one."""
     for p in ctx.correct:
         history = ctx.report.histories[p]
-        for ref, tx in sorted(history.by_ref.items()):
+        for ref, tx in sorted(history.items()):
             q = None if is_genesis(tx) else ctx.unsettled(ref, tx, history)
             if q is not None:
                 return Verdict(VIOLATED, f"transaction {ref.hex()[:16]} held by {p} "

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .ledger import (
     Accusation,
-    History,
     Transaction,
     genesis_tx,
     is_genesis,
@@ -180,7 +179,7 @@ class RunReport:
     events: int
     trace: tuple
     trace_hash: str
-    histories: dict[int, History]
+    histories: dict[int, dict[bytes, Transaction]]  # each process's {ref: tx} table
     accusations: dict[int, frozenset[Accusation]]
     gamma_series: tuple[int, ...]
     gamma_max: int
@@ -266,7 +265,7 @@ class _Runtime:
             self.seed_used = seed if seed is not None else (sched.seed or 0)
             self.rng = random.Random(self.seed_used)
         self.adversarial = sched.kind == "adversarial"
-        self.plan = sched.plan if self.adversarial else ()
+        self.plan = sched.plan
         self.msg_count = 0
         # queued deliveries: in send order, or under the adversarial scheduler
         # a heap whose root, the least (phase, msg_id, recipient), is delivered next
@@ -422,7 +421,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
     while rt.step():
         pass
 
-    histories = {p: History(rt.engines[p].by_ref) for p in rt.correct}
+    histories = {p: rt.engines[p].by_ref for p in rt.correct}
     accusations = {p: frozenset(rt.engines[p].accusations) for p in rt.correct}
 
     k_bound = scenario.k_bound
@@ -450,7 +449,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
         for p in rt.correct:
             mine = [
                 tx
-                for tx in histories[p]
+                for tx in histories[p].values()
                 if tx.issuer == scenario.kcb_source and genesis_ref in tx.inputs
             ]
             if mine:
@@ -773,7 +772,7 @@ def report_to_obj(report: RunReport) -> dict:
         "trace": [list(rec) for rec in report.trace],
         "trace_hash": report.trace_hash,
         "histories": {
-            str(p): [tx_to_obj(h.by_ref[ref]) for ref in sorted(h.by_ref)]
+            str(p): [tx_to_obj(h[ref]) for ref in sorted(h)]
             for p, h in report.histories.items()
         },
         "accusations": {

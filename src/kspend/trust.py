@@ -55,7 +55,14 @@ class TrustModel:
         # exact ints only: JSON true/false load as bools, an int subclass
         if type(n) is not int or n < 1:
             raise ValueError(f"process count must be a positive integer, got {n!r}")
-        rows = list(quorums)
+
+        def listed(items: Iterable, what: str) -> list:
+            try:
+                return list(items)
+            except TypeError:  # not a collection
+                raise ValueError(f"{what} must be a collection, got {items!r}") from None
+
+        rows = listed(quorums, "quorum systems")
         # before range(n) is built: a huge n fails here, not out of memory
         if len(rows) != n:
             raise ValueError(f"expected one quorum system per process ({n}), got {len(rows)}")
@@ -75,15 +82,15 @@ class TrustModel:
 
         systems = []
         for pid, row in enumerate(rows):
+            row = listed(row, f"quorum system of process {pid}")
             system = sorted({members(q, f"quorum of process {pid}") for q in row}, key=sorted)
             if not system:
                 raise ValueError(f"process {pid} has an empty quorum system")
             if not all(system):
                 raise ValueError(f"process {pid} lists an empty quorum")
             systems.append(tuple(system))
-        maximal = sorted(
-            {members(f, "faulty set") for f in fault_model}, key=lambda s: (len(s), sorted(s))
-        )
+        faults = {members(f, "faulty set") for f in listed(fault_model, "fault model")}
+        maximal = sorted(faults, key=lambda s: (len(s), sorted(s)))
         # drop sets absorbed by a superset; keep the empty set only when alone
         maximal = [f for f in maximal if not any(f < g for g in maximal)]
         if not maximal:

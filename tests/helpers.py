@@ -6,7 +6,6 @@ from kspend import sim
 from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.errors import MalformedHistory
 from kspend.ledger import (
-    History,
     Transaction,
     WellFormedness,
     _as_histories,
@@ -22,7 +21,12 @@ from kspend.sim import RunReport
 from kspend.trust import is_live
 
 
-def random_well_formed_history(rng: random.Random) -> History:
+def table(txs) -> dict[bytes, Transaction]:
+    """A history as the engine keeps one: each transaction under its reference."""
+    return {tx_ref(tx): tx for tx in txs}
+
+
+def random_well_formed_history(rng: random.Random) -> dict[bytes, Transaction]:
     """A history satisfying every clause, timestamps included."""
     n = rng.randint(2, 5)
     grants = {p: rng.randint(5, 20) for p in range(n)}
@@ -60,7 +64,7 @@ def random_well_formed_history(rng: random.Random) -> History:
         txs.append(tx)
         for who, amount in tx.outputs:
             unspent[who].append((tx_ref(tx), amount))
-    return History.of(txs)
+    return table(txs)
 
 
 def undelivered_live(report: RunReport) -> tuple[int, ...]:
@@ -88,13 +92,13 @@ def clause_failed(report: WellFormedness, clause: str) -> bool:
     return any(c == clause for c, _ in report.failures)
 
 
-def balances(h: History, pids) -> list[int]:
+def balances(h: dict[bytes, Transaction], pids) -> list[int]:
     """Each process's received minus spent; never negative on a well-formed history."""
     if not well_formed_report(h).ok:
         raise MalformedHistory("balance requires a well-formed history")
     return [
-        sum(tx.pays(pid) for tx in h)
-        - sum(out_value(tx) for tx in h if tx.issuer == pid and not is_genesis(tx))
+        sum(tx.pays(pid) for tx in h.values())
+        - sum(out_value(tx) for tx in h.values() if tx.issuer == pid and not is_genesis(tx))
         for pid in pids
     ]
 
@@ -111,7 +115,7 @@ def spending_number(collection) -> int:
             raise MalformedHistory("spending number requires well-formed histories")
     spenders: dict[tuple[int, bytes], set[bytes]] = {}
     for h in histories:
-        for tx in h:
+        for tx in h.values():
             if is_genesis(tx):
                 continue
             for ref in tx.inputs:
@@ -133,7 +137,7 @@ def well_formed_trace_hash(scenario, seed) -> str:
             if len(state.by_ref) == judged[pid]:
                 continue
             judged[pid] = len(state.by_ref)
-            base = well_formed_report(History(dict(state.by_ref)))
+            base = well_formed_report(state.by_ref)
             if not base.ok:
                 raise AssertionError(f"history of {pid} left well-formedness: {base.failures}")
     return sim.compute_trace_hash(rt.trace)

@@ -11,7 +11,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from kspend.engine import can_transfer
-from kspend.ledger import History, tx_ref
+from kspend.ledger import tx_ref
 
 
 def subset_independence_number(nodes, adjacent) -> int:
@@ -90,7 +90,7 @@ def brute_spending_number(histories) -> int:
     """Double loop over the pooled transactions, counting spends per input."""
     pool = set()
     for h in histories:
-        pool |= set(h)
+        pool |= set(h.values())
     best = 0
     for tx in pool:
         for ref in tx.inputs:
@@ -100,14 +100,14 @@ def brute_spending_number(histories) -> int:
     return best
 
 
-def compatible_pair(a: History, b: History) -> bool:
+def compatible_pair(a: dict, b: dict) -> bool:
     # genesis has a negative issuer and never counts toward projections
-    issuers = {tx.issuer for tx in a} | {tx.issuer for tx in b}
+    issuers = {tx.issuer for tx in a.values()} | {tx.issuer for tx in b.values()}
     for issuer in issuers:
         if issuer < 0:
             continue
-        fa = {tx for tx in a if tx.issuer == issuer}
-        fb = {tx for tx in b if tx.issuer == issuer}
+        fa = {tx for tx in a.values() if tx.issuer == issuer}
+        fb = {tx for tx in b.values() if tx.issuer == issuer}
         if not (fa <= fb or fb <= fa):
             return False
     return True
@@ -145,13 +145,12 @@ def brute_cover_number(histories) -> int:
     return best
 
 
-def brute_tx_fault(tx, history):
+def brute_tx_fault(tx, table):
     """The first clause a transaction other than the funding root breaks
-    against ``history``, or None: every input present (completeness), then
+    against ``table``, or None: every input present (completeness), then
     every input paying the issuer, then outputs positive and equal to what
     the inputs pay (both t-validity). Three separate scans of the
     reference table, as the ledger once wrote the rule."""
-    table = history.by_ref
     if any(ref not in table for ref in tx.inputs):
         return "completeness"
     if not all(table[ref].pays(tx.issuer) > 0 for ref in tx.inputs):
@@ -173,13 +172,12 @@ def brute_conflict_pairs(txs):
     return out
 
 
-def brute_well_formed(history, check_timestamps=False) -> bool:
+def brute_well_formed(table, check_timestamps=False) -> bool:
     """Every clause, each checked on its own: every key is its transaction's
     reference, no dependency reaches itself (a plain recursive walk), one
     funding root, every other transaction fits the history and conflicts
     with none, and, under ``check_timestamps``, each carries a timestamp and
     one less is stamped on a transaction of its issuer unless it is 1."""
-    table = history.by_ref
     txs = list(table.values())
     roots = [tx for tx in txs if tx.issuer < 0 and not tx.inputs]
     spends = [tx for tx in txs if tx not in roots]
@@ -197,7 +195,7 @@ def brute_well_formed(history, check_timestamps=False) -> bool:
         all(tx_ref(tx) == ref for ref, tx in table.items())
         and not any(reaches_itself(ref, frozenset()) for ref in table)
         and len(roots) == 1
-        and all(brute_tx_fault(tx, history) is None for tx in spends)
+        and all(brute_tx_fault(tx, table) is None for tx in spends)
         and not brute_conflict_pairs(txs)
         and not (check_timestamps and any(
             tx.timestamp is None or tx.timestamp > 1 and not any(
@@ -219,8 +217,8 @@ def brute_eventual_conviction(report) -> str:
     correct = sorted(report.histories)
     for p in correct:
         for q in correct:
-            for a in report.histories[p]:
-                for b in report.histories[q]:
+            for a in report.histories[p].values():
+                for b in report.histories[q].values():
                     if a == b or a.issuer != b.issuer or not set(a.inputs) & set(b.inputs):
                         continue
                     for side in (p, q):

@@ -16,7 +16,7 @@ import pathlib
 import sys
 
 from kspend.crypto import keychain, make_scheme
-from kspend.ledger import Accusation, History, make_tx, tx_ref
+from kspend.ledger import Accusation, make_tx, tx_ref
 from kspend.properties import HOLDS
 from kspend.trust import is_live
 
@@ -48,9 +48,9 @@ def tamperings(report):
     # live process other than its issuer that holds it
     for issuer, tx in executed[-1:]:
         ref = tx_ref(tx)
-        holder = next((p for p in live if p != issuer and ref in report.histories[p].by_ref), None)
+        holder = next((p for p in live if p != issuer and ref in report.histories[p]), None)
         if holder is not None:
-            kept = History.of(t for t in report.histories[holder] if tx_ref(t) != ref)
+            kept = {r: t for r, t in report.histories[holder].items() if r != ref}
             yield "drop-spend", replace(report, histories={**report.histories, holder: kept})
     # one store stripped, for each process that has one
     for p in pids:
@@ -63,9 +63,9 @@ def tamperings(report):
     root = tx_ref(scenario.genesis)
     a = make_tx(issuer, {0: 1}, [root], timestamp=1)
     b = make_tx(issuer, {1: 1}, [root], timestamp=1)
-    planted = {**report.histories, pids[0]: History.of([*report.histories[pids[0]], a])}
+    planted = {**report.histories, pids[0]: {**report.histories[pids[0]], tx_ref(a): a}}
     if len(pids) > 1:
-        planted[pids[1]] = History.of([*planted[pids[1]], b])
+        planted[pids[1]] = {**planted[pids[1]], tx_ref(b): b}
     yield "plant-conflict", replace(report, histories=planted)
     yield "capped", replace(report, quiescent=False)
     yield "k-bound-0", replace(report, k_bound=0)
@@ -88,7 +88,7 @@ def directed(report):
     # two transactions by process 1 credited at one process only: both are
     # unissued (integrity) and neither settles anywhere else (termination)
     extra = [make_tx(1, {0: 1}, [root], timestamp=1, message=bytes([i])) for i in range(2)]
-    credited = History.of([*report.histories[first], *extra])
+    credited = {**report.histories[first], **{tx_ref(t): t for t in extra}}
     yield "two-unsettled-unissued", replace(
         report, histories={**report.histories, first: credited}
     )

@@ -24,7 +24,6 @@ from kspend.kcb import (
     delivered_values,
 )
 from kspend.ledger import (
-    History,
     genesis_tx,
     make_tx,
     minimum_cover,
@@ -40,7 +39,7 @@ from kspend.trust import (
     uniform_model,
 )
 
-from helpers import balances, random_well_formed_history, spending_number, undelivered_live
+from helpers import balances, random_well_formed_history, spending_number, table, undelivered_live
 from oracles import (
     brute_conflict_pairs,
     brute_cover_number,
@@ -218,8 +217,8 @@ def test_criterion_09_cluster_analysis(fuzz_corpus):
         if report.cover < report.gamma_max:
             below_gamma += 1
         for cluster in minimum_cover(report.histories):
-            pooled = set().union(*(set(h) for h in cluster))
-            if not well_formed_report(History.of(pooled), check_timestamps=True).ok:
+            pooled = set().union(*(h.values() for h in cluster))
+            if not well_formed_report(table(pooled), check_timestamps=True).ok:
                 malformed_unions += 1
         if len(report.histories) <= 5:
             brute_checked += 1

@@ -46,7 +46,7 @@ def test_attack_run_meets_bound_exactly(example1):
     spent_ways = {
         tx_ref(t)
         for p in report.histories
-        for t in report.histories[p]
+        for t in report.histories[p].values()
         if t.inputs
     }
     assert len(spent_ways) == 2

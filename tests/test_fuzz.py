@@ -44,7 +44,7 @@ def test_generated_histories_satisfy_every_clause():
         history = random_well_formed_history(rng)
         report = well_formed_report(history, check_timestamps=True)
         assert report.ok and report.failures == ()
-        roots = [t for t in history if is_genesis(t)]
+        roots = [t for t in history.values() if is_genesis(t)]
         assert len(roots) == 1
 
 

@@ -13,7 +13,6 @@ from kspend.crypto import Verifier, content_hash, keychain, make_scheme
 from kspend.errors import MalformedHistory, SizeLimitExceeded
 from kspend.ledger import (
     Accusation,
-    History,
     Transaction,
     conflicting_pairs,
     conflicts,
@@ -28,7 +27,7 @@ from kspend.ledger import (
     well_formed_report,
 )
 
-from helpers import balances, clause_failed, random_well_formed_history, spending_number
+from helpers import balances, clause_failed, random_well_formed_history, spending_number, table
 from oracles import (
     brute_conflict_pairs,
     brute_cover_number,
@@ -244,30 +243,41 @@ def test_extended_index_matches_a_rebuilt_one(seed):
     grown = 0
     for _ in range(4):
         for h in sim.run(fuzz.random_scenario(rng)).histories.values():
-            assert h.by_ref == History.of(h).by_ref
+            assert h == table(h.values())
             grown += len(h) > 1
     assert grown
 
 
 def test_history_equality_and_hash_ignore_the_order_of_additions():
-    a = spend(0, {1: 10}, [GREF])
-    b = spend(1, {0: 5}, [GREF])
-    assert History.of([a, b]) == History.of([b, a])
-    assert hash(History.of([a, b])) == hash(History.of([b, a]))
-    assert History.of([G, a]) != History.of([G, b])
-    assert len({History.of([G, a, b]), History.of([b, G, a]), History.of([G, a])}) == 2
+    """The cover drops a duplicate table by its content, whatever order it
+    was filled in; a table with a good one's keys but a forged value is no
+    duplicate, so it is judged, and refused, in any position."""
+    a = spend(0, {1: 4, 0: 6}, [GREF], tm=1)
+    b = spend(1, {0: 5}, [GREF], tm=1)
+    good = table([G, a, b])
+    assert good == table([b, G, a]) and good != table([G, a])
+    assert minimum_cover([good, table([b, G, a]), table([a, b, G])]) == ((good,),)
+    forged = {**good, tx_ref(b): spend(1, {0: 5}, [GREF], tm=1, message=b"forged")}
+    assert forged.keys() == good.keys()
+    for family in ([good, forged], [forged, good], {0: good, 1: forged}):
+        with pytest.raises(MalformedHistory):
+            minimum_cover(family)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_history_of_keeps_the_order_given(seed):
+    """A table iterates in the order it was filled; equal tables filled in
+    any order count once in the cover, 13 copies of one too, one more than
+    the cap on distinct histories."""
     rng = random.Random(seed)
-    txs = list(random_well_formed_history(rng))
-    first = History.of(txs)
-    for _ in range(4):
+    txs = list(random_well_formed_history(rng).values())
+    copies = [table(txs)]
+    while len(copies) < ledger.COVER_EXACT_CAP + 1:
         rng.shuffle(txs)
-        rebuilt = History.of(txs)
-        assert list(rebuilt) == txs
-        assert rebuilt == first and hash(rebuilt) == hash(first)
+        copies.append(table(txs))
+        assert list(copies[-1].values()) == txs and copies[-1] == copies[0]
+    assert minimum_cover(copies) == ((copies[0],),)
+    assert minimum_cover(dict(enumerate(copies))) == ((copies[0],),)
 
 
 def test_tx_ref_cache_is_bounded():
@@ -283,45 +293,45 @@ def test_tx_ref_cache_is_bounded():
 
 def test_history_resolution():
     t = spend(0, {1: 10}, [GREF])
-    h = History.of([G, t])
-    assert t in h and len(h) == 2
-    assert h.by_ref[GREF] == G
-    assert h.by_ref.get(b"\x00" * 32) is None
+    h = table([G, t])
+    assert tx_ref(t) in h and len(h) == 2
+    assert h[GREF] == G
+    assert h.get(b"\x00" * 32) is None
 
 
 def test_well_formed_happy_path():
     t1 = spend(0, {1: 4, 0: 6}, [GREF], tm=1)
     t2 = spend(0, {2: 6}, [tx_ref(t1)], tm=2)
-    h = History.of([G, t1, t2])
+    h = table([G, t1, t2])
     assert well_formed_report(h, check_timestamps=True).ok
 
 
 def test_clause_failures_are_reported_individually():
     t = spend(0, {1: 10}, [GREF])
-    no_root = History.of([t])
+    no_root = table([t])
     assert clause_failed(well_formed_report(no_root), "t-validity")
     assert clause_failed(well_formed_report(no_root), "completeness")
 
-    dangling = History.of([G, spend(0, {1: 10}, [b"\x01" * 32])])
+    dangling = table([G, spend(0, {1: 10}, [b"\x01" * 32])])
     assert clause_failed(well_formed_report(dangling), "completeness")
 
     # spending an input that pays someone else
-    theft = History.of([G, spend(2, {0: 10}, [GREF])])
+    theft = table([G, spend(2, {0: 10}, [GREF])])
     assert clause_failed(well_formed_report(theft), "t-validity")
 
-    unbalanced = History.of([G, spend(0, {1: 7}, [GREF])])
+    unbalanced = table([G, spend(0, {1: 7}, [GREF])])
     assert clause_failed(well_formed_report(unbalanced), "t-validity")
 
-    double = History.of([G, spend(0, {1: 10}, [GREF]), spend(0, {0: 10}, [GREF])])
+    double = table([G, spend(0, {1: 10}, [GREF]), spend(0, {0: 10}, [GREF])])
     assert clause_failed(well_formed_report(double), "no-conflict")
 
-    untimed = History.of([G, make_tx(0, {1: 10}, [GREF])])
+    untimed = table([G, make_tx(0, {1: 10}, [GREF])])
     assert well_formed_report(untimed).ok
     report = well_formed_report(untimed, check_timestamps=True)
     assert clause_failed(report, "predecessor")
 
     t1 = spend(0, {1: 4, 0: 6}, [GREF], tm=1)
-    gap = History.of([G, t1, spend(0, {2: 6}, [tx_ref(t1)], tm=3)])
+    gap = table([G, t1, spend(0, {2: 6}, [tx_ref(t1)], tm=3)])
     assert clause_failed(well_formed_report(gap, check_timestamps=True), "predecessor")
 
 
@@ -329,11 +339,11 @@ def test_dependency_chain_as_long_as_a_long_run_is_well_formed():
     chain = [genesis_tx({0: 1})]
     for t in range(3000):
         chain.append(spend(0, {0: 1}, [tx_ref(chain[-1])], tm=t + 1))
-    assert well_formed_report(History.of(chain)).ok
+    assert well_formed_report(table(chain)).ok
     # each transaction's predecessor is found in one set, not by a scan of the history
-    assert well_formed_report(History.of(chain), check_timestamps=True).ok
+    assert well_formed_report(table(chain), check_timestamps=True).ok
     gap = chain[:1500] + [spend(0, {0: 1}, [tx_ref(chain[1499])], tm=1501)]
-    failures = well_formed_report(History.of(gap), check_timestamps=True).failures
+    failures = well_formed_report(table(gap), check_timestamps=True).failures
     assert [clause for clause, _ in failures] == ["predecessor"]
 
 
@@ -341,7 +351,7 @@ def test_failures_come_in_reference_order():
     """A history's failures name its transactions in reference order, not set order."""
     dangling = [spend(0, {1: 10}, [content_hash(bytes([i]))]) for i in range(6)]
     theft = [spend(2, {0: 10}, [GREF], message=bytes([i])) for i in range(4)]
-    failures = well_formed_report(History.of([G, *dangling, *theft])).failures
+    failures = well_formed_report(table([G, *dangling, *theft])).failures
     expected = sorted((tx_ref(tx).hex()[:12], "completeness" if tx in dangling else "t-validity")
                       for tx in dangling + theft)
     assert [(detail[:12], clause) for clause, detail in failures if clause != "no-conflict"] == (
@@ -361,11 +371,11 @@ def _admission_case(rng):
     for tm in range(1, rng.randint(1, 5)):
         source = tx_ref(rng.choice(txs))
         txs.append(spend(rng.randrange(3), {p: rng.randint(0, 3) for p in range(3)}, [source], tm))
-    history = History.of(txs)
+    history = table(txs)
     issuer = rng.randrange(3)
-    present = rng.sample(list(history.by_ref), rng.randint(0, len(history)))
+    present = rng.sample(list(history), rng.randint(0, len(history)))
     absent = [content_hash(b"absent %d" % rng.randrange(9)) for _ in range(rng.choice((0, 0, 1, 2)))]
-    paid = [history.by_ref[ref].pays(issuer) for ref in present]
+    paid = [history[ref].pays(issuer) for ref in present]
     total = rng.choice((sum(paid), sum(paid) + 1, sum(paid) - 1, 0, rng.randint(0, 9)))
     first = rng.randint(0, max(total, 0))
     tx = spend(issuer, {0: first, rng.randint(1, 2): max(total, 0) - first}, present + absent)
@@ -389,8 +399,8 @@ def test_tx_fault_matches_the_brute_rule():
     for _ in range(2500):
         tx, history, shapes = _admission_case(rng)
         expected = brute_tx_fault(tx, history)
-        fault = ledger.tx_fault(tx, history.by_ref)
-        assert (fault and fault[0]) == expected, (tx, list(history))
+        fault = ledger.tx_fault(tx, history)
+        assert (fault and fault[0]) == expected, (tx, list(history.values()))
         seen["admitted"] += expected is None
         for shape, drawn in shapes.items():
             seen[shape] += drawn
@@ -401,20 +411,19 @@ def _mutants(h, rng):
     """``h`` broken, perhaps, one way each: a transaction under a second,
     forged key; an input's entry dropped; a second spend of a transaction's
     inputs; a leaf restamped one later, which leaves a timestamp gap."""
-    table = h.by_ref
-    spends = [tx for tx in h if not is_genesis(tx)]
-    spent = {ref for tx in h for ref in tx.inputs}
-    yield "forged key", History({**table, rng.randbytes(32): rng.choice(list(h))})
+    spends = [tx for tx in h.values() if not is_genesis(tx)]
+    spent = {ref for tx in h.values() for ref in tx.inputs}
+    yield "forged key", {**h, rng.randbytes(32): rng.choice(list(h.values()))}
     if not spends:
         return
     tx = rng.choice(spends)
     dropped = rng.choice(tx.inputs)
-    yield "dropped input", History({ref: t for ref, t in table.items() if ref != dropped})
+    yield "dropped input", {ref: t for ref, t in h.items() if ref != dropped}
     twin = make_tx(tx.issuer, dict(tx.outputs), tx.inputs, tx.timestamp, message=b"twin")
-    yield "conflicting spend", History.of([*h, twin])
+    yield "conflicting spend", {**h, tx_ref(twin): twin}
     leaf = rng.choice([tx for tx in spends if tx_ref(tx) not in spent])
     later = dataclasses.replace(leaf, timestamp=leaf.timestamp + 1)
-    yield "timestamp gap", History.of([later if t is leaf else t for t in h])
+    yield "timestamp gap", table(later if t is leaf else t for t in h.values())
 
 
 def test_well_formed_report_matches_the_brute_clauses():
@@ -428,7 +437,9 @@ def test_well_formed_report_matches_the_brute_clauses():
         for kind, mutant in [("none", h), *_mutants(h, rng)]:
             for check_timestamps in (False, True):
                 ok = well_formed_report(mutant, check_timestamps=check_timestamps).ok
-                assert ok == brute_well_formed(mutant, check_timestamps), (kind, list(mutant))
+                assert ok == brute_well_formed(mutant, check_timestamps), (
+                    kind, list(mutant.values())
+                )
                 refused[kind, check_timestamps] += not ok
     kinds = ["forged key", "dropped input", "conflicting spend", "timestamp gap"]
     assert min(refused[kind, True] for kind in kinds) >= 250, refused
@@ -446,7 +457,7 @@ def test_a_forged_key_is_named_at_any_depth():
     tail = spend(0, {0: 1}, [tx_ref(loop[1500])], tm=1)  # reaches the loop, not on it
     clear = spend(1, {1: 5}, [GREF], tm=1)  # reaches no cycle
     txs = [G, clear, tail, *loop]
-    h = History({**History.of(txs).by_ref, forged: loop[-1]})
+    h = {**table(txs), forged: loop[-1]}
     detail = f"{forged.hex()[:12]} keys a transaction of another reference"
     assert [f for f in well_formed_report(h).failures if f[0] == "cycle-freedom"] == [
         ("cycle-freedom", detail)
@@ -459,8 +470,8 @@ def test_a_forged_key_without_a_cycle_is_named():
     t1 = spend(0, {1: 10}, [GREF], tm=1)
     forged = content_hash(b"forged reference")
     t2 = spend(1, {0: 10}, [forged], tm=1)
-    h = History({**History.of([G, t1, t2]).by_ref, forged: t1})
-    assert ledger.tx_fault(t2, h.by_ref) is None
+    h = {**table([G, t1, t2]), forged: t1}
+    assert ledger.tx_fault(t2, h) is None
     assert well_formed_report(h).failures == (
         ("cycle-freedom", f"{forged.hex()[:12]} keys a transaction of another reference"),
     )
@@ -468,14 +479,14 @@ def test_a_forged_key_without_a_cycle_is_named():
 
 def test_balance_arithmetic():
     t1 = spend(0, {1: 4, 0: 6}, [GREF])
-    h = History.of([G, t1])
+    h = table([G, t1])
     assert balances(h, [0, 1, 2]) == [6, 9, 0]
-    assert balances(History.of([G]), [0]) == [10]
+    assert balances(table([G]), [0]) == [10]
 
 
 def test_balance_requires_well_formedness():
     with pytest.raises(MalformedHistory):
-        balances(History.of([spend(0, {1: 10}, [GREF])]), [0])
+        balances(table([spend(0, {1: 10}, [GREF])]), [0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -483,8 +494,8 @@ def test_balance_requires_well_formedness():
 def test_balances_nonnegative_and_conserved(seed):
     h = random_well_formed_history(random.Random(seed))
     assert well_formed_report(h, check_timestamps=True).ok
-    g = next(tx for tx in h if is_genesis(tx))
-    pids = {p for tx in h for p, _ in tx.outputs}
+    g = next(tx for tx in h.values() if is_genesis(tx))
+    pids = {p for tx in h.values() for p, _ in tx.outputs}
     totals = balances(h, pids)
     assert all(b >= 0 for b in totals)
     assert sum(totals) == out_value(g)
@@ -496,16 +507,16 @@ def test_balances_nonnegative_and_conserved(seed):
 def test_spending_number_basics():
     a = spend(0, {1: 10}, [GREF])
     b = spend(0, {0: 10}, [GREF])
-    assert spending_number([History.of([G])]) == 0
-    assert spending_number([History.of([G, a])]) == 1
-    assert spending_number([History.of([G, a]), History.of([G, b])]) == 2
+    assert spending_number([table([G])]) == 0
+    assert spending_number([table([G, a])]) == 1
+    assert spending_number([table([G, a]), table([G, b])]) == 2
     # mapping form and duplicate histories collapse the same way
-    assert spending_number({1: History.of([G, a]), 2: History.of([G, a])}) == 1
+    assert spending_number({1: table([G, a]), 2: table([G, a])}) == 1
 
 
 def test_spending_number_rejects_malformed():
     with pytest.raises(MalformedHistory):
-        spending_number([History.of([spend(0, {1: 10}, [GREF])])])
+        spending_number([table([spend(0, {1: 10}, [GREF])])])
 
 
 def test_spending_number_matches_double_loop_oracle():
@@ -526,23 +537,23 @@ def fork(i):
 def test_cover_of_compatible_family_is_one():
     t1 = spend(0, {1: 4, 0: 6}, [GREF], tm=1)
     t2 = spend(1, {0: 5}, [GREF], tm=1)
-    shorter = History.of([G, t1])
-    longer = History.of([G, t1, t2])
+    shorter = table([G, t1])
+    longer = table([G, t1, t2])
     cover = minimum_cover([shorter, longer, shorter])
     assert len(cover) == 1
-    assert set(cover[0]) == {shorter, longer}
+    assert sorted(cover[0], key=len) == [shorter, longer]
 
 
 def test_cover_splits_incomparable_branches():
-    left = History.of([G, fork(1)])
-    right = History.of([G, fork(2)])
-    empty = History.of([G])
+    left = table([G, fork(1)])
+    right = table([G, fork(2)])
+    empty = table([G])
     assert len(minimum_cover([left, right])) == 2
     assert len(minimum_cover([left, right, empty])) == 2
     clusters = minimum_cover({0: left, 1: right, 2: empty})
     assert sorted(len(c) for c in clusters) == [1, 2]
-    covered = {h for cluster in clusters for h in cluster}
-    assert covered == {left, right, empty}
+    covered = [h for cluster in clusters for h in cluster]
+    assert len(covered) == 3 and all(h in covered for h in (left, right, empty))
 
 
 def test_cover_matches_partition_oracle():
@@ -555,18 +566,18 @@ def test_cover_matches_partition_oracle():
             picks = [G] + rng.sample(txs, rng.randint(0, 1))
             if rng.random() < 0.5:
                 picks.append(other)
-            histories.append(History.of(picks))
+            histories.append(table(picks))
         assert len(minimum_cover(histories)) == brute_cover_number(histories)
 
 
 def test_cover_cap_and_timestamp_gate(monkeypatch):
-    many = [History.of([G, fork(i)]) for i in range(13)]
+    many = [table([G, fork(i)]) for i in range(13)]
     with pytest.raises(SizeLimitExceeded):
         minimum_cover(many)
     monkeypatch.setattr(ledger, "COVER_EXACT_CAP", 16)  # read at call time
     assert len(minimum_cover(many)) == 13
 
-    untimed = History.of([G, make_tx(0, {1: 10}, [GREF])])
+    untimed = table([G, make_tx(0, {1: 10}, [GREF])])
     with pytest.raises(MalformedHistory):
         minimum_cover([untimed])
 

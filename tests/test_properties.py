@@ -11,7 +11,7 @@ import json
 import pytest
 
 from kspend.crypto import keychain, make_scheme
-from kspend.ledger import Accusation, History, make_tx, tx_ref
+from kspend.ledger import Accusation, make_tx, tx_ref
 from kspend.properties import (
     HOLDS,
     PROPERTY_NAMES,
@@ -87,8 +87,8 @@ def test_dropping_an_accepted_transfer_violates_validity(demo_report):
         p for p in sorted(r.histories)
         if p != issuer and is_live(r.scenario.model, p, r.scenario.faulty_set)
     )
-    pruned = {t for t in r.histories[victim] if tx_ref(t) != tx_ref(tx)}
-    r.histories = {**r.histories, victim: History.of(pruned)}
+    pruned = {ref: t for ref, t in r.histories[victim].items() if ref != tx_ref(tx)}
+    r.histories = {**r.histories, victim: pruned}
     assert judge(r)["validity"].status == VIOLATED
 
 
@@ -99,7 +99,7 @@ def test_unissued_transaction_violates_integrity(demo_report):
     issued = {tx_ref(t) for _p, t in r.scenario.honest_actions}
     assert tx_ref(forged) not in issued
     target = max(r.histories)
-    r.histories = {**r.histories, target: History.of([*r.histories[target], forged])}
+    r.histories = {**r.histories, target: {**r.histories[target], tx_ref(forged): forged}}
     assert judge(r)["integrity"].status == VIOLATED
 
 
@@ -114,8 +114,8 @@ def plant_conflict(report, convicted_at=()):
     b = make_tx(3, {1: 10}, [genesis_ref], timestamp=1)
     pids = sorted(r.histories)
     r.histories = dict(r.histories)
-    r.histories[pids[0]] = History.of([*r.histories[pids[0]], a])
-    r.histories[pids[1]] = History.of([*r.histories[pids[1]], b])
+    r.histories[pids[0]] = {**r.histories[pids[0]], tx_ref(a): a}
+    r.histories[pids[1]] = {**r.histories[pids[1]], tx_ref(b): b}
     acc = Accusation.build({3}, [(a, b"sig-a"), (b, b"sig-b")])
     r.accusations = {
         p: frozenset({acc}) if p in convicted_at else frozenset() for p in r.accusations
@@ -205,12 +205,12 @@ def test_withheld_transaction_violates_termination(probe_report):
     accepted = next(
         p for p in sorted(r.histories) if len(r.histories[p]) > 1
     )
-    spend = next(t for t in r.histories[accepted] if t.inputs)
+    spend = next(t for t in r.histories[accepted].values() if t.inputs)
     live_other = next(
         p for p in sorted(r.histories)
         if p != accepted
         and is_live(r.scenario.model, p, r.scenario.faulty_set)
-        and spend not in r.histories[p]
+        and tx_ref(spend) not in r.histories[p]
     )
     r.accusations = {**r.accusations, live_other: frozenset()}
     assert judge(r)["termination"].status == VIOLATED
@@ -225,7 +225,7 @@ def test_withheld_transaction_violates_termination(probe_report):
 def test_two_unsettled_unissued_transactions_name_the_lower_reference(demo_report):
     r = dict(directed(demo_report))["two-unsettled-unissued"]
     first = min(r.histories)
-    planted = sorted(set(r.histories[first].by_ref) - set(demo_report.histories[first].by_ref))
+    planted = sorted(set(r.histories[first]) - set(demo_report.histories[first]))
     assert len(planted) == 2
     verdicts = judge(r)
     lower = planted[0].hex()[:16]

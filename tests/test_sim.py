@@ -108,7 +108,7 @@ def test_honest_run_reaches_everyone():
     assert report.quiescent
     tx = report.scenario.honest_actions[0][1]
     for p in range(3):
-        assert tx in report.histories[p]
+        assert tx_ref(tx) in report.histories[p]
     assert report.gamma_max == 1
     assert report.cover == 1
     assert all(v.status == "holds" for v in report.verdicts.values())
@@ -907,4 +907,4 @@ def test_request_spending_nothing_is_not_echoed_forever():
     }
     report = run(scenario_from_obj(obj))
     assert report.quiescent
-    assert all(set(h) == {report.scenario.genesis} for h in report.histories.values())
+    assert all(set(h.values()) == {report.scenario.genesis} for h in report.histories.values())

@@ -78,12 +78,18 @@ def test_build_rejects_malformed(n, quorums, faults):
     [
         ([[[0]], [1]], [], "quorum of process 1 must be a collection of process ids, got 1"),
         ([[[0]], [[1]]], [3], "faulty set must be a collection of process ids, got 3"),
+        (5, [], "quorum systems must be a collection, got 5"),
+        ([3, 3], [], "quorum system of process 0 must be a collection, got 3"),
+        ([[[0]], [[1]]], 5, "fault model must be a collection, got 5"),
     ],
-    ids=["quorum", "faulty set"],
+    ids=["quorum", "faulty set", "quorums", "quorum system", "fault model"],
 )
 def test_build_names_a_group_that_is_no_collection(quorums, faults, detail):
     with pytest.raises(ValueError, match=detail):
         TrustModel.build(2, quorums, faults)
+    # a model file gets the same words
+    with pytest.raises(SchemaError, match=detail):
+        parse_model({"n": 2, "quorums": quorums, "fault_model_maximal": faults})
 
 
 def test_build_takes_any_collection_of_ids():
