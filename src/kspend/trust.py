@@ -83,7 +83,8 @@ class TrustModel:
         systems = []
         for pid, row in enumerate(rows):
             row = listed(row, f"quorum system of process {pid}")
-            system = sorted({members(q, f"quorum of process {pid}") for q in row}, key=sorted)
+            # deduped in order, so a system that is already in order sorts in linear time
+            system = sorted(dict.fromkeys(members(q, f"quorum of process {pid}") for q in row), key=sorted)
             if not system:
                 raise ValueError(f"process {pid} has an empty quorum system")
             if not all(system):
@@ -91,8 +92,9 @@ class TrustModel:
             systems.append(tuple(system))
         faults = {members(f, "faulty set") for f in listed(fault_model, "fault model")}
         maximal = sorted(faults, key=lambda s: (len(s), sorted(s)))
-        # drop sets absorbed by a superset; keep the empty set only when alone
-        maximal = [f for f in maximal if not any(f < g for g in maximal)]
+        # drop sets a (larger) superset absorbs; keep the empty set only when alone
+        larger = {len(f): i for i, f in enumerate(maximal, 1)}  # size -> where larger sets start
+        maximal = [f for f in maximal if not any(f < g for g in maximal[larger[len(f)] :])]
         if not maximal:
             maximal = [frozenset()]
         return TrustModel(n=n, quorums=tuple(systems), fault_model=tuple(maximal))
@@ -239,7 +241,10 @@ class _Packer(dict):
         self.reduced = [mask & keep for mask in self.masks]
         owned = zip(reversed(self.owners), reversed(self.reduced))
         first = dict(zip(owned, reversed(range(len(self.masks)))))  # back to front: firsts win
-        self.active = sum(map((1).__lshift__, first.values()))
+        digits = bytearray(b"0" * (len(self.masks) + 1))  # vertex v is digit ~v, and a lead 0
+        for v in first.values():
+            digits[~v] = 49  # ord("1"); one int() is linear in V, where summing V bits is not
+        self.active = int(digits, 2)
 
     def can_pack(
         self, pids: list, need: int, used: int, failed: dict, budget: _Budget, forced: int = 0
@@ -310,7 +315,9 @@ def _lambda_and_witness(
     ``rebuild`` the search returns the value alone, with no witness.
     """
     budget = _Budget(budget_cap)
-    masks = [[sum(1 << member for member in q) for q in system] for system in model.quorums]
+    mask_of: dict[Quorum, int] = {}  # one mask per distinct quorum, for this call only
+    masks = [[mask_of.get(q) or mask_of.setdefault(q, sum(map((1).__lshift__, q))) for q in row]
+             for row in model.quorums]
     packer = _Packer(masks, model.n)
     by_size = [sorted((mask.bit_count(), mask) for mask in row) for row in masks]
     least_size = min(row[0][0] for row in by_size)
@@ -402,12 +409,13 @@ def uniform_inconsistency(n: int, q: int, f: int) -> int:
 
 
 def uniform_model(n: int, q: int, f: int) -> TrustModel:
-    """Explicit symmetric model: every q-subset through p, every |F| <= f."""
+    """Explicit symmetric model: every q-subset through p, every |F| <= f. Each
+    q-subset is one object, shared by its members' systems in lexicographic order."""
     uniform_inconsistency(n, q, f)  # parameter validation
-    systems = []
-    for pid in range(n):
-        others = [x for x in range(n) if x != pid]
-        systems.append([frozenset(c) | {pid} for c in combinations(others, q - 1)])
+    systems: list[list[Quorum]] = [[] for _ in range(n)]
+    for quorum in map(frozenset, combinations(range(n), q)):
+        for pid in quorum:
+            systems[pid].append(quorum)
     faults = [frozenset(c) for c in combinations(range(n), f)]
     return TrustModel.build(n, systems, faults)
 

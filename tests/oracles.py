@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 from kspend.engine import can_transfer
 from kspend.ledger import tx_ref
+from kspend.trust import TrustModel
 
 
 def subset_independence_number(nodes, adjacent) -> int:
@@ -84,6 +85,36 @@ def brute_pack(rows, used=0, forced=()) -> int:
         ):
             best = max(best, len(taken))
     return best
+
+
+def brute_maximal(faults) -> tuple:
+    """The maximal sets of a fault list by comparing every pair, in (size, members)
+    order; the empty set alone when nothing else is listed."""
+    maximal = sorted(set(map(frozenset, faults)), key=lambda s: (len(s), sorted(s)))
+    maximal = [f for f in maximal if not any(f < g for g in maximal)]
+    return tuple(maximal) or (frozenset(),)
+
+
+def brute_uniform_model(n, q, f) -> TrustModel:
+    """The symmetric model built process by process: a fresh quorum object for every
+    (process, quorum) pair, each system deduped through a set and sorted."""
+    systems = []
+    for pid in range(n):
+        others = [x for x in range(n) if x != pid]
+        row = {frozenset(c) | {pid} for c in combinations(others, q - 1)}
+        systems.append(tuple(sorted(row, key=sorted)))
+    faults = [frozenset(c) for c in combinations(range(n), f)]
+    return TrustModel(n=n, quorums=tuple(systems), fault_model=brute_maximal(faults))
+
+
+def brute_active(rows, keep) -> int:
+    """The packer's active vertices under ``keep``: one bit per row's first vertex of
+    each distinct reduced mask, summed bit by bit."""
+    owners = [pid for pid, row in enumerate(rows) for _ in row]
+    reduced = [mask & keep for row in rows for mask in row]
+    owned = zip(reversed(owners), reversed(reduced))
+    first = dict(zip(owned, reversed(range(len(reduced)))))  # back to front: firsts win
+    return sum(map((1).__lshift__, first.values()))
 
 
 def brute_spending_number(histories) -> int:

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,12 @@ from kspend.trust import (
 )
 
 from oracles import (
+    brute_active,
     brute_fault_closure,
     brute_inconsistency,
+    brute_maximal,
     brute_pack,
+    brute_uniform_model,
     build_trust_graph,
     subset_independence_number,
 )
@@ -55,6 +59,19 @@ def test_build_absorbs_dominated_fault_sets():
 def test_build_empty_fault_model_keeps_empty_set():
     m = tiny(2, [[[0]], [[1]]], [])
     assert m.fault_model == (frozenset(),)
+
+
+def test_build_absorbs_as_the_all_pairs_oracle_does():
+    rng = random.Random(2901)
+    n = 7
+    rows = [[[p]] for p in range(n)]
+    for _ in range(400):
+        faults = [rng.sample(range(n), rng.randint(0, 5)) for _ in range(rng.randint(0, 12))]
+        # duplicates, some in another member order, and the empty set
+        faults += [rng.choice(faults)[::-1] for _ in range(rng.randint(0, 3)) if faults]
+        faults += [[]] * rng.randint(0, 1)
+        rng.shuffle(faults)
+        assert tiny(n, rows, faults).fault_model == brute_maximal(faults), faults
 
 
 @pytest.mark.parametrize(
@@ -523,6 +540,16 @@ def test_packing_search_matches_brute_force():
                 assert can_pack(packer_of(rows[i:]), need, used) == (need <= best)
 
 
+def test_active_vertices_match_the_summed_oracle():
+    rng = random.Random(2902)
+    for _ in range(300):
+        rows = _random_rows(rng)
+        packer = trust._Packer(rows, 7)
+        for keep in (-1, rng.randrange(1 << 7), rng.randrange(1 << 7)):
+            packer.reduce(keep)
+            assert packer.active == brute_active(rows, keep), (rows, keep)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shrinking_the_faulty_set_never_removes_edges(data):
@@ -566,6 +593,25 @@ def test_uniform_model_shape():
         assert len(m.quorums[pid]) == 3  # C(3, 2) quorums through pid
         assert all(pid in q and len(q) == 3 for q in m.quorums[pid])
     assert set(m.fault_model) == {frozenset({p}) for p in range(4)}
+
+
+# the uniform ladder of perfbench's analyze workload
+ANALYZE_LADDER = ((9, 5, 2), (9, 6, 2), (10, 6, 3), (10, 7, 3), (11, 7, 3), (11, 8, 4), (12, 8, 4))
+
+
+def test_uniform_model_matches_the_per_process_oracle():
+    small = [(n, q, f) for n in range(1, 10) for q in range(1, n + 1) for f in range(q)]
+    for n, q, f in small + list(ANALYZE_LADDER):
+        # equal tuples: the same quorums in the same order in every system
+        assert uniform_model(n, q, f) == brute_uniform_model(n, q, f), (n, q, f)
+
+
+def test_uniform_model_holds_one_object_per_quorum():
+    model = uniform_model(12, 8, 4)
+    assert len({id(quorum) for system in model.quorums for quorum in system}) == comb(12, 8)
+    oracle = brute_uniform_model(12, 8, 4)  # one object per reference: 12 * comb(11, 7) = 3,960
+    for pid in range(12):
+        assert model.quorums[pid] == oracle.quorums[pid]
 
 
 def test_uniform_formula_matches_brute_force_small():
