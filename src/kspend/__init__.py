@@ -11,15 +11,21 @@ Only the entry points below live at package level; everything else is
 imported from its own module (``kspend.trust``, ``kspend.sim``, ...).
 """
 
-from importlib import metadata
-
 from .attack import synthesize_multispend_attack
 from .sim import RunReport, Scenario, report_from_obj, report_to_obj, run
 
-try:
-    __version__ = metadata.version("kspend")
-except metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0"
+
+def __getattr__(name: str) -> str:
+    """``__version__``, read from the installed metadata on access (PEP 562)."""
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import metadata
+
+    try:
+        return metadata.version("kspend")
+    except metadata.PackageNotFoundError:  # running from a source tree
+        return "0.0.0"
+
 
 __all__ = [
     "RunReport",

@@ -94,8 +94,20 @@ def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in sorted(values)) + "}"
 
 
+def _print_version(ctx: click.Context, _param, value: bool) -> None:
+    """``--version`` prints ``kspend.__version__``, which reads the metadata only then."""
+    if value and not ctx.resilient_parsing:
+        from . import __version__
+
+        click.echo(f"{ctx.find_root().info_name}, version {__version__}")
+        ctx.exit()
+
+
 @click.group()
-@click.version_option(package_name="kspend")
+@click.option(
+    "--version", is_flag=True, expose_value=False, is_eager=True,
+    callback=_print_version, help="Show the version and exit.",
+)
 def main() -> None:
     """Trust-graph analysis and adversarial simulation for quorum-based transfer."""
 

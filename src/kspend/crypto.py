@@ -4,6 +4,8 @@ Two interchangeable schemes share one contract: Ed25519 for real
 unforgeability, and an HMAC construction for high-volume simulation where
 the adversary controls the message schedule, not the cryptography. All key
 material derives deterministically from a seed so runs replay bit-exactly.
+The Ed25519 backend (``cryptography``) is imported on first Ed25519 use, so
+the analyzer and HMAC runs never load it.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import TYPE_CHECKING
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric import ed25519
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric import ed25519
 
 
 def content_hash(message: bytes) -> bytes:
@@ -28,14 +31,23 @@ class KeyPair:
     private: bytes = field(repr=False)  # never serialized into reports
 
 
+@cache
+def _backend():
+    """The ``ed25519`` module and ``InvalidSignature``, imported once, on first use."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    return ed25519, InvalidSignature
+
+
 @lru_cache(maxsize=4096)
 def _ed25519_private(raw: bytes) -> ed25519.Ed25519PrivateKey:
-    return ed25519.Ed25519PrivateKey.from_private_bytes(raw)
+    return _backend()[0].Ed25519PrivateKey.from_private_bytes(raw)
 
 
 @lru_cache(maxsize=4096)
 def _ed25519_public(raw: bytes) -> ed25519.Ed25519PublicKey:
-    return ed25519.Ed25519PublicKey.from_public_bytes(raw)
+    return _backend()[0].Ed25519PublicKey.from_public_bytes(raw)
 
 
 class Ed25519Scheme:
@@ -52,7 +64,7 @@ class Ed25519Scheme:
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         try:
             _ed25519_public(public).verify(signature, message)
-        except (InvalidSignature, ValueError):
+        except (_backend()[1], ValueError):
             return False
         return True
 

@@ -758,7 +758,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read scenario {path}: {exc}") from None
     return scenario_from_obj(obj, base_dir=os.path.dirname(path) or ".")
 

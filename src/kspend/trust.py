@@ -80,11 +80,20 @@ class TrustModel:
                 )
             return found
 
+        # id(group) -> (group, its members, their sort key): a quorum object shared by
+        # many systems is checked once; holding the group keeps its id from being reused
+        checked: dict[int, tuple] = {}
         systems = []
         for pid, row in enumerate(rows):
-            row = listed(row, f"quorum system of process {pid}")
-            # deduped in order, so a system that is already in order sorts in linear time
-            system = sorted(dict.fromkeys(members(q, f"quorum of process {pid}") for q in row), key=sorted)
+            keys = {}  # members -> sort key, deduped in order
+            for q in listed(row, f"quorum system of process {pid}"):
+                hit = checked.get(id(q))
+                if hit is None:
+                    found = members(q, f"quorum of process {pid}")
+                    hit = checked[id(q)] = (q, found, sorted(found))
+                keys[hit[1]] = hit[2]
+            # a system that is already in order sorts in linear time
+            system = sorted(keys, key=keys.__getitem__)
             if not system:
                 raise ValueError(f"process {pid} has an empty quorum system")
             if not all(system):
@@ -450,7 +459,7 @@ def load_model(path: str) -> TrustModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read trust model {path}: {exc}") from None
     return parse_model(obj)
 

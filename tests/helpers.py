@@ -1,7 +1,11 @@
 """Generators and diagnostics that only the tests use."""
 
+import os
+import pathlib
 import random
+import subprocess
 
+import kspend
 from kspend import sim
 from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.errors import MalformedHistory
@@ -141,3 +145,11 @@ def well_formed_trace_hash(scenario, seed) -> str:
             if not base.ok:
                 raise AssertionError(f"history of {pid} left well-formedness: {base.failures}")
     return sim.compute_trace_hash(rt.trace)
+
+
+def run_child(command: list[str]) -> subprocess.CompletedProcess:
+    """Run ``command`` in a child process that imports the suite's kspend."""
+    src_root = str(pathlib.Path(kspend.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    return subprocess.run(command, capture_output=True, text=True, env=env)

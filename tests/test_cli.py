@@ -6,10 +6,8 @@ violated, 5 event cap hit. The runner merges stderr into .output.
 
 import importlib
 import json
-import os
 import pathlib
 import shutil
-import subprocess
 import sys
 
 import pytest
@@ -22,6 +20,7 @@ from kspend.errors import SchemaError
 from kspend.sim import load_scenario
 from kspend.trust import model_to_obj, parse_model, uniform_model
 
+from helpers import run_child
 from pinned_search_units import example1_case
 
 
@@ -254,6 +253,26 @@ def test_simulate_rejects_unencodable_and_boolean_fields(runner, data_dir, tmp_p
     assert message in result.output and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("path", ["analyze", "attack", "simulate", "model_file"])
+def test_a_file_that_is_not_utf8_exits_2(runner, data_dir, tmp_path, path):
+    bad = tmp_path / "not-utf8.json"
+    bad.write_bytes(b"\xff\xfe")
+    if path == "model_file":  # a scenario whose model file is not UTF-8
+        scenario = json.loads((data_dir / "demo_scenario.json").read_text())
+        del scenario["model"]
+        scenario["model_file"] = bad.name
+        outer = tmp_path / "outer.json"
+        outer.write_text(json.dumps(scenario))
+        args = ["simulate", "--scenario", str(outer)]
+    else:
+        args = [path, "--scenario" if path == "simulate" else "--model", str(bad)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: cannot read") and str(bad) in result.output
+    assert result.output.count("\n") == 1
+
+
 def _tag_example1(obj, data_dir):
     model = json.loads((data_dir / "example1.json").read_text())
     obj.clear()
@@ -458,15 +477,31 @@ def test_python_m_kspend_runs():
     _run_table([sys.executable, "-m", "kspend"])
 
 
+def test_version_from_a_source_checkout():
+    done = run_child([sys.executable, "-m", "kspend", "--version"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"python -m kspend, version {kspend.__version__}\n"
+
+
+def test_only_the_version_flag_reads_the_metadata():
+    # a fresh interpreter: the suite itself may have loaded importlib.metadata
+    code = (
+        "import sys; from kspend.cli import main\n"
+        "main(['table', '--n', '10', '--q', '7'], standalone_mode=False)\n"
+        "print('importlib.metadata' in sys.modules)\n"
+        "main(['--version'], prog_name='kspend', standalone_mode=False)\n"
+        "print('importlib.metadata' in sys.modules)"
+    )
+    done = run_child([sys.executable, "-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-3:] == [
+        "False", f"kspend, version {kspend.__version__}", "True"
+    ]
+
+
 def _run_table(command):
     """Run `table --n 10 --q 7` in a child process importing the suite's kspend."""
-    src_root = str(pathlib.Path(kspend.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        command + ["table", "--n", "10", "--q", "7"],
-        capture_output=True, text=True, env=env,
-    )
+    done = run_child(command + ["table", "--n", "10", "--q", "7"])
     assert done.returncode == 0, (command, done.stderr)
     assert "n=10 q=7" in done.stdout, command
 

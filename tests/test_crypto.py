@@ -1,8 +1,16 @@
 import hashlib
+import json
+import pathlib
+import sys
+import textwrap
 
 import pytest
 
+import kspend
 from kspend.crypto import Verifier, content_hash, keychain, make_scheme
+from kspend.trust import uniform_inconsistency
+
+from helpers import run_child
 
 
 def test_content_hash_is_sha256():
@@ -77,3 +85,66 @@ def test_keypair_repr_hides_private_half():
     scheme = make_scheme("ed25519")
     keys = scheme.keypair(b"s")
     assert keys.private.hex() not in repr(keys)
+
+
+def test_ed25519_key_and_signature_bytes_are_pinned():
+    scheme = make_scheme("ed25519")
+    keys = scheme.keypair(b"seed-a")
+    assert keys.public.hex() == "8b2b4087ea023d8af10debe820cceefa780163bd7153cc2d5854029ddd5dac47"
+    assert scheme.sign(keys, b"message").hex() == (
+        "e00360fa673a00fe5440ae48ac274ce07da0678f677f8633327328c8332b8a0c"
+        "0b58810ad3fbd7039e13837235027b9bc7144df7794250a32f7eed552c51ab06"
+    )
+
+
+# run in a fresh interpreter, so that no module the suite imported counts
+LAZY_IMPORTS_CHILD = textwrap.dedent(
+    """
+    import json, pathlib, random, sys
+
+    import kspend
+    from kspend import fuzz, sim
+    from kspend.trust import inconsistency_number, uniform_model
+
+    def loaded():
+        return {name: name in sys.modules for name in ("cryptography", "importlib.metadata")}
+
+    out = {"after_import": loaded()}
+    scenario = fuzz.random_scenario(random.Random(7))
+    out["fuzz_scheme"] = scenario.sig_scheme
+    sim.run(scenario)
+    out["k"] = inconsistency_number(uniform_model(9, 5, 2))
+    out["after_hmac_and_analyzer"] = loaded()
+    demo = sim.load_scenario(str(pathlib.Path(kspend.__file__).parent / "data" / "demo_scenario.json"))
+    out["demo_scheme"] = demo.sig_scheme
+    out["demo_hash"] = sim.run(demo).trace_hash
+    out["after_ed25519"] = loaded()
+    out["version"] = kspend.__version__
+    try:
+        kspend.nope
+    except AttributeError as exc:
+        out["nope"] = str(exc)
+    json.dump(out, sys.stdout)
+    """
+)
+
+
+def test_backend_and_metadata_load_only_when_used():
+    done = run_child([sys.executable, "-c", LAZY_IMPORTS_CHILD])
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    none = {"cryptography": False, "importlib.metadata": False}
+    assert out["after_import"] == none
+    assert out["fuzz_scheme"] == "hmac" and out["k"] == uniform_inconsistency(9, 5, 2)
+    assert out["after_hmac_and_analyzer"] == none
+    assert out["demo_scheme"] == "ed25519" and out["after_ed25519"]["cryptography"]
+    pins = json.loads((pathlib.Path(__file__).parent / "data" / "golden_trace_hashes.json").read_text())
+    assert out["demo_hash"] == pins["demo_scenario"]
+    try:
+        from importlib.metadata import PackageNotFoundError, version
+
+        expected = version("kspend")
+    except PackageNotFoundError:  # a source tree
+        expected = "0.0.0"
+    assert out["version"] == expected == kspend.__version__
+    assert out["nope"] == "module 'kspend' has no attribute 'nope'"

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -83,6 +84,10 @@ def test_build_absorbs_as_the_all_pairs_oracle_does():
         (2, [[[0]], [[]]], []),  # empty quorum
         (2, [[[0]], [[2]]], []),  # member out of range
         (2, [[[0]], [[1]]], [[5]]),  # faulty set out of range
+        # a boolean id after an equal valid group, in the same or an earlier system
+        (2, [[[1], [True, 1]], [[1]]], []),
+        (2, [[[1]], [[1, True]]], []),
+        (2, [[frozenset({1})], [frozenset({True})]], []),
     ],
 )
 def test_build_rejects_malformed(n, quorums, faults):
@@ -112,6 +117,39 @@ def test_build_names_a_group_that_is_no_collection(quorums, faults, detail):
 def test_build_takes_any_collection_of_ids():
     m = TrustModel.build(2, [[range(2)], [frozenset({1})]], [range(1), frozenset()])
     assert m == tiny(2, [[[0, 1]], [[1]]], [[0]])
+
+
+class CountingGroup(list):
+    """A quorum that counts how often it is iterated."""
+
+    def __init__(self, members):
+        super().__init__(members)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_build_checks_a_shared_quorum_object_once():
+    counts = []
+    for n in (2, 6):
+        shared = CountingGroup(range(n))
+        model = TrustModel.build(n, [[shared] for _ in range(n)], [])
+        assert model == uniform_model(n, n, 0)
+        counts.append(shared.iterations)
+    assert counts[0] == counts[1] > 0
+
+
+def test_build_checks_fresh_groups_whose_ids_may_repeat():
+    # each system yields new lists that are dropped once read, so a later
+    # group may get the id (the freed memory) of an earlier one
+    n = 7
+
+    def system(pid):
+        return ([*c] for c in combinations(range(n), 3) if pid in c)
+
+    assert TrustModel.build(n, map(system, range(n)), []) == uniform_model(n, 3, 0)
 
 
 def test_allows_faulty_is_downward_closure_membership():
