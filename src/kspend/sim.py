@@ -114,11 +114,24 @@ class Scenario:
         **kw,
     ) -> "Scenario":
         faulty = frozenset(faulty_set)
+        actions = tuple(honest_actions)
+        sends = tuple(scripts)
+        source = kw.get("kcb_source")
+        # exact ints, as the loader's _int: True equals 1 and 0.0 equals 0,
+        # but the trace would spell them true and 0.0
+        ids = [("faulty process id", pid) for pid in faulty]
+        ids += [("honest action pid", pid) for pid, _ in actions]
+        ids += [("script sender", send.sender) for send in sends]
+        ids += [("script recipient", pid) for send in sends for pid in send.recipients]
+        ids += [("plan recipient", pid) for rule in scheduler.plan for pid in rule.recipients]
+        ids += [("kcb_source", source)] if source is not None else []
+        for what, pid in ids:
+            if type(pid) is not int:
+                raise TypeError(f"{what} must be an int, got {pid!r}")
         if not allows_faulty(model, faulty):
             raise InvalidFaultySet(f"faulty set {sorted(faulty)} exceeds the fault model")
         if not is_genesis(genesis):
             raise ValueError("scenario genesis must be a funding root")
-        actions = tuple(honest_actions)
         for pid, tx in actions:
             if not 0 <= tx.issuer < model.n:
                 raise ValueError(f"honest action issuer {tx.issuer} is not a process of the model")
@@ -127,7 +140,6 @@ class Scenario:
                                  f"transaction's issuer {tx.issuer}")
             if pid in faulty:
                 raise ValueError(f"honest action issued by declared-faulty process {pid}")
-        sends = tuple(scripts)
         for send in sends:
             if send.sender not in faulty:
                 raise ValueError(f"script sender {send.sender} is not declared faulty")
@@ -147,7 +159,6 @@ class Scenario:
             for rule in scheduler.plan:
                 if rule.tx_ref not in sent:
                     raise ValueError(f"plan rule for {rule.tx_ref.hex()[:12]}, which nothing sends")
-        source = kw.get("kcb_source")
         if source is not None and not 0 <= source < model.n:
             raise ValueError(f"kcb_source {source} is not a process of the model")
         make_scheme(kw.get("sig_scheme", "ed25519"))  # an unknown scheme fails here, not in run
@@ -169,6 +180,10 @@ class _Delivery(NamedTuple):
     recipient: int
     message: eng.Message
     payload: str  # _payload_id(message), computed once per message
+    # its message's trace line around the recipient, formatted once per message;
+    # the tail ends a delivery that accepted nothing and stored no accusation
+    head: str
+    tail: str
 
 
 @dataclass
@@ -192,33 +207,21 @@ class RunReport:
     unexecuted_actions: tuple[int, ...] = ()
 
 
-def _record_encoder():
-    """Encode a trace record as ``json.dumps(record, separators=(",", ":"))`` does.
-
-    ``JSONEncoder.encode`` builds a C encoder per call; this one is built
-    once, without the circular check that trace records never need (a cyclic
-    one fails with RecursionError). Without the C accelerator it falls back.
-    """
-    base = json.JSONEncoder(separators=(",", ":"))
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return base.encode
-    chunks = make(
-        None, base.default, json.encoder.encode_basestring_ascii, base.indent,
-        base.key_separator, base.item_separator, base.sort_keys, base.skipkeys, base.allow_nan,
-    )
-    return lambda record: "".join(chunks(record, 0))
-
-
-_encode_record = _record_encoder()
-
-
 def compute_trace_hash(trace: Iterable) -> str:
+    """The reference trace hash: SHA-256 over each record's compact JSON and a newline.
+
+    A run writes the same hash as it goes (``_Runtime.write``).
+    """
     digest = hashlib.sha256()
     for record in trace:
-        digest.update(_encode_record(record).encode())
+        digest.update(json.dumps(record, separators=(",", ":")).encode())
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def _refs(refs: tuple[str, ...]) -> str:
+    # a JSON list of hex references, which need no escaping
+    return '["' + '","'.join(refs) + '"]' if refs else "[]"
 
 
 def _payload_id(msg: eng.Message) -> str:
@@ -271,6 +274,9 @@ class _Runtime:
         # a heap whose root, the least (phase, msg_id, recipient), is delivered next
         self.deliveries: list[_Delivery] = []
         self.trace: list = []
+        # compute_trace_hash(trace), fed one line per record as it is written
+        self.digest = hashlib.sha256()
+        self.pids = [str(p) for p in range(scenario.model.n)]  # each process id's JSON
         # per issuer, its unexecuted action indices with the next one last;
         # an issuer's later actions wait for its earlier ones
         self.todo: dict[int, list[int]] = {}
@@ -291,18 +297,30 @@ class _Runtime:
 
     # --- emission -------------------------------------------------------
 
+    def write(self, record: tuple, line: str) -> None:
+        """Append ``record`` to the trace and ``line``, its compact JSON, to the hash."""
+        self.trace.append(record)
+        self.digest.update(line.encode())
+
     def enqueue(self, msg: eng.Message) -> str:
         msg_id = self.msg_count
         self.msg_count += 1
         recipients = tuple(sorted(msg.recipients - {msg.sender}))
         payload = _payload_id(msg)
-        self.trace.append(("send", msg_id, msg.kind, msg.sender, recipients, payload))
+        # kinds are engine constants and payloads hex: JSON writes both as they are
+        pids = self.pids
+        fields = f'{msg_id},"{msg.kind}",{pids[msg.sender]},'
+        self.write(("send", msg_id, msg.kind, msg.sender, recipients, payload),
+                   f'["send",{fields}[{",".join([pids[r] for r in recipients])}],"{payload}"]\n')
+        head, tail = '["deliver",' + fields, f',"{payload}",[],[]]\n'
         if self.adversarial:
             for r in recipients:
-                d = _Delivery(_phase_of(self.plan, msg, r), msg_id, r, msg, payload)
+                d = _Delivery(_phase_of(self.plan, msg, r), msg_id, r, msg, payload, head, tail)
                 heapq.heappush(self.deliveries, d)
         else:
-            self.deliveries.extend([_Delivery(0, msg_id, r, msg, payload) for r in recipients])
+            self.deliveries.extend(
+                [_Delivery(0, msg_id, r, msg, payload, head, tail) for r in recipients]
+            )
         return payload
 
     def enqueue_scripts(self) -> None:
@@ -398,7 +416,9 @@ class _Runtime:
             self.todo[pid].pop()
             enabled.discard(idx)
             self.refresh(pid)
-            self.trace.append(("action", idx, pid, tx_ref(tx).hex(), accepted, new_acc))
+            ref = tx_ref(tx).hex()
+            self.write(("action", idx, pid, ref, accepted, new_acc), f'["action",{idx},'
+                       f'{self.pids[pid]},"{ref}",{_refs(accepted)},{_refs(new_acc)}]\n')
         else:
             d = heapq.heappop(self.deliveries) if self.adversarial else self.deliveries.pop(pos)
             msg = d.message
@@ -408,8 +428,11 @@ class _Runtime:
                     self.refresh(d.recipient)
             else:
                 accepted, new_acc = (), ()  # faulty recipients are script-only
-            self.trace.append(("deliver", d.msg_id, msg.kind, msg.sender, d.recipient,
-                               d.payload, accepted, new_acc))
+            tail = d.tail
+            if accepted or new_acc:
+                tail = f',"{d.payload}",{_refs(accepted)},{_refs(new_acc)}]\n'
+            self.write(("deliver", d.msg_id, msg.kind, msg.sender, d.recipient,
+                        d.payload, accepted, new_acc), d.head + self.pids[d.recipient] + tail)
         self.events += 1
         self.gamma_series.append(self.gamma)
         return True
@@ -462,7 +485,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
         quiescent=rt.quiescent,
         events=rt.events,
         trace=tuple(rt.trace),
-        trace_hash=compute_trace_hash(rt.trace),
+        trace_hash=rt.digest.hexdigest(),
         histories=histories,
         accusations=accusations,
         gamma_series=tuple(rt.gamma_series),

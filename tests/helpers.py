@@ -131,7 +131,8 @@ def well_formed_trace_hash(scenario, seed) -> str:
     """Step a run as sim.run does; after every event, every history must be well formed.
 
     A process's history is judged again only when its table grew. Returns
-    the run's trace hash. Raises AssertionError naming the first process
+    the trace hash the run wrote, after checking it against
+    ``compute_trace_hash``. Raises AssertionError naming the first process
     whose history left well-formedness.
     """
     rt = sim._Runtime(scenario, seed)
@@ -144,7 +145,9 @@ def well_formed_trace_hash(scenario, seed) -> str:
             base = well_formed_report(state.by_ref)
             if not base.ok:
                 raise AssertionError(f"history of {pid} left well-formedness: {base.failures}")
-    return sim.compute_trace_hash(rt.trace)
+    written = rt.digest.hexdigest()
+    assert written == sim.compute_trace_hash(rt.trace), "the written trace hash"
+    return written
 
 
 def run_child(command: list[str]) -> subprocess.CompletedProcess:

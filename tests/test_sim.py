@@ -6,8 +6,10 @@ import re
 
 import pytest
 
-from kspend import fuzz, sim
+from kspend import fuzz
+from kspend.attack import synthesize_multispend_attack
 from kspend.errors import InvalidFaultySet, InvalidParameters, SchemaError
+from kspend.kcb import byzantine_broadcast_scenario
 from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import (
     PlanRule,
@@ -93,6 +95,23 @@ def test_scenario_build_validates():
                        scheduler=SchedulerSpec("adversarial", plan=plan))
     with pytest.raises(ValueError, match="genesis recipient 9 is not a process of the model"):
         Scenario.build(model=faulty_model, faulty_set={0}, genesis=genesis_tx({0: 10, 9: 5}))
+
+
+@pytest.mark.parametrize("what,bad", [
+    ("faulty process id", dict(faulty_set={0.0})),
+    ("honest action pid", dict(honest_actions=((True, make_tx(1, {2: 10}, [], timestamp=1)),))),
+    ("script sender", dict(scripts=(ScriptedSend(True, "REQ", make_tx(0, {1: 1}), frozenset({2})),))),
+    ("script recipient", dict(scripts=(ScriptedSend(0, "REQ", make_tx(0, {1: 1}), frozenset({0.0, 2})),))),
+    ("plan recipient", dict(scheduler=SchedulerSpec(
+        "adversarial", plan=(PlanRule(bytes(32), frozenset({False})),)))),
+    ("kcb_source", dict(kcb_source=1.0)),
+])
+def test_scenario_build_refuses_ids_that_are_not_ints(what, bad):
+    # True == 1 and 0.0 == 0, so each would build a scenario equal to an
+    # int one whose trace spells the id otherwise
+    base = dict(model=uniform_model(3, 2, 1), faulty_set={0}, genesis=genesis_tx({0: 10}))
+    with pytest.raises(TypeError, match=f"^{what} must be an int, got "):
+        Scenario.build(**{**base, **bad})
 
 
 def test_scheduler_spec_validates_kind():
@@ -865,19 +884,42 @@ def odd_string_trace():
     return trace
 
 
-def test_trace_hash_matches_json_dumps_line_by_line(monkeypatch, golden_reports):
+def test_trace_hash_matches_json_dumps_line_by_line(golden_reports):
     traces = [report.trace for _, report in golden_reports]
     traces += [odd_string_trace(), []]
-    for accelerated in (True, False):
-        if not accelerated:
-            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        encode = sim._record_encoder()
-        # the fallback is JSONEncoder.encode, bound to its encoder
-        assert isinstance(getattr(encode, "__self__", None), json.JSONEncoder) is not accelerated
-        monkeypatch.setattr(sim, "_encode_record", encode)
-        for trace in traces:
-            assert compute_trace_hash(trace) == line_by_line_trace_hash(trace)
+    for trace in traces:
+        assert compute_trace_hash(trace) == line_by_line_trace_hash(trace)
     assert compute_trace_hash([]) == hashlib.sha256().hexdigest()
+
+
+def written_hash_cases():
+    """A fixed draw of fuzz, attack and broadcast scenarios, a ring, a capped
+    run, and a script sent only to its own sender."""
+    rng = random.Random(31)
+    for i in range(40):
+        yield f"fuzz-{i}", fuzz.random_scenario(rng), i
+    for i in range(5):
+        model = fuzz.random_vulnerable_model(rng)[0]
+        yield f"attack-{i}", synthesize_multispend_attack(model, sig_scheme="hmac"), None
+        yield f"kcb-{i}", byzantine_broadcast_scenario(model, sig_scheme="hmac"), None
+    yield "ring", honest_ring(16, 32), None
+    yield "capped", dataclasses.replace(honest_ring(8, 16), max_events=57), None
+    genesis = genesis_tx({0: 10, 1: 10})
+    tx = make_tx(0, {1: 10}, [tx_ref(genesis)], timestamp=1)
+    yield "self-send", Scenario.build(
+        model=uniform_model(3, 2, 1), faulty_set={0}, genesis=genesis,
+        scripts=(ScriptedSend(0, "REQ", tx, frozenset({0})),), sig_scheme="hmac",
+    ), None
+
+
+def test_run_writes_the_reference_trace_hash():
+    for name, scenario, seed in written_hash_cases():
+        report = run(scenario, seed=seed)
+        assert report.trace_hash == compute_trace_hash(report.trace), name
+        if name == "capped":
+            assert not report.quiescent and report.events == 57
+        if name == "self-send":
+            assert report.trace == (("send", 0, "REQ", 0, (), tx_ref(scenario.scripts[0].tx).hex()),)
 
 
 def test_overdrawing_action_never_enables():

@@ -32,7 +32,9 @@ def checked_trace_hash(scenario, seed) -> str:
             assert not ready, f"process {pid} left ready transactions pending at event {events}"
         before = {pid: list(state.by_ref) for pid, state in rt.engines.items()}
         if not rt.step():
-            return sim.compute_trace_hash(rt.trace)
+            written = rt.digest.hexdigest()
+            assert written == sim.compute_trace_hash(rt.trace), "the written trace hash"
+            return written
         record = rt.trace[-1]
         actor = record[2] if record[0] == "action" else record[4]
         for pid, state in rt.engines.items():
