@@ -45,6 +45,7 @@ class ProcessState:
     pid: int
     n: int
     quorum_masks: tuple[int, ...]  # one bitmask of members per quorum
+    audience: frozenset[int]  # every other process, which each broadcast addresses
     keys: KeyPair
     # the run's scheme, directory and signature memo, shared by its processes
     verifier: Verifier = field(compare=False, repr=False)
@@ -63,7 +64,8 @@ class ProcessState:
     requests: dict[tuple[int, bytes], dict[bytes, tuple[Transaction, bytes]]] = field(
         default_factory=dict
     )
-    unscanned: list[Transaction] = field(default_factory=list)  # recorded since detect_conflicts
+    # recorded since detect_conflicts and sharing a bucket with another request
+    unscanned: list[Transaction] = field(default_factory=list)
     # the accepted spend of each (issuer, input) in the history
     accepted: dict[tuple[int, bytes], Transaction] = field(default_factory=dict)
     accusations: set[Accusation] = field(default_factory=set)
@@ -84,6 +86,7 @@ def initial_state(
         pid=pid,
         n=n,
         quorum_masks=tuple(sum(1 << q for q in quorum) for quorum in quorums),
+        audience=frozenset(range(n)) - {pid},
         keys=keys,
         verifier=verifier,
         by_ref={tx_ref(genesis): genesis},
@@ -93,10 +96,6 @@ def initial_state(
 
 def _sign(state: ProcessState, tx: Transaction) -> bytes:
     return state.verifier.scheme.sign(state.keys, tx.encoding)
-
-
-def _others(state: ProcessState) -> frozenset[int]:
-    return frozenset(p for p in range(state.n) if p != state.pid)
 
 
 def quorum_check(state: ProcessState, tx: Transaction) -> bool:
@@ -149,7 +148,7 @@ def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list
         Message(
             kind=ECHO,
             sender=state.pid,
-            recipients=_others(state),
+            recipients=state.audience,
             tx=tx,
             issuer_sig=issuer_sig,
             echoer_sig=echo_sig,
@@ -170,13 +169,21 @@ def _recorded(state: ProcessState, tx: Transaction) -> tuple[Transaction, bytes]
 
 
 def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> bool:
-    """Index a verified signed request; False if tx was already recorded."""
+    """Index a verified signed request; False if tx was already recorded.
+
+    Queue it for the conflict scan only if it shares an (issuer, input) bucket:
+    alone, it pairs with nothing yet, and a later rival finds it from its bucket.
+    """
     if _recorded(state, tx):
         return False
     entry = (tx, issuer_sig)
+    shared = False
     for ref in tx.inputs:
-        state.requests.setdefault((tx.issuer, ref), {})[tx.encoding] = entry
-    state.unscanned.append(tx)
+        bucket = state.requests.setdefault((tx.issuer, ref), {})
+        bucket[tx.encoding] = entry
+        shared = shared or len(bucket) > 1
+    if shared:
+        state.unscanned.append(tx)
     return True
 
 
@@ -203,7 +210,7 @@ def detect_conflicts(state: ProcessState) -> list[Message]:
         if acc in state.accusations:
             continue
         state.accusations.add(acc)
-        out.append(Message(kind=ACC, sender=state.pid, recipients=_others(state), accusation=acc))
+        out.append(Message(kind=ACC, sender=state.pid, recipients=state.audience, accusation=acc))
     return out
 
 
@@ -250,7 +257,7 @@ def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
         raise InvalidTransaction(refusal)
     sig = _sign(state, tx)
     out: list[Message] = [
-        Message(kind=REQ, sender=state.pid, recipients=_others(state), tx=tx, issuer_sig=sig)
+        Message(kind=REQ, sender=state.pid, recipients=state.audience, tx=tx, issuer_sig=sig)
     ]
     if record_request(state, tx, sig):
         _try_echo(state, tx, sig, out)
@@ -266,7 +273,8 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
     request already recorded can change nothing: it was offered to
     ``_try_echo`` when recorded, which never echoes it twice, and between
     handlers nothing is pended or unscanned. So both return before any
-    signature is checked.
+    signature is checked. A new request that pended nothing and shares no
+    bucket with another skips ``_settle``, which would find nothing to do.
     """
     tx = msg.tx
     if tx is None or not tx.inputs or _recorded(state, tx):
@@ -276,7 +284,8 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
     out: list[Message] = []
     if record_request(state, tx, msg.issuer_sig):
         _try_echo(state, tx, msg.issuer_sig, out)
-    _settle(state, out)
+    if state.pended or state.unscanned:
+        _settle(state, out)
     return out
 
 
@@ -325,7 +334,7 @@ def handle_acc(state: ProcessState, msg: Message) -> list[Message]:
     if not verify_acc(acc, state.verifier):
         return []
     state.accusations.add(acc)
-    return [Message(kind=ACC, sender=state.pid, recipients=_others(state), accusation=acc)]
+    return [Message(kind=ACC, sender=state.pid, recipients=state.audience, accusation=acc)]
 
 
 def handle_message(state: ProcessState, msg: Message) -> list[Message]:

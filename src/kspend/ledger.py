@@ -55,21 +55,21 @@ class Transaction:
     encoding: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the issuer field's top value is the funding root's wire value
+        # exact ints (tx_to_obj spells True true); the top issuer is the root's wire value
         issuer = self.issuer
-        if not isinstance(issuer, int) or not GENESIS_ISSUER <= issuer < _GENESIS_WIRE:
+        if type(issuer) is not int or not GENESIS_ISSUER <= issuer < _GENESIS_WIRE:
             raise ValueError(f"bad issuer: {issuer!r}")
         for recipient, amount in self.outputs:
-            if not isinstance(recipient, int) or not 0 <= recipient < _MAX_U32:
+            if type(recipient) is not int or not 0 <= recipient < _MAX_U32:
                 raise ValueError(f"bad output recipient: {recipient!r}")
-            if not isinstance(amount, int) or amount < 0 or amount >= _MAX_AMOUNT:
+            if type(amount) is not int or amount < 0 or amount >= _MAX_AMOUNT:
                 raise ValueError(f"bad output amount: {amount!r}")
         for ref in self.inputs:
             if not isinstance(ref, bytes) or len(ref) != 32:
                 raise ValueError("input references must be 32-byte digests")
         # the encoding writes None as 0, so 0 would collide with None
         tm = self.timestamp
-        if tm is not None and (not isinstance(tm, int) or not 1 <= tm < _MAX_TIMESTAMP):
+        if tm is not None and (type(tm) is not int or not 1 <= tm < _MAX_TIMESTAMP):
             raise ValueError(f"bad timestamp: {tm!r}")
         message = self.message
         if message is not None and (not isinstance(message, bytes) or len(message) >= _MAX_U32):

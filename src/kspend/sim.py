@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import engine as eng
 from . import properties as props
@@ -173,19 +173,6 @@ class Scenario:
         )
 
 
-class _Delivery(NamedTuple):
-    # ordered as a tuple: by (phase, msg_id, recipient), which is unique
-    phase: int
-    msg_id: int
-    recipient: int
-    message: eng.Message
-    payload: str  # _payload_id(message), computed once per message
-    # its message's trace line around the recipient, formatted once per message;
-    # the tail ends a delivery that accepted nothing and stored no accusation
-    head: str
-    tail: str
-
-
 @dataclass
 class RunReport:
     scenario: Scenario
@@ -224,20 +211,11 @@ def _refs(refs: tuple[str, ...]) -> str:
     return '["' + '","'.join(refs) + '"]' if refs else "[]"
 
 
-def _payload_id(msg: eng.Message) -> str:
-    if msg.tx is not None:
-        return tx_ref(msg.tx).hex()
-    if msg.accusation is not None:
-        return msg.accusation.digest.hex()
-    return ""
-
-
-def _phase_of(plan: tuple[PlanRule, ...], msg: eng.Message, recipient: int) -> int:
-    if plan and msg.tx is not None:
-        ref = tx_ref(msg.tx)
-        for i, rule in enumerate(plan):
-            if rule.tx_ref == ref and recipient in rule.recipients:
-                return i
+def _phase_of(plan: tuple[PlanRule, ...], ref: bytes | None, recipient: int) -> int:
+    # ref is the message's transaction reference, None for an accusation
+    for i, rule in enumerate(plan):
+        if rule.tx_ref == ref and recipient in rule.recipients:
+            return i
     return len(plan)
 
 
@@ -271,12 +249,18 @@ class _Runtime:
         self.plan = sched.plan
         self.msg_count = 0
         # queued deliveries: in send order, or under the adversarial scheduler
-        # a heap whose root, the least (phase, msg_id, recipient), is delivered next
-        self.deliveries: list[_Delivery] = []
+        # a heap whose root, the least (phase, msg_id, recipient), is delivered
+        # next. Each is a plain tuple (phase, msg_id, recipient, message,
+        # payload, head, tail), its first three fields unique; the last four
+        # are its message's, shared by all its deliveries (see enqueue).
+        self.deliveries: list[tuple[int, int, int, eng.Message, str, str, str]] = []
         self.trace: list = []
         # compute_trace_hash(trace), fed one line per record as it is written
         self.digest = hashlib.sha256()
         self.pids = [str(p) for p in range(scenario.model.n)]  # each process id's JSON
+        # per (sender, recipients), resolved once per run: the sorted
+        # recipients but the sender, and their JSON list's body
+        self.audiences: dict[tuple[int, frozenset[int]], tuple[tuple[int, ...], str]] = {}
         # per issuer, its unexecuted action indices with the next one last;
         # an issuer's later actions wait for its earlier ones
         self.todo: dict[int, list[int]] = {}
@@ -305,22 +289,29 @@ class _Runtime:
     def enqueue(self, msg: eng.Message) -> str:
         msg_id = self.msg_count
         self.msg_count += 1
-        recipients = tuple(sorted(msg.recipients - {msg.sender}))
-        payload = _payload_id(msg)
-        # kinds are engine constants and payloads hex: JSON writes both as they are
         pids = self.pids
+        key = (msg.sender, msg.recipients)
+        audience = self.audiences.get(key)
+        if audience is None:
+            recipients = tuple(sorted(msg.recipients - {msg.sender}))
+            audience = self.audiences[key] = (recipients, ",".join([pids[r] for r in recipients]))
+        recipients, listed = audience
+        tx, acc = msg.tx, msg.accusation
+        ref = tx_ref(tx) if tx is not None else None
+        payload = ref.hex() if ref is not None else acc.digest.hex() if acc is not None else ""
+        # kinds are engine constants and payloads hex: JSON writes both as they are
         fields = f'{msg_id},"{msg.kind}",{pids[msg.sender]},'
         self.write(("send", msg_id, msg.kind, msg.sender, recipients, payload),
-                   f'["send",{fields}[{",".join([pids[r] for r in recipients])}],"{payload}"]\n')
+                   f'["send",{fields}[{listed}],"{payload}"]\n')
+        # the delivery line around the recipient; this tail ends a delivery
+        # that accepted nothing and stored no accusation
         head, tail = '["deliver",' + fields, f',"{payload}",[],[]]\n'
         if self.adversarial:
             for r in recipients:
-                d = _Delivery(_phase_of(self.plan, msg, r), msg_id, r, msg, payload, head, tail)
+                d = (_phase_of(self.plan, ref, r), msg_id, r, msg, payload, head, tail)
                 heapq.heappush(self.deliveries, d)
         else:
-            self.deliveries.extend(
-                [_Delivery(0, msg_id, r, msg, payload, head, tail) for r in recipients]
-            )
+            self.deliveries.extend([(0, msg_id, r, msg, payload, head, tail) for r in recipients])
         return payload
 
     def enqueue_scripts(self) -> None:
@@ -336,17 +327,10 @@ class _Runtime:
             return sig
 
         for send in self.scenario.scripts:
-            req = send.kind == eng.REQ
-            self.enqueue(
-                eng.Message(
-                    kind=eng.REQ if req else eng.ECHO,
-                    sender=send.sender,
-                    recipients=send.recipients,
-                    tx=send.tx,
-                    issuer_sig=sign(send.tx.issuer, send.tx),
-                    echoer_sig=None if req else sign(send.sender, send.tx),
-                )
-            )
+            echo_sig = None if send.kind == eng.REQ else sign(send.sender, send.tx)
+            self.enqueue(eng.Message(kind=send.kind, sender=send.sender, recipients=send.recipients,
+                                     tx=send.tx, issuer_sig=sign(send.tx.issuer, send.tx),
+                                     echoer_sig=echo_sig))
 
     # --- effects --------------------------------------------------------
 
@@ -363,15 +347,13 @@ class _Runtime:
                     self.gamma = len(bucket)
         return tuple(refs)
 
-    def apply(self, pid: int, fn, *args) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        state = self.engines[pid]
-        before = len(state.by_ref)
-        out = fn(state, *args)
-        new_acc: tuple[str, ...] = ()
-        if out:
-            payloads = [self.enqueue(msg) for msg in out]
-            # every ACC a handler returns carries an accusation it newly stored
-            new_acc = tuple(sorted(p for msg, p in zip(out, payloads) if msg.kind == eng.ACC))
+    def effects(self, state: eng.ProcessState, out: list[eng.Message],
+                before: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Queue a handler's messages; the hex references it accepted past
+        ``before`` and the digests of the accusations it newly stored."""
+        payloads = [self.enqueue(msg) for msg in out]
+        # every ACC a handler returns carries an accusation it newly stored
+        new_acc = tuple(sorted(p for msg, p in zip(out, payloads) if msg.kind == eng.ACC))
         table = state.by_ref
         accepted = () if len(table) == before else self.note_acceptances(table, before)
         return accepted, new_acc
@@ -395,6 +377,9 @@ class _Runtime:
         send order and nothing reorders the queue. adversarial delivers the
         heap root, the least (phase, send order). random draws one of the
         enabled actions, in index order, or one queued delivery.
+
+        Most deliveries change nothing. Only a handler that returned messages
+        or grew its history enters ``effects``; the rest write the quiet tail.
         """
         enabled = self.enabled
         if not enabled and not self.deliveries:
@@ -403,7 +388,7 @@ class _Runtime:
         if self.events >= self.scenario.max_events:
             return False
         if self.rng is not None:
-            actions = sorted(enabled)
+            actions = sorted(enabled) if enabled else ()
             choice = self.rng.randrange(len(actions) + len(self.deliveries))
             idx = actions[choice] if choice < len(actions) else None
             pos = choice - len(actions)
@@ -412,7 +397,9 @@ class _Runtime:
             pos = 0
         if idx is not None:
             pid, tx = self.scenario.honest_actions[idx]
-            accepted, new_acc = self.apply(pid, eng.transfer, tx)
+            state = self.engines[pid]
+            before = len(state.by_ref)
+            accepted, new_acc = self.effects(state, eng.transfer(state, tx), before)
             self.todo[pid].pop()
             enabled.discard(idx)
             self.refresh(pid)
@@ -421,18 +408,20 @@ class _Runtime:
                        f'{self.pids[pid]},"{ref}",{_refs(accepted)},{_refs(new_acc)}]\n')
         else:
             d = heapq.heappop(self.deliveries) if self.adversarial else self.deliveries.pop(pos)
-            msg = d.message
-            if d.recipient in self.engines:
-                accepted, new_acc = self.apply(d.recipient, eng.handle_message, msg)
-                if accepted:
-                    self.refresh(d.recipient)
-            else:
-                accepted, new_acc = (), ()  # faulty recipients are script-only
-            tail = d.tail
-            if accepted or new_acc:
-                tail = f',"{d.payload}",{_refs(accepted)},{_refs(new_acc)}]\n'
-            self.write(("deliver", d.msg_id, msg.kind, msg.sender, d.recipient,
-                        d.payload, accepted, new_acc), d.head + self.pids[d.recipient] + tail)
+            _, msg_id, recipient, msg, payload, head, tail = d
+            accepted = new_acc = ()
+            state = self.engines.get(recipient)  # None for a faulty one: it is script-only
+            if state is not None:
+                before = len(state.by_ref)
+                out = eng.handle_message(state, msg)
+                if out or len(state.by_ref) != before:
+                    accepted, new_acc = self.effects(state, out, before)
+                    if accepted:
+                        self.refresh(recipient)
+                    if accepted or new_acc:
+                        tail = f',"{payload}",{_refs(accepted)},{_refs(new_acc)}]\n'
+            self.write(("deliver", msg_id, msg.kind, msg.sender, recipient,
+                        payload, accepted, new_acc), head + self.pids[recipient] + tail)
         self.events += 1
         self.gamma_series.append(self.gamma)
         return True
@@ -460,9 +449,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
     if rt.quiescent:
         try:
             cover = len(minimum_cover(histories))
-        except SizeLimitExceeded as exc:
-            cover_note = str(exc)
-        except MalformedHistory as exc:
+        except (SizeLimitExceeded, MalformedHistory) as exc:
             cover_note = str(exc)
 
     delivered = None

@@ -89,6 +89,27 @@ def test_make_tx_rejects(kwargs):
         make_tx(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("issuer", dict(issuer=True)),
+        ("output recipient", dict(outputs={False: 10})),
+        ("output amount", dict(outputs={0: True})),
+        ("timestamp", dict(timestamp=True)),
+    ],
+)
+def test_transaction_refuses_bools(field, kwargs):
+    # True == 1 and False == 0, so each would equal an all-int transaction,
+    # but tx_to_obj would spell it true or "False" and the file would not load
+    base = dict(issuer=1, outputs={0: 10}, inputs=[GREF], timestamp=1)
+    make_tx(**base)
+    bad = {**base, **kwargs}
+    with pytest.raises(ValueError, match=f"bad {field}: (True|False)"):
+        make_tx(**bad)
+    with pytest.raises(ValueError, match=f"bad {field}: (True|False)"):
+        Transaction(bad["issuer"], tuple(bad["outputs"].items()), (GREF,), bad["timestamp"])
+
+
 def test_largest_wire_values_stay_distinct_from_the_funding_root():
     root = genesis_tx({0: 1})
     top = make_tx(0xFFFFFFFE, {(1 << 32) - 1: 1}, (), timestamp=(1 << 64) - 1)

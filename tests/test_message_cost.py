@@ -4,10 +4,13 @@ Each process counts echoes as one bitmask of echoers per transaction and
 tests it against one bitmask per quorum. A REQ whose transaction is already
 recorded, and an ECHO whose transaction is pending or accepted, return
 before any signature is checked; an ECHO that carries the issuer signature
-recorded with its request skips the issuer's check. State is keyed by a
-transaction's encoding, and "accepted" is read from the spend index. These
-tests hold each shortcut against what it replaces: the old handler bodies,
-run on a copy of the state at every message that returns early, the
+recorded with its request skips the issuer's check. A request is queued for
+the conflict scan only when it shares a bucket with another request, and a
+REQ that pended nothing and queued nothing skips ``_settle``. State is keyed
+by a transaction's encoding, and "accepted" is read from the spend index.
+These tests hold each shortcut against what it replaces: the old handler
+bodies, run on a copy of the state at every message that returns early, the
+conflict scan and ``_settle``, run on a copy wherever they are skipped, the
 verified-signature set at every skipped issuer check, the per-member quorum
 scan of ``oracles.member_quorum_check``, and membership in the history,
 after every delivery.
@@ -175,6 +178,52 @@ def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off
     assert early[eng.ECHO] and (early[eng.REQ] or kind == "fifo"), early
     assert early["skipped issuer check"], early
     assert early["skipped _try_echo"] and early["skipped _settle"], early
+
+
+@pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
+@pytest.mark.parametrize("kind", ["random", "fifo"])
+def test_skipped_scans_and_settles_would_change_nothing(monkeypatch, kind, guard_off):
+    """A request recorded but not queued for the conflict scan, scanned on a
+    copy of the state, forms no pair; and where ``handle_req`` recorded a
+    request and skipped ``_settle``, ``_settle`` on a copy emits nothing and
+    changes no fact."""
+    handle_req, record, settle = eng.handle_req, eng.record_request, eng._settle
+    skipped = Counter()
+    settled = []
+
+    def recorded(state, tx, issuer_sig):
+        new = record(state, tx, issuer_sig)
+        if new and tx not in state.unscanned:
+            replay = copy.deepcopy(state)
+            replay.unscanned = [tx]
+            assert eng.detect_conflicts(replay) == []
+            assert facts(replay) == facts(state)
+            skipped["scan"] += 1
+        return new
+
+    def settling(state, out):
+        settled.append(state.pid)
+        settle(state, out)
+
+    def req_checked(state, msg):
+        tx = msg.tx
+        new = tx is not None and bool(tx.inputs) and eng._recorded(state, tx) is None
+        settled.clear()
+        out = handle_req(state, msg)
+        if new and eng._recorded(state, tx) is not None and not settled:
+            replay, replay_out = copy.deepcopy(state), []
+            settle(replay, replay_out)  # the handler's last step, so state is as skipped
+            assert replay_out == [] and replay.echoers == state.echoers
+            assert facts(replay) == facts(state)
+            skipped["settle"] += 1
+        return out
+
+    monkeypatch.setattr(eng, "record_request", recorded)
+    monkeypatch.setattr(eng, "_settle", settling)
+    monkeypatch.setattr(eng, "handle_req", req_checked)
+    for i, scenario in enumerate(corpus_scenarios()):
+        sim.run(scheduled(scenario, i, kind, guard_off), seed=i)
+    assert skipped["scan"] and skipped["settle"], skipped
 
 
 def gap_model() -> TrustModel:

@@ -3,10 +3,11 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
-from kspend import fuzz
+from kspend import fuzz, sim
 from kspend.attack import synthesize_multispend_attack
 from kspend.errors import InvalidFaultySet, InvalidParameters, SchemaError
 from kspend.kcb import byzantine_broadcast_scenario
@@ -33,7 +34,7 @@ from kspend.trust import (
     uniform_model,
 )
 
-from golden_traces import honest_ring
+from golden_traces import golden_cases, honest_ring
 from helpers import spending_number
 
 
@@ -920,6 +921,31 @@ def test_run_writes_the_reference_trace_hash():
             assert not report.quiescent and report.events == 57
         if name == "self-send":
             assert report.trace == (("send", 0, "REQ", 0, (), tx_ref(scenario.scripts[0].tx).hex()),)
+
+
+def test_send_records_address_the_recipients_but_the_sender(monkeypatch):
+    """The runtime resolves each (sender, recipients) pair once per run; every
+    send record still lists the message's recipients less its sender, sorted."""
+    enqueue = sim._Runtime.enqueue
+    sends = []
+
+    def checked(rt, msg):
+        payload = enqueue(rt, msg)
+        record = rt.trace[-1]
+        assert record[:2] == ("send", rt.msg_count - 1)
+        assert record[4] == tuple(sorted(msg.recipients - {msg.sender}))
+        sends.append(msg.sender in msg.recipients)
+        return payload
+
+    monkeypatch.setattr(sim._Runtime, "enqueue", checked)
+    for name, scenario, seed in [*golden_cases(), *written_hash_cases()]:
+        rt = sim._Runtime(scenario, seed)
+        while rt.step():
+            pass
+        # one audience per correct sender, at most one per script
+        assert len(rt.audiences) <= scenario.model.n + len(scenario.scripts), name
+    # the self-addressed script, and the honest broadcasts, which never are
+    assert sends.count(True) >= 1 and sends.count(False) > 1000, Counter(sends)
 
 
 def test_overdrawing_action_never_enables():
