@@ -313,9 +313,12 @@ def attack(model_path: str, as_json: bool, save_scenario: str | None) -> None:
     if save_scenario:
         from .sim import scenario_to_obj
 
-        with open(save_scenario, "w", encoding="utf-8") as fh:
-            json.dump(scenario_to_obj(scenario), fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(save_scenario, "w", encoding="utf-8") as fh:
+                json.dump(scenario_to_obj(scenario), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:  # a missing directory, or a directory as the path
+            _fail(f"cannot write scenario {save_scenario}: {exc.strerror}", 2)
     report = run(scenario)
     if as_json:
         click.echo(

@@ -69,6 +69,26 @@ class Ed25519Scheme:
         return True
 
 
+@lru_cache(maxsize=4096)
+def _hmac_pads(key: bytes) -> tuple:
+    """The SHA-256 states after the inner and the outer padded key (RFC 2104 §4)."""
+    if len(key) > 64:  # SHA-256's block size
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return (hashlib.sha256(bytes(b ^ 0x36 for b in key)),
+            hashlib.sha256(bytes(b ^ 0x5C for b in key)))
+
+
+def _hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """``hmac.new(key, message, hashlib.sha256).digest()``, from the cached pad states."""
+    inner, outer = _hmac_pads(key)
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 class HmacScheme:
     """Simulation-only scheme: the "public" key doubles as the MAC key.
 
@@ -83,11 +103,10 @@ class HmacScheme:
         return KeyPair(public=raw, private=raw)
 
     def sign(self, keys: KeyPair, message: bytes) -> bytes:
-        return hmac.new(keys.private, message, hashlib.sha256).digest()
+        return _hmac_sha256(keys.private, message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
-        expect = hmac.new(public, message, hashlib.sha256).digest()
-        return hmac.compare_digest(expect, signature)
+        return hmac.compare_digest(_hmac_sha256(public, message), signature)
 
 
 @dataclass
@@ -95,12 +114,14 @@ class Verifier:
     """One run's signature check: its scheme, its public directory, and the
     memo of (public key, bytes, signature) triples that passed, so each is
     checked once per run. Only passes are memoized, so a forged signature
-    is checked (and rejected) every time it is presented. It holds no
-    private key."""
+    is checked (and rejected) every time it is presented. Accusations are
+    memoized the same way, by digest. It holds no private key."""
 
     scheme: object
     public: dict[int, bytes]
     verified: set[tuple[bytes, bytes, bytes]] = field(default_factory=set)
+    # the digests of the accusations that passed ``ledger.verify_acc``
+    accusations: set[bytes] = field(default_factory=set)
 
     def verify(self, signer: int, message: bytes, signature: bytes | None) -> bool:
         public = self.public.get(signer)
@@ -125,10 +146,16 @@ def make_scheme(name: str):
         raise ValueError(f"unknown signature scheme: {name!r}") from None
 
 
-def keychain(n: int, scheme, seed: bytes) -> tuple[list[KeyPair], dict[int, bytes]]:
-    """Deterministic per-process keys plus the public directory."""
-    keys = []
-    for pid in range(n):
-        per = hashlib.sha256(seed + b"/" + pid.to_bytes(4, "big")).digest()
-        keys.append(scheme.keypair(per))
+@lru_cache(maxsize=256)
+def _keys(n: int, scheme, seed: bytes) -> tuple[KeyPair, ...]:
+    return tuple(
+        scheme.keypair(hashlib.sha256(seed + b"/" + pid.to_bytes(4, "big")).digest())
+        for pid in range(n)
+    )
+
+
+def keychain(n: int, scheme, seed: bytes) -> tuple[tuple[KeyPair, ...], dict[int, bytes]]:
+    """Deterministic per-process keys plus the public directory, a fresh dict
+    per call; the keys of each (n, scheme, seed) are derived once."""
+    keys = _keys(n, scheme, seed)
     return keys, {pid: kp.public for pid, kp in enumerate(keys)}

@@ -29,7 +29,9 @@ ECHO = "ECHO"
 ACC = "ACC"
 
 
-@dataclass(frozen=True)
+# slots, not frozen: a frozen init costs about three times as much, and no
+# code assigns a message field or hashes a message
+@dataclass(slots=True)
 class Message:
     kind: str
     sender: int

@@ -378,8 +378,18 @@ def verify_acc(acc: Accusation, verifier: Verifier) -> bool:
     must be among the accused, and each accused process must have at least
     two distinct pairwise-conflicting transactions in the proof. Signatures
     go through ``verifier``, so a triple it already passed is not checked
-    again.
+    again, and so does the verdict: an accusation that passed is not judged
+    again, one that failed is judged each time it is presented.
     """
+    if acc.digest in verifier.accusations:
+        return True
+    if not _acc_holds(acc, verifier):
+        return False
+    verifier.accusations.add(acc.digest)
+    return True
+
+
+def _acc_holds(acc: Accusation, verifier: Verifier) -> bool:
     if not acc.accused or not acc.proof:
         return False
     by_issuer: dict[int, list[Transaction]] = {}

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import engine as eng
 from . import properties as props
@@ -197,7 +197,8 @@ class RunReport:
 def compute_trace_hash(trace: Iterable) -> str:
     """The reference trace hash: SHA-256 over each record's compact JSON and a newline.
 
-    A run writes the same hash as it goes (``_Runtime.write``).
+    A run writes the same hash as it goes (``_Runtime.write``, and inline in
+    ``_Runtime.loop``).
     """
     digest = hashlib.sha256()
     for record in trace:
@@ -369,68 +370,80 @@ class _Runtime:
             else:
                 self.enabled.discard(idx)
 
-    def step(self) -> bool:
-        """Run the next event; False once the run is quiescent or at its event cap.
+    def loop(self) -> Iterator[None]:
+        """Run the events one by one, yielding after each, until the run is
+        quiescent or at its event cap.
 
         fifo and adversarial run the least enabled action before any
         delivery. fifo then delivers the queue head: ``enqueue`` appends in
         send order and nothing reorders the queue. adversarial delivers the
         heap root, the least (phase, send order). random draws one of the
-        enabled actions, in index order, or one queued delivery.
+        enabled actions, in index order, or one queued delivery, as
+        ``Random.randrange`` does: the bit length's worth of bits, drawn
+        again while out of range.
 
         Most deliveries change nothing. Only a handler that returned messages
         or grew its history enters ``effects``; the rest write the quiet tail.
         """
-        enabled = self.enabled
-        if not enabled and not self.deliveries:
-            self.quiescent = True
-            return False
-        if self.events >= self.scenario.max_events:
-            return False
-        if self.rng is not None:
-            actions = sorted(enabled) if enabled else ()
-            choice = self.rng.randrange(len(actions) + len(self.deliveries))
-            idx = actions[choice] if choice < len(actions) else None
-            pos = choice - len(actions)
-        else:
-            idx = min(enabled) if enabled else None
+        actions, engines, enabled = self.scenario.honest_actions, self.engines, self.enabled
+        deliveries, adversarial, pids = self.deliveries, self.adversarial, self.pids
+        append, update = self.trace.append, self.digest.update
+        gamma_series, max_events = self.gamma_series, self.scenario.max_events
+        draw = self.rng.getrandbits if self.rng is not None else None
+        while enabled or deliveries:
+            if self.events >= max_events:
+                return
             pos = 0
-        if idx is not None:
-            pid, tx = self.scenario.honest_actions[idx]
-            state = self.engines[pid]
-            before = len(state.by_ref)
-            accepted, new_acc = self.effects(state, eng.transfer(state, tx), before)
-            self.todo[pid].pop()
-            enabled.discard(idx)
-            self.refresh(pid)
-            ref = tx_ref(tx).hex()
-            self.write(("action", idx, pid, ref, accepted, new_acc), f'["action",{idx},'
-                       f'{self.pids[pid]},"{ref}",{_refs(accepted)},{_refs(new_acc)}]\n')
-        else:
-            d = heapq.heappop(self.deliveries) if self.adversarial else self.deliveries.pop(pos)
-            _, msg_id, recipient, msg, payload, head, tail = d
-            accepted = new_acc = ()
-            state = self.engines.get(recipient)  # None for a faulty one: it is script-only
-            if state is not None:
+            if draw is not None:
+                ready = sorted(enabled) if enabled else ()
+                n = len(ready) + len(deliveries)
+                bits = n.bit_length()
+                pos = draw(bits)
+                while pos >= n:
+                    pos = draw(bits)
+                idx = ready[pos] if pos < len(ready) else None
+                pos -= len(ready)
+            else:
+                idx = min(enabled) if enabled else None
+            if idx is not None:
+                pid, tx = actions[idx]
+                state = engines[pid]
                 before = len(state.by_ref)
-                out = eng.handle_message(state, msg)
-                if out or len(state.by_ref) != before:
-                    accepted, new_acc = self.effects(state, out, before)
-                    if accepted:
-                        self.refresh(recipient)
-                    if accepted or new_acc:
-                        tail = f',"{payload}",{_refs(accepted)},{_refs(new_acc)}]\n'
-            self.write(("deliver", msg_id, msg.kind, msg.sender, recipient,
-                        payload, accepted, new_acc), head + self.pids[recipient] + tail)
-        self.events += 1
-        self.gamma_series.append(self.gamma)
-        return True
+                accepted, new_acc = self.effects(state, eng.transfer(state, tx), before)
+                self.todo[pid].pop()
+                enabled.discard(idx)
+                self.refresh(pid)
+                ref = tx_ref(tx).hex()
+                append(("action", idx, pid, ref, accepted, new_acc))
+                update(f'["action",{idx},{pids[pid]},"{ref}",'
+                       f'{_refs(accepted)},{_refs(new_acc)}]\n'.encode())
+            else:
+                d = heapq.heappop(deliveries) if adversarial else deliveries.pop(pos)
+                _, msg_id, recipient, msg, payload, head, tail = d
+                accepted = new_acc = ()
+                state = engines.get(recipient)  # None for a faulty one: it is script-only
+                if state is not None:
+                    before = len(state.by_ref)
+                    out = eng.handle_message(state, msg)
+                    if out or len(state.by_ref) != before:
+                        accepted, new_acc = self.effects(state, out, before)
+                        if accepted:
+                            self.refresh(recipient)
+                        if accepted or new_acc:
+                            tail = f',"{payload}",{_refs(accepted)},{_refs(new_acc)}]\n'
+                append(("deliver", msg_id, msg.kind, msg.sender, recipient,
+                        payload, accepted, new_acc))
+                update((head + pids[recipient] + tail).encode())
+            self.events += 1
+            gamma_series.append(self.gamma)
+            yield
+        self.quiescent = True
 
 
 def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
     """Execute a scenario to quiescence (or the event cap) and report."""
     rt = _Runtime(scenario, seed)
-    while rt.step():
+    for _ in rt.loop():
         pass
 
     histories = {p: rt.engines[p].by_ref for p in rt.correct}

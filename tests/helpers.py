@@ -137,7 +137,7 @@ def well_formed_trace_hash(scenario, seed) -> str:
     """
     rt = sim._Runtime(scenario, seed)
     judged = dict.fromkeys(rt.engines, 0)  # each table's length when last judged
-    while rt.step():
+    for _ in rt.loop():
         for pid, state in rt.engines.items():
             if len(state.by_ref) == judged[pid]:
                 continue

@@ -380,6 +380,15 @@ def test_attack_saved_scenario_replays(runner, tmp_path):
     assert "spending number: 2 (bound 2)" in replay.output
 
 
+@pytest.mark.parametrize("where", ["missing-dir/attack.json", "."])
+def test_attack_save_scenario_unwritable_path_exits_2(runner, tmp_path, where):
+    path = str(tmp_path / where)
+    result = runner.invoke(main, ["attack", "--model", "example1", "--save-scenario", path])
+    assert result.exit_code == 2 and "Traceback" not in result.output
+    assert f"error: cannot write scenario {path}: " in result.output
+    assert "attack achieved" not in result.output  # refused before the run
+
+
 def test_attack_json(runner):
     result = runner.invoke(main, ["attack", "--model", "example1", "--json"])
     obj = json.loads(result.output)

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import json
 import pathlib
 import sys
@@ -7,7 +8,8 @@ import textwrap
 import pytest
 
 import kspend
-from kspend.crypto import Verifier, content_hash, keychain, make_scheme
+from kspend import crypto
+from kspend.crypto import KeyPair, Verifier, content_hash, keychain, make_scheme
 from kspend.trust import uniform_inconsistency
 
 from helpers import run_child
@@ -61,6 +63,42 @@ def test_keychain_layout():
     sig = scheme.sign(keys[2], b"payload")
     assert scheme.verify(directory[2], b"payload", sig)
     assert not scheme.verify(directory[1], b"payload", sig)
+
+
+def test_keychain_derives_keys_once_and_hands_out_fresh_directories():
+    scheme = make_scheme("hmac")
+    keys, directory = keychain(3, scheme, b"cached-seed")
+    again, other = keychain(3, scheme, b"cached-seed")
+    assert again is keys and isinstance(keys, tuple)
+    assert other == directory and other is not directory
+    directory[0] = b"tampered"
+    assert keychain(3, scheme, b"cached-seed")[1][0] == keys[0].public
+
+
+@pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 200])
+def test_hmac_scheme_is_hmac_sha256(key_len):
+    """The precomputed-pad HMAC equals the standard library's, on keys either
+    side of SHA-256's 64-byte block and messages either side of its padding."""
+    scheme = make_scheme("hmac")
+    key = bytes((7 * i + key_len) % 256 for i in range(key_len))
+    for msg_len in (0, 55, 56, 64, 1000):
+        message = bytes((3 * i + 1) % 256 for i in range(msg_len))
+        sig = scheme.sign(KeyPair(public=key, private=key), message)
+        assert sig == hmac.new(key, message, hashlib.sha256).digest(), (key_len, msg_len)
+        assert scheme.verify(key, message, sig)
+        for pos in (0, 17, len(sig) - 1):
+            flipped = sig[:pos] + bytes([sig[pos] ^ 0x80]) + sig[pos + 1 :]
+            assert not scheme.verify(key, message, flipped), (key_len, msg_len, pos)
+
+
+def test_hmac_pad_cache_is_bounded():
+    bound = crypto._hmac_pads.cache_info().maxsize
+    assert bound is not None
+    scheme = make_scheme("hmac")
+    for i in range(bound + 10):
+        key = b"pad-cache-%d" % i
+        scheme.sign(KeyPair(public=key, private=key), b"m")
+    assert crypto._hmac_pads.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize("name", ["ed25519", "hmac"])

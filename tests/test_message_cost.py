@@ -242,7 +242,7 @@ def stepped_run(scenario, seed, check) -> None:
     happens only in ``_settle``, which takes what it accepts out of pending.
     """
     rt = sim._Runtime(scenario, seed)
-    while rt.step():
+    for _ in rt.loop():
         for pid, state in rt.engines.items():
             accepted = any(eng._accepted(state, tx) for tx in state.pending.values())
             assert not accepted, (pid, rt.events)

@@ -9,10 +9,13 @@ each distinct triple is verified once per run, by the engine and the
 property checker together, each distinct (key, signed bytes) pair is
 signed once per run, and both again in the next run. The checker judges
 a tampered accusation the same with the run's memo as with a fresh one.
+The verifier memoizes passed accusations too: each distinct accusation is
+judged once per run, a failing one every time it is presented.
 """
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -23,8 +26,9 @@ from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import report_from_obj, report_to_obj
 from kspend.trust import load_builtin_model
 
-from golden_traces import honest_ring
+from golden_traces import golden_cases, honest_ring
 from helpers import judge
+from pinned_verdicts import VERDICTS_FILE, directed, tamperings
 
 N = 3
 GENESIS = genesis_tx({p: 10 for p in range(N)})
@@ -308,3 +312,118 @@ def test_shared_memo_does_not_vouch_for_a_tampered_accusation(monkeypatch):
 def test_shared_memo_verdicts_equal_a_fresh_judgement(golden_reports):
     for name, report in golden_reports:
         assert report.verdicts == judge(report), name
+
+
+def counted_judgements(monkeypatch) -> Counter:
+    """Count, by digest, the accusations that reach the body of ``verify_acc``."""
+    judged = Counter()
+    real = ledger._acc_holds
+
+    def counting(acc, verifier):
+        judged[acc.digest] += 1
+        return real(acc, verifier)
+
+    monkeypatch.setattr(ledger, "_acc_holds", counting)
+    return judged
+
+
+def stored_digests(report) -> set[bytes]:
+    return {acc.digest for store in report.accusations.values() for acc in store}
+
+
+def test_each_accusation_judged_once_per_run(monkeypatch):
+    """Engines and checker together judge each distinct accusation once, though
+    it is presented once per receiving process and once per store."""
+    judged = counted_judgements(monkeypatch)
+    presented = []
+    for owner in (eng, properties):
+
+        def presenting(acc, verifier, real=owner.verify_acc):
+            presented.append(acc)
+            return real(acc, verifier)
+
+        monkeypatch.setattr(owner, "verify_acc", presenting)
+    runs = 0
+    for name, scenario, seed in golden_cases():
+        judged.clear()
+        presented.clear()
+        report = kspend.run(scenario, seed=seed)
+        if not stored_digests(report):
+            continue
+        runs += 1
+        # every accusation stored anywhere is judged, by an engine or the checker
+        assert set(judged) == stored_digests(report) == {acc.digest for acc in presented}, name
+        assert set(judged.values()) == {1}, name
+        assert len(presented) > len(judged), name
+    assert runs >= 10
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_accusation_with_a_zeroed_signature_refused_each_time(monkeypatch, scheme_name):
+    judged = counted_judgements(monkeypatch)
+    states, sign, _ = sharing_states(scheme_name)
+    verifier = states[0].verifier
+    a, b = pay(0, {1: 10}), pay(0, {2: 10})
+    sig_a, sig_b = sign(0, a), sign(0, b)
+    zeroed = ledger.Accusation.build({0}, [(a, bytes(len(sig_a))), (b, sig_b)])
+    acc = lambda accusation, to: eng.Message(kind=eng.ACC, sender=0, recipients=frozenset({to}),
+                                             accusation=accusation)
+    for to in (1, 2, 1, 2):
+        assert eng.handle_message(states[to], acc(zeroed, to)) == []
+    assert not ledger.verify_acc(zeroed, verifier)
+    assert judged[zeroed.digest] == 5 and not verifier.accusations
+    assert not states[1].accusations and not states[2].accusations
+    # the genuine accusation is judged at its first presentation only
+    genuine = ledger.Accusation.build({0}, [(a, sig_a), (b, sig_b)])
+    for to in (1, 2):
+        assert eng.handle_message(states[to], acc(genuine, to))
+    assert ledger.verify_acc(genuine, verifier)
+    assert judged[genuine.digest] == 1 and verifier.accusations == {genuine.digest}
+
+
+def test_a_fresh_verifier_judges_every_accusation_again(monkeypatch):
+    judged = counted_judgements(monkeypatch)
+    scenario = kspend.synthesize_multispend_attack(load_builtin_model("example1"))
+    report = kspend.run(scenario)
+    stored = stored_digests(report)
+    assert stored and set(judged) == stored and set(judged.values()) == {1}
+    judged.clear()
+    assert judge(report) == report.verdicts
+    assert set(judged) == stored and set(judged.values()) == {1}
+    # a tampered copy: the forged accusation fails under a fresh verifier
+    first = min(p for p, store in report.accusations.items() if store)
+    genuine = min(report.accusations[first], key=lambda acc: acc.digest)
+    (tx, sig), *rest = genuine.proof
+    forged = ledger.Accusation.build(genuine.accused, [(tx, bytes(len(sig))), *rest])
+    store = report.accusations[first] - {genuine} | {forged}
+    judged.clear()
+    tampered_report = dataclasses.replace(report, accusations={**report.accusations, first: store})
+    assert judge(tampered_report)["accuracy"].status == properties.VIOLATED
+    assert judged[forged.digest] == 1
+
+
+def test_run_memo_leaves_the_pinned_verdicts(monkeypatch):
+    """Judged with its own run's verifier, whose memo holds every accusation
+    the run passed, each golden run and each of its tamperings reads the
+    verdicts pinned under a fresh verifier."""
+    verifiers = []
+    real_evaluate = properties.evaluate_properties
+
+    def capturing(report, verifier):
+        verifiers.append(verifier)
+        return real_evaluate(report, verifier)
+
+    monkeypatch.setattr(properties, "evaluate_properties", capturing)
+    got = {}
+    for name, scenario, seed in golden_cases():
+        report = kspend.run(scenario, seed=seed)
+        verifier = verifiers[-1]
+        variants = [*tamperings(report), *(directed(report) if name == "demo_scenario" else ())]
+        for label, variant in variants:
+            verdicts = real_evaluate(variant, verifier)
+            got[f"{name}|{label}"] = {
+                prop: [v.status, v.detail] for prop, v in verdicts.items()
+                if v.status != properties.HOLDS
+            }
+    assert any(v.accusations for v in verifiers)
+    assert got == json.loads(VERDICTS_FILE.read_text())

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from kspend import engine as eng
 from kspend import fuzz, sim
 from kspend.attack import synthesize_multispend_attack
 from kspend.errors import InvalidFaultySet, InvalidParameters, SchemaError
@@ -940,12 +941,28 @@ def test_send_records_address_the_recipients_but_the_sender(monkeypatch):
     monkeypatch.setattr(sim._Runtime, "enqueue", checked)
     for name, scenario, seed in [*golden_cases(), *written_hash_cases()]:
         rt = sim._Runtime(scenario, seed)
-        while rt.step():
+        for _ in rt.loop():
             pass
         # one audience per correct sender, at most one per script
         assert len(rt.audiences) <= scenario.model.n + len(scenario.scripts), name
     # the self-addressed script, and the honest broadcasts, which never are
     assert sends.count(True) >= 1 and sends.count(False) > 1000, Counter(sends)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_random_scheduler_draws_as_randrange(seed):
+    """The loop picks each event as ``random.Random(seed).randrange(n)`` does,
+    here for every n from 300 down to 1, so a Python whose ``randrange``
+    draws otherwise fails this test by name, not only the golden hashes."""
+    scenario = simple_scenario(honest_actions=(), scheduler=SchedulerSpec("random"))
+    rt = sim._Runtime(scenario, seed)
+    inert = eng.Message(kind="NOP", sender=0, recipients=frozenset())  # no handler takes it
+    rt.deliveries[:] = [(0, i, 1, inert, "", "", "") for i in range(300)]
+    for _ in rt.loop():
+        pass
+    queue, rng = list(range(300)), random.Random(seed)
+    expected = [queue.pop(rng.randrange(len(queue))) for _ in range(300)]
+    assert [record[1] for record in rt.trace] == expected
 
 
 def test_overdrawing_action_never_enables():

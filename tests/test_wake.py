@@ -24,17 +24,18 @@ def checked_trace_hash(scenario, seed) -> str:
     """Step a run as sim.run does, checking both wake rules before every
     event and the tail rule after it."""
     rt = sim._Runtime(scenario, seed)
-    while True:
+
+    def wake_rules_hold() -> dict:
         events = rt.events
         assert sorted(rt.enabled) == polled_enabled_actions(rt), f"enabled actions at event {events}"
         for pid, state in rt.engines.items():
             ready = [tx for tx in state.pending.values() if eng._ready(state, tx)]
             assert not ready, f"process {pid} left ready transactions pending at event {events}"
-        before = {pid: list(state.by_ref) for pid, state in rt.engines.items()}
-        if not rt.step():
-            written = rt.digest.hexdigest()
-            assert written == sim.compute_trace_hash(rt.trace), "the written trace hash"
-            return written
+        return {pid: list(state.by_ref) for pid, state in rt.engines.items()}
+
+    before = wake_rules_hold()
+    for _ in rt.loop():
+        events = rt.events - 1
         record = rt.trace[-1]
         actor = record[2] if record[0] == "action" else record[4]
         for pid, state in rt.engines.items():
@@ -42,6 +43,10 @@ def checked_trace_hash(scenario, seed) -> str:
             assert table[: len(before[pid])] == before[pid], f"process {pid} at event {events}"
             gained = {ref.hex() for ref in table[len(before[pid]) :]}
             assert gained == set(record[-2] if pid == actor else ()), f"process {pid} at event {events}"
+        before = wake_rules_hold()
+    written = rt.digest.hexdigest()
+    assert written == sim.compute_trace_hash(rt.trace), "the written trace hash"
+    return written
 
 
 def test_wake_rules_match_polling_on_the_golden_runs():
@@ -60,7 +65,7 @@ def test_a_process_grows_one_table_for_its_whole_run():
     rt = sim._Runtime(scenario, seed)
     tables = {pid: state.by_ref for pid, state in rt.engines.items()}
     assert all(len(table) == 1 for table in tables.values())
-    while rt.step():
+    for _ in rt.loop():
         pass
     for pid, state in rt.engines.items():
         assert state.by_ref is tables[pid] and len(state.by_ref) > 1, (name, pid)
