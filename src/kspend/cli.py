@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 import click
 
@@ -277,19 +276,10 @@ def _exit_for(report: RunReport) -> None:
 @click.option("--scenario", "scenario_path", type=str, required=True, help="Scenario JSON file.")
 @click.option("--seed", type=int, default=None, help="Scheduler seed (or KSAT_SEED).")
 @click.option("--json", "as_json", is_flag=True)
-@click.option(
-    "--disable-usedinp-guard",
-    is_flag=True,
-    hidden=True,
-    help="Test-only mutant: drop the per-input echo protection.",
-)
 @_guarded
-def simulate(scenario_path: str, seed: int | None, as_json: bool, disable_usedinp_guard: bool) -> None:
+def simulate(scenario_path: str, seed: int | None, as_json: bool) -> None:
     """Run a scenario to quiescence and evaluate all protocol properties."""
-    scenario = load_scenario(scenario_path)
-    if disable_usedinp_guard:
-        scenario = replace(scenario, disable_used_input_guard=True)
-    report = run(scenario, seed=_seed_option(seed))
+    report = run(load_scenario(scenario_path), seed=_seed_option(seed))
     _emit_report(report, as_json)
     _exit_for(report)
 

@@ -47,6 +47,7 @@ from .trust import (
     load_model,
     model_to_obj,
     parse_model,
+    read_json,
 )
 
 DEFAULT_KEY_SEED = b"kspend"
@@ -467,17 +468,10 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
 
     delivered = None
     if scenario.kcb_source is not None:
-        genesis_ref = tx_ref(scenario.genesis)
-        delivered = {}
-        for p in rt.correct:
-            mine = [
-                tx
-                for tx in histories[p].values()
-                if tx.issuer == scenario.kcb_source and genesis_ref in tx.inputs
-            ]
-            if mine:
-                # the no-conflict clause keeps this at one per process
-                delivered[p] = sorted(mine, key=tx_ref)[0].message
+        # the accepted spend of the source's funding output; c3 allows one per history
+        funding = (scenario.kcb_source, tx_ref(scenario.genesis))
+        spends = {p: rt.engines[p].accepted.get(funding) for p in rt.correct}
+        delivered = {p: tx.message for p, tx in spends.items() if tx is not None}
 
     report = RunReport(
         scenario=scenario,
@@ -656,7 +650,9 @@ def scenario_from_obj(obj: dict, *, base_dir: str = ".") -> Scenario:
             raise SchemaError("scenario takes one of 'model' and 'model_file', not both")
         model = parse_model(obj["model"])
     elif "model_file" in obj:
-        model = load_model(os.path.join(base_dir, obj["model_file"]))
+        if not isinstance(path := obj["model_file"], str):
+            raise SchemaError(f"model_file must be a string, got {path!r}")
+        model = load_model(os.path.join(base_dir, path))
     else:
         raise SchemaError("scenario needs a model or model_file")
     # exact type: a null name would round-trip as null
@@ -778,12 +774,7 @@ def _authored(obj: dict, model: TrustModel, **run_fields) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read scenario {path}: {exc}") from None
-    return scenario_from_obj(obj, base_dir=os.path.dirname(path) or ".")
+    return scenario_from_obj(read_json(path, "scenario"), base_dir=os.path.dirname(path) or ".")
 
 
 def report_to_obj(report: RunReport) -> dict:

@@ -80,32 +80,20 @@ class TrustModel:
                 )
             return found
 
-        # id(group) -> (group, its members, their sort key): a quorum object shared by
-        # many systems is checked once; holding the group keeps its id from being reused
-        checked: dict[int, tuple] = {}
         systems = []
         for pid, row in enumerate(rows):
-            keys = {}  # members -> sort key, deduped in order
-            for q in listed(row, f"quorum system of process {pid}"):
-                hit = checked.get(id(q))
-                if hit is None:
-                    found = members(q, f"quorum of process {pid}")
-                    hit = checked[id(q)] = (q, found, sorted(found))
-                keys[hit[1]] = hit[2]
-            # a system that is already in order sorts in linear time
-            system = sorted(keys, key=keys.__getitem__)
-            if not system:
+            groups = listed(row, f"quorum system of process {pid}")
+            found = {members(q, f"quorum of process {pid}") for q in groups}
+            if not found:
                 raise ValueError(f"process {pid} has an empty quorum system")
-            if not all(system):
+            if not all(found):
                 raise ValueError(f"process {pid} lists an empty quorum")
-            systems.append(tuple(system))
+            systems.append(tuple(sorted(found, key=sorted)))
         faults = {members(f, "faulty set") for f in listed(fault_model, "fault model")}
-        maximal = sorted(faults, key=lambda s: (len(s), sorted(s)))
-        # drop sets a (larger) superset absorbs; keep the empty set only when alone
-        larger = {len(f): i for i, f in enumerate(maximal, 1)}  # size -> where larger sets start
-        maximal = [f for f in maximal if not any(f < g for g in maximal[larger[len(f)] :])]
-        if not maximal:
-            maximal = [frozenset()]
+        # drop absorbed sets; the largest are maximal, so a threshold model's scan is linear
+        top = max(map(len, faults), default=0)
+        maximal = sorted((f for f in faults if len(f) == top or not any(f < g for g in faults)),
+                         key=lambda s: (len(s), sorted(s))) or [frozenset()]
         return TrustModel(n=n, quorums=tuple(systems), fault_model=tuple(maximal))
 
     def processes(self) -> range:
@@ -418,15 +406,16 @@ def uniform_inconsistency(n: int, q: int, f: int) -> int:
 
 
 def uniform_model(n: int, q: int, f: int) -> TrustModel:
-    """Explicit symmetric model: every q-subset through p, every |F| <= f. Each
-    q-subset is one object, shared by its members' systems in lexicographic order."""
+    """Explicit symmetric model: every q-subset through p, every |F| <= f. Valid by
+    construction, so ``build``'s checks are skipped: each q-subset is one object, shared
+    by its members' systems in ``build``'s (lexicographic) order; the f-subsets are maximal."""
     uniform_inconsistency(n, q, f)  # parameter validation
     systems: list[list[Quorum]] = [[] for _ in range(n)]
     for quorum in map(frozenset, combinations(range(n), q)):
         for pid in quorum:
             systems[pid].append(quorum)
-    faults = [frozenset(c) for c in combinations(range(n), f)]
-    return TrustModel.build(n, systems, faults)
+    faults = tuple(map(frozenset, combinations(range(n), f)))
+    return TrustModel(n, tuple(map(tuple, systems)), faults)
 
 
 def parse_model(obj: object) -> TrustModel:
@@ -455,13 +444,17 @@ def model_to_obj(model: TrustModel) -> dict:
     }
 
 
-def load_model(path: str) -> TrustModel:
+def read_json(path: str, what: str) -> object:
+    """A file's JSON value; bad UTF-8 or JSON, a NUL or an OSError is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read trust model {path}: {exc}") from None
-    return parse_model(obj)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_model(path: str) -> TrustModel:
+    return parse_model(read_json(path, "trust model"))
 
 
 def load_builtin_model(name: str) -> TrustModel:

@@ -237,6 +237,22 @@ def brute_well_formed(table, check_timestamps=False) -> bool:
     )
 
 
+def brute_delivered(report):
+    """Per correct process, the message of the transaction in its history that the
+    broadcast source issued spending the genesis output, the least by reference;
+    None for a run that is no broadcast. A scan of every history."""
+    source = report.scenario.kcb_source
+    if source is None:
+        return None
+    genesis_ref = tx_ref(report.scenario.genesis)
+    delivered = {}
+    for p, history in report.histories.items():
+        mine = [tx for tx in history.values() if tx.issuer == source and genesis_ref in tx.inputs]
+        if mine:
+            delivered[p] = sorted(mine, key=tx_ref)[0].message
+    return delivered
+
+
 def brute_eventual_conviction(report) -> str:
     """Every pair of correct processes, every pair of their transactions.
 

@@ -3,9 +3,10 @@
 Each case is one invocation through click's ``CliRunner``: its arguments,
 any environment it sets, its exit code and everything it printed (stderr
 merged). ``{data}`` in an argument stands for the package's bundled data
-directory, and ``{tmp}`` for a temporary directory holding three files:
+directory, and ``{tmp}`` for a temporary directory holding four files:
 ``uniform.json``, the symmetric model (4, 3, 1), which is not vulnerable;
-``capped.json``, the demo scenario capped at two events; and ``bad.json``,
+``capped.json``, the demo scenario capped at two events; ``guard_off.json``,
+the mutant probe with ``disable_used_input_guard`` set; and ``bad.json``,
 which is no scenario. Neither path appears in any output, and a
 ``KSAT_SEED`` in the calling environment is cleared. ``--help`` is left
 out: its text depends on the click version. Any change to the file is a
@@ -30,6 +31,7 @@ DEMO = "{data}/demo_scenario.json"
 PROBE = "{data}/mutant_probe.json"
 UNIFORM = "{tmp}/uniform.json"
 CAPPED = "{tmp}/capped.json"
+GUARD_OFF = "{tmp}/guard_off.json"
 BAD = "{tmp}/bad.json"
 
 INVOCATIONS = (
@@ -57,8 +59,8 @@ INVOCATIONS = (
     (["simulate", "--scenario", CAPPED], {}),
     (["simulate", "--scenario", BAD], {}),
     (["simulate", "--scenario", PROBE], {}),
-    (["simulate", "--scenario", PROBE, "--disable-usedinp-guard"], {}),
-    (["simulate", "--scenario", PROBE, "--disable-usedinp-guard", "--json"], {}),
+    (["simulate", "--scenario", GUARD_OFF], {}),
+    (["simulate", "--scenario", GUARD_OFF, "--json"], {}),
     (["attack", "--model", "example1"], {}),
     (["attack", "--model", "example1", "--json"], {}),
     (["attack", "--model", UNIFORM], {}),
@@ -81,8 +83,10 @@ def cli_cases():
     with tempfile.TemporaryDirectory() as tmp:
         capped = json.loads(pathlib.Path(data, "demo_scenario.json").read_text())
         capped["max_events"] = 2
-        files = {"uniform.json": model_to_obj(uniform_model(4, 3, 1)),
-                 "capped.json": capped, "bad.json": {"foo": 1}}
+        probe = json.loads(pathlib.Path(data, "mutant_probe.json").read_text())
+        files = {"uniform.json": model_to_obj(uniform_model(4, 3, 1)), "capped.json": capped,
+                 "guard_off.json": {**probe, "disable_used_input_guard": True},
+                 "bad.json": {"foo": 1}}
         for name, obj in files.items():
             pathlib.Path(tmp, name).write_text(json.dumps(obj))
         for args, env in INVOCATIONS:

@@ -204,14 +204,15 @@ def test_simulate_demo_json(runner, data_dir):
     assert all(v["status"] == "holds" for v in obj["verdicts"].values())
 
 
-def test_simulate_guard_mutant_contrast(runner, data_dir):
-    probe = str(data_dir / "mutant_probe.json")
-    ok = runner.invoke(main, ["simulate", "--scenario", probe])
+def test_simulate_guard_mutant_contrast(runner, data_dir, tmp_path):
+    probe = data_dir / "mutant_probe.json"
+    ok = runner.invoke(main, ["simulate", "--scenario", str(probe)])
     assert ok.exit_code == 0, ok.output
 
-    broken = runner.invoke(
-        main, ["simulate", "--scenario", probe, "--disable-usedinp-guard"]
-    )
+    guard_off = tmp_path / "guard_off.json"
+    obj = json.loads(probe.read_text())
+    guard_off.write_text(json.dumps({**obj, "disable_used_input_guard": True}))
+    broken = runner.invoke(main, ["simulate", "--scenario", str(guard_off)])
     assert broken.exit_code == 4
     assert "violated" in broken.output
 
@@ -222,6 +223,14 @@ def test_simulate_rejects_malformed_scenario(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--scenario", str(bad)])
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+def _model_file(value):
+    def edit(obj):
+        del obj["model"]
+        obj["model_file"] = value
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -239,6 +248,12 @@ def test_simulate_rejects_malformed_scenario(runner, tmp_path):
         (lambda o: o["model"].update(fault_model_maximal=[3]), "faulty set must be a collection"),
         (lambda o: o.update(max_events=-5), "max_events must be at least 1, got -5"),
         (lambda o: o["genesis"].update({"9": 5}), "genesis recipient 9 is not a process"),
+        # a model_file that is no string ended in a TypeError from os.path.join,
+        # and one holding a NUL byte in a ValueError from open
+        (_model_file(5), "model_file must be a string, got 5"),
+        (_model_file(None), "model_file must be a string, got None"),
+        (_model_file(["x"]), "model_file must be a string, got ['x']"),
+        (_model_file("a\0b"), "cannot read trust model"),
     ],
 )
 def test_simulate_rejects_unencodable_and_boolean_fields(runner, data_dir, tmp_path, edit, message):

@@ -10,9 +10,10 @@ from kspend.kcb import (
     delivered_values,
 )
 from kspend.sim import load_scenario, run
-from kspend.trust import TrustModel, uniform_model
+from kspend.trust import TrustModel, fault_closure, uniform_model
 
 from helpers import undelivered_live
+from oracles import brute_delivered
 
 
 def test_correct_source_reaches_everyone(example1):
@@ -90,3 +91,19 @@ def test_plain_runs_report_no_deliveries(data_dir):
     report = run(load_scenario(str(data_dir / "demo_scenario.json")))
     assert report.delivered is None
     assert delivered_values(report) == frozenset()
+
+
+def test_deliveries_match_the_history_scan(golden_reports, attack_corpus, example1):
+    reports = [report for _name, report in golden_reports]
+    reports += [report for _k, report in attack_corpus]
+    reports += [
+        run(correct_broadcast_scenario(example1, source, faulty_set=faulty, sig_scheme="hmac"))
+        for source in example1.processes()
+        for faulty in fault_closure(example1)
+        if source not in faulty
+    ]
+    broadcasts = [report for report in reports if report.delivered is not None]
+    assert len(broadcasts) > len(attack_corpus)
+    assert any(len(delivered_values(report)) > 1 for report in broadcasts)
+    for report in reports:
+        assert report.delivered == brute_delivered(report), report.scenario.name

@@ -119,28 +119,6 @@ def test_build_takes_any_collection_of_ids():
     assert m == tiny(2, [[[0, 1]], [[1]]], [[0]])
 
 
-class CountingGroup(list):
-    """A quorum that counts how often it is iterated."""
-
-    def __init__(self, members):
-        super().__init__(members)
-        self.iterations = 0
-
-    def __iter__(self):
-        self.iterations += 1
-        return super().__iter__()
-
-
-def test_build_checks_a_shared_quorum_object_once():
-    counts = []
-    for n in (2, 6):
-        shared = CountingGroup(range(n))
-        model = TrustModel.build(n, [[shared] for _ in range(n)], [])
-        assert model == uniform_model(n, n, 0)
-        counts.append(shared.iterations)
-    assert counts[0] == counts[1] > 0
-
-
 def test_build_checks_fresh_groups_whose_ids_may_repeat():
     # each system yields new lists that are dropped once read, so a later
     # group may get the id (the freed memory) of an earlier one
@@ -641,7 +619,13 @@ def test_uniform_model_matches_the_per_process_oracle():
     small = [(n, q, f) for n in range(1, 10) for q in range(1, n + 1) for f in range(q)]
     for n, q, f in small + list(ANALYZE_LADDER):
         # equal tuples: the same quorums in the same order in every system
-        assert uniform_model(n, q, f) == brute_uniform_model(n, q, f), (n, q, f)
+        model = uniform_model(n, q, f)
+        assert model == brute_uniform_model(n, q, f), (n, q, f)
+        # built without build's checks, it is what build makes of the raw sets, given
+        # in reverse so that build sorts them
+        raw = [[[*c] for c in combinations(range(n), q) if pid in c][::-1] for pid in range(n)]
+        faults = list(combinations(range(n), f))[::-1]
+        assert model == TrustModel.build(n, raw, faults), (n, q, f)
 
 
 def test_uniform_model_holds_one_object_per_quorum():
