@@ -42,6 +42,15 @@ class Message:
     accusation: Accusation | None = None
 
 
+# what one process knows of one recorded request
+@dataclass(slots=True)
+class Record:
+    tx: Transaction
+    sig: bytes  # the first issuer signature seen for it
+    echoers: int = 0  # the processes whose verified echo of it this one holds, itself included
+    pended: bool = False  # set once a quorum echoed it, never cleared: pending or accepted
+
+
 @dataclass
 class ProcessState:
     pid: int
@@ -54,18 +63,15 @@ class ProcessState:
     # the history: each accepted transaction under its reference, in the
     # order accepted. It only grows, so what a handler accepted is its tail.
     by_ref: dict[bytes, Transaction]
-    # per-transaction state is keyed by encoding, the transaction's identity,
-    # whose hash bytes cache; per transaction, the bitmask of processes whose
-    # verified echo of it this process holds, its own included
-    echoers: dict[bytes, int] = field(default_factory=dict)
+    # every verified request's record, keyed by encoding, the transaction's
+    # identity, whose hash bytes cache
+    records: dict[bytes, Record] = field(default_factory=dict)
+    # the pended transactions not yet accepted: _settle's work list
     pending: dict[bytes, Transaction] = field(default_factory=dict)
-    pended: bool = False  # a transaction was pended since the last settle
-    # the spend index: every verified request, under each (issuer, input) it
-    # spends, with the first signature seen for it. An input is used once
-    # this process echoed some request in its bucket.
-    requests: dict[tuple[int, bytes], dict[bytes, tuple[Transaction, bytes]]] = field(
-        default_factory=dict
-    )
+    unsettled: bool = False  # a transaction was pended since the last settle
+    # the spend index: the same records under each (issuer, input) they
+    # spend. An input is used once this process echoed some request in its bucket.
+    requests: dict[tuple[int, bytes], dict[bytes, Record]] = field(default_factory=dict)
     # recorded since detect_conflicts and sharing a bucket with another request
     unscanned: list[Transaction] = field(default_factory=list)
     # the accepted spend of each (issuer, input) in the history
@@ -100,15 +106,6 @@ def _sign(state: ProcessState, tx: Transaction) -> bytes:
     return state.verifier.scheme.sign(state.keys, tx.encoding)
 
 
-def quorum_check(state: ProcessState, tx: Transaction) -> bool:
-    """Did every member of some quorum echo tx? Own echoes count."""
-    echoers = state.echoers.get(tx.encoding, 0)
-    for mask in state.quorum_masks:
-        if echoers & mask == mask:
-            return True
-    return False
-
-
 def _ready(state: ProcessState, tx: Transaction) -> bool:
     # c1 and c2: inputs already accepted, paying the issuer, value conserved
     if tx_fault(tx, state.by_ref) is not None:
@@ -117,76 +114,64 @@ def _ready(state: ProcessState, tx: Transaction) -> bool:
     return all(state.accepted.get((tx.issuer, ref), tx) == tx for ref in tx.inputs)
 
 
-def _accepted(state: ProcessState, tx: Transaction) -> bool:
-    # ``accepted`` holds the accepted spend of each (issuer, input)
-    prior = state.accepted.get((tx.issuer, tx.inputs[0]))
-    return prior is not None and prior.encoding == tx.encoding
+def _pend(state: ProcessState, record: Record) -> None:
+    """Pend the record's transaction if every member of some quorum echoed it. Own echoes count."""
+    echoers = record.echoers
+    for mask in state.quorum_masks:
+        if echoers & mask == mask:
+            record.pended = state.unsettled = True
+            state.pending[record.tx.encoding] = record.tx
+            return
 
 
-def _maybe_pend(state: ProcessState, tx: Transaction) -> None:
-    if tx.encoding not in state.pending and quorum_check(state, tx):
-        state.pending[tx.encoding] = tx
-        state.pended = True
-
-
-def _try_echo(state: ProcessState, tx: Transaction, issuer_sig: bytes, out: list[Message]) -> None:
-    """Echo unless some input of this issuer was already used."""
+def _try_echo(state: ProcessState, record: Record, out: list[Message]) -> None:
+    """Echo unless some input of this issuer was already used, then pend if a quorum echoed."""
     own = 1 << state.pid
-    echoers = state.echoers
-    enc = tx.encoding
+    tx = record.tx
     if state.disable_used_input_guard:
         # mutant: drop the per-input protection, keep per-tx idempotence
-        if echoers.get(enc, 0) & own:
+        if record.echoers & own:
             return
     else:
         # an input is used once this process echoed some request spending it
         for ref in tx.inputs:
-            if any(echoers.get(t, 0) & own for t in state.requests[tx.issuer, ref]):
+            if any(r.echoers & own for r in state.requests[tx.issuer, ref].values()):
                 return
     # the issuer's own echo signs the request's bytes with the request's key,
     # and both schemes are deterministic, so the request signature is the echo's
-    echo_sig = issuer_sig if tx.issuer == state.pid else _sign(state, tx)
+    echo_sig = record.sig if tx.issuer == state.pid else _sign(state, tx)
     out.append(
         Message(
             kind=ECHO,
             sender=state.pid,
             recipients=state.audience,
             tx=tx,
-            issuer_sig=issuer_sig,
+            issuer_sig=record.sig,
             echoer_sig=echo_sig,
         )
     )
-    echoers[enc] = echoers.get(enc, 0) | own
-    _maybe_pend(state, tx)
+    record.echoers |= own
+    _pend(state, record)
 
 
-def _recorded(state: ProcessState, tx: Transaction) -> tuple[Transaction, bytes] | None:
-    """The recorded request and its first signature, or None if tx is not recorded.
-
-    A request is filed under every key it spends, so its first key's bucket
-    holds it exactly when it was recorded.
-    """
-    bucket = state.requests.get((tx.issuer, tx.inputs[0]))
-    return None if bucket is None else bucket.get(tx.encoding)
-
-
-def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> bool:
-    """Index a verified signed request; False if tx was already recorded.
+def record_request(state: ProcessState, tx: Transaction, issuer_sig: bytes) -> Record | None:
+    """Record and index a verified signed request; None if tx was already recorded.
 
     Queue it for the conflict scan only if it shares an (issuer, input) bucket:
     alone, it pairs with nothing yet, and a later rival finds it from its bucket.
     """
-    if _recorded(state, tx):
-        return False
-    entry = (tx, issuer_sig)
+    enc = tx.encoding
+    if enc in state.records:
+        return None
+    record = state.records[enc] = Record(tx, issuer_sig)
     shared = False
     for ref in tx.inputs:
         bucket = state.requests.setdefault((tx.issuer, ref), {})
-        bucket[tx.encoding] = entry
+        bucket[enc] = record
         shared = shared or len(bucket) > 1
     if shared:
         state.unscanned.append(tx)
-    return True
+    return record
 
 
 def detect_conflicts(state: ProcessState) -> list[Message]:
@@ -198,13 +183,12 @@ def detect_conflicts(state: ProcessState) -> list[Message]:
     """
     proofs: dict[tuple[int, bytes, bytes], tuple[tuple[Transaction, bytes], ...]] = {}
     for tx in state.unscanned:
+        mine = (tx, state.records[tx.encoding].sig)
         for ref in tx.inputs:
-            bucket = state.requests[(tx.issuer, ref)]
-            mine = bucket[tx.encoding]
-            for enc, theirs in bucket.items():
+            for enc, theirs in state.requests[(tx.issuer, ref)].items():
                 if enc != tx.encoding:
-                    key = (tx.issuer, *sorted((tx_ref(tx), tx_ref(theirs[0]))))
-                    proofs[key] = (mine, theirs)
+                    key = (tx.issuer, *sorted((tx_ref(tx), tx_ref(theirs.tx))))
+                    proofs[key] = (mine, (theirs.tx, theirs.sig))
     state.unscanned.clear()
     out: list[Message] = []
     for key in sorted(proofs):
@@ -220,9 +204,10 @@ def _settle(state: ProcessState, out: list[Message]) -> None:
     """Promote ready pending transactions to a fixpoint, then scan for conflicts.
 
     Readiness reads only the history and ``accepted``, which change only
-    here, so pending stays a fixpoint until something new is pended.
+    here, so pending stays a fixpoint until something new is pended. An
+    accepted transaction leaves pending, and its record stays pended.
     """
-    progressed, state.pended = state.pended, False
+    progressed, state.unsettled = state.unsettled, False
     while progressed:
         progressed = False
         for tx in sorted(state.pending.values(), key=tx_ref):
@@ -243,7 +228,7 @@ def _refusal(state: ProcessState, tx: Transaction) -> str | None:
     if fault is not None:
         return f"{fault[0]}: the transaction {fault[1]}"
     signed = (state.requests.get((state.pid, ref), {}) for ref in tx.inputs)
-    if any(conflicts(tx, prior) for bucket in signed for prior, _ in bucket.values()):
+    if any(conflicts(tx, prior.tx) for bucket in signed for prior in bucket.values()):
         return "already signed: the transaction conflicts with one this process signed"
     return None
 
@@ -261,8 +246,9 @@ def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
     out: list[Message] = [
         Message(kind=REQ, sender=state.pid, recipients=state.audience, tx=tx, issuer_sig=sig)
     ]
-    if record_request(state, tx, sig):
-        _try_echo(state, tx, sig, out)
+    record = record_request(state, tx, sig)
+    if record is not None:
+        _try_echo(state, record, out)
     _settle(state, out)
     return out
 
@@ -279,14 +265,15 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
     bucket with another skips ``_settle``, which would find nothing to do.
     """
     tx = msg.tx
-    if tx is None or not tx.inputs or _recorded(state, tx):
+    if tx is None or not tx.inputs or tx.encoding in state.records:
         return []
     if not state.verifier.verify(tx.issuer, tx.encoding, msg.issuer_sig):
         return []
     out: list[Message] = []
-    if record_request(state, tx, msg.issuer_sig):
-        _try_echo(state, tx, msg.issuer_sig, out)
-    if state.pended or state.unscanned:
+    record = record_request(state, tx, msg.issuer_sig)
+    if record is not None:
+        _try_echo(state, record, out)
+    if state.unsettled or state.unscanned:
         _settle(state, out)
     return out
 
@@ -295,10 +282,10 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     """Count a verified echo, recording and echoing its request if new.
 
     The echo of a request that spends nothing is dropped, as the request
-    is. The echo of a pending or accepted transaction can change nothing:
-    its quorum is never read again, and its request is recorded and was
-    offered to ``_try_echo`` already. So both return before any signature
-    is checked.
+    is. The echo of a pended transaction, pending or accepted, can change
+    nothing: its quorum is never read again, and its request is recorded
+    and was offered to ``_try_echo`` already. So both return before any
+    signature is checked.
     An issuer signature byte-identical to the one recorded with the request
     was verified, or made by this process, when it was recorded, so it is
     not checked again. Once this process has echoed tx, ``_try_echo`` finds
@@ -309,22 +296,23 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     if tx is None or not tx.inputs:
         return []
     enc = tx.encoding
-    if enc in state.pending or _accepted(state, tx):
+    record = state.records.get(enc)
+    if record is not None and record.pended:
         return []
     if not state.verifier.verify(msg.sender, enc, msg.echoer_sig):
         return []
-    recorded = _recorded(state, tx)
-    if recorded is None or recorded[1] != msg.issuer_sig:
+    if record is None or record.sig != msg.issuer_sig:
         if not state.verifier.verify(tx.issuer, enc, msg.issuer_sig):
             return []
     out: list[Message] = []
-    echoers = state.echoers[enc] = state.echoers.get(enc, 0) | 1 << msg.sender
-    if recorded is None:
-        record_request(state, tx, msg.issuer_sig)
-    if not echoers >> state.pid & 1:
-        _try_echo(state, tx, msg.issuer_sig, out)
-    _maybe_pend(state, tx)
-    if state.pended or state.unscanned:
+    if record is None:
+        record = record_request(state, tx, msg.issuer_sig)
+    record.echoers |= 1 << msg.sender
+    if not record.echoers >> state.pid & 1:
+        _try_echo(state, record, out)
+    if not record.pended:
+        _pend(state, record)
+    if state.unsettled or state.unscanned:
         _settle(state, out)
     return out
 

@@ -18,7 +18,7 @@ import random
 import re
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from . import engine as eng
@@ -213,8 +213,7 @@ def _refs(refs: tuple[str, ...]) -> str:
     return '["' + '","'.join(refs) + '"]' if refs else "[]"
 
 
-def _phase_of(plan: tuple[PlanRule, ...], ref: bytes | None, recipient: int) -> int:
-    # ref is the message's transaction reference, None for an accusation
+def _phase_of(plan: tuple[PlanRule, ...], ref: bytes, recipient: int) -> int:
     for i, rule in enumerate(plan):
         if rule.tx_ref == ref and recipient in rule.recipients:
             return i
@@ -309,9 +308,11 @@ class _Runtime:
         # that accepted nothing and stored no accusation
         head, tail = '["deliver",' + fields, f',"{payload}",[],[]]\n'
         if self.adversarial:
+            plan = self.plan
             for r in recipients:
-                d = (_phase_of(self.plan, ref, r), msg_id, r, msg, payload, head, tail)
-                heapq.heappush(self.deliveries, d)
+                # an accusation has no reference for a rule to name: it goes last
+                phase = len(plan) if ref is None else _phase_of(plan, ref, r)
+                heapq.heappush(self.deliveries, (phase, msg_id, r, msg, payload, head, tail))
         else:
             self.deliveries.extend([(0, msg_id, r, msg, payload, head, tail) for r in recipients])
         return payload
@@ -337,14 +338,15 @@ class _Runtime:
     # --- effects --------------------------------------------------------
 
     def note_acceptances(self, table: dict[bytes, Transaction], before: int) -> tuple[str, ...]:
-        # a handler only adds to the table, so what it accepted is past ``before``
-        added = islice(reversed(table.values()), len(table) - before)
+        # a handler only adds to the table, so what it accepted is past ``before``;
+        # each entry is keyed by its reference
+        added = islice(reversed(table.items()), len(table) - before)
         refs = []
-        for tx in sorted(added, key=tx_ref):
-            refs.append(tx_ref(tx).hex())
+        for key, tx in sorted(added, key=itemgetter(0)):
+            refs.append(key.hex())
             for ref in tx.inputs:
                 bucket = self.spends.setdefault((tx.issuer, ref), set())
-                bucket.add(tx_ref(tx))
+                bucket.add(key)
                 if len(bucket) > self.gamma:
                     self.gamma = len(bucket)
         return tuple(refs)

@@ -287,6 +287,86 @@ def polled_enabled_actions(rt) -> list[int]:
 def member_quorum_check(state, quorums, tx) -> bool:
     """Did every member of some quorum echo tx? The engine's test before it
     kept bitmasks: a scan of each member's set of echoed transactions, here
-    rebuilt from the engine's echoer bitmasks, keyed by encoding."""
-    echoed = {p: {t for t, mask in state.echoers.items() if mask >> p & 1} for p in range(state.n)}
+    rebuilt from the echoer bitmasks of the engine's records, keyed by encoding."""
+    echoed = {
+        p: {enc for enc, record in state.records.items() if record.echoers >> p & 1}
+        for p in range(state.n)
+    }
     return any(all(tx.encoding in echoed[q] for q in quorum) for quorum in quorums)
+
+
+def old_tables(state) -> dict:
+    """A process's knowledge in the four tables the engine kept before its
+    per-transaction records: the echoer bitmask and the pending transactions
+    by encoding, and the recorded requests, as (transaction, first issuer
+    signature) pairs, and the accepted spends by (issuer, input); with its
+    history and its accusations. Every table is a fresh copy."""
+    return {
+        "echoers": {enc: r.echoers for enc, r in state.records.items() if r.echoers},
+        "pending": dict(state.pending),
+        "requests": {
+            key: {enc: (r.tx, r.sig) for enc, r in bucket.items()}
+            for key, bucket in state.requests.items()
+        },
+        "accepted": dict(state.accepted),
+        "by_ref": dict(state.by_ref),
+        "accusations": set(state.accusations),
+    }
+
+
+def old_body(state, msg) -> tuple[list[str], dict]:
+    """What a REQ or ECHO handler did after verifying its signatures, on the
+    four tables (``old_tables``), as the engine once wrote it: count the
+    echo, record the request, echo it unless an input was used, pend it if
+    it is neither pending nor accepted and some quorum echoed it, then
+    accept ready pending transactions to a fixpoint and accuse the new
+    conflicting pairs. The process's state is left as it is; the result is
+    the kinds of the messages the body would send, and the tables after it."""
+    t = old_tables(state)
+    echoers, pending, requests, accepted, by_ref = (
+        t["echoers"], t["pending"], t["requests"], t["accepted"], t["by_ref"]
+    )
+    tx, sig, own = msg.tx, msg.issuer_sig, 1 << state.pid
+    enc, sent = tx.encoding, []
+    if msg.kind == "ECHO":
+        echoers[enc] = echoers.get(enc, 0) | 1 << msg.sender
+    unscanned = []
+    if enc not in requests.get((tx.issuer, tx.inputs[0]), {}):
+        for ref in tx.inputs:
+            requests.setdefault((tx.issuer, ref), {})[enc] = (tx, sig)
+        if any(len(requests[tx.issuer, ref]) > 1 for ref in tx.inputs):
+            unscanned.append(tx)
+    if state.disable_used_input_guard:
+        used = echoers.get(enc, 0) & own
+    else:
+        used = any(echoers.get(e, 0) & own for ref in tx.inputs for e in requests[tx.issuer, ref])
+    if not used:
+        sent.append("ECHO")
+        echoers[enc] = echoers.get(enc, 0) | own
+    prior = accepted.get((tx.issuer, tx.inputs[0]))
+    mask = echoers.get(enc, 0)
+    if (
+        enc not in pending
+        and not (prior is not None and prior.encoding == enc)
+        and any(all(mask >> q & 1 for q in range(state.n) if quorum >> q & 1)
+                for quorum in state.quorum_masks)
+    ):
+        pending[enc] = tx
+    progressed = True
+    while progressed:
+        progressed = False
+        for p in sorted(pending.values(), key=tx_ref):
+            c3 = all(accepted.get((p.issuer, ref), p) == p for ref in p.inputs)
+            if brute_tx_fault(p, by_ref) is None and c3:
+                by_ref[tx_ref(p)] = p
+                accepted.update(((p.issuer, ref), p) for ref in p.inputs)
+                del pending[p.encoding]
+                progressed = True
+    pairs = {
+        frozenset((n, other))
+        for n in unscanned for ref in n.inputs
+        for other, _sig in requests[n.issuer, ref].values() if other != n
+    }
+    known = {frozenset(tx for tx, _sig in acc.proof) for acc in t["accusations"]}
+    sent += ["ACC"] * len(pairs - known)
+    return sent, t

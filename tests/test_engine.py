@@ -13,6 +13,8 @@ from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.errors import InvalidTransaction
 from kspend.ledger import Accusation, genesis_tx, make_tx, tx_ref
 
+from oracles import member_quorum_check
+
 N = 3
 SCHEME = make_scheme("hmac")
 KEYS, DIRECTORY = keychain(N, SCHEME, b"engine-test")
@@ -33,7 +35,8 @@ def pay(issuer, outputs, inputs=None, tm=1):
 
 def echoed(state, p, tx):
     """Does state hold a verified echo of tx from process p?"""
-    return bool(state.echoers.get(tx.encoding, 0) & 1 << p)
+    record = state.records.get(tx.encoding)
+    return record is not None and bool(record.echoers >> p & 1)
 
 
 def deliver(states, msgs):
@@ -69,7 +72,7 @@ def test_acceptance_waits_for_the_last_echo():
     deliver(states, [echo0] + echoes)
     for p in range(N):
         assert tx_ref(tx) in states[p].by_ref, p
-    assert eng.quorum_check(states[0], tx)
+    assert member_quorum_check(states[0], FULL, tx) and states[0].records[tx.encoding].pended
 
 
 def test_singleton_quorum_accepts_immediately():

@@ -1,19 +1,20 @@
 """A delivered message costs what it can change.
 
-Each process counts echoes as one bitmask of echoers per transaction and
-tests it against one bitmask per quorum. A REQ whose transaction is already
-recorded, and an ECHO whose transaction is pending or accepted, return
-before any signature is checked; an ECHO that carries the issuer signature
-recorded with its request skips the issuer's check. A request is queued for
-the conflict scan only when it shares a bucket with another request, and a
-REQ that pended nothing and queued nothing skips ``_settle``. State is keyed
-by a transaction's encoding, and "accepted" is read from the spend index.
-These tests hold each shortcut against what it replaces: the old handler
-bodies, run on a copy of the state at every message that returns early, the
-conflict scan and ``_settle``, run on a copy wherever they are skipped, the
-verified-signature set at every skipped issuer check, the per-member quorum
-scan of ``oracles.member_quorum_check``, and membership in the history,
-after every delivery.
+Each process keeps one record per recorded request, keyed by encoding: the
+transaction, its first issuer signature, one bitmask of echoers, tested
+against one bitmask per quorum, and a flag set once the transaction is
+pended, so pending or accepted. A REQ whose transaction is already
+recorded, and an ECHO whose transaction is pended, return before any
+signature is checked; an ECHO that carries the issuer signature recorded
+with its request skips the issuer's check. A request is queued for the
+conflict scan only when it shares a bucket with another request, and a
+REQ that pended nothing and queued nothing skips ``_settle``. These tests
+hold each shortcut against what it replaces: the old four-table handler
+body (``oracles.old_body``) at every message that returns early, the
+conflict scan, ``_try_echo`` and ``_settle``, run on a copy wherever they
+are skipped, the verified-signature set at every skipped issuer check, the
+per-member quorum scan of ``oracles.member_quorum_check``, and membership
+in pending and the history, after every delivery.
 """
 
 import copy
@@ -31,7 +32,7 @@ from kspend.sim import SchedulerSpec
 from kspend.trust import TrustModel, load_builtin_model, self_inclusion_gaps
 
 from conftest import CORPUS_SEED
-from oracles import member_quorum_check
+from oracles import member_quorum_check, old_body, old_tables
 
 SCENARIOS = 30
 
@@ -63,44 +64,31 @@ def recorded_sig(state, tx) -> bytes | None:
     """The issuer signature recorded with tx's request, if it is recorded."""
     for bucket in state.requests.values():
         if tx.encoding in bucket:
-            return bucket[tx.encoding][1]
+            return bucket[tx.encoding].sig
     return None
 
 
-def recorded_txs(state) -> dict:
-    """Every recorded transaction, by encoding."""
-    return {enc: tx for bucket in state.requests.values() for enc, (tx, _) in bucket.items()}
-
-
-def old_body(state, msg) -> list:
-    """What the handler did after verifying a REQ's or ECHO's signatures."""
-    tx, sig = msg.tx, msg.issuer_sig
-    out = []
-    if msg.kind == eng.ECHO:
-        state.echoers[tx.encoding] = state.echoers.get(tx.encoding, 0) | 1 << msg.sender
-    eng.record_request(state, tx, sig)
-    eng._try_echo(state, tx, sig, out)
-    # the old pend test, spelled out: the engine's _maybe_pend no longer
-    # tests _accepted, because its callers have already established it
-    if (
-        tx.encoding not in state.pending
-        and not eng._accepted(state, tx)
-        and eng.quorum_check(state, tx)
-    ):
-        state.pending[tx.encoding] = tx
-        state.pended = True
-    eng._settle(state, out)
-    return out
+def accepted(state, tx) -> bool:
+    """Is tx the accepted spend of its (issuer, first input)?"""
+    prior = state.accepted.get((tx.issuer, tx.inputs[0]))
+    return prior is not None and prior.encoding == tx.encoding
 
 
 def facts(state):
+    """Everything a process knows, its echo counts included."""
     return (
         dict(state.by_ref),
         dict(state.pending),
         dict(state.accepted),
-        {key: dict(bucket) for key, bucket in state.requests.items()},
+        {enc: (r.tx, r.sig, r.echoers, r.pended) for enc, r in state.records.items()},
+        {key: {enc: r.tx for enc, r in bucket.items()} for key, bucket in state.requests.items()},
         frozenset(state.accusations),
     )
+
+
+def without_echoes(tables) -> dict:
+    # an early return drops the echo's count: its quorum is never read again
+    return {name: table for name, table in tables.items() if name != "echoers"}
 
 
 @pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
@@ -110,31 +98,32 @@ def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off
     skipped, emits nothing and changes no fact: the whole old body at an
     early return, and inside ``handle_echo`` its ``_try_echo`` after the
     process's own echo and its ``_settle`` with nothing pended or unscanned."""
-    handle, try_echo, pend, settle = eng.handle_message, eng._try_echo, eng._maybe_pend, eng._settle
+    handle, try_echo, pend, settle = eng.handle_message, eng._try_echo, eng._pend, eng._settle
     early = Counter()
     current = {}  # "msg": the ECHO being handled past its early returns
     called = []  # the steps its handler called, in order
 
-    def replayed(state, step, *args):
+    def replayed(state, step, enc=None):
+        # step runs on a copy, on the copy's own record of enc if one is named
         replay, out = copy.deepcopy(state), []
-        step(replay, *args, out)
-        assert out == [] and replay.echoers == state.echoers
+        step(replay, *([replay.records[enc]] if enc else []), out)
+        assert out == []
         assert facts(replay) == facts(state)
         early[f"skipped {step.__name__}"] += 1
 
-    def offered(state, tx, issuer_sig, out):
+    def offered(state, record, out):
         called.append("_try_echo")
-        try_echo(state, tx, issuer_sig, out)
+        try_echo(state, record, out)
         called.append("_try_echo returned")
 
-    def pended(state, tx):
+    def pended(state, record):
         # the handler's own pend test, not one nested in _try_echo, comes
         # right where its _try_echo ran or was skipped
         if "msg" in current and called[-1:] != ["_try_echo"]:
             if "_try_echo" not in called:
-                replayed(state, try_echo, tx, current["msg"].issuer_sig)
-            called.append("_maybe_pend")
-        pend(state, tx)
+                replayed(state, try_echo, record.tx.encoding)
+            called.append("_pend")
+        pend(state, record)
 
     def settled(state, out):
         called.append("_settle")
@@ -147,15 +136,15 @@ def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off
             out = handle(state, msg)
         finally:
             del current["msg"]
-        if "_maybe_pend" in called and "_settle" not in called:
+        if "_pend" in called and "_settle" not in called:
             replayed(state, settle)  # the handler's last step, so state is as skipped
         return out
 
     def checked(state, msg):
         if msg.kind in (eng.REQ, eng.ECHO) and returns_early(state, msg):
-            replay = copy.deepcopy(state)
-            assert old_body(replay, msg) == []
-            assert facts(replay) == facts(state)
+            sent, tables = old_body(state, msg)
+            assert sent == []
+            assert without_echoes(tables) == without_echoes(old_tables(state))
             early[msg.kind] += 1
             out = handle(state, msg)
             assert out == []
@@ -170,7 +159,7 @@ def test_early_returns_match_the_old_handler_bodies(monkeypatch, kind, guard_off
 
     monkeypatch.setattr(eng, "handle_message", checked)
     monkeypatch.setattr(eng, "_try_echo", offered)
-    monkeypatch.setattr(eng, "_maybe_pend", pended)
+    monkeypatch.setattr(eng, "_pend", pended)
     monkeypatch.setattr(eng, "_settle", settled)
     for i, scenario in enumerate(corpus_scenarios()):
         sim.run(scheduled(scenario, i, kind, guard_off), seed=i)
@@ -207,13 +196,13 @@ def test_skipped_scans_and_settles_would_change_nothing(monkeypatch, kind, guard
 
     def req_checked(state, msg):
         tx = msg.tx
-        new = tx is not None and bool(tx.inputs) and eng._recorded(state, tx) is None
+        new = tx is not None and bool(tx.inputs) and tx.encoding not in state.records
         settled.clear()
         out = handle_req(state, msg)
-        if new and eng._recorded(state, tx) is not None and not settled:
+        if new and tx.encoding in state.records and not settled:
             replay, replay_out = copy.deepcopy(state), []
             settle(replay, replay_out)  # the handler's last step, so state is as skipped
-            assert replay_out == [] and replay.echoers == state.echoers
+            assert replay_out == []
             assert facts(replay) == facts(state)
             skipped["settle"] += 1
         return out
@@ -244,21 +233,20 @@ def stepped_run(scenario, seed, check) -> None:
     rt = sim._Runtime(scenario, seed)
     for _ in rt.loop():
         for pid, state in rt.engines.items():
-            accepted = any(eng._accepted(state, tx) for tx in state.pending.values())
-            assert not accepted, (pid, rt.events)
+            assert not any(accepted(state, tx) for tx in state.pending.values()), (pid, rt.events)
             check(pid, state, rt.events)
 
 
 def checked_run(scenario, seed, outcomes: Counter) -> None:
-    """Step a run, comparing quorum tests after every event."""
+    """Step a run, comparing quorum tests after every event: a record is
+    pended exactly when the bitmask test in ``_pend`` found a quorum, and
+    each echo count change is followed by that test."""
     quorums = scenario.model.quorums
 
     def check(pid, state, events):
-        txs = recorded_txs(state)
-        for enc in state.echoers:
-            tx = txs[enc]  # an echo is counted only once its request is recorded
-            fast = eng.quorum_check(state, tx)
-            assert fast == member_quorum_check(state, quorums[pid], tx), (pid, events)
+        for record in state.records.values():
+            fast = record.pended
+            assert fast == member_quorum_check(state, quorums[pid], record.tx), (pid, events)
             outcomes[fast] += 1
 
     stepped_run(scenario, seed, check)
@@ -284,13 +272,18 @@ def test_bitmask_quorum_check_matches_the_member_scan():
 @pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
 @pytest.mark.parametrize("kind", ["random", "fifo"])
 def test_accepted_test_matches_history_membership(kind, guard_off):
+    """The early ECHO return's test, a record's ``pended`` flag, holds exactly
+    when its transaction is pending or in the history; and the accepted spend
+    of its (issuer, first input) is it exactly when it is in the history."""
     outcomes = Counter()
 
     def check(pid, state, events):
-        for tx in recorded_txs(state).values():
-            fast = eng._accepted(state, tx)
-            assert fast == (tx_ref(tx) in state.by_ref), (pid, events)
-            outcomes[fast] += 1
+        for enc, record in state.records.items():
+            tx = record.tx
+            known = tx_ref(tx) in state.by_ref
+            assert accepted(state, tx) == known, (pid, events)
+            assert record.pended == (known or enc in state.pending), (pid, events)
+            outcomes[known] += 1
 
     for i, scenario in enumerate(corpus_scenarios(10)):
         stepped_run(scheduled(scenario, i, kind, guard_off), i, check)
@@ -300,18 +293,22 @@ def test_accepted_test_matches_history_membership(kind, guard_off):
 @pytest.mark.parametrize("guard_off", [False, True], ids=["guard-on", "guard-off"])
 @pytest.mark.parametrize("kind", ["random", "fifo"])
 def test_no_accepted_transaction_reaches_the_pending_test(monkeypatch, kind, guard_off):
-    """``_maybe_pend`` tests only ``pending``: a transaction reaching it is
-    never accepted, since ``handle_echo`` returns early for accepted ones
-    and a request new to ``_try_echo`` was never pended, let alone accepted."""
-    pend = eng._maybe_pend
+    """``_pend`` tests no table: a record reaching it is never accepted, nor
+    pending, since ``handle_echo`` returns early for pended ones and tests the
+    flag again after its ``_try_echo``, and a request new to ``_try_echo``
+    was never pended, let alone accepted."""
+    pend = eng._pend
     calls = Counter()
 
-    def checked(state, tx):
-        assert not eng._accepted(state, tx) and tx_ref(tx) not in state.by_ref
-        calls[tx.encoding in state.pending] += 1
-        pend(state, tx)
+    def checked(state, record):
+        tx = record.tx
+        assert not accepted(state, tx) and tx_ref(tx) not in state.by_ref
+        assert not record.pended and tx.encoding not in state.pending
+        pend(state, record)
+        calls[record.pended] += 1
 
-    monkeypatch.setattr(eng, "_maybe_pend", checked)
+    monkeypatch.setattr(eng, "_pend", checked)
     for i, scenario in enumerate(corpus_scenarios(10)):
         sim.run(scheduled(scenario, i, kind, guard_off), seed=i)
+    # calls that reached a quorum and calls that did not
     assert calls[True] and calls[False], calls

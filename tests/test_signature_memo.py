@@ -48,7 +48,8 @@ def sharing_states(scheme_name):
 
 def echoed(state, p, tx):
     """Does state hold a verified echo of tx from process p?"""
-    return bool(state.echoers.get(tx.encoding, 0) & 1 << p)
+    record = state.records.get(tx.encoding)
+    return record is not None and bool(record.echoers >> p & 1)
 
 
 def tampered(sig):
