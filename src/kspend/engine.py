@@ -29,8 +29,8 @@ ECHO = "ECHO"
 ACC = "ACC"
 
 
-# slots, not frozen: a frozen init costs about three times as much, and no
-# code assigns a message field or hashes a message
+# slots, not frozen: a frozen init costs about three times as much. No code
+# hashes a message, and the one field assigned after init is echo_verified
 @dataclass(slots=True)
 class Message:
     kind: str
@@ -40,6 +40,8 @@ class Message:
     issuer_sig: bytes | None = None
     echoer_sig: bytes | None = None
     accusation: Accusation | None = None
+    # echoer_sig passed a recipient's check: the run's processes share one verifier
+    echo_verified: bool = field(default=False, compare=False, repr=False)
 
 
 # what one process knows of one recorded request
@@ -285,7 +287,8 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     is. The echo of a pended transaction, pending or accepted, can change
     nothing: its quorum is never read again, and its request is recorded
     and was offered to ``_try_echo`` already. So both return before any
-    signature is checked.
+    signature is checked. An echoer signature is checked once per message:
+    a pass marks it, and a forged one is checked at every recipient.
     An issuer signature byte-identical to the one recorded with the request
     was verified, or made by this process, when it was recorded, so it is
     not checked again. Once this process has echoed tx, ``_try_echo`` finds
@@ -299,8 +302,9 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     record = state.records.get(enc)
     if record is not None and record.pended:
         return []
-    if not state.verifier.verify(msg.sender, enc, msg.echoer_sig):
+    if not (msg.echo_verified or state.verifier.verify(msg.sender, enc, msg.echoer_sig)):
         return []
+    msg.echo_verified = True
     if record is None or record.sig != msg.issuer_sig:
         if not state.verifier.verify(tx.issuer, enc, msg.issuer_sig):
             return []

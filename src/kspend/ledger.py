@@ -324,14 +324,14 @@ def minimum_cover(
             colors[v] = -1
         return False
 
-    for k in range(1, m + 1):
-        colors = [-1] * m
-        if assign(0, k):
-            classes: dict[int, list[dict[bytes, Transaction]]] = {}
-            for v, c in enumerate(colors):
-                classes.setdefault(c, []).append(histories[v])
-            return tuple(sorted(map(tuple, classes.values()), key=lambda cls: sorted(cls[0])))
-    raise AssertionError("coloring search must terminate")
+    try:  # a failed k leaves every vertex uncolored, and k = m always succeeds
+        next(k for k in range(1, m + 1) if assign(0, k))
+    finally:
+        del assign  # it holds itself through its cell: no cycle outlives the call
+    classes: dict[int, list[dict[bytes, Transaction]]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(histories[v])
+    return tuple(sorted(map(tuple, classes.values()), key=lambda cls: sorted(cls[0])))
 
 
 @dataclass(frozen=True, slots=True)

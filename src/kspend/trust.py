@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidParameters, SchemaError, SizeLimitExceeded
@@ -168,37 +169,46 @@ class _Exhausted(Exception):
     pass
 
 
-def _least_volumes(
-    by_size: list, keep: int, correct: list, forced: int, need: int, least_size: int
-) -> list:
-    """Entry ``j`` bounds from below how many keep processes a packing of ``j`` rows that
-    holds every ``forced`` row covers. One call per faulty set.
-
-    Pairwise-disjoint reduced quorums cover the sum of their sizes, and each is at least
-    its owner's smallest reduced size: the forced rows' sizes, plus the ``j - |forced|``
-    smallest of the others'. Under |forced| rows no packing holds them all, so those entries
-    exceed the keep set. A quorum loses at most |F| members, so ``j`` times ``least_size``,
-    the model's least quorum size, less |F| is a weaker bound that needs no scan; it is
-    returned when it already refuses ``need``. ``by_size`` holds each process's (size, mask)
-    pairs smallest first, so a scan stops once ``size - |F|`` cannot beat its least."""
-    room = keep.bit_count()
-    dropped = len(by_size) - room
-    floor = least_size - dropped
-    if need * floor > room:
-        return [j * floor for j in range(len(correct) + 1)]
-    held, free = 0, []
-    for pid in correct:
+def _leasts(by_size: list, rows: int, keep: int, dropped: int) -> list[int]:
+    """Each row set in ``rows``: its least reduced quorum size under ``keep``. ``by_size``
+    holds each process's (size, mask) pairs smallest first, so a scan stops once
+    ``size - |F|`` cannot beat its least."""
+    leasts, room = [], keep.bit_count()
+    while rows:
+        pid = (rows & -rows).bit_length() - 1
+        rows &= rows - 1
         least = room
         for size, mask in by_size[pid]:
             if size - dropped >= least:
                 break
             if (reduced := (mask & keep).bit_count()) < least:
                 least = reduced
-        if forced >> pid & 1:
-            held += least
-        else:
-            free.append(least)
-    return [room + 1] * forced.bit_count() + list(accumulate(sorted(free), initial=held))
+        leasts.append(least)
+    return leasts
+
+
+def _least_volumes(by_size: list, keep: int, forced: int, need: int, least_size: int) -> list:
+    """Entry ``j`` bounds from below how many keep processes a packing of ``j`` rows that
+    holds every ``forced`` row covers. One call per faulty set.
+
+    Pairwise-disjoint reduced quorums cover the sum of their sizes, and each is at least
+    its owner's smallest reduced size: the forced rows' sizes, plus the ``j - |forced|``
+    smallest of the others'. Under |forced| rows no packing holds them all, so those entries
+    exceed the keep set. A quorum loses at most |F| members, so a row's smallest reduced size
+    is at least ``least_size``, the model's least quorum size, less |F|. Two weaker bounds are
+    returned when they already refuse ``need``: ``j`` times that floor, which needs no scan,
+    and the forced rows' sizes plus the floor per other row, which scans the forced rows only."""
+    room = keep.bit_count()
+    dropped = len(by_size) - room
+    floor = least_size - dropped
+    if need * floor > room:
+        return [j * floor for j in range(room + 1)]
+    firsts = forced.bit_count()
+    held = sum(_leasts(by_size, forced, keep, dropped))
+    if held + (need - firsts) * floor > room:
+        return [room + 1] * firsts + [held + j * floor for j in range(room + 1 - firsts)]
+    free = _leasts(by_size, keep & ~forced, keep, dropped)
+    return [room + 1] * firsts + list(accumulate(sorted(free), initial=held))
 
 
 def _ceiling_admits(volumes: list[int], keep: int, need: int) -> bool:
@@ -208,7 +218,7 @@ def _ceiling_admits(volumes: list[int], keep: int, need: int) -> bool:
 
 
 class _Packer(dict):
-    """Packs pairwise-disjoint masks, one vertex bit per mask of a row.
+    """Packs pairwise-disjoint masks, one vertex bit per quorum of a row.
 
     For one faulty set, the best independence number over every quorum map
     is the most correct processes (rows) that can each take a quorum, their
@@ -216,17 +226,28 @@ class _Packer(dict):
     disjointness outside F. A row's masks take a run of vertex bits; the
     packer maps a mask to its clash set, the OR of ``hits[b]`` (the vertices
     whose mask holds b) over its members b. ``(live & low) + low`` carries
-    into a run's ``top`` bit when another bit of the run is live."""
+    into a run's ``top`` bit when another bit of the run is live.
 
-    def __init__(self, rows: Sequence[Sequence[int]], width: int):  # masks below 1 << width
-        self.masks = [mask for row in rows for mask in row]
+    Set-up is linear in vertices × quorum size: one (size, mask) pair per distinct quorum,
+    and each vertex sets its digit in the ``hits`` buffer of each of its members.
+    ``by_size`` holds each row's pairs smallest first, for the volume ceiling."""
+
+    def __init__(self, rows: Sequence[Sequence[Collection[int]]], width: int):  # members < width
+        bit = [1 << b for b in range(width)]
+        pair_of = {q: (len(q), sum(map(bit.__getitem__, q))) for q in set().union(*rows)}
+        # sorted by size alone: the order of equal sizes moves no least volume
+        self.by_size = [sorted(map(pair_of.__getitem__, row), key=itemgetter(0)) for row in rows]
+        self.masks = [pair_of[q][1] for q in chain.from_iterable(rows)]
+        digits = [bytearray(b"0" * (len(self.masks) + 1)) for _ in range(width)]
+        for v, quorum in enumerate(chain.from_iterable(rows)):
+            for b in quorum:
+                digits[b][~v] = 49  # vertex v is digit ~v, as in ``reduce``
+        self.hits = [int(column, 2) for column in digits]
         self.owners = [pid for pid, row in enumerate(rows) for _ in row]
         self.starts = [0, *accumulate(map(len, rows))]
         self.runs = [(1 << b) - (1 << a) for a, b in zip(self.starts, self.starts[1:])]
         self.top = sum(run & ~(run >> 1) for run in self.runs)  # each run's top bit
         self.low = sum(self.runs) ^ self.top  # and its other bits
-        columns = zip(*(f"{mask:0{width}b}" for mask in reversed(self.masks)))
-        self.hits = [int("".join(column), 2) for column in columns][::-1] or [0] * width
         self[0] = 0
 
     def __missing__(self, mask: int) -> int:
@@ -235,7 +256,7 @@ class _Packer(dict):
 
     def reduce(self, keep: int) -> None:
         """Set up one faulty set: a row's first vertex per distinct reduced mask is active."""
-        self.reduced = [mask & keep for mask in self.masks]
+        self.reduced = list(map(keep.__and__, self.masks))
         owned = zip(reversed(self.owners), reversed(self.reduced))
         first = dict(zip(owned, reversed(range(len(self.masks)))))  # back to front: firsts win
         digits = bytearray(b"0" * (len(self.masks) + 1))  # vertex v is digit ~v, and a lead 0
@@ -255,7 +276,7 @@ class _Packer(dict):
         never skipped: the caller knows every packing of ``need`` rows holds them all, so a
         node where one of them has no live vertex left is cut."""
         top, low, reduced, active, runs = self.top, self.low, self.reduced, self.active, self.runs
-        order = sorted((runs[pid] for pid in pids), key=lambda run: (active & run).bit_count())
+        order = sorted(map(runs.__getitem__, pids), key=lambda run: (active & run).bit_count())
         if forced:  # a stable sort: the forced rows lead, fewest active vertices first
             forced_runs = sum(runs[pid] for pid in pids if forced >> pid & 1)
             order.sort(key=lambda run: not run & forced_runs)
@@ -287,7 +308,10 @@ class _Packer(dict):
             failed[i, used] = need
             return False
 
-        return search(0, active & sum(order) & ~self[used], need, used)
+        try:
+            return search(0, active & sum(order) & ~self[used], need, used)
+        finally:
+            del search  # it holds itself through its cell: no cycle outlives the call
 
 
 def _lambda_and_witness(
@@ -306,19 +330,18 @@ def _lambda_and_witness(
     the best, then one more while it succeeds, sharing its failures across
     those asks; before each ask, the ceiling over the set's least volumes,
     computed once per set and counting the forced processes, must admit it.
-    A set whose ceiling refuses the first ask is never set up for a search.
+    A set whose ceiling refuses the first ask is never set up for a search:
+    its reduced masks and its list of correct processes are built only once
+    the ceiling admits an ask.
     Only a strict improvement moves the witness, so skipping never changes
     it. The witness rebuild is charged to the same budget; without
     ``rebuild`` the search returns the value alone, with no witness.
     """
     budget = _Budget(budget_cap)
-    mask_of: dict[Quorum, int] = {}  # one mask per distinct quorum, for this call only
-    masks = [[mask_of.get(q) or mask_of.setdefault(q, sum(map((1).__lshift__, q))) for q in row]
-             for row in model.quorums]
-    packer = _Packer(masks, model.n)
-    by_size = [sorted((mask.bit_count(), mask) for mask in row) for row in masks]
-    least_size = min(row[0][0] for row in by_size)
-    everyone = (1 << model.n) - 1
+    packer = _Packer(model.quorums, model.n)
+    least_size = min(row[0][0] for row in packer.by_size)
+    n = model.n
+    everyone = (1 << n) - 1
     # faulty mask of a set still to visit -> (best after its first extension) << n | extensions
     bounds: dict[int, int] = {}
     best = visited = 0
@@ -326,24 +349,25 @@ def _lambda_and_witness(
     try:
         for visited, combo in enumerate(_closure_order(model), 1):
             budget.spend(1)
-            faulty = sum(map((1).__lshift__, combo))
-            bound, forced = divmod(bounds.pop(faulty, best << model.n), 1 << model.n)
-            keep = everyone & ~faulty
+            bits = [1 << p for p in combo]
+            faulty = sum(bits)
+            bound, forced = divmod(bounds.pop(faulty, best << n), everyone + 1)
+            keep = everyone ^ faulty
             if bound >= best and forced.bit_count() <= best + 1:  # λ(F) <= bound + 1
-                correct = [p for p in model.processes() if keep >> p & 1]
-                volumes = _least_volumes(by_size, keep, correct, forced, best + 1, least_size)
+                volumes = _least_volumes(packer.by_size, keep, forced, best + 1, least_size)
                 failed: dict[tuple[int, int], int] | None = None
                 while _ceiling_admits(volumes, keep, best + 1):
                     if failed is None:  # the first ask the ceiling admits sets the set up
                         packer.reduce(keep)
                         failed = {}
+                        correct = [p for p in model.processes() if keep >> p & 1]
                     if not packer.can_pack(correct, best + 1, 0, failed, budget, forced):
                         break
                     best, best_faulty, best_keep = best + 1, frozenset(combo), keep
             # a bound is only ever a prune: one dropped here costs search, never the value
             if len(bounds) < _MAX_BOUNDS:
-                first = best << model.n
-                for bit in map((1).__lshift__, combo):
+                first = best << n
+                for bit in bits:
                     bounds[faulty ^ bit] = bounds.get(faulty ^ bit, first) | bit
 
         assert best_faulty is not None  # every model admits some faulty set and a node

@@ -117,6 +117,14 @@ def brute_active(rows, keep) -> int:
     return sum(map((1).__lshift__, first.values()))
 
 
+def transposed_hits(rows, width) -> list[int]:
+    """The packer's clash bits by binary-string transposition: bit v of entry b is
+    set when the v-th mask of the rows, read row after row, holds b."""
+    masks = [mask for row in rows for mask in row]
+    columns = zip(*(f"{mask:0{width}b}" for mask in reversed(masks)))
+    return [int("".join(column), 2) for column in columns][::-1] or [0] * width
+
+
 def brute_spending_number(histories) -> int:
     """Double loop over the pooled transactions, counting spends per input."""
     pool = set()

@@ -251,12 +251,12 @@ def test_criterion_10_oracle_equivalences(fuzz_corpus):
             for b in range(a + 1, size)
             if rng.random() < rng.choice((0.15, 0.5, 0.85))
         )
-        # the analyzer's packing search on the graph: vertex v is the one-mask
-        # row of its own bit and one bit per incident edge, so two rows are
+        # the analyzer's packing search on the graph: vertex v is the one-quorum
+        # row of itself and one member per incident edge, so two rows are
         # disjoint exactly when their vertices are not adjacent
-        edge_bits = {edge: 1 << (size + i) for i, edge in enumerate(sorted(edges))}
+        edge_ids = {edge: size + i for i, edge in enumerate(sorted(edges))}
         rows = [
-            [1 << v | sum(bit for edge, bit in edge_bits.items() if v in edge)]
+            [frozenset({v} | {e for edge, e in edge_ids.items() if v in edge})]
             for v in range(size)
         ]
         packer = trust._Packer(rows, size + len(edges))

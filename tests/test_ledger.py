@@ -510,7 +510,7 @@ def test_balance_requires_well_formedness():
         balances(table([spend(0, {1: 10}, [GREF])]), [0])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32))
 def test_balances_nonnegative_and_conserved(seed):
     h = random_well_formed_history(random.Random(seed))

@@ -95,6 +95,35 @@ def test_echo_with_forged_echoer_signature_rejected(scheme_name):
 
 
 @pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_echo_message_checked_once_a_forged_one_at_every_recipient(monkeypatch, scheme_name):
+    states, sign, _ = sharing_states(scheme_name)
+    tx = pay(0, {1: 10})
+    issuer_sig = sign(0, tx)
+    echoer_checks = []
+    real_verify = Verifier.verify
+
+    def counting(self, signer, message, sig):
+        if signer == 1:
+            echoer_checks.append(sig)
+        return real_verify(self, signer, message, sig)
+
+    monkeypatch.setattr(Verifier, "verify", counting)
+    # one broadcast object, as the runtime delivers it to each recipient
+    forged = dataclasses.replace(echo(1, tx, issuer_sig, tampered(sign(1, tx)), 0),
+                                 recipients=frozenset({0, 2}))
+    for to in (0, 2, 0):
+        assert eng.handle_message(states[to], forged) == []
+        assert not echoed(states[to], 1, tx)
+    assert echoer_checks == [forged.echoer_sig] * 3 and not forged.echo_verified
+    echoer_checks.clear()
+    genuine = dataclasses.replace(forged, echoer_sig=sign(1, tx))
+    for to in (0, 2):
+        assert eng.handle_message(states[to], genuine)  # recorded, and echoed back
+        assert echoed(states[to], 1, tx)
+    assert echoer_checks == [genuine.echoer_sig] and genuine.echo_verified
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
 def test_recorded_request_vouches_only_for_its_own_issuer_signature(monkeypatch, scheme_name):
     states, sign, _ = sharing_states(scheme_name)
     tx = pay(0, {1: 10})

@@ -35,6 +35,7 @@ from oracles import (
     brute_uniform_model,
     build_trust_graph,
     subset_independence_number,
+    transposed_hits,
 )
 from pinned_search_units import UNITS_FILE, charged_units, example1_case
 
@@ -314,9 +315,9 @@ def test_ceiling_refuses_only_asks_no_forced_packing_meets(monkeypatch):
     reached = []
     volumes = trust._least_volumes
 
-    def recording_volumes(by_size, keep, correct, forced, need, least_size):
-        reached.append((by_size, keep, correct, forced, least_size))
-        return volumes(by_size, keep, correct, forced, need, least_size)
+    def recording_volumes(by_size, keep, forced, need, least_size):
+        reached.append((by_size, keep, forced, least_size))
+        return volumes(by_size, keep, forced, need, least_size)
 
     monkeypatch.setattr(trust, "_least_volumes", recording_volumes)
     rng = random.Random(1901)
@@ -328,13 +329,14 @@ def test_ceiling_refuses_only_asks_no_forced_packing_meets(monkeypatch):
         model = TrustModel.build(n, drawn.quorums, faults)
         reached.clear()
         inconsistency_number(model)
-        for by_size, keep, correct, forced, least_size in reached:
+        for by_size, keep, forced, least_size in reached:
             faulty = {p for p in range(n) if not keep >> p & 1}
+            correct = [p for p in range(n) if keep >> p & 1]
             rows = [[sum(1 << m for m in q - faulty) for q in model.quorums[p]] for p in correct]
             held = [i for i, p in enumerate(correct) if forced >> p & 1]
             most = brute_pack(rows, forced=held)
             for need in range(1, len(correct) + 2):
-                asked = volumes(by_size, keep, correct, forced, need, least_size)
+                asked = volumes(by_size, keep, forced, need, least_size)
                 if not trust._ceiling_admits(asked, keep, need):
                     assert not len(held) <= need <= most, (model, faulty, held, need)
                     refusals[bool(held)] += 1
@@ -373,9 +375,9 @@ def test_extension_rules_match_brute_force(monkeypatch):
     ceilinged, forced_calls = [], []
     volumes, can_pack = trust._least_volumes, trust._Packer.can_pack
 
-    def recording_volumes(by_size, keep, correct, forced, need, least_size):
+    def recording_volumes(by_size, keep, forced, need, least_size):
         ceilinged.append(keep)
-        return volumes(by_size, keep, correct, forced, need, least_size)
+        return volumes(by_size, keep, forced, need, least_size)
 
     def recording_can_pack(self, pids, need, used, failed, budget, forced=0):
         if forced:
@@ -525,11 +527,34 @@ def _random_rows(rng):
     ]
 
 
+def _quorums(rows):
+    """The mask rows as member sets, one object per distinct mask, as a model shares them."""
+    of = {}
+    return [[of.setdefault(m, frozenset(b for b in range(m.bit_length()) if m >> b & 1))
+             for m in row] for row in rows]
+
+
+def test_clash_bits_match_the_transposed_oracle():
+    """One set-up pass builds the masks, the clash bits and the size-sorted pairs."""
+    rng = random.Random(3601)
+    for width in (7, 7, 7, 12):
+        for _ in range(200):
+            rows = _random_rows(rng)
+            if width > 7:  # wider rows, some masks reaching the top process
+                rows = [[m << rng.randrange(6) for m in row] for row in rows]
+            packer = trust._Packer(_quorums(rows), width)
+            assert packer.hits == transposed_hits(rows, width), (rows, width)
+            assert packer.masks == [m for row in rows for m in row]
+            for row, pairs in zip(rows, packer.by_size, strict=True):
+                assert sorted(pairs) == sorted((m.bit_count(), m) for m in row)
+                assert [size for size, _ in pairs] == sorted(m.bit_count() for m in row)
+
+
 def test_packing_search_matches_brute_force():
     rng = random.Random(31)
 
     def packer_of(rows):
-        packer = trust._Packer(rows, 7)
+        packer = trust._Packer(_quorums(rows), 7)
         packer.reduce(-1)  # no faulty set: each mask is its own reduced mask
         return packer
 
@@ -560,13 +585,13 @@ def test_active_vertices_match_the_summed_oracle():
     rng = random.Random(2902)
     for _ in range(300):
         rows = _random_rows(rng)
-        packer = trust._Packer(rows, 7)
+        packer = trust._Packer(_quorums(rows), 7)
         for keep in (-1, rng.randrange(1 << 7), rng.randrange(1 << 7)):
             packer.reduce(keep)
             assert packer.active == brute_active(rows, keep), (rows, keep)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_shrinking_the_faulty_set_never_removes_edges(data):
     """Edges are monotone in F: (q_a & q_b) - F' grows as F' shrinks."""
