@@ -111,17 +111,23 @@ class HmacScheme:
 
 @dataclass
 class Verifier:
-    """One run's signature check: its scheme, its public directory, and the
-    memo of (public key, bytes, signature) triples that passed, so each is
-    checked once per run. Only passes are memoized, so a forged signature
-    is checked (and rejected) every time it is presented. Accusations are
-    memoized the same way, by digest. It holds no private key."""
+    """One run's signatures: its scheme, its public directory, and the memo
+    of (public key, bytes, signature) triples that passed the scheme or that
+    ``sign`` made, which the scheme accepts (RFC 8032 §5.1.7, RFC 2104).
+    Only passes are memoized, so a forged signature is checked (and
+    rejected) every time it is presented. Accusations are memoized the same
+    way, by digest. It holds no private key."""
 
     scheme: object
     public: dict[int, bytes]
     verified: set[tuple[bytes, bytes, bytes]] = field(default_factory=set)
     # the digests of the accusations that passed ``ledger.verify_acc``
     accusations: set[bytes] = field(default_factory=set)
+
+    def sign(self, keys: KeyPair, message: bytes) -> bytes:
+        signature = self.scheme.sign(keys, message)
+        self.verified.add((keys.public, message, signature))
+        return signature
 
     def verify(self, signer: int, message: bytes, signature: bytes | None) -> bool:
         public = self.public.get(signer)

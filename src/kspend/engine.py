@@ -30,7 +30,7 @@ ACC = "ACC"
 
 
 # slots, not frozen: a frozen init costs about three times as much. No code
-# hashes a message, and the one field assigned after init is echo_verified
+# hashes a message, and the one field assigned after init is verified
 @dataclass(slots=True)
 class Message:
     kind: str
@@ -40,8 +40,8 @@ class Message:
     issuer_sig: bytes | None = None
     echoer_sig: bytes | None = None
     accusation: Accusation | None = None
-    # echoer_sig passed a recipient's check: the run's processes share one verifier
-    echo_verified: bool = field(default=False, compare=False, repr=False)
+    # its own signature, a REQ's issuer_sig or an ECHO's echoer_sig, passed a check
+    verified: bool = field(default=False, compare=False, repr=False)
 
 
 # what one process knows of one recorded request
@@ -104,10 +104,6 @@ def initial_state(
     )
 
 
-def _sign(state: ProcessState, tx: Transaction) -> bytes:
-    return state.verifier.scheme.sign(state.keys, tx.encoding)
-
-
 def _ready(state: ProcessState, tx: Transaction) -> bool:
     # c1 and c2: inputs already accepted, paying the issuer, value conserved
     if tx_fault(tx, state.by_ref) is not None:
@@ -141,7 +137,7 @@ def _try_echo(state: ProcessState, record: Record, out: list[Message]) -> None:
                 return
     # the issuer's own echo signs the request's bytes with the request's key,
     # and both schemes are deterministic, so the request signature is the echo's
-    echo_sig = record.sig if tx.issuer == state.pid else _sign(state, tx)
+    echo_sig = record.sig if tx.issuer == state.pid else state.verifier.sign(state.keys, tx.encoding)
     out.append(
         Message(
             kind=ECHO,
@@ -244,7 +240,7 @@ def transfer(state: ProcessState, tx: Transaction) -> list[Message]:
     refusal = _refusal(state, tx)
     if refusal is not None:
         raise InvalidTransaction(refusal)
-    sig = _sign(state, tx)
+    sig = state.verifier.sign(state.keys, tx.encoding)
     out: list[Message] = [
         Message(kind=REQ, sender=state.pid, recipients=state.audience, tx=tx, issuer_sig=sig)
     ]
@@ -263,14 +259,16 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
     request already recorded can change nothing: it was offered to
     ``_try_echo`` when recorded, which never echoes it twice, and between
     handlers nothing is pended or unscanned. So both return before any
-    signature is checked. A new request that pended nothing and shares no
-    bucket with another skips ``_settle``, which would find nothing to do.
+    signature is checked, and a message whose signature passed once is
+    marked. A new request that pended nothing and shares no bucket with
+    another skips ``_settle``, which would find nothing to do.
     """
     tx = msg.tx
     if tx is None or not tx.inputs or tx.encoding in state.records:
         return []
-    if not state.verifier.verify(tx.issuer, tx.encoding, msg.issuer_sig):
+    if not (msg.verified or state.verifier.verify(tx.issuer, tx.encoding, msg.issuer_sig)):
         return []
+    msg.verified = True
     out: list[Message] = []
     record = record_request(state, tx, msg.issuer_sig)
     if record is not None:
@@ -291,9 +289,10 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     a pass marks it, and a forged one is checked at every recipient.
     An issuer signature byte-identical to the one recorded with the request
     was verified, or made by this process, when it was recorded, so it is
-    not checked again. Once this process has echoed tx, ``_try_echo`` finds
-    that echo and returns in either guard mode, so it is not called; and
-    with nothing pended or unscanned ``_settle`` does nothing.
+    not checked again. Only a record this echo creates is offered to
+    ``_try_echo``: each is offered it at creation, and echo bits are never
+    cleared, so a later offer could only return, in either guard mode.
+    With nothing pended or unscanned ``_settle`` does nothing.
     """
     tx = msg.tx
     if tx is None or not tx.inputs:
@@ -302,18 +301,19 @@ def handle_echo(state: ProcessState, msg: Message) -> list[Message]:
     record = state.records.get(enc)
     if record is not None and record.pended:
         return []
-    if not (msg.echo_verified or state.verifier.verify(msg.sender, enc, msg.echoer_sig)):
+    if not (msg.verified or state.verifier.verify(msg.sender, enc, msg.echoer_sig)):
         return []
-    msg.echo_verified = True
+    msg.verified = True
     if record is None or record.sig != msg.issuer_sig:
         if not state.verifier.verify(tx.issuer, enc, msg.issuer_sig):
             return []
     out: list[Message] = []
     if record is None:
         record = record_request(state, tx, msg.issuer_sig)
-    record.echoers |= 1 << msg.sender
-    if not record.echoers >> state.pid & 1:
+        record.echoers = 1 << msg.sender
         _try_echo(state, record, out)
+    else:
+        record.echoers |= 1 << msg.sender
     if not record.pended:
         _pend(state, record)
     if state.unsettled or state.unscanned:

@@ -17,6 +17,7 @@ import os
 import random
 import re
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
@@ -318,21 +319,14 @@ class _Runtime:
         return payload
 
     def enqueue_scripts(self) -> None:
-        # both schemes are deterministic: one signature per (signer, tx) serves
-        # every script that carries it
-        signed: dict[tuple[int, bytes], bytes] = {}
-        scheme = self.verifier.scheme
-
-        def sign(pid: int, tx: Transaction) -> bytes:
-            sig = signed.get((pid, tx.encoding))
-            if sig is None:
-                sig = signed[pid, tx.encoding] = scheme.sign(self.keys[pid], tx.encoding)
-            return sig
-
+        # both schemes are deterministic: one signature per (signer, bytes)
+        # serves every script that carries it
+        sign = cache(lambda pid, enc: self.verifier.sign(self.keys[pid], enc))
         for send in self.scenario.scripts:
-            echo_sig = None if send.kind == eng.REQ else sign(send.sender, send.tx)
+            enc = send.tx.encoding
+            echo_sig = None if send.kind == eng.REQ else sign(send.sender, enc)
             self.enqueue(eng.Message(kind=send.kind, sender=send.sender, recipients=send.recipients,
-                                     tx=send.tx, issuer_sig=sign(send.tx.issuer, send.tx),
+                                     tx=send.tx, issuer_sig=sign(send.tx.issuer, enc),
                                      echoer_sig=echo_sig))
 
     # --- effects --------------------------------------------------------

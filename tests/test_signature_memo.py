@@ -4,9 +4,11 @@ Every process of one run shares one verifier, and so one set of verified
 (public key, signed bytes, signature) triples. These tests give two
 processes one verifier, let the first verify real evidence, then show the
 second tampered or misattributed evidence: a memo keyed on less than the
-whole triple would let it through. The scope tests count real verifications and signatures:
-each distinct triple is verified once per run, by the engine and the
-property checker together, each distinct (key, signed bytes) pair is
+whole triple would let it through. A run signs through its verifier,
+which files each triple it makes: the filing tests show that only
+genuine triples are filed. The scope tests count real verifications and
+signatures: no triple the run signed reaches the scheme, in the engine
+or the property checker, each distinct (key, signed bytes) pair is
 signed once per run, and both again in the next run. The checker judges
 a tampered accusation the same with the run's memo as with a fresh one.
 The verifier memoizes passed accusations too: each distinct accusation is
@@ -15,17 +17,19 @@ judged once per run, a failing one every time it is presented.
 
 import dataclasses
 import json
+import random
 from collections import Counter
 
 import pytest
 
 import kspend
-from kspend import crypto, engine as eng, ledger, properties, sim
+from kspend import crypto, engine as eng, fuzz, ledger, properties, sim
 from kspend.crypto import Verifier, keychain, make_scheme
 from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import report_from_obj, report_to_obj
 from kspend.trust import load_builtin_model
 
+from conftest import ATTACK_CORPUS_SIZE, CORPUS_SEED, CORPUS_SIZE
 from golden_traces import golden_cases, honest_ring
 from helpers import judge
 from pinned_verdicts import VERDICTS_FILE, directed, tamperings
@@ -96,15 +100,18 @@ def test_echo_with_forged_echoer_signature_rejected(scheme_name):
 
 @pytest.mark.parametrize("scheme_name", SCHEMES)
 def test_echo_message_checked_once_a_forged_one_at_every_recipient(monkeypatch, scheme_name):
+    """A REQ's issuer signature and an ECHO's echoer signature, each the
+    message's own, are checked by its first recipient that passes them; a
+    forged one is checked and refused at every recipient."""
     states, sign, _ = sharing_states(scheme_name)
     tx = pay(0, {1: 10})
     issuer_sig = sign(0, tx)
-    echoer_checks = []
+    checks = []  # process 1's signatures presented to the verifier
     real_verify = Verifier.verify
 
     def counting(self, signer, message, sig):
         if signer == 1:
-            echoer_checks.append(sig)
+            checks.append(sig)
         return real_verify(self, signer, message, sig)
 
     monkeypatch.setattr(Verifier, "verify", counting)
@@ -114,13 +121,29 @@ def test_echo_message_checked_once_a_forged_one_at_every_recipient(monkeypatch, 
     for to in (0, 2, 0):
         assert eng.handle_message(states[to], forged) == []
         assert not echoed(states[to], 1, tx)
-    assert echoer_checks == [forged.echoer_sig] * 3 and not forged.echo_verified
-    echoer_checks.clear()
+    assert checks == [forged.echoer_sig] * 3 and not forged.verified
+    checks.clear()
     genuine = dataclasses.replace(forged, echoer_sig=sign(1, tx))
     for to in (0, 2):
         assert eng.handle_message(states[to], genuine)  # recorded, and echoed back
         assert echoed(states[to], 1, tx)
-    assert echoer_checks == [genuine.echoer_sig] and genuine.echo_verified
+    assert checks == [genuine.echoer_sig] and genuine.verified
+
+    # a request process 1 issued, its issuer signature forged, then genuine
+    tx1 = pay(1, {2: 10})
+    checks.clear()
+    forged = dataclasses.replace(req(1, tx1, tampered(sign(1, tx1)), 0),
+                                 recipients=frozenset({0, 2}))
+    for to in (0, 2, 0):
+        assert eng.handle_message(states[to], forged) == []
+        assert tx1.encoding not in states[to].records
+    assert checks == [forged.issuer_sig] * 3 and not forged.verified
+    checks.clear()
+    genuine = dataclasses.replace(forged, issuer_sig=sign(1, tx1))
+    for to in (0, 2):
+        assert eng.handle_message(states[to], genuine)  # recorded, and echoed
+        assert echoed(states[to], to, tx1)
+    assert checks == [genuine.issuer_sig] and genuine.verified
 
 
 @pytest.mark.parametrize("scheme_name", SCHEMES)
@@ -181,14 +204,30 @@ def test_accusation_with_misattributed_proof_rejected(scheme_name):
     assert framed not in states[2].accusations
 
 
-def test_each_triple_verified_once_per_run(monkeypatch):
-    """Real verifications equal the distinct triples presented, in every run.
+def with_a_tampered_accusation(report):
+    """The report with its least stored accusation's first signature flipped,
+    and the genuine triple that one replaces."""
+    first = min(p for p, store in report.accusations.items() if store)
+    genuine = min(report.accusations[first], key=lambda acc: acc.digest)
+    (tx, sig), *rest = genuine.proof
+    forged = ledger.Accusation.build(genuine.accused, [(tx, tampered(sig)), *rest])
+    scenario = report.scenario
+    _, public_keys = keychain(scenario.model.n, make_scheme(scenario.sig_scheme), scenario.key_seed)
+    store = report.accusations[first] - {genuine} | {forged}
+    tampered_report = dataclasses.replace(report, accusations={**report.accusations, first: store})
+    return tampered_report, (public_keys[tx.issuer], tx.encoding, sig)
 
-    The engine and the property checker share the run's verifier, so
-    together they verify each distinct triple once and build one keychain.
-    A report loaded from JSON is a re-run of its scenario, so it verifies
-    the same distinct triples, each once, with one keychain.
-    Signatures are made once per signer and signed bytes, in every run.
+
+def test_each_triple_verified_once_per_run(monkeypatch):
+    """No signature the run made reaches the scheme, in any run.
+
+    The engine and the property checker share the run's verifier, which
+    files each triple the run signs, so every triple they are shown is
+    found in its memo, and the run builds one keychain. A report loaded
+    from JSON is a re-run of its scenario: it signs the same triples and
+    verifies none of them with the scheme. Each (key, signed bytes) pair is
+    signed once per run. A tampered accusation, judged with the run's own
+    verifier, still reaches the scheme and is refused.
     """
     calls, presented, signs = [], [], []
     keychains = []  # keychain builds by phase
@@ -201,12 +240,13 @@ def test_each_triple_verified_once_per_run(monkeypatch):
     real_keychain = crypto.keychain
 
     def counting_verify(self, public, message, signature):
-        calls.append((phase["name"], (public, message, signature)))
+        calls.append((public, message, signature))
         return real_verify(self, public, message, signature)
 
     def counting_sign(self, keys, message):
-        signs.append((keys.public, message))
-        return real_sign(self, keys, message)
+        signature = real_sign(self, keys, message)
+        signs.append((keys.public, message, signature))
+        return signature
 
     def counting_once(self, signer, message, signature):
         presented.append((phase["name"], (self.public[signer], message, signature)))
@@ -228,6 +268,20 @@ def test_each_triple_verified_once_per_run(monkeypatch):
         finally:
             phase["name"] = "engine"
 
+    def reset():
+        for log in (calls, presented, signs, keychains, built, handed):
+            log.clear()
+
+    def one_run_checked():
+        # one keychain per run, and the checker gets the run's own verifier
+        assert keychains == ["engine"]
+        assert len(built) == 1 and len(handed) == 1 and handed[0] is built[0]
+        # each (key, signed bytes) pair signed once, and no signed triple verified
+        assert len(signs) == len({(public, message) for public, message, _ in signs}) > 0
+        assert calls == []
+        # every triple shown, to the engine or the checker, is one the run signed
+        assert {t for _p, t in presented} <= set(signs)
+
     monkeypatch.setattr(crypto.Ed25519Scheme, "verify", counting_verify)
     monkeypatch.setattr(crypto.Ed25519Scheme, "sign", counting_sign)
     monkeypatch.setattr(Verifier, "verify", counting_once)
@@ -239,50 +293,35 @@ def test_each_triple_verified_once_per_run(monkeypatch):
     assert scenario.sig_scheme == "ed25519"
     per_run = []
     for _ in range(2):
-        calls.clear()
-        presented.clear()
-        signs.clear()
-        keychains.clear()
-        built.clear()
-        handed.clear()
+        reset()
         report = kspend.run(scenario)
-        # one keychain per run, and the checker gets the run's own verifier
-        assert keychains == ["engine"]
-        assert len(built) == 1 and len(handed) == 1 and handed[0] is built[0]
+        one_run_checked()
         assert report.quiescent and report.accusations
         assert all(v.status != "violated" for v in report.verdicts.values())
-        made = [t for _p, t in calls]
         shown = {p: [t for q, t in presented if q == p] for p in ("engine", "properties")}
-        # engine and checker together: each distinct triple verified exactly once
-        assert len(made) == len(set(made)) > 0
-        assert set(made) == set(shown["engine"]) | set(shown["properties"])
         assert len(shown["engine"]) > len(set(shown["engine"]))
-        # every triple the checker is shown was verified while the run ran
+        # every triple the checker is shown was shown while the run ran
         assert shown["properties"] and set(shown["properties"]) <= set(shown["engine"])
-        assert not [t for p, t in calls if p == "properties"]
-        # scripted sends share one signature per (signer, tx) with each other
-        assert len(signs) == len(set(signs)) > 0
-        per_run.append((len(made), len(signs)))
+        per_run.append((len(presented), sorted(signs)))
     assert per_run[0] == per_run[1]
 
-    # a loaded report is a re-run: each distinct triple once, the run's own
-    _, public_keys = keychain(scenario.model.n, make_scheme("ed25519"), scenario.key_seed)
-    triples = {
-        (public_keys[tx.issuer], tx.encoding, sig)
-        for store in report.accusations.values() for acc in store for tx, sig in acc.proof
-    }
-    run_made = set(made)
-    calls.clear()
-    keychains.clear()
-    built.clear()
-    handed.clear()
+    # a loaded report is a re-run: the same signatures, none of them verified
+    run_signed = set(signs)
+    reset()
     clone = report_from_obj(json.loads(json.dumps(report_to_obj(report))))
     assert clone.verdicts == report.verdicts
-    assert keychains == ["engine"]
-    assert len(built) == 1 and len(handed) == 1 and handed[0] is built[0]
-    made = [t for _p, t in calls]
-    assert len(made) == len(set(made)) and set(made) == run_made
-    assert triples <= run_made
+    one_run_checked()
+    triples = {
+        (built[0].public[tx.issuer], tx.encoding, sig)
+        for store in report.accusations.values() for acc in store for tx, sig in acc.proof
+    }
+    assert set(signs) == run_signed and triples <= run_signed
+
+    # a tampered accusation reaches the scheme, and is refused, under the run's verifier
+    tampered_report, (public, message, sig) = with_a_tampered_accusation(report)
+    verdicts = real_evaluate(tampered_report, built[0])
+    assert verdicts["accuracy"].status == properties.VIOLATED
+    assert calls == [(public, message, tampered(sig))]
 
 
 def test_honest_ring_signs_each_message_once_per_run(monkeypatch):
@@ -323,20 +362,59 @@ def test_shared_memo_does_not_vouch_for_a_tampered_accusation(monkeypatch):
     memo = verifier.verified
     assert report.verdicts["accuracy"].status == properties.HOLDS
 
-    first = min(p for p, store in report.accusations.items() if store)
-    genuine = min(report.accusations[first], key=lambda acc: acc.digest)
-    (tx, sig), *rest = genuine.proof
-    forged = ledger.Accusation.build(genuine.accused, [(tx, tampered(sig)), *rest])
-    _, public_keys = keychain(scenario.model.n, make_scheme("ed25519"), scenario.key_seed)
-    assert (public_keys[tx.issuer], tx.encoding, sig) in memo
-    store = report.accusations[first] - {genuine} | {forged}
-    report = dataclasses.replace(report, accusations={**report.accusations, first: store})
+    report, genuine = with_a_tampered_accusation(report)
+    assert genuine in memo
 
     shared = real_evaluate(report, verifier)["accuracy"]
     fresh = judge(report)["accuracy"]
     assert shared.status == properties.VIOLATED
     assert shared == fresh
-    assert all(triple[2] != tampered(sig) for triple in memo)
+    assert all(triple[2] != tampered(genuine[2]) for triple in memo)
+
+
+def corpora_scenarios():
+    """(scenario, seed) of the golden runs, the fuzz corpus and the attack corpus."""
+    yield from ((scenario, seed) for _name, scenario, seed in golden_cases())
+    rng = random.Random(CORPUS_SEED)
+    yield from ((fuzz.random_scenario(rng), i) for i in range(CORPUS_SIZE))
+    rng = random.Random(CORPUS_SEED + 1)
+    for _ in range(ATTACK_CORPUS_SIZE):
+        model, _k = fuzz.random_vulnerable_model(rng)
+        yield kspend.synthesize_multispend_attack(model, sig_scheme="hmac"), None
+
+
+@pytest.mark.parametrize("scheme_name", SCHEMES)
+def test_signing_files_only_genuine_triples(monkeypatch, scheme_name):
+    """Every triple ``Verifier.sign`` files passes the scheme, and no copy
+    of a signed triple with its signature flipped, or under another
+    process's public key, is in the run's memo when the run ends."""
+    filed = []  # (verifier, keys, message, signature, the triples filed)
+    real_sign = Verifier.sign
+
+    def filing(self, keys, message):
+        memo, self.verified = self.verified, set()
+        try:
+            signature = real_sign(self, keys, message)
+        finally:
+            added, self.verified = self.verified, memo
+        memo |= added
+        filed.append((self, keys, message, signature, added))
+        return signature
+
+    monkeypatch.setattr(Verifier, "sign", filing)
+    scheme = make_scheme(scheme_name)
+    signed = 0
+    for scenario, seed in corpora_scenarios():
+        filed.clear()
+        kspend.run(dataclasses.replace(scenario, sig_scheme=scheme_name), seed=seed)
+        for verifier, keys, message, signature, added in filed:
+            assert added and all(scheme.verify(*triple) for triple in added)
+            memo = verifier.verified
+            assert (keys.public, message, tampered(signature)) not in memo
+            others = set(verifier.public.values()) - {keys.public}
+            assert not any((public, message, signature) in memo for public in others)
+        signed += len(filed)
+    assert signed > CORPUS_SIZE
 
 
 def test_shared_memo_verdicts_equal_a_fresh_judgement(golden_reports):
