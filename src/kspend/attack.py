@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import engine as eng
 from .errors import NotVulnerable
-from .ledger import genesis_tx, make_tx, tx_ref
+from .ledger import genesis_tx, make_tx
 from .sim import DEFAULT_KEY_SEED, PlanRule, Scenario, ScriptedSend, SchedulerSpec
 from .trust import TrustModel, max_independent_set_witness
 
@@ -60,7 +60,7 @@ def synthesize_multispend_attack(
     source = min(faulty)
 
     genesis = genesis_tx({source: 1})
-    genesis_ref = tx_ref(genesis)
+    genesis_ref = genesis.ref
 
     spends = []
     for i, target in enumerate(targets):
@@ -86,7 +86,7 @@ def synthesize_multispend_attack(
                 )
             )
         # the phase admits the request fan-out and any echo aimed at the target
-        plan.append(PlanRule(tx_ref=tx_ref(tx), recipients=correct_part | {target}))
+        plan.append(PlanRule(tx_ref=tx.ref, recipients=correct_part | {target}))
 
     scenario = Scenario.build(
         model=model,

@@ -116,13 +116,17 @@ class Verifier:
     ``sign`` made, which the scheme accepts (RFC 8032 §5.1.7, RFC 2104).
     Only passes are memoized, so a forged signature is checked (and
     rejected) every time it is presented. Accusations are memoized the same
-    way, by digest. It holds no private key."""
+    way, by digest. It also keeps the one accusation built for each proof
+    the run's processes found, so equal evidence is one object. It holds no
+    private key."""
 
     scheme: object
     public: dict[int, bytes]
     verified: set[tuple[bytes, bytes, bytes]] = field(default_factory=set)
     # the digests of the accusations that passed ``ledger.verify_acc``
     accusations: set[bytes] = field(default_factory=set)
+    # the accusation ``engine.detect_conflicts`` built per proof, under its key
+    proofs: dict[tuple[int, bytes, bytes, bytes, bytes], object] = field(default_factory=dict)
 
     def sign(self, keys: KeyPair, message: bytes) -> bytes:
         signature = self.scheme.sign(keys, message)

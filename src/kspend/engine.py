@@ -12,17 +12,11 @@ iteration over unordered containers when emitting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .crypto import KeyPair, Verifier
 from .errors import InvalidTransaction
-from .ledger import (
-    Accusation,
-    Transaction,
-    conflicts,
-    tx_fault,
-    tx_ref,
-    verify_acc,
-)
+from .ledger import Accusation, Transaction, conflicts, tx_fault, verify_acc
 
 REQ = "REQ"
 ECHO = "ECHO"
@@ -99,7 +93,7 @@ def initial_state(
         audience=frozenset(range(n)) - {pid},
         keys=keys,
         verifier=verifier,
-        by_ref={tx_ref(genesis): genesis},
+        by_ref={genesis.ref: genesis},
         disable_used_input_guard=disable_used_input_guard,
     )
 
@@ -177,20 +171,27 @@ def detect_conflicts(state: ProcessState) -> list[Message]:
 
     Every conflicting pair that involves a newly recorded request becomes its
     own accusation; already-known ones are skipped, new ones are broadcast in
-    (issuer, reference, reference) order.
+    (issuer, reference, reference) order. The run's verifier keeps the one
+    accusation built per proof, keyed by (issuer, lower reference, its
+    signature, higher reference, its signature), so the run's processes
+    relay one object and a store lookup matches it by identity.
     """
-    proofs: dict[tuple[int, bytes, bytes], tuple[tuple[Transaction, bytes], ...]] = {}
+    found: dict[tuple[int, bytes, bytes, bytes, bytes], tuple[Record, Record]] = {}
     for tx in state.unscanned:
-        mine = (tx, state.records[tx.encoding].sig)
+        mine = state.records[tx.encoding]
         for ref in tx.inputs:
             for enc, theirs in state.requests[(tx.issuer, ref)].items():
                 if enc != tx.encoding:
-                    key = (tx.issuer, *sorted((tx_ref(tx), tx_ref(theirs.tx))))
-                    proofs[key] = (mine, (theirs.tx, theirs.sig))
+                    lo, hi = (mine, theirs) if tx.ref < theirs.tx.ref else (theirs, mine)
+                    found[tx.issuer, lo.tx.ref, lo.sig, hi.tx.ref, hi.sig] = (lo, hi)
     state.unscanned.clear()
+    built = state.verifier.proofs
     out: list[Message] = []
-    for key in sorted(proofs):
-        acc = Accusation.build({key[0]}, proofs[key])
+    for key in sorted(found):  # one signature per recorded reference: sorted as the refs
+        acc = built.get(key)
+        if acc is None:
+            lo, hi = found[key]
+            acc = built[key] = Accusation.build({key[0]}, ((lo.tx, lo.sig), (hi.tx, hi.sig)))
         if acc in state.accusations:
             continue
         state.accusations.add(acc)
@@ -208,9 +209,9 @@ def _settle(state: ProcessState, out: list[Message]) -> None:
     progressed, state.unsettled = state.unsettled, False
     while progressed:
         progressed = False
-        for tx in sorted(state.pending.values(), key=tx_ref):
+        for tx in sorted(state.pending.values(), key=attrgetter("ref")):
             if _ready(state, tx):
-                state.by_ref[tx_ref(tx)] = tx
+                state.by_ref[tx.ref] = tx
                 state.accepted.update(((tx.issuer, ref), tx) for ref in tx.inputs)
                 del state.pending[tx.encoding]
                 progressed = True

@@ -9,9 +9,10 @@ arithmetic, and the swap keeps thousand-scenario sweeps fast.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 from . import engine as eng
-from .ledger import Transaction, genesis_tx, make_tx, tx_ref
+from .ledger import Transaction, genesis_tx, make_tx
 from .sim import Scenario, SchedulerSpec, ScriptedSend, PlanRule
 from .trust import (
     TrustModel,
@@ -117,7 +118,7 @@ def random_scenario(rng: random.Random, *, model: TrustModel | None = None) -> S
         faulty = faulty - {max(faulty)}
     correct = [p for p in range(n) if p not in faulty]
     genesis = genesis_tx({p: _GRANT for p in range(n)})
-    genesis_ref = tx_ref(genesis)
+    genesis_ref = genesis.ref
 
     actions: list[tuple[int, Transaction]] = []
     for issuer in rng.sample(correct, min(len(correct), rng.randint(0, 3))):
@@ -126,12 +127,7 @@ def random_scenario(rng: random.Random, *, model: TrustModel | None = None) -> S
         actions.append((issuer, first))
         change = dict(first.outputs).get(issuer, 0)
         if change and rng.random() < 0.5:
-            follow = make_tx(
-                issuer,
-                {rng.randrange(n): change},
-                [tx_ref(first)],
-                timestamp=2,
-            )
+            follow = make_tx(issuer, {rng.randrange(n): change}, [first.ref], timestamp=2)
             actions.append((issuer, follow))
 
     scripts: list[ScriptedSend] = []
@@ -147,7 +143,7 @@ def random_scenario(rng: random.Random, *, model: TrustModel | None = None) -> S
             outputs = _split_grant(rng, bad, n)
             message = rng.randbytes(4) if rng.random() < 0.3 else None
             spends.add(make_tx(bad, outputs, [genesis_ref], timestamp=1, message=message))
-        for tx in sorted(spends, key=tx_ref):
+        for tx in sorted(spends, key=attrgetter("ref")):
             equivocations.append(tx)
             audience = frozenset(p for p in correct if rng.random() < 0.5)
             if not audience:
@@ -170,7 +166,7 @@ def random_scenario(rng: random.Random, *, model: TrustModel | None = None) -> S
     else:
         plan = tuple(
             PlanRule(
-                tx_ref(tx),
+                tx.ref,
                 frozenset(p for p in correct if rng.random() < 0.5) or frozenset(correct),
             )
             for tx in equivocations

@@ -14,7 +14,7 @@ from typing import Sequence
 from . import engine as eng
 from .attack import synthesize_multispend_attack
 from .errors import NotVulnerable
-from .ledger import genesis_tx, make_tx, tx_ref
+from .ledger import genesis_tx, make_tx
 from .sim import DEFAULT_KEY_SEED, RunReport, Scenario, ScriptedSend, SchedulerSpec
 from .trust import TrustModel
 
@@ -36,7 +36,7 @@ def correct_broadcast_scenario(
     if source in faulty_set:
         raise ValueError("a correct-source broadcast needs a non-faulty source")
     genesis = genesis_tx({source: 1})
-    tx = make_tx(source, {source: 1}, [tx_ref(genesis)], timestamp=1, message=value)
+    tx = make_tx(source, {source: 1}, [genesis.ref], timestamp=1, message=value)
     return Scenario.build(
         model=model,
         faulty_set=faulty_set,
@@ -72,7 +72,7 @@ def _fallback_equivocation(
         raise NotVulnerable("no correct process left to deliver anything")
 
     genesis = genesis_tx({source: 1})
-    ref = tx_ref(genesis)
+    ref = genesis.ref
     value_a = values[0] if len(values) > 0 else b"value-0"
     value_b = values[1] if len(values) > 1 else b"value-1"
     half = max(1, len(correct) // 2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .ledger import Transaction, conflicting_pairs, is_genesis, tx_ref, verify_acc
+from .ledger import Transaction, conflicting_pairs, is_genesis, verify_acc
 from .ledger import conflicts  # noqa: F401  (unused; perfbench/spans.py wraps properties.conflicts)
 from .trust import is_live
 
@@ -54,9 +54,25 @@ class _Context:
         self.correct = sorted(report.histories)
         self.live = [p for p in self.correct if is_live(scenario.model, p, scenario.faulty_set)]
         actions = scenario.honest_actions
-        self.executed = [actions[rec[1]] for rec in report.trace if rec[0] == "action"]
+        # one trace walk: executed actions, stored accusation digests, the last re-added one
+        self.executed = []
+        self.stored: dict[int, set[str]] = {p: set() for p in self.correct}
+        self.readded: str | None = None
+        for rec in report.trace:
+            if rec[0] == "action":
+                self.executed.append(actions[rec[1]])
+                actor, new_acc = rec[2], rec[5]
+            elif rec[0] == "deliver":
+                actor, new_acc = rec[4], rec[7]
+            else:
+                continue
+            stored = self.stored.get(actor)
+            for digest in new_acc if stored is not None else ():
+                if digest in stored:
+                    self.readded = f"process {actor} re-added accusation {digest[:16]}"
+                stored.add(digest)
         self.accused = {
-            p: {tx_ref(tx) for acc in report.accusations[p] for tx, _sig in acc.proof}
+            p: {tx.ref for acc in report.accusations[p] for tx, _sig in acc.proof}
             for p in self.correct
         }
 
@@ -89,7 +105,7 @@ def _dependencies(ref: bytes, tx: Transaction, issuer_history: dict) -> set[byte
 def _validity(ctx: _Context) -> Verdict | None:
     """An executed transfer settles at every live correct process."""
     for pid, tx in ctx.executed:
-        ref = tx_ref(tx)
+        ref = tx.ref
         q = ctx.unsettled(ref, tx, ctx.report.histories[pid])
         if q is not None:
             return Verdict(
@@ -118,13 +134,11 @@ def _eventual_conviction(ctx: _Context) -> Verdict | None:
         for tx in ctx.report.histories[p].values():
             holders.setdefault(tx, set()).add(p)
     for a, b in conflicting_pairs(holders):
-        refs = {tx_ref(a), tx_ref(b)}
+        refs = {a.ref, b.ref}
         for side in sorted(holders[a] | holders[b]):
             if not refs <= ctx.accused[side]:
-                return Verdict(
-                    VIOLATED,
-                    f"conflict {tx_ref(a).hex()[:16]}/{tx_ref(b).hex()[:16]} unconvicted at {side}",
-                )
+                detail = f"conflict {a.ref.hex()[:16]}/{b.ref.hex()[:16]} unconvicted at {side}"
+                return Verdict(VIOLATED, detail)
     return None
 
 
@@ -155,7 +169,7 @@ def _agreement(ctx: _Context) -> Verdict | None:
 
 def _integrity(ctx: _Context) -> Verdict | None:
     """Transactions credited to a correct issuer were really issued."""
-    issued = {tx_ref(tx) for _pid, tx in ctx.executed}
+    issued = {tx.ref for _pid, tx in ctx.executed}
     faulty = ctx.report.scenario.faulty_set
     for q in ctx.correct:
         for ref, tx in sorted(ctx.report.histories[q].items()):
@@ -173,23 +187,10 @@ def _monotonicity(ctx: _Context) -> Verdict | None:
 
     Of several re-added accusations, the last one in the trace is named.
     """
-    seen: dict[int, set[str]] = {p: set() for p in ctx.correct}
-    readded = None
-    for rec in ctx.report.trace:
-        if rec[0] == "action":
-            actor, new_acc = rec[2], rec[5]
-        elif rec[0] == "deliver":
-            actor, new_acc = rec[4], rec[7]
-        else:
-            continue
-        for digest in new_acc if actor in seen else ():
-            if digest in seen[actor]:
-                readded = Verdict(VIOLATED, f"process {actor} re-added accusation {digest[:16]}")
-            seen[actor].add(digest)
-    if readded is not None:
-        return readded
+    if ctx.readded is not None:
+        return Verdict(VIOLATED, ctx.readded)
     for p in ctx.correct:
-        if {a.digest.hex() for a in ctx.report.accusations[p]} != seen[p]:
+        if {a.digest.hex() for a in ctx.report.accusations[p]} != ctx.stored[p]:
             return Verdict(VIOLATED, f"final accusation store of {p} diverges from its trace")
     return None
 

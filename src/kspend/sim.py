@@ -32,15 +32,7 @@ from .errors import (
     SchemaError,
     SizeLimitExceeded,
 )
-from .ledger import (
-    Accusation,
-    Transaction,
-    genesis_tx,
-    is_genesis,
-    make_tx,
-    minimum_cover,
-    tx_ref,
-)
+from .ledger import Accusation, Transaction, genesis_tx, is_genesis, make_tx, minimum_cover
 from .trust import (
     TrustModel,
     allows_faulty,
@@ -157,7 +149,7 @@ class Scenario:
             if not 0 <= pid < model.n:
                 raise ValueError(f"{what} recipient {pid} is not a process of the model")
         if scheduler.plan:
-            sent = {tx_ref(tx) for _, tx in actions} | {tx_ref(send.tx) for send in sends}
+            sent = {tx.ref for _, tx in actions} | {send.tx.ref for send in sends}
             for rule in scheduler.plan:
                 if rule.tx_ref not in sent:
                     raise ValueError(f"plan rule for {rule.tx_ref.hex()[:12]}, which nothing sends")
@@ -299,7 +291,7 @@ class _Runtime:
             audience = self.audiences[key] = (recipients, ",".join([pids[r] for r in recipients]))
         recipients, listed = audience
         tx, acc = msg.tx, msg.accusation
-        ref = tx_ref(tx) if tx is not None else None
+        ref = tx.ref if tx is not None else None
         payload = ref.hex() if ref is not None else acc.digest.hex() if acc is not None else ""
         # kinds are engine constants and payloads hex: JSON writes both as they are
         fields = f'{msg_id},"{msg.kind}",{pids[msg.sender]},'
@@ -410,7 +402,7 @@ class _Runtime:
                 self.todo[pid].pop()
                 enabled.discard(idx)
                 self.refresh(pid)
-                ref = tx_ref(tx).hex()
+                ref = tx.ref.hex()
                 append(("action", idx, pid, ref, accepted, new_acc))
                 update(f'["action",{idx},{pids[pid]},"{ref}",'
                        f'{_refs(accepted)},{_refs(new_acc)}]\n'.encode())
@@ -465,7 +457,7 @@ def run(scenario: Scenario, *, seed: int | None = None) -> RunReport:
     delivered = None
     if scenario.kcb_source is not None:
         # the accepted spend of the source's funding output; c3 allows one per history
-        funding = (scenario.kcb_source, tx_ref(scenario.genesis))
+        funding = (scenario.kcb_source, scenario.genesis.ref)
         spends = {p: rt.engines[p].accepted.get(funding) for p in rt.correct}
         delivered = {p: tx.message for p, tx in spends.items() if tx is not None}
 
@@ -548,7 +540,7 @@ def scenario_to_obj(scenario: Scenario) -> dict:
 def _resolve_ref(token, names: dict[str, Transaction]) -> bytes:
     if isinstance(token, str):
         if token in names:
-            return tx_ref(names[token])
+            return names[token].ref
         if len(token) == 64:
             return _hex(token, "input reference")
     raise SchemaError(f"unresolvable input reference: {token!r}")

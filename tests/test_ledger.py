@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kspend
 from kspend import fuzz, ledger, sim
 from kspend.crypto import Verifier, content_hash, keychain, make_scheme
 from kspend.errors import MalformedHistory, SizeLimitExceeded
@@ -27,6 +28,7 @@ from kspend.ledger import (
     well_formed_report,
 )
 
+from golden_traces import golden_cases
 from helpers import balances, clause_failed, random_well_formed_history, spending_number, table
 from oracles import (
     brute_conflict_pairs,
@@ -60,6 +62,8 @@ def test_make_tx_normalizes():
     assert a.inputs == (GREF,)
     b = make_tx(1, {1: 2, 2: 3}, (GREF,), timestamp=1)
     assert a == b and tx_ref(a) == tx_ref(b)
+    # a was normalized through dataclasses.replace, which rebuilds the reference
+    assert a.ref == b.ref == content_hash(a.encoding) == tx_ref(a)
 
 
 @pytest.mark.parametrize(
@@ -234,11 +238,47 @@ def test_copies_keep_the_encoding():
     for twin in (copy.deepcopy(tx), pickle.loads(pickle.dumps(tx)), dataclasses.replace(tx)):
         assert twin == tx and hash(twin) == hash(tx)
         assert twin.encoding == tx.encoding and tx_ref(twin) == tx_ref(tx)
+        assert twin.ref == tx.ref
     later = dataclasses.replace(tx, timestamp=2)
     assert later.encoding == spend(0, {1: 10}, [GREF], tm=2, message=b"m").encoding
+    assert later.ref == content_hash(later.encoding) != tx.ref
     assert later != tx
     with pytest.raises(ValueError, match="bad timestamp"):
         dataclasses.replace(tx, timestamp=0)
+
+
+def run_transactions(report):
+    """Every transaction a run's scenario sends and its processes hold or accuse."""
+    scenario = report.scenario
+    yield scenario.genesis
+    yield from (tx for _pid, tx in scenario.honest_actions)
+    yield from (send.tx for send in scenario.scripts)
+    for history in report.histories.values():
+        yield from history.values()
+    for store in report.accusations.values():
+        yield from (tx for acc in store for tx, _sig in acc.proof)
+
+
+def test_every_reference_is_the_hash_of_its_encoding(golden_reports, fuzz_corpus, attack_corpus):
+    reports = [r for _name, r in golden_reports] + fuzz_corpus + [r for _k, r in attack_corpus]
+    checked = 0
+    for report in reports:
+        for tx in run_transactions(report):
+            assert tx.ref == content_hash(tx.encoding)
+            checked += 1
+    assert checked > 10 * len(reports)
+
+
+def test_runs_leave_the_tx_ref_cache_alone(example1):
+    """A run reads each reference from its transaction: the LRU accessor
+    serves callers outside the package, and no run reaches it."""
+    scenarios = [(scenario, seed) for _name, scenario, seed in golden_cases()]
+    scenarios.append((kspend.synthesize_multispend_attack(example1), None))
+    before = tx_ref.cache_info()
+    for scenario, seed in scenarios:
+        sim.run(scenario, seed=seed)
+    after = tx_ref.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 def test_accusation_keeps_its_digest():

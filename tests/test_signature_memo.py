@@ -535,3 +535,69 @@ def test_run_memo_leaves_the_pinned_verdicts(monkeypatch):
             }
     assert any(v.accusations for v in verifiers)
     assert got == json.loads(VERDICTS_FILE.read_text())
+
+
+
+def accusing_reports(golden_reports, attack_corpus):
+    """(name, report) of the golden and attack-corpus runs that store an accusation."""
+    runs = [*golden_reports, *((f"attack-{i}", r) for i, (_k, r) in enumerate(attack_corpus))]
+    return [(name, report) for name, report in runs if stored_digests(report)]
+
+
+def held_accusations(report) -> list:
+    return [acc for store in report.accusations.values() for acc in store]
+
+
+def test_processes_of_a_run_hold_one_object_per_accusation(golden_reports, attack_corpus):
+    """The run's verifier keeps the accusation built for each proof, so every
+    correct process that holds it holds that one object."""
+    shared = 0
+    for name, report in accusing_reports(golden_reports, attack_corpus):
+        first = {}
+        for acc in held_accusations(report):
+            assert first.setdefault(acc.digest, acc) is acc, name
+        shared += len(held_accusations(report)) - len(first)
+    assert shared > 100
+
+
+def test_runs_of_one_scenario_share_no_accusation(golden_reports, attack_corpus):
+    """The table of built accusations lives as long as its run."""
+    for name, report in accusing_reports(golden_reports, attack_corpus):
+        again = kspend.run(report.scenario, seed=report.seed_used)
+        assert again.trace_hash == report.trace_hash, name
+        ids = {id(acc) for acc in held_accusations(report)}
+        assert ids.isdisjoint(id(acc) for acc in held_accusations(again)), name
+
+
+def test_a_tampered_copy_is_built_apart_and_refused(golden_reports, attack_corpus):
+    """A run records only verified signatures, so its processes never find a
+    tampered proof. A spare process on the run's verifier is given one: the
+    pair behind a stored accusation with one signature flipped. Its scan
+    builds its own accusation, not the stored one, and every process that
+    holds the genuine one refuses the copy and keeps the genuine one."""
+    for name, report in accusing_reports(golden_reports, attack_corpus):
+        rt = sim._Runtime(report.scenario, report.seed_used)
+        for _ in rt.loop():
+            pass
+        holders = [state for _p, state in sorted(rt.engines.items()) if state.accusations]
+        genuine = min(holders[0].accusations, key=lambda acc: acc.digest)
+        (low, low_sig), (high, high_sig) = genuine.proof
+        first = holders[0]
+        spare = eng.initial_state(first.pid, first.n, (), first.keys, rt.verifier,
+                                  report.scenario.genesis)
+        eng.record_request(spare, low, tampered(low_sig))
+        eng.record_request(spare, high, high_sig)
+        [msg] = eng.detect_conflicts(spare)
+        forged = msg.accusation
+        assert forged is not genuine and forged != genuine, name
+        assert forged.proof == ((low, tampered(low_sig)), (high, high_sig)), name
+        for state in holders:
+            if genuine not in state.accusations:
+                continue
+            kept = set(state.accusations)
+            to_state = eng.Message(kind=eng.ACC, sender=first.pid,
+                                   recipients=frozenset({state.pid}), accusation=forged)
+            assert eng.handle_message(state, to_state) == [], name
+            assert state.accusations == kept and forged not in kept, name
+            assert any(acc is genuine for acc in state.accusations), name
+        assert forged.digest not in rt.verifier.accusations, name
