@@ -7,12 +7,14 @@ synthesized multi-spend attack), and how does the bound carry over to
 broadcast (the consistent-broadcast adapter). A deterministic simulator
 plus an eight-property checker back the answers with replayable runs.
 
-Only the entry points below live at package level; everything else is
-imported from its own module (``kspend.trust``, ``kspend.sim``, ...).
+Only the entry points below live at package level. Everything else is
+imported from its own module: the analyzer from ``kspend.trust``, the runner
+from ``kspend.sim``, model, scenario and report files from ``kspend.formats``.
 """
 
 from .attack import synthesize_multispend_attack
-from .sim import RunReport, Scenario, report_from_obj, report_to_obj, run
+from .formats import report_from_obj, report_to_obj
+from .sim import RunReport, Scenario, run
 
 
 def __getattr__(name: str) -> str:

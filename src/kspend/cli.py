@@ -25,13 +25,12 @@ from .errors import (
     SchemaError,
     SizeLimitExceeded,
 )
+from .formats import load_builtin_model, load_model, load_scenario, report_to_obj, scenario_to_obj
 from .properties import PROPERTY_NAMES, VIOLATED
-from .sim import RunReport, load_scenario, report_to_obj, run
+from .sim import RunReport, run
 from .trust import (
     TrustModel,
     is_live,
-    load_builtin_model,
-    load_model,
     max_independent_set_witness,
     self_inclusion_gaps,
     uniform_inconsistency,
@@ -301,8 +300,6 @@ def attack(model_path: str, as_json: bool, save_scenario: str | None) -> None:
             click.echo(f"not vulnerable: {exc}")
         return
     if save_scenario:
-        from .sim import scenario_to_obj
-
         try:
             with open(save_scenario, "w", encoding="utf-8") as fh:
                 json.dump(scenario_to_obj(scenario), fh, indent=2)

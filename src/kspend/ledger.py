@@ -11,7 +11,7 @@ a run goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter
@@ -59,15 +59,7 @@ class Transaction:
     ref: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # exact ints (tx_to_obj spells True true); the top issuer is the root's wire value
-        issuer = self.issuer
-        if type(issuer) is not int or not GENESIS_ISSUER <= issuer < _GENESIS_WIRE:
-            raise ValueError(f"bad issuer: {issuer!r}")
-        for recipient, amount in self.outputs:
-            if type(recipient) is not int or not 0 <= recipient < _MAX_U32:
-                raise ValueError(f"bad output recipient: {recipient!r}")
-            if type(amount) is not int or amount < 0 or amount >= _MAX_AMOUNT:
-                raise ValueError(f"bad output amount: {amount!r}")
+        _check_issuer_and_outputs(self.issuer, self.outputs)
         for ref in self.inputs:
             if not isinstance(ref, bytes) or len(ref) != 32:
                 raise ValueError("input references must be 32-byte digests")
@@ -98,6 +90,17 @@ class Transaction:
         return 0
 
 
+def _check_issuer_and_outputs(issuer: int, outputs: Iterable[tuple[int, int]]) -> None:
+    # exact ints (tx_to_obj spells True true); the top issuer is the root's wire value
+    if type(issuer) is not int or not GENESIS_ISSUER <= issuer < _GENESIS_WIRE:
+        raise ValueError(f"bad issuer: {issuer!r}")
+    for recipient, amount in outputs:
+        if type(recipient) is not int or not 0 <= recipient < _MAX_U32:
+            raise ValueError(f"bad output recipient: {recipient!r}")
+        if type(amount) is not int or amount < 0 or amount >= _MAX_AMOUNT:
+            raise ValueError(f"bad output amount: {amount!r}")
+
+
 def make_tx(
     issuer: int,
     outputs: Mapping[int, int],
@@ -108,13 +111,13 @@ def make_tx(
     """Normalize the pieces of a transaction: outputs sorted by recipient
     with zero amounts dropped, inputs sorted and deduplicated.
 
-    Construction validates every value, a dropped output's too, before the
-    outputs are sorted.
+    The issuer and every output, a dropped one's too, are checked before the
+    outputs are sorted, and the transaction is constructed once.
     """
-    out = tuple(outputs.items())
-    tx = Transaction(issuer, out, tuple(sorted(set(inputs))), timestamp, message)
+    out = outputs.items()
+    _check_issuer_and_outputs(issuer, out)
     normal = tuple(sorted(pair for pair in out if pair[1]))
-    return tx if normal == out else replace(tx, outputs=normal)
+    return Transaction(issuer, normal, tuple(sorted(set(inputs))), timestamp, message)
 
 
 def genesis_tx(outputs: Mapping[int, int]) -> Transaction:

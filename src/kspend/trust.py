@@ -23,14 +23,12 @@ count exceeds the correct processes is refused without a search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidParameters, SchemaError, SizeLimitExceeded
+from .errors import InvalidParameters, SizeLimitExceeded
 
 ProcessId = int
 Quorum = frozenset[int]
@@ -440,51 +438,3 @@ def uniform_model(n: int, q: int, f: int) -> TrustModel:
             systems[pid].append(quorum)
     faults = tuple(map(frozenset, combinations(range(n), f)))
     return TrustModel(n, tuple(map(tuple, systems)), faults)
-
-
-def parse_model(obj: object) -> TrustModel:
-    if not isinstance(obj, dict):
-        raise SchemaError("trust model file must hold a JSON object")
-    unknown = sorted(set(obj) - {"n", "quorums", "fault_model_maximal"})
-    if unknown:
-        raise SchemaError(f"trust model takes no field {', '.join(map(repr, unknown))}")
-    try:
-        n = obj["n"]
-        quorums = obj["quorums"]
-        fault_model = obj["fault_model_maximal"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"missing trust model field: {exc}") from None
-    try:
-        return TrustModel.build(n, quorums, fault_model)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def model_to_obj(model: TrustModel) -> dict:
-    return {
-        "n": model.n,
-        "quorums": [[sorted(q) for q in system] for system in model.quorums],
-        "fault_model_maximal": [sorted(f) for f in model.fault_model],
-    }
-
-
-def read_json(path: str, what: str) -> object:
-    """A file's JSON value; bad UTF-8 or JSON, a NUL or an OSError is a SchemaError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read {what} {path}: {exc}") from None
-
-
-def load_model(path: str) -> TrustModel:
-    return parse_model(read_json(path, "trust model"))
-
-
-def load_builtin_model(name: str) -> TrustModel:
-    """Models shipped with the package, e.g. ``example1``."""
-    try:
-        text = resources.files("kspend.data").joinpath(f"{name}.json").read_text("utf-8")
-    except (FileNotFoundError, ModuleNotFoundError) as exc:
-        raise SchemaError(f"no builtin model named {name!r}") from exc
-    return parse_model(json.loads(text))

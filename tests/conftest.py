@@ -9,7 +9,7 @@ import pytest
 
 import kspend
 from kspend import fuzz
-from kspend.trust import load_builtin_model
+from kspend.formats import load_builtin_model
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 1000  # floor demanded by the randomized upper-bound sweep

@@ -15,9 +15,10 @@ import sys
 
 import kspend
 from kspend import fuzz, kcb
+from kspend.formats import load_builtin_model, load_scenario
 from kspend.ledger import genesis_tx, make_tx, tx_ref
-from kspend.sim import PlanRule, SchedulerSpec, ScriptedSend, load_scenario
-from kspend.trust import TrustModel, load_builtin_model
+from kspend.sim import PlanRule, SchedulerSpec, ScriptedSend
+from kspend.trust import TrustModel
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from conftest import CORPUS_SEED  # noqa: E402

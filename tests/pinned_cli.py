@@ -24,7 +24,8 @@ from click.testing import CliRunner
 
 import kspend
 from kspend.cli import main
-from kspend.trust import model_to_obj, uniform_model
+from kspend.formats import model_to_obj
+from kspend.trust import uniform_model
 
 CLI_FILE = pathlib.Path(__file__).parent / "data" / "pinned_cli.json"
 DEMO = "{data}/demo_scenario.json"

@@ -17,7 +17,8 @@ import random
 import sys
 
 from kspend import fuzz, trust
-from kspend.trust import inconsistency_number, max_independent_set_witness, model_to_obj
+from kspend.formats import load_builtin_model, model_to_obj
+from kspend.trust import inconsistency_number, max_independent_set_witness
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from conftest import CORPUS_SEED  # noqa: E402
@@ -55,7 +56,7 @@ def unit_cases():
     for _ in range(40):
         model = fuzz.random_model(rng)
         yield {"kind": "fuzz", "model": model_to_obj(model)}, model
-    model = trust.load_builtin_model("example1")
+    model = load_builtin_model("example1")
     yield {"kind": "example1", "model": model_to_obj(model)}, model
 
 

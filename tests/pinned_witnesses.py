@@ -14,7 +14,8 @@ import json
 import pathlib
 import sys
 
-from kspend.trust import max_independent_set_witness, parse_model
+from kspend.formats import parse_model
+from kspend.trust import max_independent_set_witness
 
 WITNESSES_FILE = pathlib.Path(__file__).parent / "data" / "pinned_witnesses.json"
 

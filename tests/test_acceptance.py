@@ -18,6 +18,7 @@ from kspend import engine as eng
 from kspend import trust
 from kspend.cli import main as cli_main
 from kspend.crypto import Verifier, keychain, make_scheme
+from kspend.formats import load_scenario
 from kspend.kcb import (
     byzantine_broadcast_scenario,
     correct_broadcast_scenario,
@@ -30,7 +31,7 @@ from kspend.ledger import (
     tx_ref,
     well_formed_report,
 )
-from kspend.sim import DEFAULT_KEY_SEED, load_scenario
+from kspend.sim import DEFAULT_KEY_SEED
 from kspend.trust import (
     inconsistency_number,
     is_live,

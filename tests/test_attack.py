@@ -8,9 +8,10 @@ import pytest
 from kspend import attack, engine as eng, trust
 from kspend.attack import synthesize_multispend_attack
 from kspend.errors import NotVulnerable, SizeLimitExceeded
+from kspend.formats import scenario_to_obj
 from kspend.kcb import byzantine_broadcast_scenario
 from kspend.ledger import conflicts, tx_ref
-from kspend.sim import run, scenario_to_obj
+from kspend.sim import run
 from kspend.trust import TrustModel, inconsistency_number, uniform_model
 
 

@@ -17,8 +17,8 @@ import kspend
 from kspend.cli import main
 from kspend.properties import PROPERTY_NAMES
 from kspend.errors import SchemaError
-from kspend.sim import load_scenario
-from kspend.trust import model_to_obj, parse_model, uniform_model
+from kspend.formats import load_scenario, model_to_obj, parse_model
+from kspend.trust import uniform_model
 
 from helpers import run_child
 from pinned_search_units import example1_case

@@ -141,7 +141,7 @@ LAZY_IMPORTS_CHILD = textwrap.dedent(
     import json, pathlib, random, sys
 
     import kspend
-    from kspend import fuzz, sim
+    from kspend import formats, fuzz, sim
     from kspend.trust import inconsistency_number, uniform_model
 
     def loaded():
@@ -153,7 +153,7 @@ LAZY_IMPORTS_CHILD = textwrap.dedent(
     sim.run(scenario)
     out["k"] = inconsistency_number(uniform_model(9, 5, 2))
     out["after_hmac_and_analyzer"] = loaded()
-    demo = sim.load_scenario(str(pathlib.Path(kspend.__file__).parent / "data" / "demo_scenario.json"))
+    demo = formats.load_scenario(str(pathlib.Path(kspend.__file__).parent / "data" / "demo_scenario.json"))
     out["demo_scheme"] = demo.sig_scheme
     out["demo_hash"] = sim.run(demo).trace_hash
     out["after_ed25519"] = loaded()

@@ -9,7 +9,8 @@ from kspend.kcb import (
     correct_broadcast_scenario,
     delivered_values,
 )
-from kspend.sim import load_scenario, run
+from kspend.formats import load_scenario
+from kspend.sim import run
 from kspend.trust import TrustModel, fault_closure, uniform_model
 
 from helpers import undelivered_live

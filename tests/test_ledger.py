@@ -62,8 +62,21 @@ def test_make_tx_normalizes():
     assert a.inputs == (GREF,)
     b = make_tx(1, {1: 2, 2: 3}, (GREF,), timestamp=1)
     assert a == b and tx_ref(a) == tx_ref(b)
-    # a was normalized through dataclasses.replace, which rebuilds the reference
+    # a was constructed from its normalized outputs, so its reference is theirs
     assert a.ref == b.ref == content_hash(a.encoding) == tx_ref(a)
+
+
+def test_make_tx_hashes_once(monkeypatch):
+    # a dropped zero output costs no second construction, encoding or hash
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return content_hash(data)
+
+    monkeypatch.setattr(ledger, "content_hash", counting)
+    tx = make_tx(1, {2: 3, 0: 0}, [GREF], timestamp=1)
+    assert calls == [tx.encoding]
 
 
 @pytest.mark.parametrize(

@@ -27,9 +27,10 @@ import pytest
 
 from kspend import engine as eng
 from kspend import attack, fuzz, sim
+from kspend.formats import load_builtin_model
 from kspend.ledger import is_genesis, tx_ref
 from kspend.sim import SchedulerSpec
-from kspend.trust import TrustModel, load_builtin_model, self_inclusion_gaps
+from kspend.trust import TrustModel, self_inclusion_gaps
 
 from conftest import CORPUS_SEED
 from oracles import member_quorum_check, old_body, old_tables

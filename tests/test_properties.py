@@ -11,6 +11,7 @@ import json
 import pytest
 
 from kspend.crypto import keychain, make_scheme
+from kspend.formats import load_scenario, report_from_obj, report_to_obj
 from kspend.ledger import Accusation, make_tx, tx_ref
 from kspend.properties import (
     HOLDS,
@@ -19,7 +20,7 @@ from kspend.properties import (
     VIOLATED,
     Verdict,
 )
-from kspend.sim import load_scenario, report_from_obj, report_to_obj, run
+from kspend.sim import run
 from kspend.trust import is_live
 
 from helpers import judge

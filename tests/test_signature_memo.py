@@ -25,9 +25,8 @@ import pytest
 import kspend
 from kspend import crypto, engine as eng, fuzz, ledger, properties, sim
 from kspend.crypto import Verifier, keychain, make_scheme
+from kspend.formats import load_builtin_model, report_from_obj, report_to_obj
 from kspend.ledger import genesis_tx, make_tx, tx_ref
-from kspend.sim import report_from_obj, report_to_obj
-from kspend.trust import load_builtin_model
 
 from conftest import ATTACK_CORPUS_SIZE, CORPUS_SEED, CORPUS_SIZE
 from golden_traces import golden_cases, honest_ring

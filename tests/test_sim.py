@@ -11,6 +11,16 @@ from kspend import engine as eng
 from kspend import fuzz, sim
 from kspend.attack import synthesize_multispend_attack
 from kspend.errors import InvalidFaultySet, InvalidParameters, SchemaError
+from kspend.formats import (
+    load_builtin_model,
+    load_scenario,
+    model_to_obj,
+    parse_model,
+    report_from_obj,
+    report_to_obj,
+    scenario_from_obj,
+    scenario_to_obj,
+)
 from kspend.kcb import byzantine_broadcast_scenario
 from kspend.ledger import genesis_tx, make_tx, tx_ref
 from kspend.sim import (
@@ -19,19 +29,11 @@ from kspend.sim import (
     SchedulerSpec,
     ScriptedSend,
     compute_trace_hash,
-    load_scenario,
-    report_from_obj,
-    report_to_obj,
     run,
-    scenario_from_obj,
-    scenario_to_obj,
 )
 from kspend.trust import (
     TrustModel,
     inconsistency_number,
-    load_builtin_model,
-    model_to_obj,
-    parse_model,
     uniform_model,
 )
 
@@ -600,8 +602,9 @@ def _tagged(o, **fields):
 
 
 # spellings the loader dropped, fields no object of a scenario carries, a
-# model_file beside a model (it went unread) and a wrapped action's missing
-# issuer (it was taken from the transaction), each refused by name:
+# model_file beside a model (it went unread), a wrapped action's missing
+# issuer (it was taken from the transaction) and inputs that are no list (a
+# map's keys or a string's letters were read), each refused by name:
 # (mutation, what the error must say)
 UNREAD_FIELDS = {
     "tm": (lambda o: o["transactions"]["a"].update(tm=1), "transaction takes no field 'tm'"),
@@ -656,6 +659,14 @@ UNREAD_FIELDS = {
     ),
     "model": (
         lambda o: o["model"].update(fault_model=[[1]]), "trust model takes no field 'fault_model'"
+    ),
+    "inputs map": (
+        lambda o: o["transactions"]["a"].update(inputs={"genesis": 99}),
+        "transaction inputs must be a list",
+    ),
+    "inputs string": (
+        lambda o: o["transactions"]["a"].update(inputs="genesis"),
+        "transaction inputs must be a list",
     ),
 }
 

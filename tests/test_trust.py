@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 
 from kspend import trust
 from kspend.errors import InvalidParameters, SchemaError, SizeLimitExceeded
+from kspend.formats import load_builtin_model, load_model, model_to_obj, parse_model
 from kspend.trust import (
     TrustModel,
     allows_faulty,
     fault_closure,
     inconsistency_number,
     is_live,
-    load_builtin_model,
-    load_model,
     max_independent_set_witness,
-    model_to_obj,
-    parse_model,
     self_inclusion_gaps,
     uniform_inconsistency,
     uniform_model,
