@@ -271,9 +271,7 @@ def handle_req(state: ProcessState, msg: Message) -> list[Message]:
         return []
     msg.verified = True
     out: list[Message] = []
-    record = record_request(state, tx, msg.issuer_sig)
-    if record is not None:
-        _try_echo(state, record, out)
+    _try_echo(state, record_request(state, tx, msg.issuer_sig), out)
     if state.unsettled or state.unscanned:
         _settle(state, out)
     return out

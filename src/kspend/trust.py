@@ -14,9 +14,9 @@ from a packing under F leaves a packing under F ∪ {x}, so a set's value is
 at most one more than any one-fault extension's, and those were visited
 before it. A set is skipped when that bound cannot beat the best value, or
 when it has more extension processes than the best plus one; otherwise its
-extension processes are forced into every packing it searches. Before each
-search asks for one more process than the best, a volume ceiling counts the
-processes that packing's disjoint quorums must cover outside F: the forced
+extension processes are forced into every packing it searches. Each ask for
+one more process than the best first goes to a volume ceiling, which counts
+the processes that packing's disjoint quorums must cover outside F: the forced
 processes' smallest quorums plus the smallest of the others'. An ask whose
 count exceeds the correct processes is refused without a search.
 """
@@ -185,34 +185,25 @@ def _leasts(by_size: list, rows: int, keep: int, dropped: int) -> list[int]:
     return leasts
 
 
-def _least_volumes(by_size: list, keep: int, forced: int, need: int, least_size: int) -> list:
-    """Entry ``j`` bounds from below how many keep processes a packing of ``j`` rows that
-    holds every ``forced`` row covers. One call per faulty set.
-
-    Pairwise-disjoint reduced quorums cover the sum of their sizes, and each is at least
-    its owner's smallest reduced size: the forced rows' sizes, plus the ``j - |forced|``
-    smallest of the others'. Under |forced| rows no packing holds them all, so those entries
-    exceed the keep set. A quorum loses at most |F| members, so a row's smallest reduced size
-    is at least ``least_size``, the model's least quorum size, less |F|. Two weaker bounds are
-    returned when they already refuse ``need``: ``j`` times that floor, which needs no scan,
-    and the forced rows' sizes plus the floor per other row, which scans the forced rows only."""
+def _ceiling_admits(by_size: list, keep: int, forced: int, need: int, least_size: int) -> bool:
+    """Can ``need`` rows, every ``forced`` one among them, fit their reduced quorums in keep?
+    Pairwise-disjoint reduced quorums cover the sum of their sizes, each at least its owner's
+    smallest reduced size: the forced rows' sizes, plus the ``need - |forced|`` smallest of
+    the others'. A refusal is exact: disjoint masks inside keep cover at most |keep|. A quorum
+    loses at most |F| members, so a row's smallest reduced size is at least ``least_size``,
+    the model's least quorum size, less |F|. Two weaker sums refuse first: ``need`` times that
+    floor, with no scan, and the forced rows' sizes plus the floor per other row."""
     room = keep.bit_count()
     dropped = len(by_size) - room
     floor = least_size - dropped
     if need * floor > room:
-        return [j * floor for j in range(room + 1)]
-    firsts = forced.bit_count()
+        return False
+    others = need - forced.bit_count()
     held = sum(_leasts(by_size, forced, keep, dropped))
-    if held + (need - firsts) * floor > room:
-        return [room + 1] * firsts + [held + j * floor for j in range(room + 1 - firsts)]
-    free = _leasts(by_size, keep & ~forced, keep, dropped)
-    return [room + 1] * firsts + list(accumulate(sorted(free), initial=held))
-
-
-def _ceiling_admits(volumes: list[int], keep: int, need: int) -> bool:
-    """Can ``need`` rows, every forced one among them, fit their reduced quorums in keep?
-    A refusal is exact: disjoint masks inside keep cover at most |keep| processes."""
-    return need < len(volumes) and volumes[need] <= keep.bit_count()
+    if held + others * floor > room:
+        return False
+    free = sorted(_leasts(by_size, keep & ~forced, keep, dropped))
+    return 0 <= others <= len(free) and held + sum(free[:others]) <= room
 
 
 class _Packer(dict):
@@ -233,7 +224,7 @@ class _Packer(dict):
     def __init__(self, rows: Sequence[Sequence[Collection[int]]], width: int):  # members < width
         bit = [1 << b for b in range(width)]
         pair_of = {q: (len(q), sum(map(bit.__getitem__, q))) for q in set().union(*rows)}
-        # sorted by size alone: the order of equal sizes moves no least volume
+        # sorted by size alone: the order of equal sizes moves no least size
         self.by_size = [sorted(map(pair_of.__getitem__, row), key=itemgetter(0)) for row in rows]
         self.masks = [pair_of[q][1] for q in chain.from_iterable(rows)]
         digits = [bytearray(b"0" * (len(self.masks) + 1)) for _ in range(width)]
@@ -326,8 +317,8 @@ def _lambda_and_witness(
     plus one must hold them all. Otherwise the decision search, with the
     extension processes forced into every packing, asks for one more than
     the best, then one more while it succeeds, sharing its failures across
-    those asks; before each ask, the ceiling over the set's least volumes,
-    computed once per set and counting the forced processes, must admit it.
+    those asks; before each ask, the volume ceiling, asked for that ask alone
+    and counting the forced processes, must admit it.
     A set whose ceiling refuses the first ask is never set up for a search:
     its reduced masks and its list of correct processes are built only once
     the ceiling admits an ask.
@@ -352,9 +343,8 @@ def _lambda_and_witness(
             bound, forced = divmod(bounds.pop(faulty, best << n), everyone + 1)
             keep = everyone ^ faulty
             if bound >= best and forced.bit_count() <= best + 1:  # λ(F) <= bound + 1
-                volumes = _least_volumes(packer.by_size, keep, forced, best + 1, least_size)
                 failed: dict[tuple[int, int], int] | None = None
-                while _ceiling_admits(volumes, keep, best + 1):
+                while _ceiling_admits(packer.by_size, keep, forced, best + 1, least_size):
                     if failed is None:  # the first ask the ceiling admits sets the set up
                         packer.reduce(keep)
                         failed = {}

@@ -73,6 +73,28 @@ def brute_inconsistency(model, faulty_sets=None) -> int:
     return best
 
 
+def plain_inconsistency(model) -> int:
+    """The inconsistency number by a plain packing search, usable to n = 16: per faulty set
+    of ``brute_fault_closure``, each correct process in id order takes one of its distinct
+    quorums less F, disjoint from those taken, or none. A branch is cut when the processes
+    taken plus those left cannot beat the best; there is no other bound."""
+    best = 0
+
+    def pack(rows, i, used, taken):
+        nonlocal best
+        best = max(best, taken)
+        if taken + len(rows) - i > best:
+            for q in rows[i]:
+                if not q & used:
+                    pack(rows, i + 1, used | q, taken + 1)
+            pack(rows, i + 1, used, taken)
+
+    for faulty in brute_fault_closure(model):
+        correct = [p for p in range(model.n) if p not in faulty]
+        pack([{q - faulty for q in model.quorums[p]} for p in correct], 0, frozenset(), 0)
+    return best
+
+
 def brute_pack(rows, used=0, forced=()) -> int:
     """Most rows that can each take one of their masks, pairwise disjoint and
     clear of ``used``: every pick of one mask or nothing per row. A row whose

@@ -31,6 +31,7 @@ from oracles import (
     brute_pack,
     brute_uniform_model,
     build_trust_graph,
+    plain_inconsistency,
     subset_independence_number,
     transposed_hits,
 )
@@ -310,13 +311,14 @@ def test_ceiling_refuses_only_asks_no_forced_packing_meets(monkeypatch):
     from kspend.fuzz import random_model
 
     reached = []
-    volumes = trust._least_volumes
+    admits = trust._ceiling_admits
 
-    def recording_volumes(by_size, keep, forced, need, least_size):
-        reached.append((by_size, keep, forced, least_size))
-        return volumes(by_size, keep, forced, need, least_size)
+    def recording(by_size, keep, forced, need, least_size):
+        if not reached or reached[-1][1] != keep:  # a set's later asks share its keep
+            reached.append((by_size, keep, forced, least_size))
+        return admits(by_size, keep, forced, need, least_size)
 
-    monkeypatch.setattr(trust, "_least_volumes", recording_volumes)
+    monkeypatch.setattr(trust, "_ceiling_admits", recording)
     rng = random.Random(1901)
     refusals = {True: 0, False: 0}  # by whether the ask held forced processes
     for _ in range(60):
@@ -333,8 +335,7 @@ def test_ceiling_refuses_only_asks_no_forced_packing_meets(monkeypatch):
             held = [i for i, p in enumerate(correct) if forced >> p & 1]
             most = brute_pack(rows, forced=held)
             for need in range(1, len(correct) + 2):
-                asked = volumes(by_size, keep, forced, need, least_size)
-                if not trust._ceiling_admits(asked, keep, need):
+                if not admits(by_size, keep, forced, need, least_size):
                     assert not len(held) <= need <= most, (model, faulty, held, need)
                     refusals[bool(held)] += 1
     assert refusals[True] > 20 and refusals[False] > 20
@@ -370,11 +371,12 @@ def test_extension_rules_match_brute_force(monkeypatch):
     from kspend.fuzz import random_model
 
     ceilinged, forced_calls = [], []
-    volumes, can_pack = trust._least_volumes, trust._Packer.can_pack
+    admits, can_pack = trust._ceiling_admits, trust._Packer.can_pack
 
-    def recording_volumes(by_size, keep, forced, need, least_size):
-        ceilinged.append(keep)
-        return volumes(by_size, keep, forced, need, least_size)
+    def recording_admits(by_size, keep, forced, need, least_size):
+        if not ceilinged or ceilinged[-1] != keep:  # a set's first ask: later ones share keep
+            ceilinged.append(keep)
+        return admits(by_size, keep, forced, need, least_size)
 
     def recording_can_pack(self, pids, need, used, failed, budget, forced=0):
         if forced:
@@ -387,7 +389,7 @@ def test_extension_rules_match_brute_force(monkeypatch):
             forced_calls.append(units[0][1] < units[1][1])
         return can_pack(self, pids, need, used, failed, budget, forced)
 
-    monkeypatch.setattr(trust, "_least_volumes", recording_volumes)
+    monkeypatch.setattr(trust, "_ceiling_admits", recording_admits)
     monkeypatch.setattr(trust._Packer, "can_pack", recording_can_pack)
     rng = random.Random(18)
     rules = []
@@ -465,6 +467,17 @@ def test_search_units_are_pinned():
         witness, witness_units = charged_units(max_independent_set_witness, model)
         assert (value, len(witness.independent_set)) == (case["value"], case["value"]), case
         assert (units, witness_units) == (case["value_units"], case["witness_units"]), case
+
+
+def test_plain_oracle_matches_the_analyzer_to_n_16():
+    """A packing search with no extension bound, ceiling, forced rows or packer agrees
+    with the analyzer and the pinned value on every asymmetric (n = 14-16) and fuzz case
+    of the pinned search units, whose values the analyzer itself wrote."""
+    cases = [c for c in json.loads(UNITS_FILE.read_text()) if c["kind"] in ("asymmetric", "fuzz")]
+    assert len(cases) == 80
+    for case in cases:
+        model = parse_model(case["model"])
+        assert plain_inconsistency(model) == inconsistency_number(model) == case["value"], case
 
 
 def test_uniform_12_8_4_is_exact_within_the_default_budget():
